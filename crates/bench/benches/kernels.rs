@@ -4,9 +4,9 @@
 //!
 //! Shapes mirror the hot paths: `input` is the set-module first layer
 //! (one-hot + bitmap features, mostly zeros), `hidden` the dense second
-//! layer, `concat` the output network's first layer, the `trans*`
-//! kernels the two backward products, and `sparse_*` the CSR input-layer
-//! forward/gradient against the dense kernels on the same ~85%-zero
+//! layer, `concat` the output network's first layer, `transb` the
+//! backward input-gradient product, and `sparse_*` the CSR input-layer
+//! forward/gradient against the dense kernel on the same ~85%-zero
 //! data. The active dispatch path (`LC_KERNEL`) is printed up front so
 //! recorded numbers are attributable. Set `LC_BENCH_QUICK=1` for a
 //! sub-second smoke run (used by CI to catch kernel regressions loudly);
@@ -120,17 +120,9 @@ fn bench_kernels(c: &mut Criterion) {
         w.transpose_into(&mut wt);
         let mut reference = Matrix::zeros(0, 0);
         naive_matmul(&g, &wt, &mut reference);
-        g.matmul_transb_into(&w, &mut out);
-        assert_close(&out, &reference, "transb/grad_in");
         g.matmul_transb_scratch(&w, &mut out, &mut tmp);
         assert_close(&out, &reference, "transb/grad_in_scratch");
     }
-    group.bench_function("transb/grad_in_512x64_x_70x64t", |bencher| {
-        bencher.iter(|| {
-            black_box(&g).matmul_transb_into(black_box(&w), &mut out);
-            out.get(0, 0)
-        })
-    });
     group.bench_function("transb/grad_in_scratch_512x64_x_70x64t", |bencher| {
         bencher.iter(|| {
             black_box(&g).matmul_transb_scratch(black_box(&w), &mut out, &mut tmp);
@@ -138,21 +130,6 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     let mut grad_w = Matrix::zeros(70, 64);
-    {
-        let mut xt = Matrix::zeros(0, 0);
-        x.transpose_into(&mut xt);
-        let mut reference = Matrix::zeros(0, 0);
-        naive_matmul(&xt, &g, &mut reference);
-        x.matmul_transa_into(&g, &mut grad_w);
-        assert_close(&grad_w, &reference, "transa/grad_w");
-    }
-    group.bench_function("transa/grad_w_512x70t_x_512x64", |bencher| {
-        bencher.iter(|| {
-            grad_w.fill_zero();
-            black_box(&x).matmul_transa_into(black_box(&g), &mut grad_w);
-            grad_w.get(0, 0)
-        })
-    });
 
     // Sparse input-layer path vs the dense kernels on the same
     // ~85%-zero one-hot/bitmap data — forward (fused bias) and weight
@@ -197,8 +174,12 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     {
+        // Reference: the other weight-gradient strategy, transpose +
+        // blocked matmul.
+        let mut xt = Matrix::zeros(0, 0);
+        x.transpose_into(&mut xt);
         let mut dense_gw = Matrix::zeros(70, 64);
-        x.matmul_transa_into(&g, &mut dense_gw);
+        lc_nn::kernels::matmul_accumulate_with(lc_nn::kernels::active(), &xt, &g, &mut dense_gw);
         let mut sparse_gw = Matrix::zeros(70, 64);
         lc_nn::kernels::sparse_transa_accumulate_with(
             lc_nn::kernels::active(),
@@ -209,7 +190,7 @@ fn bench_kernels(c: &mut Criterion) {
         assert_eq!(
             dense_gw.data(),
             sparse_gw.data(),
-            "sparse_grad: CSR transa must match the dense transa bitwise"
+            "sparse_grad: CSR gather must match transpose + matmul bitwise"
         );
     }
     group.bench_function("sparse_grad/input_512x70t_x_512x64", |bencher| {

@@ -3,109 +3,41 @@
 //! The paper zero-pads every query to the maximum set size in the batch and
 //! masks the dummy elements out of the average (§3.2). We store the same
 //! information without padding: all set elements of a batch are stacked
-//! into one dense matrix per module, plus per-query `(offset, len)`
-//! segments. `segment_mean` then computes exactly the paper's masked
-//! average — an empty set yields the zero vector, matching the all-masked
-//! behaviour of the reference implementation.
+//! into one CSR [`SparseRows`] stack per module (the rows are ~85% zeros,
+//! so CSR is their only encoding — no dense copy exists anywhere), plus
+//! per-query `(offset, len)` segments. Segment-mean pooling then computes
+//! exactly the paper's masked average — an empty set yields the zero
+//! vector, matching the all-masked behaviour of the reference
+//! implementation.
+
+use std::sync::Mutex;
 
 use lc_nn::{Matrix, SparseRows};
 
 use crate::featurize::FeaturizedQuery;
 
-/// A mini-batch of featurized queries in ragged layout.
-///
-/// Each module's element rows exist twice: as a dense stacked [`Matrix`]
-/// (the classic compute surface and the backward pass's shape source)
-/// and as a CSR-style [`SparseRows`] stack feeding the O(nnz) input-layer
-/// kernels — bitwise-equivalent views of the same data.
-#[derive(Clone, Debug)]
+/// A mini-batch of featurized queries in ragged layout: per set module,
+/// the element rows of all queries stacked in CSR form and one
+/// `(offset, len)` row segment per query.
+#[derive(Clone, Debug, Default)]
 pub struct RaggedBatch {
     /// Stacked table feature rows of all queries.
-    pub tables: Matrix,
-    /// CSR view of `tables` (exact nonzeros, used by the sparse input
-    /// layer of the table set-MLP).
     pub tables_sp: SparseRows,
-    /// `(offset, len)` into `tables` per query.
+    /// `(offset, len)` into `tables_sp` per query.
     pub table_segs: Vec<(u32, u32)>,
     /// Stacked join feature rows.
-    pub joins: Matrix,
-    /// CSR view of `joins`.
     pub joins_sp: SparseRows,
-    /// `(offset, len)` into `joins` per query.
+    /// `(offset, len)` into `joins_sp` per query.
     pub join_segs: Vec<(u32, u32)>,
     /// Stacked predicate feature rows.
-    pub preds: Matrix,
-    /// CSR view of `preds`.
     pub preds_sp: SparseRows,
-    /// `(offset, len)` into `preds` per query.
+    /// `(offset, len)` into `preds_sp` per query.
     pub pred_segs: Vec<(u32, u32)>,
     /// Normalized targets, one per query.
     pub targets: Vec<f32>,
 }
 
 impl RaggedBatch {
-    /// Assemble a batch from featurized queries (in the given order).
-    ///
-    /// `table_dim`, `join_dim`, `pred_dim` fix the matrix widths even when
-    /// a module receives zero rows across the whole batch. The CSR stacks
-    /// are derived by scanning the dense rows (the canonical nonzero
-    /// form); callers that assemble the same corpus repeatedly use
-    /// [`RaggedBatch::assemble_indexed`] with a pre-scanned
-    /// [`CorpusSparse`] instead.
-    pub fn assemble(
-        queries: &[&FeaturizedQuery],
-        table_dim: usize,
-        join_dim: usize,
-        pred_dim: usize,
-    ) -> Self {
-        fn stack(
-            rows: impl Iterator<Item = usize>,
-            queries: &[&FeaturizedQuery],
-            pick: impl Fn(&FeaturizedQuery) -> &Vec<Vec<f32>>,
-            dim: usize,
-        ) -> (Matrix, SparseRows, Vec<(u32, u32)>) {
-            let total: usize = rows.sum();
-            let mut data = Vec::with_capacity(total * dim);
-            let mut sparse = SparseRows::new(dim);
-            let mut segs = Vec::with_capacity(queries.len());
-            let mut offset = 0u32;
-            for q in queries {
-                let rs = pick(q);
-                for r in rs {
-                    debug_assert_eq!(r.len(), dim);
-                    sparse.push_row_from_dense(r);
-                    data.extend_from_slice(r);
-                }
-                segs.push((offset, rs.len() as u32));
-                offset += rs.len() as u32;
-            }
-            (Matrix::from_vec(total, dim, data), sparse, segs)
-        }
-        let (tables, tables_sp, table_segs) = stack(
-            queries.iter().map(|q| q.table_rows.len()),
-            queries,
-            |q| &q.table_rows,
-            table_dim,
-        );
-        let (joins, joins_sp, join_segs) =
-            stack(queries.iter().map(|q| q.join_rows.len()), queries, |q| &q.join_rows, join_dim);
-        let (preds, preds_sp, pred_segs) =
-            stack(queries.iter().map(|q| q.pred_rows.len()), queries, |q| &q.pred_rows, pred_dim);
-        let targets = queries.iter().map(|q| q.target).collect();
-        RaggedBatch {
-            tables,
-            tables_sp,
-            table_segs,
-            joins,
-            joins_sp,
-            join_segs,
-            preds,
-            preds_sp,
-            pred_segs,
-            targets,
-        }
-    }
-
     /// Number of queries in the batch.
     pub fn len(&self) -> usize {
         self.table_segs.len()
@@ -119,100 +51,15 @@ impl RaggedBatch {
     /// An empty batch with no buffer capacity — the starting point for
     /// [`crate::Featurizer::featurize_into_sparse_batch`] reuse.
     pub fn empty() -> Self {
-        RaggedBatch {
-            tables: Matrix::zeros(0, 0),
-            tables_sp: SparseRows::new(0),
-            table_segs: Vec::new(),
-            joins: Matrix::zeros(0, 0),
-            joins_sp: SparseRows::new(0),
-            join_segs: Vec::new(),
-            preds: Matrix::zeros(0, 0),
-            preds_sp: SparseRows::new(0),
-            pred_segs: Vec::new(),
-            targets: Vec::new(),
-        }
+        RaggedBatch::default()
     }
-}
 
-/// Pool of warm serving batches, shared by the f32 and quantized
-/// estimate paths: each inference block takes one, rebuilds it in place
-/// (capacity carries over), and returns it. Pooled rather than
-/// thread-local because inference fans out onto short-lived scoped
-/// threads; capped so a concurrency burst cannot pin memory.
-static BATCH_POOL: std::sync::Mutex<Vec<RaggedBatch>> = std::sync::Mutex::new(Vec::new());
-
-/// Upper bound on pooled serving batches.
-const BATCH_POOL_CAP: usize = 16;
-
-pub(crate) fn batch_pool_take() -> RaggedBatch {
-    BATCH_POOL.lock().expect("batch pool poisoned").pop().unwrap_or_else(RaggedBatch::empty)
-}
-
-pub(crate) fn batch_pool_put(batch: RaggedBatch) {
-    let mut pool = BATCH_POOL.lock().expect("batch pool poisoned");
-    if pool.len() < BATCH_POOL_CAP {
-        pool.push(batch);
-    }
-}
-
-/// Corpus-level CSR views of a featurized training set: all set-element
-/// rows of every query, stacked once, plus per-query row offsets. Built
-/// once per training run; every epoch's mini-batch assembly then copies
-/// whole row ranges out of it ([`SparseRows::push_rows_from`]) instead
-/// of re-scanning dense rows or re-validating entries per epoch.
-pub struct CorpusSparse {
-    tables: SparseRows,
-    joins: SparseRows,
-    preds: SparseRows,
-    /// Query `q`'s table rows live at `t_row0[q]..t_row0[q + 1]`.
-    t_row0: Vec<u32>,
-    j_row0: Vec<u32>,
-    p_row0: Vec<u32>,
-}
-
-impl CorpusSparse {
-    /// Scan a featurized corpus into its stacked CSR form.
-    pub fn build(
-        feats: &[FeaturizedQuery],
-        table_dim: usize,
-        join_dim: usize,
-        pred_dim: usize,
-    ) -> Self {
-        let mut out = CorpusSparse {
-            tables: SparseRows::new(table_dim),
-            joins: SparseRows::new(join_dim),
-            preds: SparseRows::new(pred_dim),
-            t_row0: Vec::with_capacity(feats.len() + 1),
-            j_row0: Vec::with_capacity(feats.len() + 1),
-            p_row0: Vec::with_capacity(feats.len() + 1),
-        };
-        out.t_row0.push(0);
-        out.j_row0.push(0);
-        out.p_row0.push(0);
-        for q in feats {
-            for r in &q.table_rows {
-                out.tables.push_row_from_dense(r);
-            }
-            for r in &q.join_rows {
-                out.joins.push_row_from_dense(r);
-            }
-            for r in &q.pred_rows {
-                out.preds.push_row_from_dense(r);
-            }
-            out.t_row0.push(out.tables.rows() as u32);
-            out.j_row0.push(out.joins.rows() as u32);
-            out.p_row0.push(out.preds.rows() as u32);
-        }
-        out
-    }
-}
-
-impl RaggedBatch {
     /// Assemble the mini-batch holding queries `idx` (in order) of a
-    /// corpus: dense rows come from `feats`, CSR rows are bulk-copied
-    /// from `corpus` — the per-epoch re-batching path of the trainer.
-    /// Identical output to [`RaggedBatch::assemble`] on the same
-    /// queries.
+    /// corpus: row ranges are bulk-copied out of `corpus`, targets come
+    /// from `feats` — the per-epoch re-batching path of the trainer.
+    ///
+    /// `table_dim`, `join_dim`, `pred_dim` must be the widths `corpus`
+    /// was built with.
     pub fn assemble_indexed(
         feats: &[FeaturizedQuery],
         corpus: &CorpusSparse,
@@ -221,66 +68,96 @@ impl RaggedBatch {
         join_dim: usize,
         pred_dim: usize,
     ) -> Self {
-        fn stack(
-            feats: &[FeaturizedQuery],
-            idx: &[usize],
-            pick: impl Fn(&FeaturizedQuery) -> &Vec<Vec<f32>>,
-            src: &SparseRows,
-            row0: &[u32],
-            dim: usize,
-        ) -> (Matrix, SparseRows, Vec<(u32, u32)>) {
-            let total: usize = idx.iter().map(|&i| pick(&feats[i]).len()).sum();
-            let mut data = Vec::with_capacity(total * dim);
-            let mut sparse = SparseRows::new(dim);
-            let mut segs = Vec::with_capacity(idx.len());
-            let mut offset = 0u32;
-            for &i in idx {
-                let rs = pick(&feats[i]);
-                sparse.push_rows_from(src, row0[i] as usize..row0[i + 1] as usize);
-                for r in rs {
-                    debug_assert_eq!(r.len(), dim);
-                    data.extend_from_slice(r);
-                }
-                segs.push((offset, rs.len() as u32));
-                offset += rs.len() as u32;
-            }
-            (Matrix::from_vec(total, dim, data), sparse, segs)
-        }
-        let (tables, tables_sp, table_segs) =
-            stack(feats, idx, |q| &q.table_rows, &corpus.tables, &corpus.t_row0, table_dim);
-        let (joins, joins_sp, join_segs) =
-            stack(feats, idx, |q| &q.join_rows, &corpus.joins, &corpus.j_row0, join_dim);
-        let (preds, preds_sp, pred_segs) =
-            stack(feats, idx, |q| &q.pred_rows, &corpus.preds, &corpus.p_row0, pred_dim);
+        let pick = |(src, segs): &(SparseRows, Vec<(u32, u32)>), dim| {
+            stack(dim, idx.iter().map(|&i| (src, segs[i])))
+        };
+        let (tables_sp, table_segs) = pick(&corpus.tables, table_dim);
+        let (joins_sp, join_segs) = pick(&corpus.joins, join_dim);
+        let (preds_sp, pred_segs) = pick(&corpus.preds, pred_dim);
         let targets = idx.iter().map(|&i| feats[i].target).collect();
-        RaggedBatch {
-            tables,
-            tables_sp,
-            table_segs,
-            joins,
-            joins_sp,
-            join_segs,
-            preds,
-            preds_sp,
-            pred_segs,
-            targets,
+        RaggedBatch { tables_sp, table_segs, joins_sp, join_segs, preds_sp, pred_segs, targets }
+    }
+}
+
+/// The one row-stacking routine: concatenate row segments `(offset, len)`
+/// of source stacks into a fresh `dim`-wide stack (bulk slice copies, no
+/// per-entry work), returning it with each part's segment in the result.
+fn stack<'a>(
+    dim: usize,
+    parts: impl Iterator<Item = (&'a SparseRows, (u32, u32))>,
+) -> (SparseRows, Vec<(u32, u32)>) {
+    let mut rows = SparseRows::new(dim);
+    let mut segs = Vec::with_capacity(parts.size_hint().0);
+    for (src, (offset, len)) in parts {
+        segs.push((rows.rows() as u32, len));
+        rows.push_rows_from(src, offset as usize..(offset + len) as usize);
+    }
+    (rows, segs)
+}
+
+/// Corpus-level CSR stacks of a featurized training set: all set-element
+/// rows of every query, stacked once, plus each query's row segment.
+/// Built once per training run; every epoch's mini-batch assembly then
+/// copies whole row ranges out of it ([`SparseRows::push_rows_from`]).
+pub struct CorpusSparse {
+    tables: (SparseRows, Vec<(u32, u32)>),
+    joins: (SparseRows, Vec<(u32, u32)>),
+    preds: (SparseRows, Vec<(u32, u32)>),
+}
+
+impl CorpusSparse {
+    /// Stack a featurized corpus.
+    pub fn build(
+        feats: &[FeaturizedQuery],
+        table_dim: usize,
+        join_dim: usize,
+        pred_dim: usize,
+    ) -> Self {
+        let all = |rows_of: fn(&FeaturizedQuery) -> &SparseRows, dim| {
+            stack(dim, feats.iter().map(|q| (rows_of(q), (0, rows_of(q).rows() as u32))))
+        };
+        CorpusSparse {
+            tables: all(|q| &q.tables, table_dim),
+            joins: all(|q| &q.joins, join_dim),
+            preds: all(|q| &q.preds, pred_dim),
         }
     }
 }
 
-/// Masked average pooling: `out[q] = mean(elems[offset..offset+len])`, the
-/// zero vector for empty segments.
-pub fn segment_mean(elems: &Matrix, segs: &[(u32, u32)]) -> Matrix {
-    let mut out = Matrix::zeros(segs.len(), elems.cols());
-    segment_mean_into_cols(elems, segs, &mut out, 0);
-    out
+/// A capped pool of warm reusable values — serving batches and inference
+/// scratches. Each inference block takes one, rebuilds it in place
+/// (capacity carries over), and returns it. Pooled rather than
+/// thread-local because a block runs on whichever thread calls in or on
+/// any worker of the inference fan-out; capped so a concurrency burst
+/// cannot pin memory.
+pub(crate) struct WarmPool<T>(Mutex<Vec<T>>);
+
+/// Upper bound on the values a [`WarmPool`] retains.
+const WARM_POOL_CAP: usize = 16;
+
+impl<T: Default> WarmPool<T> {
+    pub(crate) const fn new() -> Self {
+        WarmPool(Mutex::new(Vec::new()))
+    }
+
+    /// A pooled value, or a fresh `T::default()` when the pool is empty.
+    pub(crate) fn take(&self) -> T {
+        self.0.lock().expect("warm pool poisoned").pop().unwrap_or_default()
+    }
+
+    /// Return a value for reuse (dropped when the pool is full).
+    pub(crate) fn put(&self, value: T) {
+        let mut pool = self.0.lock().expect("warm pool poisoned");
+        if pool.len() < WARM_POOL_CAP {
+            pool.push(value);
+        }
+    }
 }
 
 /// Masked average pooling written into a **column window** of `out`:
-/// `out[q][col0 .. col0 + elems.cols()] = mean(segment q)`, zeros for an
-/// empty segment. Writing straight into a window of the concatenation
-/// matrix removes both the pooled temporaries and the copy pass the
-/// allocating path needed.
+/// `out[q][col0 .. col0 + elems.cols()] = mean(elems[offset..offset+len])`,
+/// zeros for an empty segment. Writing straight into a window of the
+/// concatenation matrix needs neither pooled temporaries nor a copy pass.
 ///
 /// # Panics
 /// If `out` has fewer rows than `segs` or the window exceeds its width.
@@ -306,24 +183,13 @@ pub fn segment_mean_into_cols(elems: &Matrix, segs: &[(u32, u32)], out: &mut Mat
     }
 }
 
-/// Backward of [`segment_mean`]: each element of segment `q` receives
-/// `grad_pooled[q] / len`; rows of empty segments receive nothing.
-pub fn segment_mean_backward(
-    grad_pooled: &Matrix,
-    segs: &[(u32, u32)],
-    num_elems: usize,
-) -> Matrix {
-    let mut out = Matrix::zeros(num_elems, grad_pooled.cols());
-    segment_mean_backward_from_cols(grad_pooled, 0, grad_pooled.cols(), segs, &mut out);
-    out
-}
-
 /// Backward of [`segment_mean_into_cols`], reading the pooled gradient
 /// from a **column window** of `grad_pooled` and writing the expanded
-/// per-element gradient into `out` (pre-sized by the caller).
+/// per-element gradient into `out` (pre-sized by the caller): each
+/// element of segment `q` receives `grad_pooled[q] / len`.
 /// Allocation-free. Each covered row is **overwritten**, so when the
-/// segments tile `out`'s rows exactly — which [`RaggedBatch::assemble`]
-/// guarantees: offsets advance by each segment's length and empty
+/// segments tile `out`'s rows exactly — which every [`RaggedBatch`]
+/// builder guarantees: offsets advance by each segment's length and empty
 /// segments own no rows — the caller may pre-size `out` with
 /// [`Matrix::resize_for_overwrite`]. Rows outside every segment keep
 /// their prior contents; zero them beforehand if they are meaningful.
@@ -357,6 +223,18 @@ pub fn segment_mean_backward_from_cols(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn segment_mean(elems: &Matrix, segs: &[(u32, u32)]) -> Matrix {
+        let mut out = Matrix::zeros(segs.len(), elems.cols());
+        segment_mean_into_cols(elems, segs, &mut out, 0);
+        out
+    }
+
+    fn segment_mean_backward(grad: &Matrix, segs: &[(u32, u32)], num_elems: usize) -> Matrix {
+        let mut out = Matrix::zeros(num_elems, grad.cols());
+        segment_mean_backward_from_cols(grad, 0, grad.cols(), segs, &mut out);
+        out
+    }
 
     #[test]
     fn segment_mean_averages_and_zeroes_empty() {
@@ -400,32 +278,46 @@ mod tests {
 
     #[test]
     fn assemble_concatenates_in_order() {
+        let rows = |cols: usize, dense: &[&[f32]]| {
+            let mut sp = SparseRows::new(cols);
+            for r in dense {
+                sp.push_row(r.iter().enumerate().map(|(j, &v)| (j as u32, v)));
+            }
+            sp
+        };
         let q1 = FeaturizedQuery {
-            table_rows: vec![vec![1.0, 0.0]],
-            join_rows: vec![],
-            pred_rows: vec![vec![0.5, 0.5, 0.0]],
+            tables: rows(2, &[&[1.0, 0.0]]),
+            joins: rows(1, &[]),
+            preds: rows(3, &[&[0.5, 0.5, 0.0]]),
             target: 0.25,
         };
         let q2 = FeaturizedQuery {
-            table_rows: vec![vec![0.0, 1.0], vec![1.0, 1.0]],
-            join_rows: vec![vec![1.0]],
-            pred_rows: vec![],
+            tables: rows(2, &[&[0.0, 1.0], &[1.0, 1.0]]),
+            joins: rows(1, &[&[1.0]]),
+            preds: rows(3, &[]),
             target: 0.75,
         };
-        let b = RaggedBatch::assemble(&[&q1, &q2], 2, 1, 3);
+        let feats = [q1, q2];
+        let corpus = CorpusSparse::build(&feats, 2, 1, 3);
+        let b = RaggedBatch::assemble_indexed(&feats, &corpus, &[0, 1], 2, 1, 3);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.tables.shape(), (3, 2));
         assert_eq!(b.table_segs, vec![(0, 1), (1, 2)]);
-        assert_eq!(b.joins.shape(), (1, 1));
         assert_eq!(b.join_segs, vec![(0, 0), (0, 1)]);
-        assert_eq!(b.preds.shape(), (1, 3));
         assert_eq!(b.pred_segs, vec![(0, 1), (1, 0)]);
         assert_eq!(b.targets, vec![0.25, 0.75]);
-        assert_eq!(b.tables.row(2), &[1.0, 1.0]);
-        // The CSR views are the canonical sparse form of the dense stacks.
-        assert_eq!(b.tables_sp, SparseRows::from_dense(&b.tables));
-        assert_eq!(b.joins_sp, SparseRows::from_dense(&b.joins));
-        assert_eq!(b.preds_sp, SparseRows::from_dense(&b.preds));
+        assert_eq!(b.tables_sp, rows(2, &[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]));
+        assert_eq!(b.joins_sp, rows(1, &[&[1.0]]));
+        assert_eq!(b.preds_sp, rows(3, &[&[0.5, 0.5, 0.0]]));
         assert_eq!(b.preds_sp.nnz(), 2, "the explicit 0.0 entry must be dropped");
+
+        // Any index order (and repetition) re-stacks rows and segments.
+        let swapped = RaggedBatch::assemble_indexed(&feats, &corpus, &[1, 0, 1], 2, 1, 3);
+        assert_eq!(swapped.table_segs, vec![(0, 2), (2, 1), (3, 2)]);
+        assert_eq!(swapped.join_segs, vec![(0, 1), (1, 0), (1, 1)]);
+        assert_eq!(swapped.targets, vec![0.75, 0.25, 0.75]);
+        assert_eq!(
+            swapped.tables_sp.to_dense().data(),
+            &[0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        );
     }
 }

@@ -1,20 +1,14 @@
 //! The unified [`Estimator`] trait — one object-safe seam for every
 //! estimator kind.
 //!
-//! Historically the workspace had two traits: `CardinalityEstimator` in
-//! `lc_query` (point estimates) and an `Estimator` supertrait here
-//! (uncertainty batches). Heterogeneous serving pipelines made the split
-//! untenable — a registry holding `Arc<dyn Estimator>` needs *one*
-//! entry point that names the estimator, answers point queries, answers
-//! batches, qualifies its own trust, and says which component of a
-//! composite pipeline produced each answer. [`Estimator`] is that one
-//! seam: the batched uncertainty channel is the required method, and the
+//! A registry holding `Arc<dyn Estimator>` needs *one* entry point that
+//! names the estimator, answers point queries, answers batches,
+//! qualifies its own trust, and says which component of a composite
+//! pipeline produced each answer. [`Estimator`] is that one seam: the
+//! batched uncertainty channel is the required method, and the
 //! point/batch/routed entry points are default methods derived from it,
 //! so a new estimator implements exactly two functions (`name` and
 //! `estimate_with_uncertainty`) and gets the whole surface.
-//!
-//! The old `lc_query::CardinalityEstimator` remains only as a deprecated
-//! shim; nothing in the workspace implements it anymore.
 //!
 //! The trait is object-safe — no generic methods — so
 //! `Arc<dyn Estimator + Send + Sync>` is the currency of the serving

@@ -9,7 +9,7 @@
 //!   training set ([`LabelNorm`]).
 
 use lc_engine::{Database, TableId};
-use lc_nn::{Matrix, SparseRows};
+use lc_nn::SparseRows;
 use lc_query::LabeledQuery;
 
 use crate::batch::RaggedBatch;
@@ -99,18 +99,18 @@ impl LabelNorm {
     }
 }
 
-/// One featurized query: ragged rows for the three set modules plus the
+/// One featurized query: the CSR rows of its three sets plus the
 /// normalized target.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FeaturizedQuery {
     /// One row of width [`Featurizer::table_dim`] per participating table.
-    pub table_rows: Vec<Vec<f32>>,
-    /// One row of width [`Featurizer::join_dim`] per join edge (empty for
-    /// base-table queries).
-    pub join_rows: Vec<Vec<f32>>,
+    pub tables: SparseRows,
+    /// One row of width [`Featurizer::join_dim`] per join edge (no rows
+    /// for base-table queries).
+    pub joins: SparseRows,
     /// One row of width [`Featurizer::pred_dim`] per predicate (possibly
-    /// empty).
-    pub pred_rows: Vec<Vec<f32>>,
+    /// none).
+    pub preds: SparseRows,
     /// Normalized target, if the query is labeled for training.
     pub target: f32,
 }
@@ -224,9 +224,8 @@ impl Featurizer {
     }
 
     /// Emit the nonzero `(index, value)` pairs of table-element row `i`
-    /// of `q`, in strictly ascending index order — the single encoding
-    /// primitive behind the dense rows, the CSR lists, and the streaming
-    /// batch assembly (they cannot drift apart).
+    /// of `q`, in strictly ascending index order. The three `emit_*_row`
+    /// methods are the only place feature positions are decided.
     fn emit_table_row(&self, q: &LabeledQuery, i: usize, f: &mut impl FnMut(u32, f32)) {
         f(q.query.tables()[i].index() as u32, 1.0);
         match self.mode {
@@ -270,158 +269,60 @@ impl Featurizer {
         }
     }
 
-    /// Encode one annotated query — the per-request hot path, kept free
-    /// of any per-row side allocations. The canonical CSR form of these
-    /// rows comes from [`Featurizer::featurize_into_batch`] (serving) or
-    /// `CorpusSparse::build` (training), both of which share this
-    /// method's emitters.
-    pub fn featurize(&self, q: &LabeledQuery) -> FeaturizedQuery {
-        let mut out = FeaturizedQuery {
-            table_rows: Vec::with_capacity(q.query.tables().len()),
-            join_rows: Vec::with_capacity(q.query.joins().len()),
-            pred_rows: Vec::with_capacity(q.query.predicates().len()),
-            target: self.label_norm.normalize(q.cardinality.max(1)),
-        };
+    /// Append every set-element row of `q` to the three CSR stacks.
+    fn emit_query(
+        &self,
+        q: &LabeledQuery,
+        tables: &mut SparseRows,
+        joins: &mut SparseRows,
+        preds: &mut SparseRows,
+    ) {
         for i in 0..q.query.tables().len() {
-            let mut row = vec![0.0f32; self.table_dim()];
-            self.emit_table_row(q, i, &mut |idx, val| row[idx as usize] = val);
-            out.table_rows.push(row);
+            self.emit_table_row(q, i, &mut |idx, val| tables.push_entry_trusted(idx, val));
+            tables.finish_row();
         }
         for i in 0..q.query.joins().len() {
-            let mut row = vec![0.0f32; self.join_dim()];
-            self.emit_join_row(q, i, &mut |idx, val| row[idx as usize] = val);
-            out.join_rows.push(row);
+            self.emit_join_row(q, i, &mut |idx, val| joins.push_entry_trusted(idx, val));
+            joins.finish_row();
         }
         for pi in 0..q.query.predicates().len() {
-            let mut row = vec![0.0f32; self.pred_dim()];
-            self.emit_pred_row(q, pi, &mut |idx, val| row[idx as usize] = val);
-            out.pred_rows.push(row);
+            self.emit_pred_row(q, pi, &mut |idx, val| preds.push_entry_trusted(idx, val));
+            preds.finish_row();
         }
+    }
+
+    /// Encode one annotated query on its own — the unit a training corpus
+    /// is made of (`CorpusSparse::build` stacks them). Serving featurizes
+    /// whole blocks with [`Featurizer::featurize_into_sparse_batch`].
+    pub fn featurize(&self, q: &LabeledQuery) -> FeaturizedQuery {
+        let mut out = FeaturizedQuery {
+            tables: SparseRows::new(self.table_dim()),
+            joins: SparseRows::new(self.join_dim()),
+            preds: SparseRows::new(self.pred_dim()),
+            target: self.label_norm.normalize(q.cardinality.max(1)),
+        };
+        self.emit_query(q, &mut out.tables, &mut out.joins, &mut out.preds);
         out
     }
 
-    /// Featurize a block of queries **straight into a ragged batch**:
-    /// dense rows are written into the pre-sized stacked matrices and
-    /// the CSR entries stream into the [`SparseRows`] stacks as they are
-    /// emitted — no per-query `FeaturizedQuery`, per-row `Vec`s, copy
-    /// pass, or rescan. This is the serving hot path: per-request work
-    /// is one emitter walk per set element.
-    pub fn featurize_into_batch(&self, queries: &[LabeledQuery]) -> RaggedBatch {
-        let (td, jd, pd) = (self.table_dim(), self.join_dim(), self.pred_dim());
-        let t_total: usize = queries.iter().map(|q| q.query.tables().len()).sum();
-        let j_total: usize = queries.iter().map(|q| q.query.joins().len()).sum();
-        let p_total: usize = queries.iter().map(|q| q.query.predicates().len()).sum();
-        let mut tables = Matrix::zeros(t_total, td);
-        let mut joins = Matrix::zeros(j_total, jd);
-        let mut preds = Matrix::zeros(p_total, pd);
-        let mut tables_sp = SparseRows::new(td);
-        let mut joins_sp = SparseRows::new(jd);
-        let mut preds_sp = SparseRows::new(pd);
-        let mut table_segs = Vec::with_capacity(queries.len());
-        let mut join_segs = Vec::with_capacity(queries.len());
-        let mut pred_segs = Vec::with_capacity(queries.len());
-        let mut targets = Vec::with_capacity(queries.len());
-        // One reusable nonzero buffer serves every row of every module.
-        let mut buf: Vec<(u32, f32)> = Vec::with_capacity(td.max(jd).max(pd));
-        let (mut tr, mut jr, mut pr) = (0usize, 0usize, 0usize);
-        for q in queries {
-            targets.push(self.label_norm.normalize(q.cardinality.max(1)));
-            table_segs.push((tr as u32, q.query.tables().len() as u32));
-            for i in 0..q.query.tables().len() {
-                let row = tables.row_mut(tr);
-                buf.clear();
-                self.emit_table_row(q, i, &mut |idx, val| {
-                    row[idx as usize] = val;
-                    buf.push((idx, val));
-                });
-                tables_sp.push_row_trusted(&buf);
-                tr += 1;
-            }
-            join_segs.push((jr as u32, q.query.joins().len() as u32));
-            for i in 0..q.query.joins().len() {
-                let row = joins.row_mut(jr);
-                buf.clear();
-                self.emit_join_row(q, i, &mut |idx, val| {
-                    row[idx as usize] = val;
-                    buf.push((idx, val));
-                });
-                joins_sp.push_row_trusted(&buf);
-                jr += 1;
-            }
-            pred_segs.push((pr as u32, q.query.predicates().len() as u32));
-            for pi in 0..q.query.predicates().len() {
-                let row = preds.row_mut(pr);
-                buf.clear();
-                self.emit_pred_row(q, pi, &mut |idx, val| {
-                    row[idx as usize] = val;
-                    buf.push((idx, val));
-                });
-                preds_sp.push_row_trusted(&buf);
-                pr += 1;
-            }
-        }
-        RaggedBatch {
-            tables,
-            tables_sp,
-            table_segs,
-            joins,
-            joins_sp,
-            join_segs,
-            preds,
-            preds_sp,
-            pred_segs,
-            targets,
-        }
-    }
-
-    /// Featurize a block of queries into a **reused, sparse-only**
-    /// batch: the CSR stacks, segment maps, and targets are rebuilt in
-    /// place (buffer capacity carries over from the previous call) and
-    /// the dense stacked matrices are left *empty* — the serving
-    /// forwards ([`crate::MscnModel::forward_scratch`] and its
-    /// quantized twin) read only the CSR side, and skipping the dense
-    /// mirror removes the last per-request allocations and zero-fills
-    /// from the estimate path. Not a substitute for
-    /// [`Featurizer::featurize_into_batch`] anywhere dense rows are
-    /// consumed (training, gradients).
+    /// Featurize a block of queries into a **reused** batch: the CSR
+    /// stacks, segment maps, and targets are rebuilt in place (buffer
+    /// capacity carries over from the previous call), so a warm batch
+    /// costs one emitter walk per set element and nothing else.
     pub fn featurize_into_sparse_batch(&self, queries: &[LabeledQuery], out: &mut RaggedBatch) {
-        let (td, jd, pd) = (self.table_dim(), self.join_dim(), self.pred_dim());
-        out.tables.resize_for_overwrite(0, td);
-        out.joins.resize_for_overwrite(0, jd);
-        out.preds.resize_for_overwrite(0, pd);
-        out.tables_sp.clear(td);
-        out.joins_sp.clear(jd);
-        out.preds_sp.clear(pd);
+        out.tables_sp.clear(self.table_dim());
+        out.joins_sp.clear(self.join_dim());
+        out.preds_sp.clear(self.pred_dim());
         out.table_segs.clear();
         out.join_segs.clear();
         out.pred_segs.clear();
         out.targets.clear();
-        // One reusable nonzero buffer serves every row of every module.
-        let mut buf: Vec<(u32, f32)> = Vec::with_capacity(td.max(jd).max(pd));
-        let (mut tr, mut jr, mut pr) = (0u32, 0u32, 0u32);
         for q in queries {
             out.targets.push(self.label_norm.normalize(q.cardinality.max(1)));
-            out.table_segs.push((tr, q.query.tables().len() as u32));
-            for i in 0..q.query.tables().len() {
-                buf.clear();
-                self.emit_table_row(q, i, &mut |idx, val| buf.push((idx, val)));
-                out.tables_sp.push_row_trusted(&buf);
-                tr += 1;
-            }
-            out.join_segs.push((jr, q.query.joins().len() as u32));
-            for i in 0..q.query.joins().len() {
-                buf.clear();
-                self.emit_join_row(q, i, &mut |idx, val| buf.push((idx, val)));
-                out.joins_sp.push_row_trusted(&buf);
-                jr += 1;
-            }
-            out.pred_segs.push((pr, q.query.predicates().len() as u32));
-            for pi in 0..q.query.predicates().len() {
-                buf.clear();
-                self.emit_pred_row(q, pi, &mut |idx, val| buf.push((idx, val)));
-                out.preds_sp.push_row_trusted(&buf);
-                pr += 1;
-            }
+            out.table_segs.push((out.tables_sp.rows() as u32, q.query.tables().len() as u32));
+            out.join_segs.push((out.joins_sp.rows() as u32, q.query.joins().len() as u32));
+            out.pred_segs.push((out.preds_sp.rows() as u32, q.query.predicates().len() as u32));
+            self.emit_query(q, &mut out.tables_sp, &mut out.joins_sp, &mut out.preds_sp);
         }
     }
 
@@ -526,33 +427,34 @@ mod tests {
         );
         let labeled = LabeledQuery::compute(&db, &samples, q);
         let fq = f.featurize(&labeled);
-        assert_eq!(fq.table_rows.len(), 2);
-        assert_eq!(fq.join_rows.len(), 1);
-        assert_eq!(fq.pred_rows.len(), 1);
+        assert_eq!(fq.tables.rows(), 2);
+        assert_eq!(fq.joins.rows(), 1);
+        assert_eq!(fq.preds.rows(), 1);
         // Table one-hots: first row is title (index 0), second mc (index 1).
-        assert_eq!(fq.table_rows[0][0], 1.0);
-        assert_eq!(fq.table_rows[1][1], 1.0);
-        assert_eq!(fq.table_rows[1][0], 0.0);
-        // Join one-hot.
-        assert_eq!(fq.join_rows[0][0], 1.0);
-        assert_eq!(fq.join_rows[0].iter().sum::<f32>(), 1.0);
+        assert_eq!(fq.tables.row(0).0[0], 0);
+        assert_eq!(fq.tables.row(1).0[0], 1);
+        // Join one-hot: the single nonzero of the row.
+        assert_eq!(fq.joins.row(0), (&[0u32][..], &[1.0f32][..]));
         // Predicate row: global col one-hot (title.production_year = 1),
-        // operator Gt (index 2 of 3), value ~0.5.
-        let p = &fq.pred_rows[0];
-        assert_eq!(p[1], 1.0);
-        assert_eq!(p[10 + 2], 1.0);
-        let v = p[13];
-        assert!((0.3..0.7).contains(&v), "normalized mid-value {v}");
-        // Bitmap bits mirror the labeled bitmaps.
-        let bits: f32 = fq.table_rows[0][6..].iter().sum();
-        assert_eq!(bits, labeled.sample_counts[0] as f32);
+        // operator Gt (index 2 of 3), value ~0.5 in the literal slot.
+        let (idx, vals) = fq.preds.row(0);
+        assert_eq!(idx, &[1, 10 + 2, 13]);
+        assert_eq!(&vals[..2], &[1.0, 1.0]);
+        assert!((0.3..0.7).contains(&vals[2]), "normalized mid-value {}", vals[2]);
+        // Bitmap bits mirror the labeled bitmaps: every entry past the
+        // one-hot is a set sample bit.
+        let (idx, vals) = fq.tables.row(0);
+        assert!(idx[1..].iter().all(|&j| j >= 6) && vals.iter().all(|&v| v == 1.0));
+        assert_eq!(idx.len() - 1, labeled.sample_counts[0] as usize);
     }
 
-    /// The streaming batch featurization must produce exactly the batch
-    /// that featurize + assemble produces — dense stacks, CSR stacks,
-    /// segments, and targets alike (it is the same emitters underneath).
+    /// The two consumers of the emitters — per-query [`Featurizer::featurize`]
+    /// stacked by `CorpusSparse` + `assemble_indexed` (training), and the
+    /// block builder [`Featurizer::featurize_into_sparse_batch`] (serving)
+    /// — must produce exactly the same batch: CSR stacks, segments, and
+    /// targets alike.
     #[test]
-    fn featurize_into_batch_matches_assemble() {
+    fn sparse_batch_builder_matches_assemble_indexed() {
         let (db, samples) = fixture();
         for (seed, mode) in [
             (21, FeatureMode::NoSamples),
@@ -571,41 +473,24 @@ mod tests {
                 .map(|q| LabeledQuery::compute(&db, &samples, q))
                 .collect();
             let feats: Vec<FeaturizedQuery> = labeled.iter().map(|q| f.featurize(q)).collect();
-            let refs: Vec<&FeaturizedQuery> = feats.iter().collect();
-            let via_assemble = crate::batch::RaggedBatch::assemble(
-                &refs,
-                f.table_dim(),
-                f.join_dim(),
-                f.pred_dim(),
-            );
-            let streamed = f.featurize_into_batch(&labeled);
-            assert_eq!(streamed.tables, via_assemble.tables, "{mode:?}: dense tables");
-            assert_eq!(streamed.joins, via_assemble.joins, "{mode:?}: dense joins");
-            assert_eq!(streamed.preds, via_assemble.preds, "{mode:?}: dense preds");
-            assert_eq!(streamed.tables_sp, via_assemble.tables_sp, "{mode:?}: CSR tables");
-            assert_eq!(streamed.joins_sp, via_assemble.joins_sp, "{mode:?}: CSR joins");
-            assert_eq!(streamed.preds_sp, via_assemble.preds_sp, "{mode:?}: CSR preds");
-            assert_eq!(streamed.table_segs, via_assemble.table_segs, "{mode:?}: table segs");
-            assert_eq!(streamed.join_segs, via_assemble.join_segs, "{mode:?}: join segs");
-            assert_eq!(streamed.pred_segs, via_assemble.pred_segs, "{mode:?}: pred segs");
-            assert_eq!(streamed.targets, via_assemble.targets, "{mode:?}: targets");
+            let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
+            let corpus = crate::batch::CorpusSparse::build(&feats, td, jd, pd);
+            let all: Vec<usize> = (0..feats.len()).collect();
+            let via_assemble = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
 
-            // The sparse-only serving builder: identical CSR stacks,
-            // segments, and targets — with the dense mirrors left
-            // empty — and stale buffers from a previous (different)
-            // block fully overwritten.
-            let mut reused = crate::batch::RaggedBatch::empty();
+            // Stale buffers from a previous (different) block must be
+            // fully overwritten.
+            let mut reused = RaggedBatch::empty();
             f.featurize_into_sparse_batch(&labeled[..5], &mut reused);
             f.featurize_into_sparse_batch(&labeled, &mut reused);
-            assert_eq!(reused.tables_sp, via_assemble.tables_sp, "{mode:?}: reused CSR tables");
-            assert_eq!(reused.joins_sp, via_assemble.joins_sp, "{mode:?}: reused CSR joins");
-            assert_eq!(reused.preds_sp, via_assemble.preds_sp, "{mode:?}: reused CSR preds");
-            assert_eq!(reused.table_segs, via_assemble.table_segs, "{mode:?}: reused table segs");
-            assert_eq!(reused.join_segs, via_assemble.join_segs, "{mode:?}: reused join segs");
-            assert_eq!(reused.pred_segs, via_assemble.pred_segs, "{mode:?}: reused pred segs");
-            assert_eq!(reused.targets, via_assemble.targets, "{mode:?}: reused targets");
-            assert_eq!(reused.tables.rows(), 0, "{mode:?}: dense side stays empty");
-            assert_eq!(reused.len(), labeled.len(), "{mode:?}: reused batch length");
+            assert_eq!(reused.tables_sp, via_assemble.tables_sp, "{mode:?}: CSR tables");
+            assert_eq!(reused.joins_sp, via_assemble.joins_sp, "{mode:?}: CSR joins");
+            assert_eq!(reused.preds_sp, via_assemble.preds_sp, "{mode:?}: CSR preds");
+            assert_eq!(reused.table_segs, via_assemble.table_segs, "{mode:?}: table segs");
+            assert_eq!(reused.join_segs, via_assemble.join_segs, "{mode:?}: join segs");
+            assert_eq!(reused.pred_segs, via_assemble.pred_segs, "{mode:?}: pred segs");
+            assert_eq!(reused.targets, via_assemble.targets, "{mode:?}: targets");
+            assert_eq!(reused.len(), labeled.len(), "{mode:?}: batch length");
         }
     }
 
@@ -616,10 +501,10 @@ mod tests {
         let q = Query::new(vec![TableId(3)], vec![], vec![]);
         let labeled = LabeledQuery::compute(&db, &samples, q);
         let fq = f.featurize(&labeled);
-        assert_eq!(fq.table_rows.len(), 1);
-        assert!(fq.join_rows.is_empty());
-        assert!(fq.pred_rows.is_empty());
+        assert_eq!(fq.tables.rows(), 1);
+        assert_eq!(fq.joins.rows(), 0);
+        assert_eq!(fq.preds.rows(), 0);
         // No predicates -> all samples qualify -> count feature = 1.0.
-        assert_eq!(fq.table_rows[0][6], 1.0);
+        assert_eq!(fq.tables.row(0), (&[3u32, 6][..], &[1.0f32, 1.0][..]));
     }
 }

@@ -48,7 +48,7 @@ pub use batch::RaggedBatch;
 pub use ensemble::{DeepEnsemble, UncertainEstimate};
 pub use estimator::{Estimator, RoutedEstimate};
 pub use featurize::{FeatureMode, Featurizer, LabelNorm};
-pub use model::{ForwardCache, MscnGrads, MscnModel, MscnScratch};
+pub use model::{MscnGrads, MscnModel, MscnScratch};
 pub use quant::{QuantScratch, QuantizedMscn, QuantizedMscnModel};
 pub use train::{
     distill, train, train_incremental, MscnEstimator, TrainConfig, TrainReport, TrainedModel,

@@ -2,36 +2,19 @@
 //! weights, masked average pooling, concatenation, and an output MLP with a
 //! sigmoid scalar head.
 //!
-//! Two compute surfaces coexist. The classic `&mut self` pair
-//! [`MscnModel::forward`] / [`MscnModel::backward`] allocates its
-//! intermediates per call and accumulates gradients inside the layers —
-//! convenient for tests and one-shot use. The scratch pair
-//! [`MscnModel::forward_scratch`] / [`MscnModel::backward_scratch`] is the
-//! hot path: `&self` (so shards of a mini-batch can run on worker threads
-//! against shared weights), all intermediates live in a reusable
-//! [`MscnScratch`], and gradients accumulate into an external
-//! [`MscnGrads`] — after one warm-up pass the whole step touches the
-//! allocator exactly zero times.
+//! There is one forward and one backward:
+//! [`MscnModel::forward_scratch`] / [`MscnModel::backward_scratch`]. Both
+//! take `&self` (so shards of a mini-batch run on worker threads against
+//! shared weights), read the batch's CSR set inputs, keep every
+//! intermediate in a reusable [`MscnScratch`], and accumulate gradients
+//! into an external [`MscnGrads`] — after one warm-up pass a whole
+//! training step touches the allocator exactly zero times.
 
-use std::sync::Mutex;
-
-use lc_nn::{FinalActivation, Matrix, Mlp, MlpCache, MlpGrads, Scratch};
+use lc_nn::{FinalActivation, Matrix, Mlp, MlpCache, MlpGrads, Scratch, SparseRows};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::batch::{
-    segment_mean, segment_mean_backward, segment_mean_backward_from_cols, segment_mean_into_cols,
-    RaggedBatch,
-};
-
-/// Forward-pass intermediates kept for the backward pass.
-pub struct ForwardCache {
-    table_cache: MlpCache,
-    join_cache: MlpCache,
-    pred_cache: MlpCache,
-    concat: Matrix,
-    out_cache: MlpCache,
-}
+use crate::batch::{segment_mean_backward_from_cols, segment_mean_into_cols, RaggedBatch};
 
 /// External gradient buffers for all four MLPs, in canonical order. Each
 /// data-parallel shard accumulates into its own `MscnGrads`; the trainer
@@ -74,7 +57,7 @@ impl MscnGrads {
     }
 }
 
-/// Reusable working memory for one scratch-based forward/backward pass:
+/// Reusable working memory for one forward/backward pass:
 /// activation caches, the concatenation matrix, gradient temporaries, the
 /// prediction vector, and a buffer arena for layer-internal temporaries.
 ///
@@ -82,10 +65,10 @@ impl MscnGrads {
 /// only grows), so one scratch serves batches of any size and models of
 /// any width. Allocate one per worker/thread, keep it warm, and the
 /// steady-state step is allocation-free.
+#[derive(Default)]
 pub struct MscnScratch {
-    table_cache: MlpCache,
-    join_cache: MlpCache,
-    pred_cache: MlpCache,
+    /// Table, join, predicate set-module activations.
+    set_caches: [MlpCache; 3],
     concat: Matrix,
     out_cache: MlpCache,
     grad_out: Matrix,
@@ -101,55 +84,16 @@ pub struct MscnScratch {
     pub loss: f64,
 }
 
-impl Default for MscnScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MscnScratch {
     /// An empty scratch; buffers grow to their steady-state sizes during
     /// the first pass.
     pub fn new() -> Self {
-        MscnScratch {
-            table_cache: MlpCache::new(),
-            join_cache: MlpCache::new(),
-            pred_cache: MlpCache::new(),
-            concat: Matrix::zeros(0, 0),
-            out_cache: MlpCache::new(),
-            grad_out: Matrix::zeros(0, 0),
-            grad_concat: Matrix::zeros(0, 0),
-            g_elems: Matrix::zeros(0, 0),
-            arena: Scratch::new(),
-            preds: Vec::new(),
-            grad_pred: Vec::new(),
-            loss: 0.0,
-        }
+        MscnScratch::default()
     }
 }
 
-/// Process-wide pool of warm inference scratches backing
-/// [`MscnModel::predict`] and the block-parallel batch-inference path.
-/// A pool (rather than a thread-local) matters because inference fans
-/// out onto short-lived scoped threads: thread-locals would be built,
-/// warmed, and dropped per call, while pooled scratches survive and are
-/// reused across calls, workers, and serving flushes. Capped so a burst
-/// of concurrency cannot pin memory forever.
-static PREDICT_SCRATCH_POOL: Mutex<Vec<MscnScratch>> = Mutex::new(Vec::new());
-
-/// Upper bound on pooled inference scratches.
-const PREDICT_POOL_CAP: usize = 16;
-
-fn pool_take() -> MscnScratch {
-    PREDICT_SCRATCH_POOL.lock().expect("scratch pool poisoned").pop().unwrap_or_default()
-}
-
-fn pool_put(scratch: MscnScratch) {
-    let mut pool = PREDICT_SCRATCH_POOL.lock().expect("scratch pool poisoned");
-    if pool.len() < PREDICT_POOL_CAP {
-        pool.push(scratch);
-    }
-}
+/// One set module with its CSR input rows and per-query row segments.
+type SetInput<'a> = (&'a Mlp, &'a SparseRows, &'a [(u32, u32)]);
 
 /// The multi-set convolutional network.
 #[derive(Clone, Debug)]
@@ -199,84 +143,49 @@ impl MscnModel {
             + self.out_mlp.num_params()
     }
 
-    /// Forward a batch; returns the normalized predictions `w_out ∈ [0,1]`
-    /// (one per query) and the cache for [`MscnModel::backward`].
-    pub fn forward(&self, batch: &RaggedBatch) -> (Vec<f32>, ForwardCache) {
-        let table_cache = self.table_mlp.forward(&batch.tables);
-        let join_cache = self.join_mlp.forward(&batch.joins);
-        let pred_cache = self.pred_mlp.forward(&batch.preds);
-        let w_t = segment_mean(&table_cache.output, &batch.table_segs);
-        let w_j = segment_mean(&join_cache.output, &batch.join_segs);
-        let w_p = segment_mean(&pred_cache.output, &batch.pred_segs);
-        let n = batch.len();
-        let d = self.hidden;
-        let mut concat = Matrix::zeros(n, 3 * d);
-        for q in 0..n {
-            let row = concat.row_mut(q);
-            row[..d].copy_from_slice(w_t.row(q));
-            row[d..2 * d].copy_from_slice(w_j.row(q));
-            row[2 * d..].copy_from_slice(w_p.row(q));
-        }
-        let out_cache = self.out_mlp.forward(&concat);
-        let preds = (0..n).map(|q| out_cache.output.get(q, 0)).collect();
-        (preds, ForwardCache { table_cache, join_cache, pred_cache, concat, out_cache })
-    }
-
-    /// Predictions only (inference path) — arena-backed via the pooled
-    /// inference scratches, so repeated calls are allocation-free apart
-    /// from the returned vector.
-    pub fn predict(&self, batch: &RaggedBatch) -> Vec<f32> {
-        let mut s = pool_take();
-        self.forward_scratch(batch, &mut s);
-        let preds = s.preds.clone();
-        pool_put(s);
-        preds
-    }
-
-    /// Arena-backed inference into a caller-provided slice: runs the
-    /// forward pass on a pooled scratch and copies the normalized
-    /// predictions into `out` (`out.len()` must equal `batch.len()`).
-    pub(crate) fn predict_into(&self, batch: &RaggedBatch, out: &mut [f32]) {
-        let mut s = pool_take();
-        self.forward_scratch(batch, &mut s);
-        out.copy_from_slice(&s.preds);
-        pool_put(s);
-    }
-
-    /// Allocation-free forward pass: activations, pooled representations,
-    /// and predictions are written into `s` (buffers resized in place).
-    /// After this call `s.preds` holds `w_out ∈ [0,1]` per query and the
-    /// caches are positioned for [`MscnModel::backward_scratch`].
+    /// The forward pass: activations, pooled representations, and
+    /// predictions are written into `s` (buffers resized in place, so a
+    /// warm scratch never allocates). After this call `s.preds` holds
+    /// `w_out ∈ [0,1]` per query and the caches are positioned for
+    /// [`MscnModel::backward_scratch`].
     ///
-    /// The set-module input layers consume the batch's CSR views — the
-    /// widest matmuls of the model become O(nnz) — and are
-    /// bitwise-identical to the dense layers [`MscnModel::forward`]
-    /// runs, so the two compute surfaces still agree exactly.
+    /// The set-module input layers gather weight rows for the CSR
+    /// inputs' nonzeros only — the widest matmuls of the model are
+    /// O(nnz).
     pub fn forward_scratch(&self, batch: &RaggedBatch, s: &mut MscnScratch) {
-        self.table_mlp.forward_sparse_into(&batch.tables_sp, &mut s.table_cache);
-        self.join_mlp.forward_sparse_into(&batch.joins_sp, &mut s.join_cache);
-        self.pred_mlp.forward_sparse_into(&batch.preds_sp, &mut s.pred_cache);
         let n = batch.len();
         let d = self.hidden;
         // The three pooling windows overwrite every element, so the
         // reshape can skip its zero-fill.
         s.concat.resize_for_overwrite(n, 3 * d);
-        segment_mean_into_cols(&s.table_cache.output, &batch.table_segs, &mut s.concat, 0);
-        segment_mean_into_cols(&s.join_cache.output, &batch.join_segs, &mut s.concat, d);
-        segment_mean_into_cols(&s.pred_cache.output, &batch.pred_segs, &mut s.concat, 2 * d);
+        for (m, (mlp, x, segs)) in self.sets(batch).into_iter().enumerate() {
+            mlp.forward_sparse_into(x, &mut s.set_caches[m]);
+            segment_mean_into_cols(&s.set_caches[m].output, segs, &mut s.concat, m * d);
+        }
         self.out_mlp.forward_into(&s.concat, &mut s.out_cache);
         s.preds.clear();
         s.preds.extend((0..n).map(|q| s.out_cache.output.get(q, 0)));
     }
 
-    /// Allocation-free backward pass against external gradient buffers.
+    /// The set modules' inputs in concatenation order (table, join,
+    /// predicate).
+    fn sets<'a>(&'a self, batch: &'a RaggedBatch) -> [SetInput<'a>; 3] {
+        [
+            (&self.table_mlp, &batch.tables_sp, &batch.table_segs),
+            (&self.join_mlp, &batch.joins_sp, &batch.join_segs),
+            (&self.pred_mlp, &batch.preds_sp, &batch.pred_segs),
+        ]
+    }
+
+    /// The backward pass, against external gradient buffers.
     ///
     /// Reads `s.grad_pred` (`∂L/∂w_out` per query, filled by the caller
     /// after [`MscnModel::forward_scratch`]) and *accumulates* parameter
     /// gradients into `grads`. `&self`: shards of one mini-batch can run
     /// concurrently against shared weights, each with its own scratch
-    /// and gradient buffers. Unlike the allocating path, the set-module
-    /// input gradients (which nothing consumes) are never computed.
+    /// and gradient buffers. Allocation-free on a warm scratch. The
+    /// set-module input gradients (which nothing consumes) are never
+    /// computed.
     ///
     /// # Panics
     /// If `s.grad_pred.len() != batch.len()`.
@@ -301,42 +210,17 @@ impl MscnModel {
         );
         // Expand each module's slice of the concatenated gradient straight
         // back to element rows (no per-module pooled temporaries), then
-        // backprop through the set MLPs in sparse leaf mode: the first
-        // layer's weight gradient is O(nnz) row updates against the CSR
-        // input view (bitwise-equal to the dense kernel, which skips
-        // zeros explicitly). Batch segments tile the element rows
-        // exactly, so the expansion overwrites every row and the
-        // reshapes can skip their zero-fill.
-        s.g_elems.resize_for_overwrite(batch.tables.rows(), d);
-        segment_mean_backward_from_cols(&s.grad_concat, 0, d, &batch.table_segs, &mut s.g_elems);
-        self.table_mlp.backward_sparse_scratch(
-            &batch.tables_sp,
-            &batch.tables,
-            &s.table_cache,
-            &mut s.g_elems,
-            &mut grads.table,
-            &mut s.arena,
-        );
-        s.g_elems.resize_for_overwrite(batch.joins.rows(), d);
-        segment_mean_backward_from_cols(&s.grad_concat, d, d, &batch.join_segs, &mut s.g_elems);
-        self.join_mlp.backward_sparse_scratch(
-            &batch.joins_sp,
-            &batch.joins,
-            &s.join_cache,
-            &mut s.g_elems,
-            &mut grads.join,
-            &mut s.arena,
-        );
-        s.g_elems.resize_for_overwrite(batch.preds.rows(), d);
-        segment_mean_backward_from_cols(&s.grad_concat, 2 * d, d, &batch.pred_segs, &mut s.g_elems);
-        self.pred_mlp.backward_sparse_scratch(
-            &batch.preds_sp,
-            &batch.preds,
-            &s.pred_cache,
-            &mut s.g_elems,
-            &mut grads.pred,
-            &mut s.arena,
-        );
+        // backprop through the set MLP in sparse leaf mode: the first
+        // layer's weight gradient picks O(nnz) row updates or
+        // transpose-then-matmul from the CSR input's density. Batch
+        // segments tile the element rows exactly, so the expansion
+        // overwrites every row and the reshape can skip its zero-fill.
+        let set_grads = [&mut grads.table, &mut grads.join, &mut grads.pred];
+        for (m, ((mlp, x, segs), g)) in self.sets(batch).into_iter().zip(set_grads).enumerate() {
+            s.g_elems.resize_for_overwrite(x.rows(), d);
+            segment_mean_backward_from_cols(&s.grad_concat, m * d, d, segs, &mut s.g_elems);
+            mlp.backward_sparse_scratch(x, &s.set_caches[m], &mut s.g_elems, g, &mut s.arena);
+        }
     }
 
     /// Fresh zeroed external gradient buffers matching this model.
@@ -347,40 +231,6 @@ impl MscnModel {
             pred: self.pred_mlp.new_grads(),
             out: self.out_mlp.new_grads(),
         }
-    }
-
-    /// Backward pass: `grad_pred[q] = ∂L/∂w_out[q]`. Accumulates parameter
-    /// gradients in all four MLPs.
-    pub fn backward(&mut self, batch: &RaggedBatch, cache: &ForwardCache, grad_pred: &[f32]) {
-        let n = batch.len();
-        debug_assert_eq!(grad_pred.len(), n);
-        let d = self.hidden;
-        let grad_out = Matrix::from_vec(n, 1, grad_pred.to_vec());
-        let grad_concat = self.out_mlp.backward(&cache.concat, &cache.out_cache, grad_out);
-        // Split the concatenated gradient back into the three modules.
-        let mut g_t = Matrix::zeros(n, d);
-        let mut g_j = Matrix::zeros(n, d);
-        let mut g_p = Matrix::zeros(n, d);
-        for q in 0..n {
-            let row = grad_concat.row(q);
-            g_t.row_mut(q).copy_from_slice(&row[..d]);
-            g_j.row_mut(q).copy_from_slice(&row[d..2 * d]);
-            g_p.row_mut(q).copy_from_slice(&row[2 * d..]);
-        }
-        let g_t = segment_mean_backward(&g_t, &batch.table_segs, batch.tables.rows());
-        let g_j = segment_mean_backward(&g_j, &batch.join_segs, batch.joins.rows());
-        let g_p = segment_mean_backward(&g_p, &batch.pred_segs, batch.preds.rows());
-        self.table_mlp.backward(&batch.tables, &cache.table_cache, g_t);
-        self.join_mlp.backward(&batch.joins, &cache.join_cache, g_j);
-        self.pred_mlp.backward(&batch.preds, &cache.pred_cache, g_p);
-    }
-
-    /// Clear accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.table_mlp.zero_grad();
-        self.join_mlp.zero_grad();
-        self.pred_mlp.zero_grad();
-        self.out_mlp.zero_grad();
     }
 
     /// All MLPs in canonical order (table, join, predicate, output) — the
@@ -398,30 +248,69 @@ impl MscnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::CorpusSparse;
     use crate::featurize::FeaturizedQuery;
     use lc_nn::LossKind;
     use rand::seq::SliceRandom;
     use rand::Rng;
 
-    fn random_query(rng: &mut SmallRng, dims: (usize, usize, usize)) -> FeaturizedQuery {
-        let (td, jd, pd) = dims;
-        let row = |d: usize, rng: &mut SmallRng| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    type Dims = (usize, usize, usize);
+
+    /// One random set: `n` rows of width `d`, each a one-hot position
+    /// plus — with probability `fill` per position — further nonzeros.
+    fn random_set(rng: &mut SmallRng, n: usize, d: usize, fill: f64) -> SparseRows {
+        let mut out = SparseRows::new(d);
+        for _ in 0..n {
+            let hot = rng.gen_range(0..d);
+            let row: Vec<(u32, f32)> = (0..d)
+                .filter(|&j| j == hot || rng.gen_bool(fill))
+                .map(|j| (j as u32, 0.1 + 0.15 * j as f32))
+                .collect();
+            out.push_row(row);
+        }
+        out
+    }
+
+    fn random_query(rng: &mut SmallRng, (td, jd, pd): Dims, fill: f64) -> FeaturizedQuery {
+        let (nt, nj, np) = (rng.gen_range(1..4), rng.gen_range(0..3), rng.gen_range(0..4));
         FeaturizedQuery {
-            table_rows: (0..rng.gen_range(1..4)).map(|_| row(td, rng)).collect(),
-            join_rows: (0..rng.gen_range(0..3)).map(|_| row(jd, rng)).collect(),
-            pred_rows: (0..rng.gen_range(0..4)).map(|_| row(pd, rng)).collect(),
+            tables: random_set(rng, nt, td, fill),
+            joins: random_set(rng, nj, jd, fill),
+            preds: random_set(rng, np, pd, fill),
             target: rng.gen_range(0.0..1.0),
         }
+    }
+
+    fn batch_of(feats: &[FeaturizedQuery], (td, jd, pd): Dims) -> RaggedBatch {
+        let corpus = CorpusSparse::build(feats, td, jd, pd);
+        let all: Vec<usize> = (0..feats.len()).collect();
+        RaggedBatch::assemble_indexed(feats, &corpus, &all, td, jd, pd)
+    }
+
+    fn predict(model: &MscnModel, batch: &RaggedBatch) -> Vec<f32> {
+        let mut s = MscnScratch::new();
+        model.forward_scratch(batch, &mut s);
+        s.preds
+    }
+
+    /// Every gradient tensor flattened in canonical order.
+    fn flat(grads: &MscnGrads) -> Vec<f32> {
+        grads
+            .mlps()
+            .iter()
+            .flat_map(|m| m.layers())
+            .flat_map(|l| l.tensors())
+            .flatten()
+            .copied()
+            .collect()
     }
 
     #[test]
     fn output_is_in_unit_interval() {
         let mut rng = SmallRng::seed_from_u64(1);
         let model = MscnModel::new(8, 4, 6, 16, 3);
-        let qs: Vec<_> = (0..10).map(|_| random_query(&mut rng, (8, 4, 6))).collect();
-        let refs: Vec<&FeaturizedQuery> = qs.iter().collect();
-        let batch = RaggedBatch::assemble(&refs, 8, 4, 6);
-        let preds = model.predict(&batch);
+        let qs: Vec<_> = (0..10).map(|_| random_query(&mut rng, (8, 4, 6), 0.5)).collect();
+        let preds = predict(&model, &batch_of(&qs, (8, 4, 6)));
         assert_eq!(preds.len(), 10);
         assert!(preds.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
@@ -432,18 +321,17 @@ mod tests {
     fn permutation_invariance() {
         let mut rng = SmallRng::seed_from_u64(2);
         let model = MscnModel::new(8, 4, 6, 16, 4);
-        let q = random_query(&mut rng, (8, 4, 6));
-        let base = {
-            let batch = RaggedBatch::assemble(&[&q], 8, 4, 6);
-            model.predict(&batch)[0]
-        };
+        let mut q = [random_query(&mut rng, (8, 4, 6), 0.5)];
+        let base = predict(&model, &batch_of(&q, (8, 4, 6)))[0];
         for _ in 0..5 {
-            let mut shuffled = q.clone();
-            shuffled.table_rows.shuffle(&mut rng);
-            shuffled.join_rows.shuffle(&mut rng);
-            shuffled.pred_rows.shuffle(&mut rng);
-            let batch = RaggedBatch::assemble(&[&shuffled], 8, 4, 6);
-            let p = model.predict(&batch)[0];
+            for set in [&mut q[0].tables, &mut q[0].joins, &mut q[0].preds] {
+                let mut order: Vec<usize> = (0..set.rows()).collect();
+                order.shuffle(&mut rng);
+                let mut shuffled = SparseRows::new(set.cols());
+                order.iter().for_each(|&r| shuffled.push_rows_from(set, r..r + 1));
+                *set = shuffled;
+            }
+            let p = predict(&model, &batch_of(&q, (8, 4, 6)))[0];
             assert!((p - base).abs() < 1e-5, "permutation changed prediction: {p} vs {base}");
         }
     }
@@ -454,108 +342,123 @@ mod tests {
     fn batching_is_transparent() {
         let mut rng = SmallRng::seed_from_u64(3);
         let model = MscnModel::new(8, 4, 6, 16, 5);
-        let qs: Vec<_> = (0..6).map(|_| random_query(&mut rng, (8, 4, 6))).collect();
-        let refs: Vec<&FeaturizedQuery> = qs.iter().collect();
-        let together = model.predict(&RaggedBatch::assemble(&refs, 8, 4, 6));
+        let qs: Vec<_> = (0..6).map(|_| random_query(&mut rng, (8, 4, 6), 0.5)).collect();
+        let together = predict(&model, &batch_of(&qs, (8, 4, 6)));
         for (i, q) in qs.iter().enumerate() {
-            let alone = model.predict(&RaggedBatch::assemble(&[q], 8, 4, 6))[0];
+            let alone = predict(&model, &batch_of(std::slice::from_ref(q), (8, 4, 6)))[0];
             assert!((alone - together[i]).abs() < 1e-5);
         }
     }
 
-    /// End-to-end gradient check: perturb one weight deep inside the table
-    /// module and compare the loss delta with the analytic gradient.
+    /// End-to-end gradient check: perturb weights in every tensor of every
+    /// module and compare the loss delta with the analytic gradient — once
+    /// on one-hot-like inputs (every set module takes the O(nnz) gather
+    /// branch of the weight gradient) and once on filled-in inputs (every
+    /// set module takes the transpose-then-matmul branch).
     #[test]
     fn end_to_end_gradient_check() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut model = MscnModel::new(5, 3, 4, 8, 6);
-        let qs: Vec<_> = (0..4).map(|_| random_query(&mut rng, (5, 3, 4))).collect();
-        let refs: Vec<&FeaturizedQuery> = qs.iter().collect();
-        let batch = RaggedBatch::assemble(&refs, 5, 3, 4);
-        let loss_of = |m: &MscnModel| -> f32 {
-            let preds = m.predict(&batch);
-            let mut grad = vec![0.0f32; preds.len()];
-            LossKind::Mse.loss_and_grad(&preds, &batch.targets, 1.0, &mut grad) as f32
-        };
-        // Analytic gradients.
-        model.zero_grad();
-        let (preds, cache) = model.forward(&batch);
-        let mut grad = vec![0.0f32; preds.len()];
-        LossKind::Mse.loss_and_grad(&preds, &batch.targets, 1.0, &mut grad);
-        model.backward(&batch, &cache, &grad);
-        // Pick a few weights across modules.
-        for (mlp_idx, layer_idx, w_idx) in
-            [(0usize, 0usize, 3usize), (1, 1, 2), (2, 0, 5), (3, 0, 7), (3, 1, 0)]
-        {
-            let analytic = {
-                let mut m = model.clone();
-                let pg = m.mlps_mut()[mlp_idx].layers_mut()[layer_idx].params_and_grads();
-                pg[0].1[w_idx]
+        let dims = (8, 6, 7);
+        for (fill, gather_side) in [(0.0, true), (1.0, false)] {
+            let mut rng = SmallRng::seed_from_u64(4);
+            let model = MscnModel::new(dims.0, dims.1, dims.2, 8, 6);
+            let qs: Vec<_> = (0..4).map(|_| random_query(&mut rng, dims, fill)).collect();
+            let batch = batch_of(&qs, dims);
+            for x in [&batch.tables_sp, &batch.joins_sp, &batch.preds_sp] {
+                assert!(x.rows() > 0, "every module must see rows");
+                assert_eq!(x.nnz() * 4 < x.rows() * x.cols(), gather_side, "density switch side");
+            }
+            let loss_of = |m: &MscnModel| -> f32 {
+                let preds = predict(m, &batch);
+                let mut grad = vec![0.0f32; preds.len()];
+                LossKind::Mse.loss_and_grad(&preds, &batch.targets, 1.0, &mut grad) as f32
             };
-            let eps = 1e-2f32;
-            let perturbed = |delta: f32| {
-                let mut m = model.clone();
-                {
-                    let layer = &mut m.mlps_mut()[mlp_idx].layers_mut()[layer_idx];
-                    let mut w = layer.weights().data().to_vec();
-                    w[w_idx] += delta;
-                    let b = layer.bias().to_vec();
-                    layer.load(w, b);
+            // Analytic gradients.
+            let mut s = MscnScratch::new();
+            let mut grads = model.new_grads();
+            model.forward_scratch(&batch, &mut s);
+            s.grad_pred.resize(s.preds.len(), 0.0);
+            LossKind::Mse.loss_and_grad(&s.preds, &batch.targets, 1.0, &mut s.grad_pred);
+            model.backward_scratch(&batch, &mut s, &mut grads);
+            // Per weight tensor: a fixed entry and the steepest one.
+            for mlp_idx in 0..4 {
+                for layer_idx in 0..2 {
+                    let analytic_w = grads.mlps()[mlp_idx].layers()[layer_idx].tensors()[0];
+                    let steepest = (0..analytic_w.len())
+                        .max_by(|&a, &b| analytic_w[a].abs().total_cmp(&analytic_w[b].abs()))
+                        .expect("non-empty tensor");
+                    assert!(analytic_w[steepest] != 0.0, "mlp {mlp_idx} layer {layer_idx}");
+                    for w_idx in [steepest, 3] {
+                        let eps = 1e-2f32;
+                        let perturbed = |delta: f32| {
+                            let mut m = model.clone();
+                            {
+                                let layer = &mut m.mlps_mut()[mlp_idx].layers_mut()[layer_idx];
+                                let mut w = layer.weights().data().to_vec();
+                                w[w_idx] += delta;
+                                let b = layer.bias().to_vec();
+                                layer.load(w, b);
+                            }
+                            m
+                        };
+                        let numeric =
+                            (loss_of(&perturbed(eps)) - loss_of(&perturbed(-eps))) / (2.0 * eps);
+                        let analytic = analytic_w[w_idx];
+                        assert!(
+                            (numeric - analytic).abs() < 2e-3,
+                            "fill {fill} mlp {mlp_idx} layer {layer_idx} w {w_idx}: \
+                             numeric {numeric} analytic {analytic}"
+                        );
+                    }
                 }
-                m
-            };
-            let numeric = (loss_of(&perturbed(eps)) - loss_of(&perturbed(-eps))) / (2.0 * eps);
-            assert!(
-                (numeric - analytic).abs() < 2e-3,
-                "mlp {mlp_idx} layer {layer_idx} w {w_idx}: numeric {numeric} analytic {analytic}"
-            );
+            }
         }
     }
 
-    /// The scratch compute surface must reproduce the allocating one
-    /// bitwise: same predictions, same parameter gradients — warm or
-    /// cold, across differently shaped batches reusing one scratch.
+    /// A batch built by the serving-side block builder must be as good a
+    /// training batch as the trainer's own: the same predictions and the
+    /// same `MscnGrads`, bitwise, as the `assemble_indexed` batch of the
+    /// same queries — also on a scratch left dirty by a differently shaped
+    /// batch.
     #[test]
-    fn scratch_path_matches_allocating_path_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut model = MscnModel::new(5, 3, 4, 8, 12);
-        let mut scratch = MscnScratch::new();
-        let mut ext = model.new_grads();
-        for batch_size in [4usize, 7, 2, 7] {
-            let qs: Vec<_> = (0..batch_size).map(|_| random_query(&mut rng, (5, 3, 4))).collect();
-            let refs: Vec<&FeaturizedQuery> = qs.iter().collect();
-            let batch = RaggedBatch::assemble(&refs, 5, 3, 4);
+    fn sparse_batch_builder_yields_the_same_grads_bitwise() {
+        use crate::featurize::{FeatureMode, Featurizer};
+        use lc_query::LabeledQuery;
 
-            let (preds, cache) = model.forward(&batch);
-            let grad: Vec<f32> = preds.iter().map(|p| 0.3 - p).collect();
-            model.zero_grad();
-            model.backward(&batch, &cache, &grad);
-            let internal: Vec<f32> = model
-                .mlps_mut()
-                .iter_mut()
-                .flat_map(|m| m.layers_mut())
-                .flat_map(|l| {
-                    let pg = l.params_and_grads();
-                    [pg[0].1.to_vec(), pg[1].1.to_vec()]
-                })
-                .flatten()
-                .collect();
+        let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
+        let mut rng = SmallRng::seed_from_u64(5);
+        let samples = lc_engine::SampleSet::draw(&db, 40, &mut rng);
+        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size, [1u64, 800]);
+        let mut gen =
+            lc_query::QueryGenerator::new(&db, lc_query::GeneratorConfig { max_joins: 2, seed: 9 });
+        let labeled: Vec<LabeledQuery> = gen
+            .generate_unique(25)
+            .into_iter()
+            .map(|q| LabeledQuery::compute(&db, &samples, q))
+            .collect();
+        let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
+        let model = MscnModel::new(td, jd, pd, 16, 13);
+        let run = |batch: &RaggedBatch, s: &mut MscnScratch| {
+            let mut grads = model.new_grads();
+            model.forward_scratch(batch, s);
+            s.grad_pred.clear();
+            s.grad_pred.extend(s.preds.iter().map(|p| 0.3 - p));
+            model.backward_scratch(batch, s, &mut grads);
+            (s.preds.clone(), flat(&grads))
+        };
 
-            model.forward_scratch(&batch, &mut scratch);
-            assert_eq!(scratch.preds, preds, "scratch preds must match bitwise");
-            scratch.grad_pred.clear();
-            scratch.grad_pred.extend_from_slice(&grad);
-            ext.zero();
-            model.backward_scratch(&batch, &mut scratch, &mut ext);
-            let external: Vec<f32> = ext
-                .mlps()
-                .iter()
-                .flat_map(|m| m.layers())
-                .flat_map(|l| [l.tensors()[0].to_vec(), l.tensors()[1].to_vec()])
-                .flatten()
-                .collect();
-            assert_eq!(external, internal, "scratch grads must match bitwise");
-        }
+        let feats: Vec<FeaturizedQuery> = labeled.iter().map(|q| f.featurize(q)).collect();
+        let corpus = CorpusSparse::build(&feats, td, jd, pd);
+        let all: Vec<usize> = (0..feats.len()).collect();
+        let assembled = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
+        let expected = run(&assembled, &mut MscnScratch::new());
+        assert!(expected.1.iter().any(|&g| g != 0.0));
+
+        let mut built = RaggedBatch::empty();
+        let mut dirty = MscnScratch::new();
+        f.featurize_into_sparse_batch(&labeled[..7], &mut built);
+        run(&built, &mut dirty);
+        f.featurize_into_sparse_batch(&labeled, &mut built);
+        assert_eq!(run(&built, &mut dirty), expected);
     }
 
     #[test]

@@ -22,20 +22,18 @@
 //! version, the *identical* featurizer section, and an exact-size check
 //! computed before any allocation.
 
-use std::sync::Mutex;
-
 use bytes::{Buf, BufMut};
 use lc_nn::qmatrix::quantize_csr;
 use lc_nn::{FinalActivation, Matrix, QActs, QLinear, QMatrix, QMlp, QMlpCache};
 use lc_query::LabeledQuery;
 
-use crate::batch::{batch_pool_put, batch_pool_take, segment_mean_into_cols, RaggedBatch};
+use crate::batch::{segment_mean_into_cols, RaggedBatch, WarmPool};
 use crate::ensemble::UncertainEstimate;
 use crate::estimator::Estimator;
 use crate::featurize::Featurizer;
 use crate::model::MscnModel;
 use crate::serialize::{need, read_featurizer, write_featurizer, DecodeError};
-use crate::train::{infer_threads, MscnEstimator, INFER_BLOCK};
+use crate::train::{predict_blocks, MscnEstimator};
 
 const QMAGIC: u32 = 0x4D53_4351; // "MSCQ"
 const QVERSION: u32 = 1;
@@ -44,10 +42,10 @@ const QVERSION: u32 = 1;
 /// agnostic and resized in place — one warm scratch serves batches of
 /// any size with zero steady-state allocations (asserted by the
 /// counting-allocator test in `tests/alloc.rs`).
+#[derive(Default)]
 pub struct QuantScratch {
-    table_cache: QMlpCache,
-    join_cache: QMlpCache,
-    pred_cache: QMlpCache,
+    /// Table, join, predicate set-module activations.
+    set_caches: [QMlpCache; 3],
     concat: Matrix,
     qconcat: QActs,
     out_cache: QMlpCache,
@@ -57,46 +55,10 @@ pub struct QuantScratch {
     pub preds: Vec<f32>,
 }
 
-impl Default for QuantScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl QuantScratch {
     /// An empty scratch; buffers grow to steady-state sizes on first use.
     pub fn new() -> Self {
-        QuantScratch {
-            table_cache: QMlpCache::new(),
-            join_cache: QMlpCache::new(),
-            pred_cache: QMlpCache::new(),
-            concat: Matrix::zeros(0, 0),
-            qconcat: QActs::new(),
-            out_cache: QMlpCache::new(),
-            qvals: Vec::new(),
-            qscales: Vec::new(),
-            preds: Vec::new(),
-        }
-    }
-}
-
-/// Pool of warm quantized-inference scratches, mirroring the f32 path's
-/// `PREDICT_SCRATCH_POOL` (see `crate::model`): pooled rather than
-/// thread-local because inference fans out onto short-lived scoped
-/// threads, and capped so a concurrency burst cannot pin memory.
-static QUANT_SCRATCH_POOL: Mutex<Vec<QuantScratch>> = Mutex::new(Vec::new());
-
-/// Upper bound on pooled quantized scratches.
-const QUANT_POOL_CAP: usize = 16;
-
-fn pool_take() -> QuantScratch {
-    QUANT_SCRATCH_POOL.lock().expect("quant scratch pool poisoned").pop().unwrap_or_default()
-}
-
-fn pool_put(scratch: QuantScratch) {
-    let mut pool = QUANT_SCRATCH_POOL.lock().expect("quant scratch pool poisoned");
-    if pool.len() < QUANT_POOL_CAP {
-        pool.push(scratch);
+        QuantScratch::default()
     }
 }
 
@@ -193,41 +155,28 @@ impl QuantizedMscnModel {
     /// and the concatenation is re-quantized for the output module.
     /// After this call `s.preds` holds `w_out ∈ [0,1]` per query.
     pub fn forward_scratch(&self, batch: &RaggedBatch, s: &mut QuantScratch) {
-        // One (qvals, qscales) pair serves all three set modules in
-        // sequence: each forward consumes the buffers before the next
-        // quantization overwrites them.
-        quantize_csr(&batch.tables_sp, &mut s.qvals, &mut s.qscales);
-        self.table_mlp.forward_sparse_into(
-            &batch.tables_sp,
-            &s.qvals,
-            &s.qscales,
-            &mut s.table_cache,
-        );
-        quantize_csr(&batch.joins_sp, &mut s.qvals, &mut s.qscales);
-        self.join_mlp.forward_sparse_into(&batch.joins_sp, &s.qvals, &s.qscales, &mut s.join_cache);
-        quantize_csr(&batch.preds_sp, &mut s.qvals, &mut s.qscales);
-        self.pred_mlp.forward_sparse_into(&batch.preds_sp, &s.qvals, &s.qscales, &mut s.pred_cache);
         let n = batch.len();
         let d = self.hidden;
         // The three pooling windows overwrite every element, so the
         // reshape can skip its zero-fill.
         s.concat.resize_for_overwrite(n, 3 * d);
-        segment_mean_into_cols(&s.table_cache.output, &batch.table_segs, &mut s.concat, 0);
-        segment_mean_into_cols(&s.join_cache.output, &batch.join_segs, &mut s.concat, d);
-        segment_mean_into_cols(&s.pred_cache.output, &batch.pred_segs, &mut s.concat, 2 * d);
+        let sets = [
+            (&self.table_mlp, &batch.tables_sp, &batch.table_segs),
+            (&self.join_mlp, &batch.joins_sp, &batch.join_segs),
+            (&self.pred_mlp, &batch.preds_sp, &batch.pred_segs),
+        ];
+        for (m, (mlp, x, segs)) in sets.into_iter().enumerate() {
+            // One (qvals, qscales) pair serves all three set modules in
+            // sequence: each forward consumes the buffers before the next
+            // quantization overwrites them.
+            quantize_csr(x, &mut s.qvals, &mut s.qscales);
+            mlp.forward_sparse_into(x, &s.qvals, &s.qscales, &mut s.set_caches[m]);
+            segment_mean_into_cols(&s.set_caches[m].output, segs, &mut s.concat, m * d);
+        }
         s.qconcat.quantize_from(&s.concat);
         self.out_mlp.forward_into(&s.qconcat, &mut s.out_cache);
         s.preds.clear();
         s.preds.extend((0..n).map(|q| s.out_cache.output.get(q, 0)));
-    }
-
-    /// Arena-backed inference into a caller-provided slice via the
-    /// pooled scratches (`out.len()` must equal `batch.len()`).
-    fn predict_into(&self, batch: &RaggedBatch, out: &mut [f32]) {
-        let mut s = pool_take();
-        self.forward_scratch(batch, &mut s);
-        out.copy_from_slice(&s.preds);
-        pool_put(s);
     }
 }
 
@@ -266,52 +215,20 @@ impl QuantizedMscn {
 
     /// Batched inference: estimated cardinalities (≥ 1) for `queries`.
     pub fn estimate_cards(&self, queries: &[LabeledQuery]) -> Vec<f64> {
-        let mut normalized = vec![0.0f32; queries.len()];
-        self.predict_normalized_into(queries, &mut normalized);
         let label = self.featurizer.label_norm();
-        normalized.iter().map(|&p| label.denormalize(p).max(1.0)).collect()
+        self.estimate_normalized(queries).iter().map(|&p| label.denormalize(p).max(1.0)).collect()
     }
 
-    /// Raw normalized predictions `w_out ∈ [0,1]`.
+    /// Raw normalized predictions `w_out ∈ [0,1]`, through the same block
+    /// fan-out as the f32 path ([`predict_blocks`]): f32-vs-int8
+    /// comparisons block identically, and neither block boundaries nor
+    /// thread counts change a byte of the output.
     pub fn estimate_normalized(&self, queries: &[LabeledQuery]) -> Vec<f32> {
-        let mut normalized = vec![0.0f32; queries.len()];
-        self.predict_normalized_into(queries, &mut normalized);
-        normalized
-    }
-
-    /// Identical blocking and fan-out discipline to the f32 path (same
-    /// [`INFER_BLOCK`] partition, same worker-pool threshold), so block
-    /// boundaries and thread counts never change a byte of the output.
-    #[allow(unsafe_code)] // DisjointSliceMut claims: fixed per-worker block ranges are disjoint
-    fn predict_normalized_into(&self, queries: &[LabeledQuery], out: &mut [f32]) {
-        debug_assert_eq!(queries.len(), out.len());
-        let run_block = |qs: &[LabeledQuery], o: &mut [f32]| {
-            let mut batch = batch_pool_take();
-            self.featurizer.featurize_into_sparse_batch(qs, &mut batch);
-            self.qmodel.predict_into(&batch, o);
-            batch_pool_put(batch);
-        };
-        let threads = infer_threads(queries.len());
-        if threads <= 1 {
-            for (qs, o) in queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)) {
-                run_block(qs, o);
-            }
-        } else {
-            let mut work: Vec<(&[LabeledQuery], &mut [f32])> =
-                queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)).collect();
-            let per = work.len().div_ceil(threads);
-            let workers = work.len().div_ceil(per);
-            let view = lc_nn::DisjointSliceMut::new(&mut work);
-            lc_nn::WorkerPool::global().run(workers, &|w| {
-                for i in (w * per)..((w + 1) * per).min(view.len()) {
-                    // SAFETY: worker chunks [w·per, (w+1)·per) are
-                    // disjoint and the pool joins before `work` is
-                    // touched again.
-                    let (qs, o) = unsafe { view.index_mut(i) };
-                    run_block(qs, o);
-                }
-            });
-        }
+        static SCRATCHES: WarmPool<QuantScratch> = WarmPool::new();
+        predict_blocks(&self.featurizer, queries, &SCRATCHES, |batch, s| {
+            self.qmodel.forward_scratch(batch, s);
+            &s.preds
+        })
     }
 
     /// Serialize to a self-contained byte buffer: `MSCQ` magic +

@@ -7,7 +7,7 @@
 //!
 //! Every mini-batch is partitioned into **fixed gradient shards** whose
 //! boundaries depend only on the batch size — never on the thread count.
-//! Each shard runs the scratch-based forward/backward
+//! Each shard runs the forward/backward
 //! ([`MscnModel::forward_scratch`] / [`MscnModel::backward_scratch`])
 //! against the shared weights, accumulating into its own [`MscnGrads`];
 //! the shards are then reduced **in shard order** and a single Adam step
@@ -40,7 +40,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::batch::{batch_pool_put, batch_pool_take, CorpusSparse, RaggedBatch};
+use crate::batch::{CorpusSparse, RaggedBatch, WarmPool};
 use crate::featurize::{FeatureMode, FeaturizedQuery, Featurizer};
 use crate::model::{MscnGrads, MscnModel, MscnScratch};
 
@@ -65,10 +65,8 @@ const PARALLEL_STEP_MIN: usize = 64;
 
 /// Queries per inference block. Blocks are the unit of inference
 /// parallelism and of scratch reuse; the partition is fixed, so block
-/// results concatenate to the same bytes at any thread count. Shared
-/// with the quantized inference path (`crate::quant`), which must block
-/// identically so f32-vs-int8 comparisons are apples to apples.
-pub(crate) const INFER_BLOCK: usize = 256;
+/// results concatenate to the same bytes at any thread count.
+const INFER_BLOCK: usize = 256;
 
 /// Minimum queries before batch inference fans out to worker threads.
 const PARALLEL_INFER_MIN: usize = 2 * INFER_BLOCK;
@@ -119,7 +117,7 @@ fn resolve_threads(configured: usize, from_runtime: usize) -> usize {
 /// threshold. Like training parallelism, the choice never changes a
 /// single output byte. Resolved once per process (inference calls are
 /// hot; the config global is not re-consulted per batch).
-pub(crate) fn infer_threads(n: usize) -> usize {
+fn infer_threads(n: usize) -> usize {
     static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if n < PARALLEL_INFER_MIN {
         1
@@ -232,10 +230,8 @@ impl MscnEstimator {
 
     /// Batched inference: estimated cardinalities (≥ 1) for `queries`.
     pub fn estimate_cards(&self, queries: &[LabeledQuery]) -> Vec<f64> {
-        let mut normalized = vec![0.0f32; queries.len()];
-        self.predict_normalized_into(queries, &mut normalized);
         let label = self.featurizer.label_norm();
-        normalized.iter().map(|&p| label.denormalize(p).max(1.0)).collect()
+        self.estimate_normalized(queries).iter().map(|&p| label.denormalize(p).max(1.0)).collect()
     }
 
     /// Raw normalized predictions `w_out ∈ [0,1]` (before denormalization).
@@ -243,51 +239,63 @@ impl MscnEstimator {
     /// is at or beyond the edge of the trained range — the saturation
     /// check used by the §5 uncertainty extension.
     pub fn estimate_normalized(&self, queries: &[LabeledQuery]) -> Vec<f32> {
-        let mut normalized = vec![0.0f32; queries.len()];
-        self.predict_normalized_into(queries, &mut normalized);
-        normalized
+        static SCRATCHES: WarmPool<MscnScratch> = WarmPool::new();
+        predict_blocks(&self.featurizer, queries, &SCRATCHES, |batch, s| {
+            self.model.forward_scratch(batch, s);
+            &s.preds
+        })
     }
+}
 
-    /// The shared batch-inference engine: fixed blocks of
-    /// [`INFER_BLOCK`] queries, each streamed through
-    /// [`Featurizer::featurize_into_batch`] (dense rows and CSR entries
-    /// written straight into the ragged batch — no per-query
-    /// intermediates) and pushed through the arena-backed forward pass;
-    /// large batches fan the blocks out onto the persistent worker pool.
-    /// The block partition is independent of the worker count and every
-    /// per-query reduction runs in a fixed order, so the output bytes
-    /// never depend on either the batch composition or the parallelism.
-    #[allow(unsafe_code)] // DisjointSliceMut claims: fixed per-worker block ranges are disjoint
-    fn predict_normalized_into(&self, queries: &[LabeledQuery], out: &mut [f32]) {
-        debug_assert_eq!(queries.len(), out.len());
-        let run_block = |qs: &[LabeledQuery], o: &mut [f32]| {
-            let mut batch = batch_pool_take();
-            self.featurizer.featurize_into_sparse_batch(qs, &mut batch);
-            self.model.predict_into(&batch, o);
-            batch_pool_put(batch);
-        };
-        let threads = infer_threads(queries.len());
-        if threads <= 1 {
-            for (qs, o) in queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)) {
+/// The batch-inference engine shared by the f32 and int8 estimators:
+/// fixed blocks of [`INFER_BLOCK`] queries, each featurized straight into
+/// a pooled CSR batch ([`Featurizer::featurize_into_sparse_batch`] — no
+/// per-query intermediates) and pushed through `forward` on a pooled
+/// scratch, which returns the block's normalized predictions (one per
+/// query, concatenated into the result); large inputs fan the blocks out
+/// onto the persistent worker pool. The block
+/// partition is independent of the worker count and every per-query
+/// reduction runs in a fixed order, so the output bytes never depend on
+/// either the batch composition or the parallelism.
+#[allow(unsafe_code)] // DisjointSliceMut claims: fixed per-worker block ranges are disjoint
+pub(crate) fn predict_blocks<S: Default + Send>(
+    featurizer: &Featurizer,
+    queries: &[LabeledQuery],
+    scratches: &WarmPool<S>,
+    forward: impl for<'s> Fn(&RaggedBatch, &'s mut S) -> &'s [f32] + Sync,
+) -> Vec<f32> {
+    /// Warm serving batches, shared by every estimator kind.
+    static BATCHES: WarmPool<RaggedBatch> = WarmPool::new();
+    let mut out = vec![0.0f32; queries.len()];
+    let run_block = |qs: &[LabeledQuery], o: &mut [f32]| {
+        let (mut batch, mut scratch) = (BATCHES.take(), scratches.take());
+        featurizer.featurize_into_sparse_batch(qs, &mut batch);
+        o.copy_from_slice(forward(&batch, &mut scratch));
+        BATCHES.put(batch);
+        scratches.put(scratch);
+    };
+    let threads = infer_threads(queries.len());
+    if threads <= 1 {
+        for (qs, o) in queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)) {
+            run_block(qs, o);
+        }
+    } else {
+        let mut work: Vec<(&[LabeledQuery], &mut [f32])> =
+            queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)).collect();
+        let per = work.len().div_ceil(threads);
+        let workers = work.len().div_ceil(per);
+        let view = DisjointSliceMut::new(&mut work);
+        WorkerPool::global().run(workers, &|w| {
+            for i in (w * per)..((w + 1) * per).min(view.len()) {
+                // SAFETY: worker chunks [w·per, (w+1)·per) are
+                // disjoint and the pool joins before `work` is
+                // touched again.
+                let (qs, o) = unsafe { view.index_mut(i) };
                 run_block(qs, o);
             }
-        } else {
-            let mut work: Vec<(&[LabeledQuery], &mut [f32])> =
-                queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)).collect();
-            let per = work.len().div_ceil(threads);
-            let workers = work.len().div_ceil(per);
-            let view = DisjointSliceMut::new(&mut work);
-            WorkerPool::global().run(workers, &|w| {
-                for i in (w * per)..((w + 1) * per).min(view.len()) {
-                    // SAFETY: worker chunks [w·per, (w+1)·per) are
-                    // disjoint and the pool joins before `work` is
-                    // touched again.
-                    let (qs, o) = unsafe { view.index_mut(i) };
-                    run_block(qs, o);
-                }
-            });
-        }
+        });
     }
+    out
 }
 
 /// The result of [`train`].
@@ -334,10 +342,6 @@ impl Trainer {
                 }
             }
         }
-        let dims = {
-            let (td, jd, pd) = model.input_dims();
-            (td, jd, pd)
-        };
         Trainer {
             adam,
             slots,
@@ -348,22 +352,14 @@ impl Trainer {
             loss: config.loss,
             scale,
             batch_size: config.batch_size.max(1),
-            dims,
+            dims: model.input_dims(),
         }
     }
 
     /// Assemble one epoch's mini-batches (already sharded) up front, so
     /// the steps themselves never build query views or touch the
-    /// allocator. Dense rows are copied from the featurized corpus; CSR
-    /// rows are bulk-copied out of the corpus-level [`CorpusSparse`]
-    /// (no per-epoch rescans or per-entry validation).
-    ///
-    /// Deliberate trade-off: this holds one dense copy of the epoch's
-    /// feature rows (roughly the size of `feats` itself) alive for the
-    /// epoch, in exchange for allocation-free steps and batches that are
-    /// ready the moment a worker is. At paper scale (~100k small
-    /// queries) that is tens of MB; revisit with a per-shard reusable
-    /// assembly buffer if corpora grow orders of magnitude beyond that.
+    /// allocator: CSR row ranges are bulk-copied out of the corpus-level
+    /// [`CorpusSparse`] (no per-epoch rescans or per-entry validation).
     fn assemble_epoch(
         &self,
         feats: &[FeaturizedQuery],
@@ -505,16 +501,24 @@ pub fn train_incremental(
     config: TrainConfig,
 ) -> MscnEstimator {
     assert!(!new_data.is_empty(), "incremental training needs data");
-    let featurizer = prev.featurizer.clone();
-    let mut model = prev.model.clone();
-    let scale = featurizer.label_norm().scale();
-    let feats: Vec<FeaturizedQuery> = new_data.iter().map(|q| featurizer.featurize(q)).collect();
+    fit_frozen(prev.model.clone(), prev.featurizer.clone(), new_data, &config)
+}
+
+/// Run `config.epochs` shuffled passes of `model` over all of `data`,
+/// encoded by the frozen `featurizer` — the shared body of
+/// [`train_incremental`] and [`distill`].
+fn fit_frozen(
+    mut model: MscnModel,
+    featurizer: Featurizer,
+    data: &[LabeledQuery],
+    config: &TrainConfig,
+) -> MscnEstimator {
+    let feats: Vec<FeaturizedQuery> = data.iter().map(|q| featurizer.featurize(q)).collect();
     let (td, jd, pd) = model.input_dims();
-    // The corpus CSR is scanned once; every epoch's batch assembly then
+    // The corpus is stacked once; every epoch's batch assembly then
     // bulk-copies row ranges out of it.
     let corpus = CorpusSparse::build(&feats, td, jd, pd);
-
-    let mut trainer = Trainer::new(&mut model, &config, scale);
+    let mut trainer = Trainer::new(&mut model, config, featurizer.label_norm().scale());
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut order: Vec<usize> = (0..feats.len()).collect();
     for _ in 0..config.epochs {
@@ -562,21 +566,10 @@ pub fn distill(
             relabeled
         })
         .collect();
-    let scale = featurizer.label_norm().scale();
-    let feats: Vec<FeaturizedQuery> = soft.iter().map(|q| featurizer.featurize(q)).collect();
-    let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
-    let corpus = CorpusSparse::build(&feats, td, jd, pd);
-
     // Fresh student at the requested width (same init scheme as `train`).
-    let mut model = MscnModel::new(td, jd, pd, config.hidden, config.seed ^ 0x5eed);
-    let mut trainer = Trainer::new(&mut model, &config, scale);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut order: Vec<usize> = (0..feats.len()).collect();
-    for _ in 0..config.epochs {
-        order.shuffle(&mut rng);
-        trainer.run_epoch(&mut model, &feats, &corpus, &order);
-    }
-    MscnEstimator { model, featurizer }
+    let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
+    let student = MscnModel::new(td, jd, pd, config.hidden, config.seed ^ 0x5eed);
+    fit_frozen(student, featurizer, &soft, &config)
 }
 
 /// Train MSCN on labeled queries (§3.5): split, featurize, optimize.

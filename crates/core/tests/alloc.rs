@@ -23,8 +23,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use lc_core::batch::CorpusSparse;
+use lc_core::featurize::FeaturizedQuery;
 use lc_core::{MscnModel, RaggedBatch};
-use lc_nn::{Adam, DisjointSliceMut, LossKind, WorkerPool};
+use lc_nn::{Adam, DisjointSliceMut, LossKind, SparseRows, WorkerPool};
 use lc_obs::{metrics, SpanTimer};
 
 /// Delegates to the system allocator, counting every allocation call.
@@ -61,16 +63,24 @@ fn synthetic_batch(queries: usize, dims: (usize, usize, usize), salt: f32) -> Ra
     let (td, jd, pd) = dims;
     let mut feats = Vec::new();
     for q in 0..queries {
-        let row = |d: usize, lo: f32| (0..d).map(|i| lo + salt * (i + q) as f32 % 1.0).collect();
-        feats.push(lc_core::featurize::FeaturizedQuery {
-            table_rows: (0..1 + q % 3).map(|t| row(td, t as f32 * 0.1)).collect(),
-            join_rows: (0..q % 2).map(|j| row(jd, j as f32 * 0.2)).collect(),
-            pred_rows: (0..q % 4).map(|p| row(pd, p as f32 * 0.3)).collect(),
+        let set = |d: usize, rows: usize, step: f32| {
+            let mut out = SparseRows::new(d);
+            for r in 0..rows {
+                let lo = r as f32 * step;
+                out.push_row((0..d).map(|i| (i as u32, lo + salt * (i + q) as f32 % 1.0)));
+            }
+            out
+        };
+        feats.push(FeaturizedQuery {
+            tables: set(td, 1 + q % 3, 0.1),
+            joins: set(jd, q % 2, 0.2),
+            preds: set(pd, q % 4, 0.3),
             target: (q as f32 * 0.37 + salt) % 1.0,
         });
     }
-    let refs: Vec<&lc_core::featurize::FeaturizedQuery> = feats.iter().collect();
-    RaggedBatch::assemble(&refs, td, jd, pd)
+    let corpus = CorpusSparse::build(&feats, td, jd, pd);
+    let all: Vec<usize> = (0..queries).collect();
+    RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd)
 }
 
 /// One full training step on pre-assembled shards with warm buffers:

@@ -22,10 +22,9 @@
 //!    output element), so every output element is still one sequential
 //!    ascending-`k` accumulation chain — there is no lane-split partial
 //!    sum to re-associate, and any vector width (1, 8, or a future 16)
-//!    produces the same bits. Kernels whose natural SIMD layout *would*
-//!    split the reduction (the `A·Bᵀ` row-dot) instead keep a single
-//!    shared scalar-chain implementation, preserving their documented
-//!    bitwise interchangeability with the transpose-based path.
+//!    produces the same bits. Products whose natural SIMD layout *would*
+//!    split the reduction (the `A·Bᵀ` row-dot) instead stage the
+//!    transposed operand and run the `A·B` kernel.
 //! 2. **Both implementations fuse identically.** The AVX2 path uses
 //!    `vfmadd` (one rounding per step); the scalar path uses
 //!    `f32::mul_add`, which is the same correctly-rounded operation on
@@ -445,95 +444,6 @@ fn matmul_narrow(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
 }
 
 // ---------------------------------------------------------------------
-// Aᵀ · B accumulate (weight gradients)
-// ---------------------------------------------------------------------
-
-/// Accumulate `aᵀ · b` into `out` with the process-active kernel. Rows
-/// of `a` are visited in ascending order and zero elements skip the
-/// whole row update (a real win: `a` is the forward input, ~85% zeros on
-/// the one-hot/bitmap layers).
-pub(crate) fn matmul_transa_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    matmul_transa_accumulate_with(active(), a, b, out);
-}
-
-/// [`matmul_transa_accumulate`] with an explicit kernel (tests/benches).
-///
-/// # Panics
-/// If `Kernel::Avx2` is requested on hardware without AVX2+FMA.
-pub fn matmul_transa_accumulate_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    match kernel {
-        Kernel::Avx2 => {
-            assert!(avx2_available(), "AVX2 kernel requested on non-AVX2 hardware");
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2+FMA presence checked above.
-            unsafe {
-                matmul_transa_accumulate_avx2(a, b, out);
-            }
-        }
-        Kernel::Scalar => matmul_transa_accumulate_scalar(a, b, out),
-    }
-}
-
-/// Scalar `aᵀ·b`: same row order, zero-skip, and fused accumulation as
-/// the AVX2 path (lanes are output columns there, so chains match).
-fn matmul_transa_accumulate_scalar(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let b_row = b.row(i);
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = out.row_mut(k);
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-}
-
-/// AVX2 `aᵀ·b`: broadcast the nonzero `a[i][k]`, 8-lane FMA across the
-/// `b` row into `out` row `k`, scalar `mul_add` tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[target_feature(enable = "fma")]
-unsafe fn matmul_transa_accumulate_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    use std::arch::x86_64::*;
-    let c = b.cols();
-    let vec_end = c - c % 8;
-    let out_base = out.data_mut().as_mut_ptr();
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let b_row = b.row(i);
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            // SAFETY: out row k (k < a.cols() == out.rows()) and b row i
-            // are both c wide; the 8-lane loop stops at vec_end <= c.
-            unsafe {
-                let bp = b_row.as_ptr();
-                let op = out_base.add(k * c);
-                let avv = _mm256_set1_ps(av);
-                let mut j = 0;
-                while j < vec_end {
-                    let acc = _mm256_fmadd_ps(
-                        avv,
-                        _mm256_loadu_ps(bp.add(j)),
-                        _mm256_loadu_ps(op.add(j)),
-                    );
-                    _mm256_storeu_ps(op.add(j), acc);
-                    j += 8;
-                }
-                for j in vec_end..c {
-                    *op.add(j) = av.mul_add(*bp.add(j), *op.add(j));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Sparse one-hot rows · dense weights + bias (set-MLP input layers)
 // ---------------------------------------------------------------------
 
@@ -680,9 +590,10 @@ unsafe fn sparse_matmul_bias_avx2(x: &SparseRows, w: &Matrix, bias: &[f32], out:
 
 /// Accumulate `xᵀ · b` into `out` for CSR-style sparse `x` — the weight
 /// gradient of a sparse input layer, O(nnz · out_dim). Bitwise-equal to
-/// [`matmul_transa_accumulate`] on the densified `x`: that kernel skips
-/// zero elements explicitly, and both visit rows (then nonzero indices)
-/// in ascending order with the same fused update.
+/// staging `xᵀ` ([`SparseRows::transpose_into`]) and running
+/// [`matmul_accumulate`] on it: per output element both are the same
+/// ascending-row fused chain, and the products this kernel skips are
+/// exact `fma(0, b, acc)` no-ops there.
 pub(crate) fn sparse_transa_accumulate(x: &SparseRows, b: &Matrix, out: &mut Matrix) {
     sparse_transa_accumulate_with(active(), x, b, out);
 }

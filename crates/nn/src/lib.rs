@@ -4,10 +4,10 @@
 //! immature for ragged set models, so this crate implements exactly the
 //! pieces MSCN needs, from scratch, with hand-derived gradients:
 //!
-//! * [`Matrix`] — row-major `f32` matrices with the product kernels
-//!   backprop needs (`A·B`, `A·Bᵀ`, `Aᵀ·B`, fused `A·B + bias`),
-//!   cache-blocked/tiled and each available as an allocation-free
-//!   `_into` variant writing into caller-provided buffers;
+//! * [`Matrix`] — row-major `f32` matrices with the products backprop
+//!   needs — `A·B`, fused `A·B + bias`, and `A·Bᵀ` / `Aᵀ·B` as a staged
+//!   transpose + `A·B` — cache-blocked/tiled and always writing into
+//!   caller-provided buffers;
 //! * [`kernels`] — the explicit SIMD micro-kernels behind every
 //!   product: AVX2+FMA inner loops with runtime dispatch (steered by
 //!   [`RuntimeConfig`]) and a bitwise-identical `f32::mul_add` scalar
@@ -22,17 +22,17 @@
 //!   choice, train/infer worker counts, core pinning. `from_env()`
 //!   parses the `LC_*` variables exactly once; binaries can `install()`
 //!   an explicit config instead;
-//! * [`SparseRows`] — CSR-style sparse row stacks for the ~85%-zero
-//!   one-hot/bitmap input layers, with an O(nnz) fused forward
-//!   ([`Linear::forward_sparse_into`]) and weight-gradient kernel that
-//!   are bitwise-equal to their dense counterparts;
+//! * [`SparseRows`] — CSR-style sparse row stacks, the only encoding of
+//!   the ~85%-zero one-hot/bitmap set-module inputs, with an O(nnz) fused
+//!   forward ([`Linear::forward_sparse_into`]) and weight-gradient kernel
+//!   that are bitwise-equal to the dense kernel on the densified rows;
 //! * [`WorkerPool`] — a persistent, pinned, barrier-synchronized worker
 //!   pool shared by training steps, batch inference, and the serving
 //!   layer (replaces per-step `thread::scope` fan-out);
 //! * [`Scratch`] — a reusable buffer arena so forward/backward passes
 //!   run with zero steady-state allocations;
-//! * [`Linear`] — fully-connected layer with Xavier init and gradient
-//!   accumulation;
+//! * [`Linear`] — fully-connected layer with Xavier init; gradients
+//!   accumulate into caller-owned [`LinearGrads`];
 //! * [`Mlp`] — the paper's two-layer MLP module with ReLU hidden
 //!   activation and a configurable final activation (ReLU for the set
 //!   modules, sigmoid for the output network);

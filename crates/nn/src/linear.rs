@@ -1,5 +1,5 @@
-//! Fully-connected layer with Xavier initialization and accumulated
-//! gradients.
+//! Fully-connected layer with Xavier initialization. Gradients accumulate
+//! into caller-owned [`LinearGrads`], never inside the layer.
 
 use rand::Rng;
 
@@ -52,18 +52,16 @@ impl LinearGrads {
 
 /// A dense layer `y = x·W + b` with `W: [in × out]`.
 ///
-/// Two gradient paths exist: the classic `&mut self`
-/// [`Linear::backward`], which accumulates into internal buffers until
-/// [`Linear::zero_grad`] (what lets the MSCN set modules process several
-/// ragged segments per mini-batch with shared parameters), and the
-/// `&self` [`Linear::backward_scratch`], which accumulates into a
-/// caller-provided [`LinearGrads`] — the shape the data-parallel trainer
-/// needs, and allocation-free.
+/// The layer holds parameters only. Both backward entry points take
+/// `&self` and accumulate into a caller-provided [`LinearGrads`], so
+/// data-parallel shards run concurrently against shared weights (and one
+/// set module can process several ragged segments per mini-batch) without
+/// touching the allocator: [`Linear::backward_scratch`] for dense inputs,
+/// [`Linear::backward_sparse_leaf`] for the CSR feature rows.
 #[derive(Clone, Debug)]
 pub struct Linear {
     w: Matrix,
     b: Vec<f32>,
-    grads: LinearGrads,
     /// Cached `Wᵀ` for the backward input-gradient product (see
     /// [`Linear::refresh_transpose_cache`]). The buffer persists across
     /// invalidations (resized in place), so steady-state training stays
@@ -82,7 +80,6 @@ impl Linear {
         Linear {
             w: Matrix::from_vec(input, output, data),
             b: vec![0.0; output],
-            grads: LinearGrads::zeros(input, output),
             wt: Matrix::zeros(0, 0),
             wt_valid: false,
         }
@@ -121,15 +118,8 @@ impl Linear {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
-    /// `x·W + b` for a batch `x: [n × in]`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut out);
-        out
-    }
-
     /// `x·W + b` written into `out` (resized in place) via the fused
-    /// matmul-plus-bias kernel — the allocation-free forward path.
+    /// matmul-plus-bias kernel.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_bias_into(&self.w, &self.b, out);
     }
@@ -148,21 +138,22 @@ impl Linear {
         crate::kernels::sparse_matmul_bias(x, &self.w, &self.b, out);
     }
 
-    /// Leaf-mode backward for a CSR + dense view of the same input `x`:
-    /// accumulates `∂L/∂W = xᵀ·∂L/∂y` and `∂L/∂b` into `grads`. No input
-    /// gradient — the sparse featurized inputs are always leaves.
+    /// Leaf-mode backward for a CSR input `x`: accumulates
+    /// `∂L/∂W = xᵀ·∂L/∂y` and `∂L/∂b` into `grads`. No input gradient —
+    /// the sparse featurized inputs are always leaves.
     ///
     /// Two bitwise-identical strategies, picked by density: truly sparse
     /// rows use O(nnz) gather updates; denser rows (bitmap-heavy
-    /// workloads light up half the sample bits) go transpose-then-matmul,
-    /// where the extra zero products are free FMA no-ops but the kernel
-    /// runs at full throughput instead of read-modify-write speed. The
-    /// switch can never change a gradient bit, so it is purely a
-    /// scheduling decision.
+    /// workloads light up half the sample bits) go transpose-then-matmul
+    /// — `xᵀ` scattered into a zeroed scratch buffer
+    /// ([`crate::SparseRows::transpose_into`]) — where the extra zero
+    /// products are free FMA no-ops but the kernel runs at full
+    /// throughput instead of read-modify-write speed. The switch can
+    /// never change a gradient bit, so it is purely a scheduling
+    /// decision.
     pub fn backward_sparse_leaf(
         &self,
         x: &crate::sparse::SparseRows,
-        x_dense: &Matrix,
         grad_out: &Matrix,
         grads: &mut LinearGrads,
         scratch: &mut crate::scratch::Scratch,
@@ -170,44 +161,29 @@ impl Linear {
         debug_assert_eq!(grad_out.cols(), grads.w.cols());
         debug_assert_eq!(x.cols(), grads.w.rows());
         debug_assert_eq!(x.rows(), grad_out.rows());
-        debug_assert_eq!(x_dense.shape(), (x.rows(), x.cols()));
         // A gather update moves ~4 memory words per MAC; the dense kernel
         // ~1 per 4 MACs. Crossover sits near nnz/total = 1/4.
         if x.nnz() * 4 < x.rows() * x.cols() {
             crate::kernels::sparse_transa_accumulate(x, grad_out, &mut grads.w);
         } else {
             let mut xt = scratch.take(0, 0);
-            x_dense.transpose_into(&mut xt);
+            x.transpose_into(&mut xt);
             crate::kernels::matmul_accumulate(&xt, grad_out, &mut grads.w);
             scratch.put(xt);
         }
         accumulate_bias_grads(grad_out, grads);
     }
 
-    /// Backward pass: given the forward input `x` and `∂L/∂y`, accumulate
-    /// `∂L/∂W`, `∂L/∂b` and return `∂L/∂x`.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::zeros(0, 0);
-        let mut tmp = Matrix::zeros(0, 0);
-        let Linear { w, grads, .. } = self;
-        accumulate_param_grads(x, grad_out, grads);
-        grad_out.matmul_transb_scratch(w, &mut grad_in, &mut tmp);
-        grad_in
-    }
-
-    /// Allocation-free backward pass against external gradient buffers:
-    /// accumulates `∂L/∂W`, `∂L/∂b` into `grads` and, when `grad_in` is
-    /// provided, overwrites it with `∂L/∂x` (using a `scratch` buffer for
-    /// the transposed weights). Pass `None` for leaf layers whose input
-    /// gradient nobody consumes — that skips an entire matmul, the
-    /// single biggest saving in the MSCN set modules.
+    /// Backward pass for a dense input `x`: accumulates `∂L/∂W`, `∂L/∂b`
+    /// into `grads` and, when `grad_in` is provided, overwrites it with
+    /// `∂L/∂x` (using a `scratch` buffer for the transposed weights
+    /// unless the `Wᵀ` cache is fresh). Pass `None` when nobody consumes
+    /// the input gradient — that skips an entire matmul.
     ///
     /// The weight gradient runs as transpose-then-matmul (`xᵀ` staged in
     /// a scratch buffer, then the blocked kernel accumulates into
-    /// `grads.w`) rather than scattered per-element row updates: per
-    /// output element both orders are the identical ascending-row fused
-    /// chain (zero products are exact no-ops), but the matmul form runs
-    /// at kernel throughput instead of read-modify-write speed.
+    /// `grads.w`): per output element that is the ascending-row fused
+    /// chain, at kernel throughput instead of read-modify-write speed.
     pub fn backward_scratch(
         &self,
         x: &Matrix,
@@ -236,19 +212,6 @@ impl Linear {
                 scratch.put(wt);
             }
         }
-    }
-
-    /// Clear accumulated internal gradients.
-    pub fn zero_grad(&mut self) {
-        self.grads.zero();
-    }
-
-    /// Parameter/gradient pairs, weights first then bias — the order the
-    /// optimizer and the serializer rely on.
-    pub fn params_and_grads(&mut self) -> [(&mut [f32], &[f32]); 2] {
-        let Linear { w, b, grads, wt_valid, .. } = self;
-        *wt_valid = false; // caller may mutate the weights
-        [(w.data_mut(), grads.w.data()), (b.as_mut_slice(), grads.b.as_slice())]
     }
 
     /// Mutable parameter tensors in canonical order (weights, bias) —
@@ -283,20 +246,7 @@ impl Linear {
     }
 }
 
-/// The parameter-gradient math of the scratch-free [`Linear::backward`]:
-/// accumulate `∂L/∂W = xᵀ·∂L/∂y` (zero-skipping row updates — no scratch
-/// buffer available here) and `∂L/∂b` into `grads`. Bitwise-identical to
-/// the transpose-then-matmul form `backward_scratch` uses: per output
-/// element both are the same ascending-row fused chain.
-fn accumulate_param_grads(x: &Matrix, grad_out: &Matrix, grads: &mut LinearGrads) {
-    debug_assert_eq!(grad_out.cols(), grads.w.cols());
-    debug_assert_eq!(x.cols(), grads.w.rows());
-    debug_assert_eq!(x.rows(), grad_out.rows());
-    x.matmul_transa_into(grad_out, &mut grads.w);
-    accumulate_bias_grads(grad_out, grads);
-}
-
-/// `∂L/∂b += Σ_rows ∂L/∂y`, shared by every backward variant.
+/// `∂L/∂b += Σ_rows ∂L/∂y`, shared by both backward entry points.
 fn accumulate_bias_grads(grad_out: &Matrix, grads: &mut LinearGrads) {
     for i in 0..grad_out.rows() {
         for (gb, &g) in grads.b.iter_mut().zip(grad_out.row(i)) {
@@ -311,9 +261,42 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    use crate::scratch::Scratch;
+    use crate::sparse::SparseRows;
+
     /// Scalar loss used in gradient checks: sum of all outputs.
-    fn loss(layer: &Linear, x: &Matrix) -> f32 {
-        layer.forward(x).data().iter().sum()
+    fn loss(layer: &Linear, x: &SparseRows) -> f32 {
+        let mut y = Matrix::zeros(0, 0);
+        layer.forward_sparse_into(x, &mut y);
+        y.data().iter().sum()
+    }
+
+    /// A copy of `layer` with `W[i, j]` nudged by `delta`.
+    fn perturbed(layer: &Linear, i: usize, j: usize, delta: f32) -> Linear {
+        let mut w = layer.weights().clone();
+        w.set(i, j, w.get(i, j) + delta);
+        let mut out = layer.clone();
+        out.load(w.data().to_vec(), layer.bias().to_vec());
+        out
+    }
+
+    /// CSR gradient-check inputs on either side of the density switch of
+    /// [`Linear::backward_sparse_leaf`] (`nnz * 4 < rows * cols`):
+    /// one-hot-like rows take the gather branch, fully dense rows the
+    /// transpose-then-matmul branch.
+    fn inputs_on_both_sides_of_the_density_switch(cols: usize) -> [SparseRows; 2] {
+        let mut sparse = SparseRows::new(cols);
+        for r in 0..6usize {
+            sparse.push_row([((r * 3 % cols) as u32, 0.4 + 0.3 * r as f32)]);
+        }
+        assert!(sparse.nnz() * 4 < sparse.rows() * sparse.cols(), "gather side");
+        let dense = SparseRows::from_dense(&Matrix::from_vec(
+            2,
+            cols,
+            (0..2 * cols).map(|i| (i as f32 - 4.5) * 0.3).collect(), // never 0
+        ));
+        assert!(dense.nnz() * 4 >= dense.rows() * dense.cols(), "matmul side");
+        [sparse, dense]
     }
 
     #[test]
@@ -322,88 +305,61 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut rng);
         l.load(vec![0.0; 6], vec![7.0, -1.0]);
         let x = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        let y = l.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        l.forward_into(&x, &mut y);
         assert_eq!(y.shape(), (2, 2));
         assert_eq!(y.row(0), &[7.0, -1.0]);
     }
 
+    /// Finite differences against the external-gradient backward, on
+    /// both branches of the density switch — and the dense-input
+    /// [`Linear::backward_scratch`] must land on the same bits.
     #[test]
     fn gradient_check_weights_and_bias() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut layer = Linear::new(4, 3, &mut rng);
-        let x = Matrix::from_vec(2, 4, (0..8).map(|i| (i as f32 - 4.0) * 0.3).collect());
-        // Analytic gradients with dL/dy = 1.
-        layer.zero_grad();
-        let ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        let grad_x = layer.backward(&x, &ones);
+        let layer = Linear::new(8, 3, &mut rng);
+        let mut scratch = Scratch::new();
+        for x in inputs_on_both_sides_of_the_density_switch(8) {
+            let n = x.rows();
+            // Analytic gradients with dL/dy = 1.
+            let ones = Matrix::from_vec(n, 3, vec![1.0; n * 3]);
+            let mut grads = layer.new_grads();
+            layer.backward_sparse_leaf(&x, &ones, &mut grads, &mut scratch);
 
-        let eps = 1e-2f32;
-        // Check dL/dW numerically for a few entries.
-        for &(i, j) in &[(0usize, 0usize), (1, 2), (3, 1)] {
-            let orig = layer.weights().get(i, j);
-            let mut wp = layer.clone();
-            let mut buf = wp.weights().clone();
-            buf.set(i, j, orig + eps);
-            wp.load(buf.data().to_vec(), wp.bias().to_vec());
-            let up = loss(&wp, &x);
-            let mut wm = layer.clone();
-            let mut buf = wm.weights().clone();
-            buf.set(i, j, orig - eps);
-            wm.load(buf.data().to_vec(), wm.bias().to_vec());
-            let down = loss(&wm, &x);
-            let numeric = (up - down) / (2.0 * eps);
-            let analytic = layer.grad_w_entry(i, j);
-            assert!(
-                (numeric - analytic).abs() < 1e-2,
-                "dW[{i},{j}]: numeric {numeric} analytic {analytic}"
-            );
-        }
-        // dL/db = column count of rows = 2 for each output.
-        let (_, grads) = {
-            let mut l2 = layer.clone();
-            let pg = l2.params_and_grads();
-            (pg[1].0.to_vec(), pg[1].1.to_vec())
-        };
-        assert!(grads.iter().all(|&g| (g - 2.0).abs() < 1e-5));
-        // dL/dx = row sums of W.
-        for r in 0..2 {
-            for k in 0..4 {
-                let expected: f32 = (0..3).map(|j| layer.weights().get(k, j)).sum();
-                assert!((grad_x.get(r, k) - expected).abs() < 1e-4);
+            let eps = 1e-2f32;
+            for (i, j) in [(0usize, 0usize), (1, 2), (3, 1), (6, 0)] {
+                let up = loss(&perturbed(&layer, i, j, eps), &x);
+                let down = loss(&perturbed(&layer, i, j, -eps), &x);
+                let numeric = (up - down) / (2.0 * eps);
+                let analytic = grads.w.get(i, j);
+                assert!(
+                    (numeric - analytic).abs() < 1e-2,
+                    "dW[{i},{j}]: numeric {numeric} analytic {analytic}"
+                );
+            }
+            // dL/db = one per row for each output.
+            assert!(grads.b.iter().all(|&g| (g - n as f32).abs() < 1e-5));
+
+            // The dense-input backward on the densified rows: identical
+            // parameter gradients, with or without the input gradient,
+            // and dL/dx = row sums of W.
+            let x_dense = x.to_dense();
+            let mut full = layer.new_grads();
+            let mut grad_x = Matrix::zeros(0, 0);
+            layer.backward_scratch(&x_dense, &ones, &mut full, Some(&mut grad_x), &mut scratch);
+            let mut no_input_grad = layer.new_grads();
+            layer.backward_scratch(&x_dense, &ones, &mut no_input_grad, None, &mut scratch);
+            for g in [&full, &no_input_grad] {
+                assert_eq!(g.w.data(), grads.w.data(), "weight grads must match bitwise");
+                assert_eq!(g.b, grads.b);
+            }
+            for r in 0..n {
+                for k in 0..8 {
+                    let expected: f32 = (0..3).map(|j| layer.weights().get(k, j)).sum();
+                    assert!((grad_x.get(r, k) - expected).abs() < 1e-4);
+                }
             }
         }
-    }
-
-    impl Linear {
-        fn grad_w_entry(&self, i: usize, j: usize) -> f32 {
-            self.grads.w.get(i, j)
-        }
-    }
-
-    /// The external-gradient path must produce the same gradients as the
-    /// internal one, and skipping `grad_in` must not change them.
-    #[test]
-    fn backward_scratch_matches_internal_backward() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut layer = Linear::new(4, 3, &mut rng);
-        let x = Matrix::from_vec(2, 4, (0..8).map(|i| (i as f32 - 4.0) * 0.3).collect());
-        let ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        layer.zero_grad();
-        let grad_x = layer.backward(&x, &ones);
-
-        let mut scratch = crate::scratch::Scratch::new();
-        let mut ext = layer.new_grads();
-        let mut grad_in = Matrix::zeros(0, 0);
-        layer.backward_scratch(&x, &ones, &mut ext, Some(&mut grad_in), &mut scratch);
-        assert_eq!(grad_in.data(), grad_x.data(), "grad_in must match bitwise");
-        assert_eq!(ext.w.data(), layer.grads.w.data());
-        assert_eq!(ext.b, layer.grads.b);
-
-        // Leaf mode (no input gradient) accumulates the same parameter grads.
-        let mut leaf = layer.new_grads();
-        layer.backward_scratch(&x, &ones, &mut leaf, None, &mut scratch);
-        assert_eq!(leaf.w.data(), ext.w.data());
-        assert_eq!(leaf.b, ext.b);
     }
 
     /// The cached-`Wᵀ` backward path must be bitwise-identical to the
@@ -415,7 +371,7 @@ mod tests {
         let mut layer = Linear::new(6, 4, &mut rng);
         let x = Matrix::from_vec(3, 6, (0..18).map(|i| (i as f32 - 9.0) * 0.21).collect());
         let grad_out = Matrix::from_vec(3, 4, (0..12).map(|i| 0.17 * i as f32 - 0.9).collect());
-        let mut scratch = crate::scratch::Scratch::new();
+        let mut scratch = Scratch::new();
 
         // Reference: the uncached path.
         assert!(!layer.wt_valid, "fresh layers start uncached");
@@ -438,9 +394,6 @@ mod tests {
         layer.refresh_transpose_cache();
         let _ = layer.params_mut();
         assert!(!layer.wt_valid, "params_mut must invalidate");
-        layer.refresh_transpose_cache();
-        let _ = layer.params_and_grads();
-        assert!(!layer.wt_valid, "params_and_grads must invalidate");
         layer.refresh_transpose_cache();
         let (w, b) = (layer.weights().data().to_vec(), layer.bias().to_vec());
         layer.load(w, b);
@@ -479,16 +432,17 @@ mod tests {
     #[test]
     fn gradients_accumulate_until_cleared() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut l = Linear::new(2, 2, &mut rng);
+        let l = Linear::new(2, 2, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        l.zero_grad();
-        l.backward(&x, &g);
-        let once = l.grad_w_entry(1, 0);
-        l.backward(&x, &g);
-        assert!((l.grad_w_entry(1, 0) - 2.0 * once).abs() < 1e-6);
-        l.zero_grad();
-        assert_eq!(l.grad_w_entry(1, 0), 0.0);
+        let mut scratch = Scratch::new();
+        let mut grads = l.new_grads();
+        l.backward_scratch(&x, &g, &mut grads, None, &mut scratch);
+        let once = grads.w.get(1, 0);
+        l.backward_scratch(&x, &g, &mut grads, None, &mut scratch);
+        assert!((grads.w.get(1, 0) - 2.0 * once).abs() < 1e-6);
+        grads.zero();
+        assert_eq!(grads.w.get(1, 0), 0.0);
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! Every product funnels into the explicit SIMD micro-kernels of
 //! [`crate::kernels`] — AVX2+FMA inner loops behind once-per-process
 //! runtime dispatch (`LC_KERNEL`), with a bitwise-identical
-//! `f32::mul_add` scalar fallback. Every product has an allocation-free
-//! `_into` variant writing into a caller-provided buffer (resized in
-//! place, reusing its capacity), and the kernels are cache-blocked: the
-//! reduction dimension is processed in tiles sized so the tile of the
-//! right-hand operand stays resident in L1 while a block of output rows
-//! streams past it.
+//! `f32::mul_add` scalar fallback. Every product writes into a
+//! caller-provided buffer (resized in place, reusing its capacity), and
+//! the kernels are cache-blocked: the reduction dimension is processed in
+//! tiles sized so the tile of the right-hand operand stays resident in L1
+//! while a block of output rows streams past it. There is one kernel
+//! shape, `A·B`: `A·Bᵀ` and `Aᵀ·B` stage the transposed operand
+//! ([`Matrix::transpose_into`], [`crate::SparseRows::transpose_into`])
+//! and run the same kernel.
 //!
 //! Neither tiling nor vectorization reorders the per-element
 //! accumulation sequence: vector lanes span output columns, so for each
@@ -18,7 +20,7 @@
 //! thread counts — the property `lc_core`'s deterministic data-parallel
 //! trainer and `lc_serve`'s micro-batcher are built on.
 
-use crate::kernels::{self, TILE_K};
+use crate::kernels;
 
 /// A dense row-major matrix of `f32`. `Default` is the empty `0 × 0`
 /// matrix — the canonical seed for resizable scratch buffers.
@@ -105,7 +107,7 @@ impl Matrix {
 
     /// Reshape in place to `rows × cols`, zero-filled, reusing the
     /// existing allocation whenever `rows * cols` fits its capacity. This
-    /// is what makes the `_into` kernels allocation-free in steady state:
+    /// is what makes the product kernels allocation-free in steady state:
     /// a scratch matrix only ever grows to the largest shape it has seen.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
@@ -123,13 +125,6 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// `self · b` — `[r×k] · [k×c] → [r×c]`, ikj loop order.
-    pub fn matmul(&self, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(b, &mut out);
-        out
     }
 
     /// `self · b` written into `out` (resized in place), cache-blocked
@@ -163,48 +158,6 @@ impl Matrix {
         kernels::matmul_accumulate(self, b, out);
     }
 
-    /// `self · bᵀ` — `[r×k] · [c×k]ᵀ → [r×c]`, row-dot-row.
-    pub fn matmul_transb(&self, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transb_into(b, &mut out);
-        out
-    }
-
-    /// `self · bᵀ` written into `out` (resized in place), cache-blocked:
-    /// a tile of `b` rows stays in L1 while every `self` row is dotted
-    /// against it.
-    ///
-    /// Deliberately a single implementation on both dispatch paths: the
-    /// natural SIMD layout of a row-dot would split the reduction across
-    /// vector lanes, changing the summation order and breaking the
-    /// documented bitwise interchangeability with
-    /// [`Matrix::matmul_transb_scratch`] (whose kernel fuses in
-    /// ascending-k order per element). So each dot stays one sequential
-    /// `mul_add` chain — matching the kernel path's rounding exactly —
-    /// and callers that care about speed use the scratch variant.
-    ///
-    /// # Panics
-    /// If `self.cols != b.cols`.
-    pub fn matmul_transb_into(&self, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, b.cols, "matmul_transb shape mismatch");
-        out.resize_for_overwrite(self.rows, b.rows);
-        for j0 in (0..b.rows).step_by(TILE_K) {
-            let j_end = (j0 + TILE_K).min(b.rows);
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let out_row = &mut out.row_mut(i)[j0..j_end];
-                for (jj, o) in out_row.iter_mut().enumerate() {
-                    let b_row = b.row(j0 + jj);
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc = x.mul_add(y, acc);
-                    }
-                    *o = acc;
-                }
-            }
-        }
-    }
-
     /// `selfᵀ` written into `out` (resized in place), in `TB × TB` cache
     /// blocks so both the source rows and the destination columns of a
     /// block stay resident while it is rewritten — the transpose is pure
@@ -227,14 +180,12 @@ impl Matrix {
         }
     }
 
-    /// `self · bᵀ` written into `out`, via an explicit transpose of `b`
-    /// into `tmp` followed by the blocked matmul kernel — the fast path
-    /// for backward's input-gradient product. For each output element the
-    /// products accumulate in ascending-k order, exactly like
-    /// [`Matrix::matmul_transb_into`], so the two paths are
-    /// bitwise-interchangeable; this one trades a small transpose (of the
-    /// weight matrix, amortized over every batch row) for vector FMAs in
-    /// place of horizontal dot reductions.
+    /// `self · bᵀ` — `[r×k] · [c×k]ᵀ → [r×c]` — written into `out`, via an
+    /// explicit transpose of `b` into `tmp` followed by the blocked
+    /// matmul kernel: backward's input-gradient product. A small
+    /// transpose (of the weight matrix, amortized over every batch row)
+    /// buys vector FMAs in place of horizontal dot reductions, and keeps
+    /// each output element one ascending-k fused chain.
     ///
     /// # Panics
     /// If `self.cols != b.cols`.
@@ -243,29 +194,6 @@ impl Matrix {
         b.transpose_into(tmp);
         out.resize_for_overwrite(self.rows, b.rows);
         kernels::matmul_overwrite(self, tmp, out);
-    }
-
-    /// `selfᵀ · b` — `[r×k]ᵀ · [r×c] → [k×c]`, accumulated outer products
-    /// via the dispatched broadcast-FMA kernel (zero elements of `self`
-    /// skip their whole row update — `self` is the forward input, ~85%
-    /// zeros on the one-hot/bitmap layers). Accumulates *into* `out`
-    /// (callers reuse gradient buffers); the reduction over rows runs in
-    /// ascending order so the result is independent of how callers tile
-    /// the surrounding computation.
-    pub fn matmul_transa_into(&self, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, b.rows, "matmul_transa shape mismatch");
-        assert_eq!(out.shape(), (self.cols, b.cols), "matmul_transa output shape");
-        kernels::matmul_transa_accumulate(self, b, out);
-    }
-
-    /// Add a bias row to every row in place.
-    pub fn add_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias width mismatch");
-        for i in 0..self.rows {
-            for (v, &b) in self.row_mut(i).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
     }
 
     /// Frobenius-style maximum absolute difference (test helper).
@@ -297,57 +225,40 @@ mod tests {
         Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| start + i as f32 * 0.1).collect())
     }
 
+    fn transposed(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                t.set(j, i, m.get(i, j));
+            }
+        }
+        t
+    }
+
     #[test]
     fn matmul_matches_naive() {
         let a = arange(3, 4, -1.0);
         let b = arange(4, 5, 0.5);
-        assert!(a.matmul(&b).max_abs_diff(&naive_matmul(&a, &b)) < 1e-5);
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_into(&b, &mut out);
+        assert!(out.max_abs_diff(&naive_matmul(&a, &b)) < 1e-5);
     }
 
     #[test]
     fn matmul_transb_matches_naive() {
         let a = arange(3, 4, -1.0);
         let b = arange(5, 4, 2.0); // b^T is 4x5
-        let bt = {
-            let mut t = Matrix::zeros(4, 5);
-            for i in 0..5 {
-                for j in 0..4 {
-                    t.set(j, i, b.get(i, j));
-                }
-            }
-            t
-        };
-        assert!(a.matmul_transb(&b).max_abs_diff(&naive_matmul(&a, &bt)) < 1e-5);
-    }
-
-    #[test]
-    fn matmul_transa_accumulates() {
-        let a = arange(3, 4, 0.0); // a^T is 4x3
-        let b = arange(3, 2, 1.0);
-        let at = {
-            let mut t = Matrix::zeros(4, 3);
-            for i in 0..3 {
-                for j in 0..4 {
-                    t.set(j, i, a.get(i, j));
-                }
-            }
-            t
-        };
-        let expected = naive_matmul(&at, &b);
-        let mut out = Matrix::zeros(4, 2);
-        a.matmul_transa_into(&b, &mut out);
-        assert!(out.max_abs_diff(&expected) < 1e-5);
-        // Second call accumulates (doubles).
-        a.matmul_transa_into(&b, &mut out);
-        let mut doubled = expected.clone();
-        doubled.data_mut().iter_mut().for_each(|v| *v *= 2.0);
-        assert!(out.max_abs_diff(&doubled) < 1e-5);
+        let (mut out, mut tmp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        a.matmul_transb_scratch(&b, &mut out, &mut tmp);
+        assert_eq!(tmp, transposed(&b), "the staged operand is exactly bᵀ");
+        assert!(out.max_abs_diff(&naive_matmul(&a, &transposed(&b))) < 1e-5);
     }
 
     #[test]
     fn bias_and_zero() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_bias(&[1.0, 2.0, 3.0]);
+        // A zero left operand leaves exactly the broadcast bias.
+        let mut m = Matrix::zeros(0, 0);
+        Matrix::zeros(2, 4).matmul_bias_into(&arange(4, 3, 0.5), &[1.0, 2.0, 3.0], &mut m);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
         m.fill_zero();
@@ -359,7 +270,7 @@ mod tests {
     fn shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Matrix::zeros(0, 0));
     }
 
     /// Shapes larger than both tile dimensions exercise every tile-edge
@@ -384,8 +295,8 @@ mod tests {
         }
 
         let bt = arange(40, 130, 1.5); // a · btᵀ with k = 130 > TILE_K
-        let mut tr = Matrix::zeros(0, 0);
-        a.matmul_transb_into(&bt, &mut tr);
+        let (mut tr, mut tmp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        a.matmul_transb_scratch(&bt, &mut tr, &mut tmp);
         for i in 0..70 {
             for j in 0..40 {
                 let dot: f32 = (0..130).map(|k| a.get(i, k) * bt.get(j, k)).sum();
@@ -401,8 +312,12 @@ mod tests {
         let bias = [1.0f32, -2.0, 0.25];
         let mut fused = Matrix::zeros(0, 0);
         a.matmul_bias_into(&b, &bias, &mut fused);
-        let mut separate = a.matmul(&b);
-        separate.add_bias(&bias);
+        let mut separate = naive_matmul(&a, &b);
+        for i in 0..5 {
+            for (v, &b) in separate.row_mut(i).iter_mut().zip(&bias) {
+                *v += b;
+            }
+        }
         assert!(fused.max_abs_diff(&separate) < 1e-4);
     }
 

@@ -7,6 +7,7 @@ use rand::Rng;
 use crate::linear::{Linear, LinearGrads};
 use crate::matrix::Matrix;
 use crate::scratch::Scratch;
+use crate::sparse::SparseRows;
 use crate::{relu_backward_inplace, relu_inplace, sigmoid_backward_inplace, sigmoid_inplace};
 
 /// Activation applied after the second layer.
@@ -19,8 +20,8 @@ pub enum FinalActivation {
 }
 
 /// Forward-pass intermediates needed by the backward pass. Reused across
-/// calls via [`Mlp::forward_into`]: the matrices are resized in place, so
-/// a warm cache never allocates.
+/// calls: the matrices are resized in place, so a warm cache never
+/// allocates.
 #[derive(Clone, Debug, Default)]
 pub struct MlpCache {
     /// Post-ReLU activations of the hidden layer.
@@ -32,7 +33,7 @@ pub struct MlpCache {
 impl MlpCache {
     /// An empty cache; buffers grow on first forward pass.
     pub fn new() -> Self {
-        MlpCache { hidden: Matrix::zeros(0, 0), output: Matrix::zeros(0, 0) }
+        MlpCache::default()
     }
 }
 
@@ -107,33 +108,24 @@ impl Mlp {
         self.final_act
     }
 
-    /// Forward a batch `x: [n × input]`, returning the output and the cache
-    /// for [`Mlp::backward`].
-    pub fn forward(&self, x: &Matrix) -> MlpCache {
-        let mut cache = MlpCache::new();
-        self.forward_into(x, &mut cache);
-        cache
-    }
-
-    /// Allocation-free forward pass: writes hidden and output activations
-    /// into `cache`, resizing its buffers in place.
+    /// Forward a dense batch `x: [n × input]`: writes hidden and output
+    /// activations into `cache`, resizing its buffers in place.
     pub fn forward_into(&self, x: &Matrix, cache: &mut MlpCache) {
         self.l1.forward_into(x, &mut cache.hidden);
-        relu_inplace(&mut cache.hidden);
-        self.l2.forward_into(&cache.hidden, &mut cache.output);
-        match self.final_act {
-            FinalActivation::Relu => relu_inplace(&mut cache.output),
-            FinalActivation::Sigmoid => sigmoid_inplace(&mut cache.output),
-        }
+        self.forward_from_hidden(cache);
     }
 
-    /// Allocation-free forward pass on a CSR-style sparse input: the
-    /// first layer gathers weight rows for the input's nonzeros only
-    /// (the MSCN set-module inputs are ~85% zeros), the rest of the
-    /// module is dense. Bitwise-identical to [`Mlp::forward_into`] on
-    /// the densified input.
-    pub fn forward_sparse_into(&self, x: &crate::sparse::SparseRows, cache: &mut MlpCache) {
+    /// Forward a CSR-style sparse batch: the first layer gathers weight
+    /// rows for the input's nonzeros only (the MSCN set-module inputs
+    /// are ~85% zeros), the rest of the module is dense.
+    /// Bitwise-identical to [`Mlp::forward_into`] on the densified input.
+    pub fn forward_sparse_into(&self, x: &SparseRows, cache: &mut MlpCache) {
         self.l1.forward_sparse_into(x, &mut cache.hidden);
+        self.forward_from_hidden(cache);
+    }
+
+    /// Everything after the first layer's pre-activations.
+    fn forward_from_hidden(&self, cache: &mut MlpCache) {
         relu_inplace(&mut cache.hidden);
         self.l2.forward_into(&cache.hidden, &mut cache.output);
         match self.final_act {
@@ -142,58 +134,14 @@ impl Mlp {
         }
     }
 
-    /// Leaf-mode, allocation-free backward pass on a CSR + dense view of
-    /// the input: like [`Mlp::backward_scratch`] with `grad_in: None`,
-    /// but the first layer's weight gradient picks the cheaper of O(nnz)
-    /// sparse row updates and transpose-then-matmul by measured density
-    /// (see [`Linear::backward_sparse_leaf`]). Bitwise-identical to the
-    /// dense path either way.
-    pub fn backward_sparse_scratch(
-        &self,
-        x: &crate::sparse::SparseRows,
-        x_dense: &Matrix,
-        cache: &MlpCache,
-        grad_out: &mut Matrix,
-        grads: &mut MlpGrads,
-        scratch: &mut Scratch,
-    ) {
-        match self.final_act {
-            FinalActivation::Relu => relu_backward_inplace(grad_out, &cache.output),
-            FinalActivation::Sigmoid => sigmoid_backward_inplace(grad_out, &cache.output),
-        }
-        // For-overwrite: fully overwritten by the l2 backward below.
-        let mut grad_hidden = scratch.take_for_overwrite(grad_out.rows(), self.l1.output_dim());
-        self.l2.backward_scratch(
-            &cache.hidden,
-            grad_out,
-            &mut grads.l2,
-            Some(&mut grad_hidden),
-            scratch,
-        );
-        relu_backward_inplace(&mut grad_hidden, &cache.hidden);
-        self.l1.backward_sparse_leaf(x, x_dense, &grad_hidden, &mut grads.l1, scratch);
-        scratch.put(grad_hidden);
-    }
-
-    /// Backward pass; accumulates parameter gradients and returns `∂L/∂x`.
-    pub fn backward(&mut self, x: &Matrix, cache: &MlpCache, mut grad_out: Matrix) -> Matrix {
-        match self.final_act {
-            FinalActivation::Relu => relu_backward_inplace(&mut grad_out, &cache.output),
-            FinalActivation::Sigmoid => sigmoid_backward_inplace(&mut grad_out, &cache.output),
-        }
-        let mut grad_hidden = self.l2.backward(&cache.hidden, &grad_out);
-        relu_backward_inplace(&mut grad_hidden, &cache.hidden);
-        self.l1.backward(x, &grad_hidden)
-    }
-
-    /// Allocation-free backward pass against external gradient buffers.
+    /// Backward pass for a dense input against external gradient
+    /// buffers.
     ///
     /// `grad_out` (`∂L/∂output`, post-activation) is consumed in place;
     /// the one temporary (the hidden-layer gradient) comes from
     /// `scratch`. When `grad_in` is `Some`, it is overwritten with
-    /// `∂L/∂x`; pass `None` when the input is a leaf (the MSCN set
-    /// modules), which skips the first layer's input-gradient matmul
-    /// entirely.
+    /// `∂L/∂x`; pass `None` to skip the first layer's input-gradient
+    /// matmul entirely.
     pub fn backward_scratch(
         &self,
         x: &Matrix,
@@ -203,6 +151,40 @@ impl Mlp {
         scratch: &mut Scratch,
         grad_in: Option<&mut Matrix>,
     ) {
+        let grad_hidden = self.backward_to_hidden(cache, grad_out, &mut grads.l2, scratch);
+        self.l1.backward_scratch(x, &grad_hidden, &mut grads.l1, grad_in, scratch);
+        scratch.put(grad_hidden);
+    }
+
+    /// Leaf-mode backward pass for a CSR input: like
+    /// [`Mlp::backward_scratch`] with `grad_in: None`, but the first
+    /// layer's weight gradient picks the cheaper of O(nnz) sparse row
+    /// updates and transpose-then-matmul by measured density (see
+    /// [`Linear::backward_sparse_leaf`]) — the same bits either way.
+    pub fn backward_sparse_scratch(
+        &self,
+        x: &SparseRows,
+        cache: &MlpCache,
+        grad_out: &mut Matrix,
+        grads: &mut MlpGrads,
+        scratch: &mut Scratch,
+    ) {
+        let grad_hidden = self.backward_to_hidden(cache, grad_out, &mut grads.l2, scratch);
+        self.l1.backward_sparse_leaf(x, &grad_hidden, &mut grads.l1, scratch);
+        scratch.put(grad_hidden);
+    }
+
+    /// Backprop from `∂L/∂output` down to the first layer's
+    /// pre-activations: accumulates the second layer's gradients and
+    /// returns `∂L/∂(x·W₁ + b₁)` in a buffer taken from `scratch` (the
+    /// caller puts it back).
+    fn backward_to_hidden(
+        &self,
+        cache: &MlpCache,
+        grad_out: &mut Matrix,
+        l2_grads: &mut LinearGrads,
+        scratch: &mut Scratch,
+    ) -> Matrix {
         match self.final_act {
             FinalActivation::Relu => relu_backward_inplace(grad_out, &cache.output),
             FinalActivation::Sigmoid => sigmoid_backward_inplace(grad_out, &cache.output),
@@ -213,13 +195,12 @@ impl Mlp {
         self.l2.backward_scratch(
             &cache.hidden,
             grad_out,
-            &mut grads.l2,
+            l2_grads,
             Some(&mut grad_hidden),
             scratch,
         );
         relu_backward_inplace(&mut grad_hidden, &cache.hidden);
-        self.l1.backward_scratch(x, &grad_hidden, &mut grads.l1, grad_in, scratch);
-        scratch.put(grad_hidden);
+        grad_hidden
     }
 
     /// Recompute both layers' cached `Wᵀ` (see
@@ -234,12 +215,6 @@ impl Mlp {
     /// Fresh zeroed external gradient buffers matching this module.
     pub fn new_grads(&self) -> MlpGrads {
         MlpGrads { l1: self.l1.new_grads(), l2: self.l2.new_grads() }
-    }
-
-    /// Clear accumulated gradients in both layers.
-    pub fn zero_grad(&mut self) {
-        self.l1.zero_grad();
-        self.l2.zero_grad();
     }
 
     /// Both layers, first → second (optimizer/serializer order).
@@ -260,7 +235,20 @@ mod tests {
     use rand::SeedableRng;
 
     fn sum_loss(mlp: &Mlp, x: &Matrix) -> f32 {
-        mlp.forward(x).output.data().iter().sum()
+        let mut cache = MlpCache::new();
+        mlp.forward_into(x, &mut cache);
+        cache.output.data().iter().sum()
+    }
+
+    fn sum_loss_sparse(mlp: &Mlp, x: &SparseRows) -> f32 {
+        let mut cache = MlpCache::new();
+        mlp.forward_sparse_into(x, &mut cache);
+        cache.output.data().iter().sum()
+    }
+
+    /// Both layers' gradients flattened (weights then bias, l1 then l2).
+    fn flat(grads: &MlpGrads) -> Vec<f32> {
+        grads.layers().iter().flat_map(|l| l.tensors()).flatten().copied().collect()
     }
 
     /// Finite-difference check of ∂L/∂x through the whole module, for both
@@ -269,12 +257,23 @@ mod tests {
     fn gradient_check_input() {
         for act in [FinalActivation::Relu, FinalActivation::Sigmoid] {
             let mut rng = SmallRng::seed_from_u64(7);
-            let mut mlp = Mlp::new(5, 8, 3, act, &mut rng);
+            let mlp = Mlp::new(5, 8, 3, act, &mut rng);
             let x = Matrix::from_vec(2, 5, (0..10).map(|i| (i as f32 - 5.0) * 0.17).collect());
-            let cache = mlp.forward(&x);
-            let ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
-            mlp.zero_grad();
-            let grad_x = mlp.backward(&x, &cache, ones);
+            let mut cache = MlpCache::new();
+            mlp.forward_into(&x, &mut cache);
+            let mut ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
+            let (mut grads, mut scratch) = (mlp.new_grads(), Scratch::new());
+            let mut grad_x = Matrix::zeros(0, 0);
+            mlp.backward_scratch(
+                &x,
+                &cache,
+                &mut ones,
+                &mut grads,
+                &mut scratch,
+                Some(&mut grad_x),
+            );
+            // Both temporaries (hidden grad, transposes) return to the pool.
+            assert_eq!(scratch.pooled(), 2, "temporaries must return to the pool");
             let eps = 1e-2f32;
             for &(i, j) in &[(0usize, 0usize), (1, 4), (0, 2)] {
                 let mut xp = x.clone();
@@ -291,89 +290,78 @@ mod tests {
         }
     }
 
-    /// Finite-difference check of a first-layer weight through both layers.
+    /// Finite-difference check of a first-layer weight through both
+    /// layers, for both final activations, on CSR inputs on either side
+    /// of the first layer's density switch — and the dense-input
+    /// backward on the densified rows must produce the same bits, with
+    /// or without the input gradient.
     #[test]
     fn gradient_check_deep_weight() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let mut mlp = Mlp::new(4, 6, 2, FinalActivation::Sigmoid, &mut rng);
-        let x = Matrix::from_vec(3, 4, (0..12).map(|i| (i as f32) * 0.1 - 0.5).collect());
-        let cache = mlp.forward(&x);
-        mlp.zero_grad();
-        let ones = Matrix::from_vec(3, 2, vec![1.0; 6]);
-        mlp.backward(&x, &cache, ones);
-        let analytic = {
-            let [l1, _] = mlp.layers_mut();
-            let pg = l1.params_and_grads();
-            pg[0].1[2 * 6 + 3] // dW1[2,3]
-        };
-        let eps = 1e-2f32;
-        let perturb = |delta: f32, mlp: &Mlp| {
-            let mut m = mlp.clone();
-            let [l1, _] = m.layers_mut();
-            let mut w = l1.weights().data().to_vec();
-            w[2 * 6 + 3] += delta;
-            let b = l1.bias().to_vec();
-            l1.load(w, b);
-            m
-        };
-        let up = sum_loss(&perturb(eps, &mlp), &x);
-        let down = sum_loss(&perturb(-eps, &mlp), &x);
-        let numeric = (up - down) / (2.0 * eps);
-        assert!((numeric - analytic).abs() < 2e-2, "numeric {numeric} analytic {analytic}");
-    }
+        // One-hot-like rows (gather branch) and fully dense rows
+        // (transpose-then-matmul branch).
+        let mut one_hot = SparseRows::new(8);
+        for r in 0..6u32 {
+            one_hot.push_row([((r * 3 + 2) % 8, 0.5 + 0.2 * r as f32)]);
+        }
+        assert!(one_hot.nnz() * 4 < one_hot.rows() * one_hot.cols());
+        let filled = SparseRows::from_dense(&Matrix::from_vec(
+            3,
+            8,
+            (0..24).map(|i| (i as f32) * 0.1 - 1.15).collect(),
+        ));
+        assert!(filled.nnz() * 4 >= filled.rows() * filled.cols());
 
-    /// The scratch path must reproduce the internal-gradient path bitwise
-    /// (both final activations, with and without the input gradient).
-    #[test]
-    fn backward_scratch_matches_backward_bitwise() {
         for act in [FinalActivation::Relu, FinalActivation::Sigmoid] {
-            let mut rng = SmallRng::seed_from_u64(21);
-            let mut mlp = Mlp::new(5, 8, 3, act, &mut rng);
-            let x = Matrix::from_vec(4, 5, (0..20).map(|i| (i as f32 - 10.0) * 0.13).collect());
-            let cache = mlp.forward(&x);
-            let seed_grad = Matrix::from_vec(4, 3, (0..12).map(|i| 0.1 * i as f32 - 0.5).collect());
+            for x in [&one_hot, &filled] {
+                let mut rng = SmallRng::seed_from_u64(8);
+                let mlp = Mlp::new(8, 6, 2, act, &mut rng);
+                let n = x.rows();
+                let mut cache = MlpCache::new();
+                mlp.forward_sparse_into(x, &mut cache);
+                let (mut grads, mut scratch) = (mlp.new_grads(), Scratch::new());
+                let mut ones = Matrix::from_vec(n, 2, vec![1.0; n * 2]);
+                mlp.backward_sparse_scratch(x, &cache, &mut ones, &mut grads, &mut scratch);
 
-            mlp.zero_grad();
-            let grad_x = mlp.backward(&x, &cache, seed_grad.clone());
-            let internal: Vec<Vec<f32>> = mlp
-                .layers_mut()
-                .map(|l| {
-                    let pg = l.params_and_grads();
-                    [pg[0].1.to_vec(), pg[1].1.to_vec()].concat()
-                })
-                .to_vec();
+                let eps = 1e-2f32;
+                let perturb = |at: usize, delta: f32| {
+                    let mut m = mlp.clone();
+                    let [l1, _] = m.layers_mut();
+                    let mut w = l1.weights().data().to_vec();
+                    w[at] += delta;
+                    let b = l1.bias().to_vec();
+                    l1.load(w, b);
+                    m
+                };
+                // dW1[2,3] plus every entry of dW1 row 0.
+                for at in [2 * 6 + 3, 0, 1, 2, 3, 4, 5] {
+                    let up = sum_loss_sparse(&perturb(at, eps), x);
+                    let down = sum_loss_sparse(&perturb(at, -eps), x);
+                    let numeric = (up - down) / (2.0 * eps);
+                    let analytic = grads.l1.w.data()[at];
+                    assert!(
+                        (numeric - analytic).abs() < 2e-2,
+                        "{act:?} dW1[{at}]: numeric {numeric} analytic {analytic}"
+                    );
+                }
 
-            let mut grads = mlp.new_grads();
-            let mut scratch = Scratch::new();
-            let mut grad_out = seed_grad.clone();
-            let mut grad_in = Matrix::zeros(0, 0);
-            let mut cache2 = MlpCache::new();
-            mlp.forward_into(&x, &mut cache2);
-            assert_eq!(cache2.output.data(), cache.output.data());
-            mlp.backward_scratch(
-                &x,
-                &cache2,
-                &mut grad_out,
-                &mut grads,
-                &mut scratch,
-                Some(&mut grad_in),
-            );
-            assert_eq!(grad_in.data(), grad_x.data(), "{act:?}: input grads must match bitwise");
-            for (ext, int) in grads.layers().iter().zip(&internal) {
-                let flat = [ext.tensors()[0].to_vec(), ext.tensors()[1].to_vec()].concat();
-                assert_eq!(&flat, int, "{act:?}: parameter grads must match bitwise");
-            }
-            // Both temporaries (hidden grad, weight transpose) return to
-            // the pool.
-            assert_eq!(scratch.pooled(), 2, "temporaries must return to the pool");
-
-            // Leaf mode: same parameter gradients, no input gradient.
-            grads.zero();
-            let mut grad_out = seed_grad.clone();
-            mlp.backward_scratch(&x, &cache2, &mut grad_out, &mut grads, &mut scratch, None);
-            for (ext, int) in grads.layers().iter().zip(&internal) {
-                let flat = [ext.tensors()[0].to_vec(), ext.tensors()[1].to_vec()].concat();
-                assert_eq!(&flat, int, "{act:?}: leaf-mode grads must match");
+                let x_dense = x.to_dense();
+                let mut dense_cache = MlpCache::new();
+                mlp.forward_into(&x_dense, &mut dense_cache);
+                assert_eq!(dense_cache.output.data(), cache.output.data());
+                for want_input_grad in [true, false] {
+                    let mut dense_grads = mlp.new_grads();
+                    let mut ones = Matrix::from_vec(n, 2, vec![1.0; n * 2]);
+                    let mut grad_in = Matrix::zeros(0, 0);
+                    mlp.backward_scratch(
+                        &x_dense,
+                        &dense_cache,
+                        &mut ones,
+                        &mut dense_grads,
+                        &mut scratch,
+                        want_input_grad.then_some(&mut grad_in),
+                    );
+                    assert_eq!(flat(&dense_grads), flat(&grads), "{act:?}: grads must match");
+                }
             }
         }
     }
@@ -383,8 +371,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let mlp = Mlp::new(3, 4, 1, FinalActivation::Sigmoid, &mut rng);
         let x = Matrix::from_vec(5, 3, (0..15).map(|i| i as f32 * 3.0 - 20.0).collect());
-        let out = mlp.forward(&x).output;
-        assert!(out.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
+        let mut cache = MlpCache::new();
+        mlp.forward_into(&x, &mut cache);
+        assert!(cache.output.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]

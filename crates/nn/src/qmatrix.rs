@@ -1339,7 +1339,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let mlp = Mlp::new(24, 32, 16, FinalActivation::Relu, &mut rng);
         let x = random_acts(6, 24, 0.4, &mut rng);
-        let f32_out = mlp.forward(&x).output;
+        let mut f32_cache = crate::mlp::MlpCache::new();
+        mlp.forward_into(&x, &mut f32_cache);
+        let f32_out = f32_cache.output;
 
         let qmlp = QMlp::quantize(&mlp);
         assert_eq!(qmlp.input_dim(), 24);

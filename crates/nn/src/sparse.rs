@@ -18,13 +18,20 @@
 use crate::matrix::Matrix;
 
 /// A stack of sparse `f32` rows in CSR layout.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparseRows {
     cols: usize,
     /// Row `i` owns entries `indptr[i]..indptr[i+1]`; `len == rows + 1`.
     indptr: Vec<u32>,
     indices: Vec<u32>,
     values: Vec<f32>,
+}
+
+impl Default for SparseRows {
+    /// The empty stack of width 0 (`indptr` is never empty).
+    fn default() -> Self {
+        SparseRows::new(0)
+    }
 }
 
 impl SparseRows {
@@ -92,24 +99,29 @@ impl SparseRows {
         self.indptr.push(self.indices.len() as u32);
     }
 
-    /// Append one row from a pre-validated ascending nonzero slice —
-    /// the streaming-assembly fast path (`Featurizer::featurize_into_batch`
-    /// emits positions in ascending order by construction). Checked in
-    /// debug builds only.
-    pub fn push_row_trusted(&mut self, entries: &[(u32, f32)]) {
-        if cfg!(debug_assertions) {
-            let mut prev: i64 = -1;
-            for &(idx, val) in entries {
-                debug_assert!((idx as usize) < self.cols, "trusted sparse index out of range");
-                debug_assert!(i64::from(idx) > prev, "trusted sparse indices must ascend");
-                debug_assert!(val != 0.0, "trusted sparse entries must be nonzero");
-                prev = i64::from(idx);
-            }
-        }
-        for &(idx, val) in entries {
-            self.indices.push(idx);
-            self.values.push(val);
-        }
+    /// Append one nonzero to the row under construction, which
+    /// [`SparseRows::finish_row`] closes — the streaming-assembly fast
+    /// path (the featurizer's emitters produce nonzero values at
+    /// strictly ascending positions by construction). Checked in debug
+    /// builds only.
+    #[inline]
+    pub fn push_entry_trusted(&mut self, idx: u32, val: f32) {
+        debug_assert!((idx as usize) < self.cols, "trusted sparse index out of range");
+        debug_assert!(
+            self.indices[self.indptr[self.indptr.len() - 1] as usize..]
+                .last()
+                .is_none_or(|&prev| prev < idx),
+            "trusted sparse indices must ascend"
+        );
+        debug_assert!(val != 0.0, "trusted sparse entries must be nonzero");
+        self.indices.push(idx);
+        self.values.push(val);
+    }
+
+    /// Close the row built by [`SparseRows::push_entry_trusted`] calls
+    /// (an empty row if there were none).
+    #[inline]
+    pub fn finish_row(&mut self) {
         self.indptr.push(self.indices.len() as u32);
     }
 
@@ -132,25 +144,6 @@ impl SparseRows {
         );
     }
 
-    /// Append the nonzeros of one dense row (the canonical scan). Same
-    /// result as [`SparseRows::push_row`] on the scanned list, without
-    /// the per-entry validation — indices are ascending and in range by
-    /// construction here, and this runs once per row on every assembled
-    /// inference batch.
-    ///
-    /// # Panics
-    /// If `row.len() != self.cols()`.
-    pub fn push_row_from_dense(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols, "dense row width mismatch");
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                self.indices.push(j as u32);
-                self.values.push(v);
-            }
-        }
-        self.indptr.push(self.indices.len() as u32);
-    }
-
     /// Drop all rows and reset the width, keeping the allocations — the
     /// reuse hook for steady-state batch assembly.
     pub fn clear(&mut self, cols: usize) {
@@ -162,13 +155,38 @@ impl SparseRows {
     }
 
     /// The canonical sparse view of a dense matrix (exact nonzeros, in
-    /// ascending column order per row).
+    /// ascending column order per row) — tests and benches.
     pub fn from_dense(m: &Matrix) -> Self {
         let mut out = SparseRows::new(m.cols());
         for i in 0..m.rows() {
-            out.push_row_from_dense(m.row(i));
+            for (j, &v) in m.row(i).iter().enumerate() {
+                if v != 0.0 {
+                    out.indices.push(j as u32);
+                    out.values.push(v);
+                }
+            }
+            out.indptr.push(out.indices.len() as u32);
         }
         out
+    }
+
+    /// `selfᵀ` as a dense `cols × rows` matrix written into `out`
+    /// (resized in place): zero-fill, then scatter the stored nonzeros.
+    /// This stages the left operand of the transpose-then-matmul weight
+    /// gradient ([`crate::Linear::backward_sparse_leaf`]) — the same
+    /// bits a dense transpose of the densified rows would produce, in
+    /// O(rows·cols) stores + O(nnz) scattered writes and without a dense
+    /// copy of the rows ever existing.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        let rows = self.rows();
+        out.resize(self.cols, rows);
+        let data = out.data_mut();
+        for i in 0..rows {
+            let (indices, values) = self.row(i);
+            for (&j, &v) in indices.iter().zip(values) {
+                data[j as usize * rows + i] = v;
+            }
+        }
     }
 
     /// Densify (tests and debugging).

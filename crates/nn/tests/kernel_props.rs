@@ -7,8 +7,7 @@
 //! hardware never change a trained weight or an estimate.
 
 use lc_nn::kernels::{
-    matmul_accumulate_with, matmul_transa_accumulate_with, matmul_with, sparse_matmul_bias_with,
-    sparse_transa_accumulate_with,
+    matmul_accumulate_with, matmul_with, sparse_matmul_bias_with, sparse_transa_accumulate_with,
 };
 use lc_nn::qmatrix::{qmatmul_dequant_bias_with, qsparse_matmul_dequant_bias_with, quantize_csr};
 use lc_nn::{avx2_available, Kernel, Matrix, QActs, QMatrix, SparseRows};
@@ -42,6 +41,15 @@ fn matrix_from(rows: usize, cols: usize, vals: &[i32], zero_mask: &[u8]) -> Matr
         })
         .collect();
     Matrix::from_vec(rows, cols, data)
+}
+
+/// Every dispatch tier this host can run.
+fn dispatch_tiers() -> Vec<Kernel> {
+    let mut tiers = vec![Kernel::Scalar];
+    if avx2_available() {
+        tiers.push(Kernel::Avx2);
+    }
+    tiers
 }
 
 /// Strategy inputs: shapes up to 3× the register block / beyond one k
@@ -101,9 +109,10 @@ proptest! {
         }
     }
 
-    /// Both `A·Bᵀ` paths (dot-product and transpose + blocked matmul)
-    /// match naive — and each other bitwise, which is what lets the
-    /// backward pass pick the fast one freely.
+    /// `A·Bᵀ` (transpose + blocked matmul) matches naive, and the two
+    /// ways backward reaches it — `matmul_transb_scratch` re-staging `Bᵀ`
+    /// per call, and `matmul_into` against a cached `Bᵀ` — agree bitwise,
+    /// which is what lets `Linear` cache its weight transpose freely.
     #[test]
     fn matmul_transb_paths_match(
         (r, k, c) in shapes(),
@@ -115,14 +124,14 @@ proptest! {
         let mut bt = Matrix::zeros(0, 0);
         b.transpose_into(&mut bt);
         let expected = naive_matmul(&a, &bt);
-        let mut dot = Matrix::zeros(0, 0);
-        a.matmul_transb_into(&b, &mut dot);
-        let mut fast = Matrix::zeros(0, 0);
+        let mut cached = Matrix::zeros(0, 0);
+        a.matmul_into(&bt, &mut cached);
+        let mut fast = Matrix::from_vec(2, 2, vec![7.0; 4]);
         let mut tmp = Matrix::zeros(0, 0);
         a.matmul_transb_scratch(&b, &mut fast, &mut tmp);
         prop_assert_eq!(
-            dot.data(), fast.data(),
-            "dot-product and transpose paths must agree bitwise"
+            cached.data(), fast.data(),
+            "cached-transpose and per-call-transpose paths must agree bitwise"
         );
         for i in 0..r {
             for j in 0..c {
@@ -175,20 +184,11 @@ proptest! {
                 scalar_s.data(), zeroed.data(),
                 "seed mode must equal zero-fill + accumulate bitwise"
             );
-
-            let mut scalar_t = Matrix::zeros(k, c);
-            let mut avx2_t = Matrix::zeros(k, c);
-            let g = matrix_from(r, c, &vals, &[1]);
-            matmul_transa_accumulate_with(Kernel::Scalar, &a, &g, &mut scalar_t);
-            matmul_transa_accumulate_with(Kernel::Avx2, &a, &g, &mut avx2_t);
-            prop_assert_eq!(scalar_t.data(), avx2_t.data(), "transa dispatch paths must match bitwise");
         }
     }
 
     /// The sparse input-layer forward matches the dense fused forward
-    /// **bitwise** on one-hot/bitmap-like rows — on both dispatch paths —
-    /// and so does the sparse weight-gradient kernel against the
-    /// zero-skipping dense `Aᵀ·B`.
+    /// **bitwise** on one-hot/bitmap-like rows, on both dispatch paths.
     #[test]
     fn sparse_paths_match_dense_bitwise(
         (r, k, c) in shapes(),
@@ -201,11 +201,7 @@ proptest! {
         let sp = SparseRows::from_dense(&x);
         prop_assert_eq!(sp.to_dense(), x.clone(), "CSR view must round-trip the dense rows");
 
-        let mut kernels = vec![Kernel::Scalar];
-        if avx2_available() {
-            kernels.push(Kernel::Avx2);
-        }
-        for kernel in kernels {
+        for kernel in dispatch_tiers() {
             // Dense fused forward: bias-seeded accumulate.
             let mut dense = Matrix::zeros(r, c);
             for i in 0..r {
@@ -217,17 +213,6 @@ proptest! {
             prop_assert_eq!(
                 dense.data(), sparse.data(),
                 "{:?}: sparse forward must match the dense fused forward bitwise", kernel
-            );
-
-            // Weight gradient: sparse transa vs the zero-skipping dense one.
-            let g = matrix_from(r, c, &vals, &[1]);
-            let mut dense_t = Matrix::zeros(k, c);
-            matmul_transa_accumulate_with(kernel, &x, &g, &mut dense_t);
-            let mut sparse_t = Matrix::zeros(k, c);
-            sparse_transa_accumulate_with(kernel, &sp, &g, &mut sparse_t);
-            prop_assert_eq!(
-                dense_t.data(), sparse_t.data(),
-                "{:?}: sparse transa must match the dense transa bitwise", kernel
             );
         }
     }
@@ -332,24 +317,44 @@ proptest! {
         }
     }
 
-    /// `Aᵀ·B` accumulation matches naive on a zeroed output.
+    /// The two weight-gradient strategies of a sparse input layer are the
+    /// same bits on both dispatch paths: O(nnz) gather updates
+    /// (`sparse_transa_accumulate_with`) versus `xᵀ` staged from the CSR
+    /// rows + the blocked matmul kernel — accumulating into a non-zero
+    /// `out`, as gradient buffers do across ragged segments. This is
+    /// exactly what `Linear::backward_sparse_leaf`'s density switch
+    /// relies on; naive `xᵀ·g` bounds both from the outside.
     #[test]
-    fn matmul_transa_matches_naive(
-        (r, k, c) in (1usize..60, 1usize..80, 1usize..80),
+    fn sparse_transa_matches_staged_transpose_matmul_bitwise(
+        (r, k, c) in shapes(),
         vals in proptest::collection::vec(-200i32..200, 8..32),
         mask in proptest::collection::vec(0u8..2, 4..16),
     ) {
-        let a = matrix_from(r, k, &vals, &mask); // aᵀ: [k × r]
-        let b = matrix_from(r, c, &vals, &[1]);
-        let mut at = Matrix::zeros(0, 0);
-        a.transpose_into(&mut at);
-        let expected = naive_matmul(&at, &b);
-        let mut out = Matrix::zeros(k, c);
-        a.matmul_transa_into(&b, &mut out);
-        for i in 0..k {
-            for j in 0..c {
-                let (got, want) = (out.get(i, j), expected.get(i, j));
-                prop_assert!((got - want).abs() <= 1e-5 * want.abs().max(1.0));
+        let x = matrix_from(r, k, &vals, &mask);
+        let g = matrix_from(r, c, &vals, &[1]);
+        let sp = SparseRows::from_dense(&x);
+        let mut xt_dense = Matrix::zeros(0, 0);
+        x.transpose_into(&mut xt_dense);
+        let mut xt = Matrix::from_vec(3, 2, vec![5.0; 6]);
+        sp.transpose_into(&mut xt);
+        prop_assert_eq!(&xt, &xt_dense, "CSR-staged transpose must equal the dense transpose");
+        let expected = naive_matmul(&xt, &g);
+
+        let seed = matrix_from(k, c, &vals, &mask);
+        for kernel in dispatch_tiers() {
+            let mut gathered = seed.clone();
+            sparse_transa_accumulate_with(kernel, &sp, &g, &mut gathered);
+            let mut staged = seed.clone();
+            matmul_accumulate_with(kernel, &xt, &g, &mut staged);
+            prop_assert_eq!(
+                gathered.data(), staged.data(),
+                "{:?}: gather and transpose-then-matmul must match bitwise", kernel
+            );
+            for i in 0..k {
+                for j in 0..c {
+                    let (got, want) = (staged.get(i, j) - seed.get(i, j), expected.get(i, j));
+                    prop_assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0));
+                }
             }
         }
     }

@@ -17,21 +17,15 @@
 //!   cardinalities and annotates them with materialized-sample information
 //!   (§3.4) — the training signal;
 //! * [`workloads`]: the paper's three evaluation workloads — `synthetic`,
-//!   `scale`, and a shape-matched `JOB-light` (Table 1);
-//! * [`CardinalityEstimator`]: the deprecated pre-tiering estimator seam,
-//!   kept only as a migration shim — MSCN and all baselines now implement
-//!   the object-safe `lc_core::Estimator` instead.
+//!   `scale`, and a shape-matched `JOB-light` (Table 1).
 
 mod codec;
-mod estimator;
 mod generator;
 mod label;
 mod query;
 pub mod workloads;
 
 pub use codec::QueryDecodeError;
-#[allow(deprecated)]
-pub use estimator::CardinalityEstimator;
 pub use generator::{GeneratorConfig, QueryGenerator};
 pub use label::{annotate_query, label_queries, LabeledQuery};
 pub use query::Query;
