@@ -108,7 +108,7 @@ impl<'a> IbjsEstimator<'a> {
             for pos in q.bitmaps[start_idx].iter_ones() {
                 let row = self.samples.table(start).row_ids[pos] as usize;
                 let center_row = fk.raw(row) as usize;
-                if lc_engine::predicate::row_matches_all(center_data, &center_preds, center_row) {
+                if lc_engine::predicate::row_matches_all(center_data, center_preds, center_row) {
                     state.push(center_row as u32);
                 }
             }
@@ -140,7 +140,7 @@ impl<'a> IbjsEstimator<'a> {
             let mut next: Vec<u32> = Vec::with_capacity(state.len());
             for &c in &state {
                 for &row in index.probe(c as i64) {
-                    if lc_engine::predicate::row_matches_all(fact_data, &preds, row as usize) {
+                    if lc_engine::predicate::row_matches_all(fact_data, preds, row as usize) {
                         next.push(c);
                     }
                 }

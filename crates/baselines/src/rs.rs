@@ -42,7 +42,7 @@ impl<'a> RandomSamplingEstimator<'a> {
     /// Base-table selectivity from the sample, with the paper's two-stage
     /// fallback for 0-tuple situations.
     pub(crate) fn table_selectivity(&self, q: &LabeledQuery, idx: usize, t: TableId) -> f64 {
-        let preds = q.query.predicates_on(t);
+        let preds = q.query.predicate_range(t);
         if preds.is_empty() {
             return 1.0;
         }
@@ -55,8 +55,8 @@ impl<'a> RandomSamplingEstimator<'a> {
         // still have no qualifying sample contribute an educated 1/ndv
         // guess from the most selective (largest-ndv) interpretation.
         let mut sel = 1.0f64;
-        for p in &preds {
-            let c = self.samples.qualifying_count(self.db, t, std::slice::from_ref(p));
+        for (p, alone) in q.query.predicates()[preds.clone()].iter().zip(&q.pred_bitmaps[preds]) {
+            let c = alone.count_ones();
             if c > 0 {
                 sel *= c as f64 / n;
             } else {

@@ -10,7 +10,7 @@ fn bench_inference(c: &mut Criterion) {
     let f = BenchFixture::small();
     let cfg =
         TrainConfig { epochs: 3, hidden: 64, mode: FeatureMode::Bitmaps, ..TrainConfig::default() };
-    let trained = train(&f.db, f.samples.sample_size, f.queries(), cfg);
+    let trained = train(&f.db, f.samples.sample_size(), f.queries(), cfg);
     let est = trained.estimator;
     // The int8 twin of the same weights — published once, like the
     // serving registry does, then measured on the identical workload so

@@ -53,7 +53,7 @@ fn bench_serve(c: &mut Criterion) {
     let f = BenchFixture::small();
     let cfg =
         TrainConfig { epochs: 3, hidden: 64, mode: FeatureMode::Bitmaps, ..TrainConfig::default() };
-    let trained = train(&f.db, f.samples.sample_size, f.queries(), cfg);
+    let trained = train(&f.db, f.samples.sample_size(), f.queries(), cfg);
     let est = trained.estimator;
     let registry = Arc::new(ModelRegistry::new(est.clone()));
     let queries: Vec<Query> = f.queries()[..BATCH].iter().map(|l| l.query.clone()).collect();

@@ -25,7 +25,7 @@ fn bench_training(c: &mut Criterion) {
     {
         group.bench_function(name, |b| {
             b.iter(|| {
-                train(&f.db, f.samples.sample_size, f.queries(), TrainConfig { mode, ..base })
+                train(&f.db, f.samples.sample_size(), f.queries(), TrainConfig { mode, ..base })
             })
         });
     }
@@ -36,7 +36,7 @@ fn bench_training(c: &mut Criterion) {
         group.bench_function(format!("epoch/bitmaps_t{threads}"), |b| {
             b.iter(|| {
                 let cfg = TrainConfig { mode: FeatureMode::Bitmaps, threads, ..base };
-                train(&f.db, f.samples.sample_size, f.queries(), cfg)
+                train(&f.db, f.samples.sample_size(), f.queries(), cfg)
             })
         });
     }

@@ -404,9 +404,9 @@ mod tests {
         for (mode, extra) in [
             (FeatureMode::NoSamples, 0),
             (FeatureMode::SampleCounts, 1),
-            (FeatureMode::Bitmaps, samples.sample_size),
+            (FeatureMode::Bitmaps, samples.sample_size()),
         ] {
-            let f = Featurizer::fit(&db, mode, samples.sample_size, [1u64, 100]);
+            let f = Featurizer::fit(&db, mode, samples.sample_size(), [1u64, 100]);
             assert_eq!(f.table_dim(), 6 + extra, "{mode:?}");
             assert_eq!(f.join_dim(), 5);
             assert_eq!(f.pred_dim(), 10 + 3 + 1);
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn encodes_one_hots_and_values() {
         let (db, samples) = fixture();
-        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size, [1u64, 1000]);
+        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size(), [1u64, 1000]);
         let year_col = db.schema().table(TableId(0)).column_index("production_year").unwrap();
         let stats = db.column_stats(TableId(0), year_col);
         let mid = (stats.min + stats.max) / 2;
@@ -462,7 +462,7 @@ mod tests {
             (23, FeatureMode::Bitmaps),
             (24, FeatureMode::PredicateBitmaps),
         ] {
-            let f = Featurizer::fit(&db, mode, samples.sample_size, [1u64, 800]);
+            let f = Featurizer::fit(&db, mode, samples.sample_size(), [1u64, 800]);
             let mut gen = lc_query::QueryGenerator::new(
                 &db,
                 lc_query::GeneratorConfig { max_joins: 2, seed },
@@ -497,7 +497,7 @@ mod tests {
     #[test]
     fn base_table_query_has_empty_join_set() {
         let (db, samples) = fixture();
-        let f = Featurizer::fit(&db, FeatureMode::SampleCounts, samples.sample_size, [1u64, 10]);
+        let f = Featurizer::fit(&db, FeatureMode::SampleCounts, samples.sample_size(), [1u64, 10]);
         let q = Query::new(vec![TableId(3)], vec![], vec![]);
         let labeled = LabeledQuery::compute(&db, &samples, q);
         let fq = f.featurize(&labeled);

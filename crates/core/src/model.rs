@@ -427,7 +427,7 @@ mod tests {
         let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(5);
         let samples = lc_engine::SampleSet::draw(&db, 40, &mut rng);
-        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size, [1u64, 800]);
+        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size(), [1u64, 800]);
         let mut gen =
             lc_query::QueryGenerator::new(&db, lc_query::GeneratorConfig { max_joins: 2, seed: 9 });
         let labeled: Vec<LabeledQuery> = gen

@@ -13,6 +13,12 @@
 //! (and the pooled phases go through the now-instrumented
 //! `WorkerPool::run`), proving that observability rides along for free.
 //!
+//! The last phase bounds, rather than forbids, allocation: annotating a
+//! query against the materialized samples builds the `LabeledQuery`'s own
+//! vectors and bitmaps and nothing else — no per-table predicate list, no
+//! scratch — so a T-table, P-predicate query costs at most `3 + T + P`
+//! allocator calls.
+//!
 //! All phases live in ONE `#[test]`: the allocation counter is
 //! process-global, so a second concurrently-running test's setup would
 //! bleed into the measured window and flake the assertion.
@@ -26,8 +32,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use lc_core::batch::CorpusSparse;
 use lc_core::featurize::FeaturizedQuery;
 use lc_core::{MscnModel, RaggedBatch};
+use lc_engine::SampleSet;
 use lc_nn::{Adam, DisjointSliceMut, LossKind, SparseRows, WorkerPool};
 use lc_obs::{metrics, SpanTimer};
+use lc_query::{annotate_query, GeneratorConfig, QueryGenerator};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Delegates to the system allocator, counting every allocation call.
 struct CountingAllocator;
@@ -328,4 +338,21 @@ fn steady_state_compute_paths_do_not_allocate() {
         0,
         "the steady-state quantized forward pass must perform zero heap allocations"
     );
+
+    // Phase six: sample annotation. Three result vectors, one bitmap per
+    // table, one per predicate.
+    let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
+    let samples = SampleSet::draw(&db, 130, &mut SmallRng::seed_from_u64(5));
+    let mut generator = QueryGenerator::new(&db, GeneratorConfig { max_joins: 4, seed: 6 });
+    for query in generator.generate_unique(200) {
+        let (t, p) = (query.tables().len() as u64, query.predicates().len() as u64);
+        let before = allocation_count();
+        let annotated = annotate_query(&db, &samples, query);
+        let spent = allocation_count() - before;
+        assert!(
+            spent <= 3 + t + p,
+            "annotating {} took {spent} allocations, budget 3 + {t} + {p}",
+            annotated.query
+        );
+    }
 }

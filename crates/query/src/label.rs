@@ -1,5 +1,12 @@
 //! Labeling: execute queries to obtain true cardinalities and annotate them
 //! with materialized-sample information (the paper's §3.4 training signal).
+//!
+//! Annotation is a column scan over the [`SampleSet`]'s own column-major
+//! copy of the sampled rows: every predicate is evaluated exactly once into
+//! its `pred_bitmaps` entry, and a table's bitmap is the AND of its
+//! predicates' bitmaps with the table's `present` mask — the §5 remark that
+//! per-predicate bitmaps "come almost for free" in a column store, taken
+//! literally. The cost is the sample set's memory (8 B per sampled value).
 
 use lc_engine::{count_star, Bitmap, Database, SampleSet};
 
@@ -57,20 +64,24 @@ impl LabeledQuery {
 /// the paper's runtime featurization needs (§3.4). The returned
 /// [`LabeledQuery::cardinality`] is 0, a value the `lc_core::Estimator`
 /// contract already forbids implementations from reading.
-pub fn annotate_query(db: &Database, samples: &SampleSet, query: Query) -> LabeledQuery {
+///
+/// `db` is not read: `samples` carries its own copy of the sampled rows,
+/// so a probe never touches the base tables. The parameter stays because
+/// callers (and the benchmark) are written against this signature, and it
+/// names the snapshot `samples` must have been drawn from.
+pub fn annotate_query(_db: &Database, samples: &SampleSet, query: Query) -> LabeledQuery {
+    let pred_bitmaps: Vec<Bitmap> =
+        query.predicates().iter().map(|p| samples.predicate_bitmap(p)).collect();
     let mut sample_counts = Vec::with_capacity(query.tables().len());
     let mut bitmaps = Vec::with_capacity(query.tables().len());
     for &t in query.tables() {
-        let preds = query.predicates_on(t);
-        let bm = samples.bitmap(db, t, &preds);
+        let mut bm = samples.present(t).clone();
+        for pred_bm in &pred_bitmaps[query.predicate_range(t)] {
+            bm &= pred_bm;
+        }
         sample_counts.push(bm.count_ones());
         bitmaps.push(bm);
     }
-    let pred_bitmaps = query
-        .predicates()
-        .iter()
-        .map(|p| samples.bitmap(db, p.table, std::slice::from_ref(p)))
-        .collect();
     LabeledQuery { query, cardinality: 0, sample_counts, bitmaps, pred_bitmaps }
 }
 
@@ -121,6 +132,7 @@ pub fn label_queries(
 mod tests {
     use super::*;
     use crate::generator::{GeneratorConfig, QueryGenerator};
+    use lc_engine::predicate::row_matches_all;
     use lc_engine::{count_star_naive, TableId};
     use lc_imdb::{generate, ImdbConfig};
     use rand::rngs::SmallRng;
@@ -151,16 +163,32 @@ mod tests {
         for l in &labeled {
             assert_eq!(l.sample_counts.len(), l.query.tables().len());
             assert_eq!(l.bitmaps.len(), l.query.tables().len());
+            assert_eq!(l.pred_bitmaps.len(), l.query.predicates().len());
             for (c, b) in l.sample_counts.iter().zip(&l.bitmaps) {
                 assert_eq!(*c, b.count_ones());
                 assert_eq!(b.len(), 64);
             }
-            // Tables without predicates must have a full sample bitmap.
             for (i, &t) in l.query.tables().iter().enumerate() {
-                if l.query.predicates_on(t).is_empty() {
-                    let expected = samples.table(t).row_ids.len() as u32;
-                    assert_eq!(l.sample_counts[i], expected);
+                // A table's bitmap is `present` AND its predicates' bitmaps;
+                // without predicates that is the full sample.
+                let mut composed = samples.present(t).clone();
+                for alone in &l.pred_bitmaps[l.query.predicate_range(t)] {
+                    composed &= alone;
                 }
+                assert_eq!(l.bitmaps[i], composed);
+                if l.query.predicates_on(t).is_empty() {
+                    assert_eq!(&l.bitmaps[i], samples.present(t));
+                    assert_eq!(l.sample_counts[i], samples.table(t).row_ids.len() as u32);
+                }
+                // And it is what evaluating the conjunction on the base
+                // rows gives.
+                let mut reference = Bitmap::new(64);
+                for (pos, &row) in samples.table(t).row_ids.iter().enumerate() {
+                    if row_matches_all(db.table(t), l.query.predicates_on(t), row as usize) {
+                        reference.set(pos);
+                    }
+                }
+                assert_eq!(l.bitmaps[i], reference);
             }
         }
     }

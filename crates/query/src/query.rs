@@ -53,9 +53,18 @@ impl Query {
         self.joins.len()
     }
 
+    /// Index range within [`Query::predicates`] of the predicates on table
+    /// `t`. Canonical order sorts by table first, so they are one
+    /// contiguous run (empty if `t` has none).
+    pub fn predicate_range(&self, t: TableId) -> std::ops::Range<usize> {
+        let start = self.predicates.partition_point(|p| p.table < t);
+        let len = self.predicates[start..].partition_point(|p| p.table == t);
+        start..start + len
+    }
+
     /// Predicates restricted to table `t`, in canonical order.
-    pub fn predicates_on(&self, t: TableId) -> Vec<Predicate> {
-        self.predicates.iter().filter(|p| p.table == t).copied().collect()
+    pub fn predicates_on(&self, t: TableId) -> &[Predicate] {
+        &self.predicates[self.predicate_range(t)]
     }
 
     /// A compact key identifying this query's **join template** — the
@@ -171,8 +180,18 @@ mod tests {
     fn accessors() {
         let q = Query::new(vec![TableId(0), TableId(1)], vec![JoinId(0)], vec![pred(1, 1, 9)]);
         assert_eq!(q.num_joins(), 1);
-        assert_eq!(q.predicates_on(TableId(1)), vec![pred(1, 1, 9)]);
+        assert_eq!(q.predicates_on(TableId(1)), [pred(1, 1, 9)]);
         assert!(q.predicates_on(TableId(0)).is_empty());
+        // Runs are contiguous and found by table, wherever they sit.
+        let wide = Query::new(
+            vec![TableId(0), TableId(2), TableId(3)],
+            vec![],
+            vec![pred(3, 1, 4), pred(0, 2, 1), pred(3, 0, 7), pred(0, 1, 5)],
+        );
+        assert_eq!(wide.predicate_range(TableId(0)), 0..2);
+        assert_eq!(wide.predicate_range(TableId(2)), 2..2);
+        assert_eq!(wide.predicates_on(TableId(3)), [pred(3, 0, 7), pred(3, 1, 4)]);
+        assert!(wide.predicates_on(TableId(9)).is_empty());
         let spec = q.spec();
         assert_eq!(spec.tables.len(), 2);
     }

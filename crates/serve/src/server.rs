@@ -614,7 +614,7 @@ impl Shard {
                         )
                     }
                     CacheProbe::Miss { query_key } => {
-                        self.admit(slot, id, query_key, started, &query, None);
+                        self.admit(slot, id, query_key, started, query, None);
                         return;
                     }
                 }
@@ -638,7 +638,7 @@ impl Shard {
                             Message::FeedbackAck { id, model_version: est.model_version }
                         }
                         CacheProbe::Miss { query_key } => {
-                            self.admit(slot, id, query_key, None, &query, Some(actual_card));
+                            self.admit(slot, id, query_key, None, query, Some(actual_card));
                             return;
                         }
                     }
@@ -753,21 +753,15 @@ impl Shard {
         id: u64,
         query_key: Option<Vec<u8>>,
         started: Option<Instant>,
-        query: &Query,
+        query: Query,
         feedback_actual: Option<u64>,
     ) {
-        let annotated = self.service.annotate(query);
-        let rx = self.batcher.submit(annotated);
+        // A feedback request keeps its own copy to score once the batch
+        // resolves; an estimate's query moves into the annotation.
+        let feedback = feedback_actual.map(|actual| (query.clone(), actual));
+        let rx = self.batcher.submit(self.service.annotate(query));
         let generation = self.slots[slot].generation;
-        self.pending.push(PendingReq {
-            slot,
-            generation,
-            id,
-            query_key,
-            rx,
-            started,
-            feedback: feedback_actual.map(|actual| (query.clone(), actual)),
-        });
+        self.pending.push(PendingReq { slot, generation, id, query_key, rx, started, feedback });
         self.obs.inflight.set(self.pending.len() as u64);
     }
 

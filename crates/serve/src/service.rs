@@ -339,9 +339,9 @@ impl EstimationService {
 
     /// Annotate `query` against this service's database snapshot and
     /// materialized samples (the featurization input every batcher
-    /// expects).
-    pub(crate) fn annotate(&self, query: &Query) -> lc_query::LabeledQuery {
-        annotate_query(&self.db, &self.samples, query.clone())
+    /// expects). The query moves into its annotation.
+    pub(crate) fn annotate(&self, query: Query) -> lc_query::LabeledQuery {
+        annotate_query(&self.db, &self.samples, query)
     }
 
     /// The flush policy of this service's batcher — the sharded front
