@@ -1,13 +1,11 @@
-//! Serving-layer latency: the single-request path vs the micro-batched
-//! path, and the estimate cache hit/miss split.
+//! Serving-layer latency: the micro-batched request path and the
+//! estimate cache hit/miss split.
 //!
-//! `single_path_64` and `micro_batched_64` run the *same* service request
-//! path (annotate → submit → flush → wait, deterministic `workers: 0`
-//! mode so thread scheduling noise stays out of the numbers); the only
-//! difference is the coalescing bound — `max_batch: 1` forces one forward
-//! pass per request, `max_batch: 64` coalesces all 64 requests into one
-//! ragged forward pass. `direct_inference_64` is the reference floor: raw
-//! annotation + per-query inference with no serving machinery at all.
+//! `micro_batched_64` runs the service's request lane in process
+//! (annotate → submit → flush → wait on the bench thread, so scheduling
+//! noise stays out of the numbers) with all 64 requests coalesced into
+//! one ragged forward pass. `direct_inference_64` is the reference floor:
+//! raw annotation + per-query inference with no serving machinery at all.
 //!
 //! The `tcp_*` entries go through real sockets and the sharded reactor
 //! front (`lc_serve::serve`): `tcp_round_trip` is one closed-loop
@@ -28,13 +26,10 @@ use lc_serve::{serve, BatcherConfig, CacheConfig, EstimationService, ModelRegist
 
 const BATCH: usize = 64;
 
-/// A deterministic (manually flushed) service with the given coalescing
-/// bound and no cache, so both serve benches measure exactly the request
-/// path.
-fn manual_service(
+/// A service over the fixture with the given cache.
+fn service(
     f: &BenchFixture,
     registry: &Arc<ModelRegistry>,
-    max_batch: usize,
     cache: CacheConfig,
 ) -> EstimationService {
     EstimationService::new(
@@ -43,7 +38,7 @@ fn manual_service(
         Arc::clone(registry),
         ServeConfig {
             cache,
-            batcher: BatcherConfig { workers: 0, max_batch, ..BatcherConfig::default() },
+            batcher: BatcherConfig { max_batch: BATCH, ..BatcherConfig::default() },
             ..ServeConfig::default()
         },
     )
@@ -59,10 +54,9 @@ fn bench_serve(c: &mut Criterion) {
     let queries: Vec<Query> = f.queries()[..BATCH].iter().map(|l| l.query.clone()).collect();
 
     let no_cache = CacheConfig { capacity: 0, ..CacheConfig::default() };
-    let single = manual_service(&f, &registry, 1, no_cache);
-    let batched = manual_service(&f, &registry, BATCH, no_cache);
+    let batched = service(&f, &registry, no_cache);
     // Cached service for the hit path; warmed with the benched query.
-    let cached = manual_service(&f, &registry, BATCH, CacheConfig::default());
+    let cached = service(&f, &registry, CacheConfig::default());
     {
         let pending = cached.submit(&queries[0]);
         cached.flush_now();
@@ -71,7 +65,7 @@ fn bench_serve(c: &mut Criterion) {
     // Miss path: a capacity-1 cache cycled over several distinct queries
     // guarantees every probe misses while still paying the full miss
     // cost — key construction, shard probe, eviction, and insert.
-    let thrashed = manual_service(&f, &registry, BATCH, CacheConfig { capacity: 1, shards: 1 });
+    let thrashed = service(&f, &registry, CacheConfig { capacity: 1, shards: 1 });
 
     let mut group = c.benchmark_group("serve");
     group.bench_function("direct_inference_64", |b| {
@@ -80,17 +74,6 @@ fn bench_serve(c: &mut Criterion) {
             for q in &queries {
                 let annotated = annotate_query(&f.db, &f.samples, q.clone());
                 total += est.estimate(&annotated);
-            }
-            total
-        })
-    });
-    group.bench_function("single_path_64", |b| {
-        b.iter(|| {
-            let mut total = 0.0f64;
-            for q in &queries {
-                let pending = single.submit(q);
-                single.flush_now();
-                total += pending.wait().expect("estimate").cardinality;
             }
             total
         })
@@ -117,12 +100,7 @@ fn bench_serve(c: &mut Criterion) {
 
     // Full-stack sockets: the same no-cache request path, but through
     // the event-driven shard front instead of direct service calls.
-    let tcp_service = Arc::new(manual_service(
-        &f,
-        &registry,
-        BATCH,
-        CacheConfig { capacity: 0, ..CacheConfig::default() },
-    ));
+    let tcp_service = Arc::new(service(&f, &registry, no_cache));
     let handle = serve(Arc::clone(&tcp_service), "127.0.0.1:0").expect("bind bench server");
     let addr = handle.local_addr();
     let connect = || {

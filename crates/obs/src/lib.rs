@@ -376,11 +376,77 @@ impl MetricDef {
     }
 }
 
+/// Concatenate `parts` into one array (the catalog is assembled from
+/// the named metrics and one generated row per shard).
+const fn concat<const N: usize>(parts: &[&[MetricDef]]) -> [MetricDef; N] {
+    let mut out = [parts[0][0]; N];
+    let (mut n, mut p) = (0, 0);
+    while p < parts.len() {
+        let mut i = 0;
+        while i < parts[p].len() {
+            out[n] = parts[p][i];
+            n += 1;
+            i += 1;
+        }
+        p += 1;
+    }
+    assert!(n == N);
+    out
+}
+
+const fn total_len(parts: &[&[MetricDef]]) -> usize {
+    let (mut n, mut p) = (0, 0);
+    while p < parts.len() {
+        n += parts[p].len();
+        p += 1;
+    }
+    n
+}
+
+/// [`ShardMetrics`] and its per-shard storage, from the family's rows.
+macro_rules! shard_struct {
+    (
+        { $( $( #[$cdoc:meta] )* $cfield:ident, )* }
+        { $( $( #[$gdoc:meta] )* $gfield:ident, )* }
+    ) => {
+        /// The metrics one reactor shard of the serving front records
+        /// into (`serve.shardN.<field>`), bundled so the shard resolves
+        /// them once at startup instead of matching on its index per
+        /// event.
+        #[derive(Debug)]
+        pub struct ShardMetrics {
+            $( $( #[$cdoc] )* pub $cfield: Counter, )*
+            $( $( #[$gdoc] )* pub $gfield: Gauge, )*
+        }
+
+        static SHARD_METRICS: [ShardMetrics; MAX_SHARDS] = [const {
+            ShardMetrics { $( $cfield: Counter::new(), )* $( $gfield: Gauge::new(), )* }
+        }; MAX_SHARDS];
+    };
+}
+
+/// One shard's catalog entries for the family's rows of one kind.
+macro_rules! shard_row {
+    ($shard:literal, $kind:ident { $( $( #[$doc:meta] )* $field:ident, )* }) => {
+        [ $( MetricDef {
+            name: concat!("serve.shard", $shard, ".", stringify!($field)),
+            metric: MetricRef::$kind(&SHARD_METRICS[$shard].$field),
+        }, )* ]
+    };
+}
+
+// Wire ids are positions in `CATALOG`, which is laid out as: `counters`,
+// the shard family's counters (shard-major), `gauges`, the family's
+// gauges, `gauges_after_shards`, `histograms`. The split gauge block is
+// that layout's history, kept so no id moves; `catalog_ids_are_pinned`
+// fails if one does.
 macro_rules! define_catalog {
     (
         counters { $( $cname:ident => $cstr:literal, )* }
         gauges { $( $gname:ident => $gstr:literal, )* }
+        gauges_after_shards { $( $lname:ident => $lstr:literal, )* }
         histograms { $( $hname:ident => $hstr:literal, )* }
+        shards [ $( $shard:literal )* ] { counters $cfields:tt gauges $gfields:tt }
     ) => {
         /// The statically declared metrics every instrumented crate
         /// records into. Names here are the single source of truth; the
@@ -391,16 +457,34 @@ macro_rules! define_catalog {
                pub static $cname: Counter = Counter::new(); )*
             $( #[doc = concat!("Gauge `", $gstr, "`.")]
                pub static $gname: Gauge = Gauge::new(); )*
+            $( #[doc = concat!("Gauge `", $lstr, "`.")]
+               pub static $lname: Gauge = Gauge::new(); )*
             $( #[doc = concat!("Histogram `", $hstr, "`.")]
                pub static $hname: Histogram = Histogram::new(); )*
         }
 
-        /// Every metric this build records, in wire-id order.
-        pub const CATALOG: &[MetricDef] = &[
-            $( MetricDef { name: $cstr, metric: MetricRef::Counter(&metrics::$cname) }, )*
-            $( MetricDef { name: $gstr, metric: MetricRef::Gauge(&metrics::$gname) }, )*
-            $( MetricDef { name: $hstr, metric: MetricRef::Histogram(&metrics::$hname) }, )*
+        /// Number of reactor shards the catalog declares metrics for.
+        /// The catalog is static, so the per-shard entries are fixed at
+        /// build time; a front running more shards than this folds shard
+        /// `i` onto entry `i % MAX_SHARDS` (see [`shard_metrics`]),
+        /// trading per-shard attribution for the same zero-allocation
+        /// recording guarantee.
+        pub const MAX_SHARDS: usize = [$( $shard ),*].len();
+
+        shard_struct!($cfields $gfields);
+
+        const CATALOG_PARTS: &[&[MetricDef]] = &[
+            &[ $( MetricDef { name: $cstr, metric: MetricRef::Counter(&metrics::$cname) }, )* ],
+            $( &shard_row!($shard, Counter $cfields), )*
+            &[ $( MetricDef { name: $gstr, metric: MetricRef::Gauge(&metrics::$gname) }, )* ],
+            $( &shard_row!($shard, Gauge $gfields), )*
+            &[ $( MetricDef { name: $lstr, metric: MetricRef::Gauge(&metrics::$lname) }, )* ],
+            &[ $( MetricDef { name: $hstr, metric: MetricRef::Histogram(&metrics::$hname) }, )* ],
         ];
+
+        /// Every metric this build records, in wire-id order.
+        pub const CATALOG: &[MetricDef] =
+            &concat::<{ total_len(CATALOG_PARTS) }>(CATALOG_PARTS);
     };
 }
 
@@ -423,52 +507,14 @@ define_catalog! {
         REGISTRY_PUBLISHES => "registry.publishes",
         TRAIN_EPOCHS => "train.epochs",
         POOL_DISPATCHES => "pool.dispatches",
-        SHARD0_ACCEPTED => "serve.shard0.accepted",
-        SHARD0_SHED => "serve.shard0.shed",
-        SHARD0_WAKEUPS => "serve.shard0.wakeups",
-        SHARD1_ACCEPTED => "serve.shard1.accepted",
-        SHARD1_SHED => "serve.shard1.shed",
-        SHARD1_WAKEUPS => "serve.shard1.wakeups",
-        SHARD2_ACCEPTED => "serve.shard2.accepted",
-        SHARD2_SHED => "serve.shard2.shed",
-        SHARD2_WAKEUPS => "serve.shard2.wakeups",
-        SHARD3_ACCEPTED => "serve.shard3.accepted",
-        SHARD3_SHED => "serve.shard3.shed",
-        SHARD3_WAKEUPS => "serve.shard3.wakeups",
-        SHARD4_ACCEPTED => "serve.shard4.accepted",
-        SHARD4_SHED => "serve.shard4.shed",
-        SHARD4_WAKEUPS => "serve.shard4.wakeups",
-        SHARD5_ACCEPTED => "serve.shard5.accepted",
-        SHARD5_SHED => "serve.shard5.shed",
-        SHARD5_WAKEUPS => "serve.shard5.wakeups",
-        SHARD6_ACCEPTED => "serve.shard6.accepted",
-        SHARD6_SHED => "serve.shard6.shed",
-        SHARD6_WAKEUPS => "serve.shard6.wakeups",
-        SHARD7_ACCEPTED => "serve.shard7.accepted",
-        SHARD7_SHED => "serve.shard7.shed",
-        SHARD7_WAKEUPS => "serve.shard7.wakeups",
     }
     gauges {
         MODEL_VERSION => "registry.active_version",
         CACHE_ENTRIES => "cache.entries",
         BATCH_QUEUE_DEPTH => "batcher.queue_depth",
         POOL_WORKERS => "pool.workers",
-        SHARD0_CONNECTIONS => "serve.shard0.connections",
-        SHARD0_INFLIGHT => "serve.shard0.inflight",
-        SHARD1_CONNECTIONS => "serve.shard1.connections",
-        SHARD1_INFLIGHT => "serve.shard1.inflight",
-        SHARD2_CONNECTIONS => "serve.shard2.connections",
-        SHARD2_INFLIGHT => "serve.shard2.inflight",
-        SHARD3_CONNECTIONS => "serve.shard3.connections",
-        SHARD3_INFLIGHT => "serve.shard3.inflight",
-        SHARD4_CONNECTIONS => "serve.shard4.connections",
-        SHARD4_INFLIGHT => "serve.shard4.inflight",
-        SHARD5_CONNECTIONS => "serve.shard5.connections",
-        SHARD5_INFLIGHT => "serve.shard5.inflight",
-        SHARD6_CONNECTIONS => "serve.shard6.connections",
-        SHARD6_INFLIGHT => "serve.shard6.inflight",
-        SHARD7_CONNECTIONS => "serve.shard7.connections",
-        SHARD7_INFLIGHT => "serve.shard7.inflight",
+    }
+    gauges_after_shards {
         MODEL_BYTES => "model.bytes",
         MODEL_RESIDENT_COUNT => "model.resident_count",
         MODEL_QUANTIZED => "model.quantized",
@@ -490,63 +536,29 @@ define_catalog! {
         TRAIN_SHARD_NS => "train.shard_ns",
         POOL_RUN_NS => "pool.run_ns",
     }
+    shards [0 1 2 3 4 5 6 7] {
+        counters {
+            /// Connections this shard accepted.
+            accepted,
+            /// Requests refused by admission control.
+            shed,
+            /// Readiness wake-ups, i.e. poll returns with at least one
+            /// event.
+            wakeups,
+        }
+        gauges {
+            /// Connections currently owned by this shard.
+            connections,
+            /// Estimate requests admitted but not yet answered.
+            inflight,
+        }
+    }
 }
 
 /// The name of metric `id`, if this build defines it.
 pub fn metric_name(id: u16) -> Option<&'static str> {
     CATALOG.get(usize::from(id)).map(|def| def.name)
 }
-
-/// Number of reactor shards the catalog pre-declares metrics for. The
-/// catalog is static, so the per-shard entries are fixed at build time;
-/// a front running more shards than this folds shard `i` onto entry
-/// `i % MAX_SHARDS` (see [`shard_metrics`]), trading per-shard
-/// attribution for the same zero-allocation recording guarantee.
-pub const MAX_SHARDS: usize = 8;
-
-/// The statics one reactor shard of the serving front records into,
-/// bundled so the shard resolves them once at startup instead of
-/// matching on its index per event.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardMetrics {
-    /// Connections this shard accepted (`serve.shardN.accepted`).
-    pub accepted: &'static Counter,
-    /// Requests refused by admission control (`serve.shardN.shed`).
-    pub shed: &'static Counter,
-    /// Readiness wake-ups, i.e. poll returns with at least one event
-    /// (`serve.shardN.wakeups`).
-    pub wakeups: &'static Counter,
-    /// Connections currently owned by this shard
-    /// (`serve.shardN.connections`).
-    pub connections: &'static Gauge,
-    /// Estimate requests admitted but not yet answered
-    /// (`serve.shardN.inflight`).
-    pub inflight: &'static Gauge,
-}
-
-static SHARD_METRICS: [ShardMetrics; MAX_SHARDS] = {
-    macro_rules! shard {
-        ($a:ident, $s:ident, $w:ident, $c:ident, $i:ident) => {
-            ShardMetrics {
-                accepted: &metrics::$a,
-                shed: &metrics::$s,
-                wakeups: &metrics::$w,
-                connections: &metrics::$c,
-                inflight: &metrics::$i,
-            }
-        };
-    }
-    [
-        shard!(SHARD0_ACCEPTED, SHARD0_SHED, SHARD0_WAKEUPS, SHARD0_CONNECTIONS, SHARD0_INFLIGHT),
-        shard!(SHARD1_ACCEPTED, SHARD1_SHED, SHARD1_WAKEUPS, SHARD1_CONNECTIONS, SHARD1_INFLIGHT),
-        shard!(SHARD2_ACCEPTED, SHARD2_SHED, SHARD2_WAKEUPS, SHARD2_CONNECTIONS, SHARD2_INFLIGHT),
-        shard!(SHARD3_ACCEPTED, SHARD3_SHED, SHARD3_WAKEUPS, SHARD3_CONNECTIONS, SHARD3_INFLIGHT),
-        shard!(SHARD4_ACCEPTED, SHARD4_SHED, SHARD4_WAKEUPS, SHARD4_CONNECTIONS, SHARD4_INFLIGHT),
-        shard!(SHARD5_ACCEPTED, SHARD5_SHED, SHARD5_WAKEUPS, SHARD5_CONNECTIONS, SHARD5_INFLIGHT),
-        shard!(SHARD6_ACCEPTED, SHARD6_SHED, SHARD6_WAKEUPS, SHARD6_CONNECTIONS, SHARD6_INFLIGHT),
-        shard!(SHARD7_ACCEPTED, SHARD7_SHED, SHARD7_WAKEUPS, SHARD7_CONNECTIONS, SHARD7_INFLIGHT),
-    ]
-};
 
 /// The metrics bundle for reactor shard `shard` (folded modulo
 /// [`MAX_SHARDS`]).
@@ -767,14 +779,109 @@ mod tests {
                 .position(|def| def.name == accepted_name)
                 .expect("per-shard counter in catalog");
             match CATALOG[id].metric {
-                MetricRef::Counter(c) => assert!(std::ptr::eq(c, m.accepted)),
+                MetricRef::Counter(c) => assert!(std::ptr::eq(c, &m.accepted)),
                 _ => panic!("accepted must be a counter"),
             }
         }
         // Out-of-range shards fold instead of panicking.
-        assert!(std::ptr::eq(shard_metrics(MAX_SHARDS + 3).shed, shard_metrics(3).shed));
+        assert!(std::ptr::eq(shard_metrics(MAX_SHARDS + 3), shard_metrics(3)));
         shard_metrics(2).connections.set(41);
-        assert_eq!(metrics::SHARD2_CONNECTIONS.get(), 41);
+        let id = CATALOG.iter().position(|def| def.name == "serve.shard2.connections").unwrap();
+        let snap = snapshot();
+        assert_eq!(snap.scalars.iter().find(|s| usize::from(s.id) == id).unwrap().value, 41);
+    }
+
+    /// A metric's wire id is its position in `CATALOG`: a client built
+    /// against one layout reads another build's snapshot by id. Every
+    /// `(id, name, kind)` is pinned here; a new metric appends a row, and
+    /// nothing above it may move.
+    #[test]
+    fn catalog_ids_are_pinned() {
+        use MetricKind::{Counter, Gauge, Histogram};
+        let golden: &[(&str, MetricKind)] = &[
+            ("serve.connections", Counter),
+            ("serve.requests", Counter),
+            ("serve.errors", Counter),
+            ("serve.wire_decode_errors", Counter),
+            ("serve.feedback", Counter),
+            ("serve.metrics_requests", Counter),
+            ("cache.hits", Counter),
+            ("cache.misses", Counter),
+            ("tier.primary.hits", Counter),
+            ("tier.gbm.hits", Counter),
+            ("tier.fallback.hits", Counter),
+            ("drift.trips", Counter),
+            ("retrain.success", Counter),
+            ("retrain.panics", Counter),
+            ("registry.publishes", Counter),
+            ("train.epochs", Counter),
+            ("pool.dispatches", Counter),
+            ("serve.shard0.accepted", Counter),
+            ("serve.shard0.shed", Counter),
+            ("serve.shard0.wakeups", Counter),
+            ("serve.shard1.accepted", Counter),
+            ("serve.shard1.shed", Counter),
+            ("serve.shard1.wakeups", Counter),
+            ("serve.shard2.accepted", Counter),
+            ("serve.shard2.shed", Counter),
+            ("serve.shard2.wakeups", Counter),
+            ("serve.shard3.accepted", Counter),
+            ("serve.shard3.shed", Counter),
+            ("serve.shard3.wakeups", Counter),
+            ("serve.shard4.accepted", Counter),
+            ("serve.shard4.shed", Counter),
+            ("serve.shard4.wakeups", Counter),
+            ("serve.shard5.accepted", Counter),
+            ("serve.shard5.shed", Counter),
+            ("serve.shard5.wakeups", Counter),
+            ("serve.shard6.accepted", Counter),
+            ("serve.shard6.shed", Counter),
+            ("serve.shard6.wakeups", Counter),
+            ("serve.shard7.accepted", Counter),
+            ("serve.shard7.shed", Counter),
+            ("serve.shard7.wakeups", Counter),
+            ("registry.active_version", Gauge),
+            ("cache.entries", Gauge),
+            ("batcher.queue_depth", Gauge),
+            ("pool.workers", Gauge),
+            ("serve.shard0.connections", Gauge),
+            ("serve.shard0.inflight", Gauge),
+            ("serve.shard1.connections", Gauge),
+            ("serve.shard1.inflight", Gauge),
+            ("serve.shard2.connections", Gauge),
+            ("serve.shard2.inflight", Gauge),
+            ("serve.shard3.connections", Gauge),
+            ("serve.shard3.inflight", Gauge),
+            ("serve.shard4.connections", Gauge),
+            ("serve.shard4.inflight", Gauge),
+            ("serve.shard5.connections", Gauge),
+            ("serve.shard5.inflight", Gauge),
+            ("serve.shard6.connections", Gauge),
+            ("serve.shard6.inflight", Gauge),
+            ("serve.shard7.connections", Gauge),
+            ("serve.shard7.inflight", Gauge),
+            ("model.bytes", Gauge),
+            ("model.resident_count", Gauge),
+            ("model.quantized", Gauge),
+            ("serve.handle_ns", Histogram),
+            ("serve.estimate_ns", Histogram),
+            ("serve.feedback_ns", Histogram),
+            ("batcher.queue_wait_ns", Histogram),
+            ("batcher.forward_ns", Histogram),
+            ("batcher.batch_size", Histogram),
+            ("tier.gbm.estimate_ns", Histogram),
+            ("tier.fallback.estimate_ns", Histogram),
+            ("tier.primary.qerror_x100", Histogram),
+            ("tier.gbm.qerror_x100", Histogram),
+            ("tier.fallback.qerror_x100", Histogram),
+            ("retrain.duration_ns", Histogram),
+            ("train.epoch_ns", Histogram),
+            ("train.shard_ns", Histogram),
+            ("pool.run_ns", Histogram),
+        ];
+        let catalog: Vec<_> = CATALOG.iter().map(|def| (def.name, def.kind())).collect();
+        assert_eq!(catalog, golden);
+        assert_eq!(MAX_SHARDS, 8);
     }
 
     #[test]

@@ -5,96 +5,91 @@
 //! dominated by fixed per-invocation cost at batch size 1, while the
 //! batched path amortizes matrix setup across queries. A serving process
 //! receives *concurrent singles*, not batches — so this module provides
-//! the missing piece: requests enqueue into a shared queue, and a worker
-//! drains up to [`BatcherConfig::max_batch`] of them into one
-//! [`RaggedBatch`](lc_core::RaggedBatch) forward pass via
+//! the missing piece: a [`MicroBatcher`] is a single-owner queue of
+//! sample-annotated queries, each riding with a caller-chosen token, and
+//! [`MicroBatcher::flush`] runs up to [`BatcherConfig::max_batch`] of
+//! them as one [`RaggedBatch`](lc_core::RaggedBatch) forward pass via
 //! `lc_core::Estimator::estimate_routed` (so a tiered pipeline's
 //! per-query routing rides the same flush, and each answer comes back
-//! attributed to the tier that produced it).
+//! attributed to the tier that produced it), handing every token its
+//! [`Estimate`] in push order.
 //!
-//! The flush policy is size/time-bounded: a batch closes when it reaches
-//! `max_batch` queries, when the oldest enqueued request has waited
-//! `max_delay`, or when no new request arrives within `idle_flush` (so a
-//! lone request is not held hostage for the full window). Because
-//! `lc_core`'s kernels reduce every matrix row in the same order
-//! regardless of batch composition, coalescing is *semantically
-//! invisible*: batched results are bitwise identical to sequential ones.
+//! There is no thread, lock or timer in here: whoever owns the batcher
+//! decides when a batch closes. A reactor shard pushes what one readiness
+//! pass decoded and flushes at the end of the pass; the in-process
+//! [`EstimationService`](crate::EstimationService) flushes on the thread
+//! of whichever caller waits first. Either way concurrency in the arrival
+//! process is what creates batching, and a lone request is a flush with
+//! n = 1 — never a second route. Because `lc_core`'s kernels reduce every
+//! matrix row in the same order regardless of batch composition,
+//! coalescing is *semantically invisible*: batched results are bitwise
+//! identical to sequential ones.
 //!
-//! Coalesced batches run on `lc_core`'s arena-backed forward pass: warm
-//! inference scratches come from a process-wide pool and are reused
-//! across flushes and worker threads (zero steady-state allocation in
-//! the network itself), and batches large enough to span multiple
-//! inference blocks fan out onto the **persistent worker pool**
-//! (`lc_nn::WorkerPool::global`) inside `estimate_all` — the same
-//! long-lived pinned workers the trainer uses, so a flush is one condvar
-//! dispatch, never a thread spawn. Still bitwise identical, since block
-//! boundaries and per-row reductions never depend on the worker count.
-//! That is what makes *larger* `max_batch` values genuinely amortize
-//! instead of just queueing.
+//! Flushes run on `lc_core`'s arena-backed forward pass: warm inference
+//! scratches come from a process-wide pool and are reused across flushes
+//! (zero steady-state allocation in the network itself), and batches
+//! large enough to span multiple inference blocks fan out onto the
+//! **persistent worker pool** (`lc_nn::WorkerPool::global`) inside
+//! `estimate_all` — the same long-lived pinned workers the trainer uses.
+//! Still bitwise identical, since block boundaries and per-row reductions
+//! never depend on the worker count. That is what makes *larger*
+//! `max_batch` values genuinely amortize instead of just queueing.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use lc_obs::{metrics, SpanTimer};
 use lc_query::LabeledQuery;
 
+use crate::registry::ModelRegistry;
 use crate::tier::{TIER_FALLBACK, TIER_GBM};
 
-use crate::registry::ModelRegistry;
-
-/// Flush policy and worker sizing of a [`MicroBatcher`].
+/// Sizing of a [`MicroBatcher`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatcherConfig {
     /// Largest coalesced batch (a flush never exceeds this).
     pub max_batch: usize,
-    /// Hard latency bound: the oldest request in a forming batch waits at
-    /// most this long before the batch is flushed.
-    pub max_delay: Duration,
-    /// Early-flush bound: if no new request arrives within this window
-    /// the forming batch is flushed immediately, so sparse traffic pays
-    /// `idle_flush`, not `max_delay`, of queueing latency.
-    pub idle_flush: Duration,
-    /// Inference worker threads. 0 means no background workers: batches
-    /// are only processed by explicit [`MicroBatcher::flush_now`] calls
-    /// (deterministic mode, used by benches and tests).
+    /// Accepted and ignored. The batcher used to have a worker-thread
+    /// mode this field sized; every batch now runs on the thread that
+    /// calls [`MicroBatcher::flush`]. The field stays only because the
+    /// frozen benchmark package (`crates/bench/src/bin/benchmark`) names
+    /// it in struct literals; ROADMAP lists it for the next `[benchmark]`
+    /// PR to drop.
     pub workers: usize,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        BatcherConfig {
-            max_batch: 64,
-            max_delay: Duration::from_micros(200),
-            idle_flush: Duration::from_micros(50),
-            workers: 1,
-        }
+        BatcherConfig { max_batch: 64, workers: 0 }
     }
 }
 
-/// What the batcher returns for one request.
+/// One served estimate plus its serving metadata.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BatchedEstimate {
+pub struct Estimate {
     /// Estimated cardinality in rows (≥ 1).
     pub cardinality: f64,
-    /// Version of the model snapshot the batch ran against.
+    /// Version of the model snapshot that produced (or originally
+    /// produced, for cache hits) the estimate.
     pub model_version: u32,
-    /// Number of requests coalesced into the same forward pass.
+    /// True if the answer came from the cache without inference.
+    pub cache_hit: bool,
+    /// Requests coalesced into the same forward pass (0 for cache hits).
     pub micro_batch: u32,
-    /// Pipeline tier that produced the estimate (0 for monolithic
-    /// estimators; see `crate::tier` for the routed ids).
+    /// Pipeline tier that produced (or originally produced, for cache
+    /// hits) the estimate — 0 for monolithic estimators, see
+    /// `crate::tier` for the routed ids.
     pub tier: u8,
     /// The primary model's log-std trust signal for this query.
     pub log_std: f64,
 }
 
-/// Aggregate counters exposed by [`MicroBatcher::stats`].
+/// Aggregate flush counters, see
+/// [`EstimationService::batch_stats`](crate::EstimationService::batch_stats).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Requests submitted.
+    /// Requests answered by a forward pass.
     pub requests: u64,
     /// Forward passes executed.
     pub batches: u64,
@@ -113,213 +108,93 @@ impl BatchStats {
     }
 }
 
-struct Pending {
-    query: LabeledQuery,
-    tx: Sender<BatchedEstimate>,
-    /// When the request entered the queue, for the queue-wait histogram.
-    enqueued: Instant,
-}
-
-struct State {
-    queue: VecDeque<Pending>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    available: Condvar,
-    requests: AtomicU64,
-    batches: AtomicU64,
-    max_batch_seen: AtomicU64,
-}
-
-/// The request-coalescing inference front of the service.
-pub struct MicroBatcher {
-    shared: Arc<Shared>,
+/// The request-coalescing inference queue. `T` is whatever the owner
+/// needs back with each answer (a connection slot, a reply channel).
+pub struct MicroBatcher<T> {
     registry: Arc<ModelRegistry>,
-    config: BatcherConfig,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    max_batch: usize,
+    /// Queued queries, contiguous so a flush can borrow them as one slice.
+    queries: VecDeque<LabeledQuery>,
+    /// The token of each queued query, plus when it was pushed (for the
+    /// queue-wait histogram; `None` when span timing is off).
+    tokens: VecDeque<(T, Option<Instant>)>,
 }
 
-impl MicroBatcher {
-    /// Start a batcher (and its worker threads) serving models from
-    /// `registry`.
+impl<T> MicroBatcher<T> {
+    /// An empty batcher serving models from `registry`.
     pub fn new(registry: Arc<ModelRegistry>, config: BatcherConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State { queue: VecDeque::new(), shutdown: false }),
-            available: Condvar::new(),
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch_seen: AtomicU64::new(0),
-        });
-        let workers = (0..config.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let registry = Arc::clone(&registry);
-                std::thread::spawn(move || worker_loop(&shared, &registry, config))
-            })
-            .collect();
-        MicroBatcher { shared, registry, config, workers: Mutex::new(workers) }
-    }
-
-    /// Enqueue one sample-annotated query; the returned channel yields the
-    /// estimate once the request's batch has been flushed. If the batcher
-    /// shuts down first, the channel disconnects.
-    pub fn submit(&self, query: LabeledQuery) -> Receiver<BatchedEstimate> {
-        let (tx, rx) = channel();
-        let mut state = self.lock();
-        if state.shutdown {
-            return rx; // tx drops here: the receiver reports disconnect.
-        }
-        state.queue.push_back(Pending { query, tx, enqueued: Instant::now() });
-        metrics::BATCH_QUEUE_DEPTH.set(state.queue.len() as u64);
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.shared.available.notify_one();
-        rx
-    }
-
-    /// Synchronously drain and infer at most one batch; returns its size
-    /// (0 when the queue was empty). This is the deterministic
-    /// counterpart of the background workers, for benches and tests —
-    /// with `workers: 0` it is the *only* way batches run.
-    pub fn flush_now(&self) -> usize {
-        let batch = {
-            let mut state = self.lock();
-            drain_batch(&mut state, self.config.max_batch)
-        };
-        run_batch(&self.shared, &self.registry, batch)
-    }
-
-    /// The flush policy this batcher was built with.
-    pub fn config(&self) -> BatcherConfig {
-        self.config
-    }
-
-    /// Aggregate request/batch counters.
-    pub fn stats(&self) -> BatchStats {
-        BatchStats {
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            max_batch: self.shared.max_batch_seen.load(Ordering::Relaxed),
+        MicroBatcher {
+            registry,
+            max_batch: config.max_batch,
+            queries: VecDeque::new(),
+            tokens: VecDeque::new(),
         }
     }
 
-    /// Stop accepting requests, let workers drain the queue, and join
-    /// them. Idempotent; also invoked by `Drop`.
-    pub fn shutdown(&self) {
-        {
-            let mut state = self.lock();
-            state.shutdown = true;
+    /// Queue one sample-annotated query; `token` comes back with its
+    /// estimate from the [`flush`](MicroBatcher::flush) that runs it.
+    pub fn push(&mut self, query: LabeledQuery, token: T) {
+        self.queries.push_back(query);
+        self.tokens.push_back((token, lc_obs::enabled().then(Instant::now)));
+        metrics::BATCH_QUEUE_DEPTH.set(self.queries.len() as u64);
+    }
+
+    /// Queries pushed and not yet flushed.
+    pub fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// Run the oldest queued queries (at most `max_batch`) as one forward
+    /// pass and hand each token its estimate, in push order. Returns the
+    /// batch size (0 when the queue was empty).
+    pub fn flush(&mut self, mut deliver: impl FnMut(T, Estimate)) -> usize {
+        let n = self.queries.len().min(self.max_batch);
+        if n == 0 {
+            return 0;
         }
-        self.shared.available.notify_all();
-        let handles: Vec<_> =
-            self.workers.lock().expect("batcher workers poisoned").drain(..).collect();
-        for worker in handles {
-            worker.join().expect("batcher worker panicked");
-        }
-        // With no workers (deterministic mode), drain what is left so
-        // submitted requests get answers instead of disconnects.
-        while self.flush_now() > 0 {}
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.shared.state.lock().expect("batcher state poisoned")
-    }
-}
-
-impl Drop for MicroBatcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Pop up to `max_batch` requests off the queue.
-fn drain_batch(state: &mut State, max_batch: usize) -> Vec<Pending> {
-    let n = state.queue.len().min(max_batch);
-    let batch = state.queue.drain(..n).collect();
-    metrics::BATCH_QUEUE_DEPTH.set(state.queue.len() as u64);
-    batch
-}
-
-/// Run one coalesced forward pass and deliver the per-request results.
-/// Returns the batch size.
-fn run_batch(shared: &Shared, registry: &ModelRegistry, batch: Vec<Pending>) -> usize {
-    if batch.is_empty() {
-        return 0;
-    }
-    let n = batch.len();
-    metrics::BATCH_SIZE.record(n as u64);
-    if lc_obs::enabled() {
-        let drained = Instant::now();
-        for p in &batch {
-            metrics::BATCH_QUEUE_WAIT_NS
-                .record_duration(drained.saturating_duration_since(p.enqueued));
-        }
-    }
-    // The snapshot is pinned for the whole batch: a concurrent hot-swap
-    // affects the *next* batch, never a running one.
-    let snapshot = registry.current();
-    let (queries, txs): (Vec<LabeledQuery>, Vec<Sender<BatchedEstimate>>) =
-        batch.into_iter().map(|p| (p.query, p.tx)).unzip();
-    let forward_span = SpanTimer::start(&metrics::BATCH_FORWARD_NS);
-    let estimates = snapshot.estimator.estimate_routed(&queries);
-    drop(forward_span);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    shared.max_batch_seen.fetch_max(n as u64, Ordering::Relaxed);
-    for (tx, routed) in txs.into_iter().zip(estimates) {
-        // Tier hit counters live here, not in the pipeline, so every
-        // answered request is counted exactly once at inference time.
-        match routed.tier {
-            TIER_GBM => metrics::TIER_GBM_HITS.inc(),
-            TIER_FALLBACK => metrics::TIER_FALLBACK_HITS.inc(),
-            _ => metrics::TIER_PRIMARY_HITS.inc(),
-        }
-        // A receiver that gave up (client disconnected) is not an error.
-        let _ = tx.send(BatchedEstimate {
-            cardinality: routed.estimate,
-            model_version: snapshot.version,
-            micro_batch: n as u32,
-            tier: routed.tier,
-            log_std: routed.log_std,
-        });
-    }
-    n
-}
-
-fn worker_loop(shared: &Shared, registry: &ModelRegistry, config: BatcherConfig) {
-    loop {
-        let batch = {
-            let mut state = shared.state.lock().expect("batcher state poisoned");
-            // Sleep until there is work (or shutdown).
-            while state.queue.is_empty() && !state.shutdown {
-                state = shared.available.wait(state).expect("batcher state poisoned");
+        metrics::BATCH_SIZE.record(n as u64);
+        if lc_obs::enabled() {
+            let drained = Instant::now();
+            for enqueued in self.tokens.iter().take(n).filter_map(|(_, at)| *at) {
+                metrics::BATCH_QUEUE_WAIT_NS
+                    .record_duration(drained.saturating_duration_since(enqueued));
             }
-            if state.queue.is_empty() && state.shutdown {
-                return;
+        }
+        // The snapshot is pinned for the whole batch: a concurrent hot-swap
+        // affects the *next* batch, never a running one.
+        let snapshot = self.registry.current();
+        let forward_span = SpanTimer::start(&metrics::BATCH_FORWARD_NS);
+        let estimates = snapshot.estimator.estimate_routed(&self.queries.make_contiguous()[..n]);
+        drop(forward_span);
+        self.queries.drain(..n);
+        metrics::BATCH_QUEUE_DEPTH.set(self.queries.len() as u64);
+        for ((token, _), routed) in self.tokens.drain(..n).zip(estimates) {
+            // Tier hit counters live here, not in the pipeline, so every
+            // answered request is counted exactly once at inference time.
+            match routed.tier {
+                TIER_GBM => metrics::TIER_GBM_HITS.inc(),
+                TIER_FALLBACK => metrics::TIER_FALLBACK_HITS.inc(),
+                _ => metrics::TIER_PRIMARY_HITS.inc(),
             }
-            // Accumulate: wait for more requests until the batch is full,
-            // the hard deadline passes, or an idle gap says traffic
-            // paused. Shutdown flushes immediately so draining is prompt.
-            let deadline = Instant::now() + config.max_delay;
-            while state.queue.len() < config.max_batch && !state.shutdown {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let wait = config.idle_flush.min(deadline - now);
-                let before = state.queue.len();
-                let (guard, timeout) =
-                    shared.available.wait_timeout(state, wait).expect("batcher state poisoned");
-                state = guard;
-                if timeout.timed_out() && state.queue.len() == before {
-                    break; // idle gap: nothing new arrived, flush early
-                }
-            }
-            drain_batch(&mut state, config.max_batch)
-        };
-        run_batch(shared, registry, batch);
+            deliver(
+                token,
+                Estimate {
+                    cardinality: routed.estimate,
+                    model_version: snapshot.version,
+                    cache_hit: false,
+                    micro_batch: n as u32,
+                    tier: routed.tier,
+                    log_std: routed.log_std,
+                },
+            );
+        }
+        n
     }
 }
 
@@ -348,25 +223,39 @@ mod tests {
         (db, est, data)
     }
 
+    /// Push `queries` with their index as token, returning the batcher.
+    fn queued(
+        est: MscnEstimator,
+        queries: &[LabeledQuery],
+        max_batch: usize,
+    ) -> MicroBatcher<usize> {
+        let registry = Arc::new(ModelRegistry::new(est));
+        let mut batcher =
+            MicroBatcher::new(registry, BatcherConfig { max_batch, ..BatcherConfig::default() });
+        for (i, q) in queries.iter().enumerate() {
+            batcher.push(q.clone(), i);
+        }
+        batcher
+    }
+
     #[test]
     fn manual_flush_coalesces_deterministically() {
         let (_, est, data) = fixture();
         let expected: Vec<f64> = data[..10].iter().map(|q| est.estimate(q)).collect();
-        let registry = Arc::new(ModelRegistry::new(est));
-        let batcher =
-            MicroBatcher::new(registry, BatcherConfig { workers: 0, ..BatcherConfig::default() });
-        let rxs: Vec<_> = data[..10].iter().map(|q| batcher.submit(q.clone())).collect();
-        assert_eq!(batcher.flush_now(), 10, "one flush drains all queued requests");
-        for (rx, want) in rxs.into_iter().zip(expected) {
-            let got = rx.recv().expect("estimate delivered");
+        let mut batcher = queued(est, &data[..10], 64);
+        assert_eq!(batcher.len(), 10);
+        let mut got = Vec::new();
+        assert_eq!(batcher.flush(|i, e| got.push((i, e))), 10, "one flush drains the queue");
+        assert!(batcher.is_empty());
+        assert_eq!(got.len(), 10);
+        for (pushed, (i, got)) in got.into_iter().enumerate() {
+            assert_eq!(i, pushed, "tokens come back in push order");
             // Coalescing must not change results: bitwise equality.
-            assert_eq!(got.cardinality, want);
+            assert_eq!(got.cardinality, expected[i]);
             assert_eq!(got.micro_batch, 10);
             assert_eq!(got.model_version, 1);
+            assert!(!got.cache_hit);
         }
-        let stats = batcher.stats();
-        assert_eq!((stats.requests, stats.batches, stats.max_batch), (10, 1, 10));
-        assert!((stats.mean_batch() - 10.0).abs() < 1e-9);
     }
 
     /// Large coalesced batches ride the arena-backed (and, on multi-core
@@ -376,16 +265,16 @@ mod tests {
     fn large_coalesced_batch_is_bitwise_identical() {
         let (_, est, data) = fixture();
         let expected: Vec<f64> = data.iter().map(|q| est.estimate(q)).collect();
-        let registry = Arc::new(ModelRegistry::new(est));
-        let batcher = MicroBatcher::new(
-            registry,
-            BatcherConfig { workers: 0, max_batch: 512, ..BatcherConfig::default() },
+        let mut batcher = queued(est, &data, 512);
+        let mut got = Vec::new();
+        assert_eq!(
+            batcher.flush(|i, e| got.push((i, e))),
+            data.len(),
+            "one flush coalesces the whole queue"
         );
-        let rxs: Vec<_> = data.iter().map(|q| batcher.submit(q.clone())).collect();
-        assert_eq!(batcher.flush_now(), data.len(), "one flush coalesces the whole queue");
-        for (rx, want) in rxs.into_iter().zip(expected) {
-            let got = rx.recv().expect("estimate delivered");
-            assert_eq!(got.cardinality, want, "coalescing changed an estimate");
+        assert_eq!(got.len(), data.len());
+        for (i, got) in got {
+            assert_eq!(got.cardinality, expected[i], "coalescing changed an estimate");
             assert_eq!(got.micro_batch, data.len() as u32);
         }
     }
@@ -393,66 +282,15 @@ mod tests {
     #[test]
     fn max_batch_bounds_every_flush() {
         let (_, est, data) = fixture();
-        let registry = Arc::new(ModelRegistry::new(est));
-        let batcher = MicroBatcher::new(
-            registry,
-            BatcherConfig { workers: 0, max_batch: 4, ..BatcherConfig::default() },
-        );
-        let rxs: Vec<_> = data[..10].iter().map(|q| batcher.submit(q.clone())).collect();
-        assert_eq!(batcher.flush_now(), 4);
-        assert_eq!(batcher.flush_now(), 4);
-        assert_eq!(batcher.flush_now(), 2);
-        assert_eq!(batcher.flush_now(), 0, "queue fully drained");
-        let sizes: Vec<u32> = rxs.into_iter().map(|rx| rx.recv().unwrap().micro_batch).collect();
-        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
-        assert_eq!(batcher.stats().max_batch, 4);
-    }
-
-    #[test]
-    fn background_workers_serve_concurrent_submitters() {
-        let (_, est, data) = fixture();
-        let expected: Vec<f64> = data.iter().map(|q| est.estimate(q)).collect();
-        let registry = Arc::new(ModelRegistry::new(est));
-        let batcher = MicroBatcher::new(registry, BatcherConfig::default());
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for chunk in 0..4 {
-                let batcher = &batcher;
-                let data = &data;
-                handles.push(s.spawn(move || {
-                    let lo = chunk * data.len() / 4;
-                    let hi = (chunk + 1) * data.len() / 4;
-                    (lo..hi)
-                        .map(|i| (i, batcher.submit(data[i].clone()).recv().expect("served")))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                for (i, got) in handle.join().expect("submitter panicked") {
-                    assert_eq!(got.cardinality, expected[i], "query {i} changed under batching");
-                    assert!(got.micro_batch >= 1);
-                }
-            }
-        });
-        let stats = batcher.stats();
-        assert_eq!(stats.requests, data.len() as u64);
-        assert!(stats.batches >= 1 && stats.batches <= stats.requests);
-    }
-
-    #[test]
-    fn shutdown_drains_pending_requests() {
-        let (_, est, data) = fixture();
-        let registry = Arc::new(ModelRegistry::new(est));
-        let batcher =
-            MicroBatcher::new(registry, BatcherConfig { workers: 0, ..BatcherConfig::default() });
-        let rxs: Vec<_> = data[..5].iter().map(|q| batcher.submit(q.clone())).collect();
-        batcher.shutdown();
-        for rx in rxs {
-            assert!(rx.recv().is_ok(), "pending request dropped on shutdown");
+        let mut batcher = queued(est, &data[..10], 4);
+        let mut sizes = Vec::new();
+        for expect in [4, 4, 2, 0] {
+            let flushed = batcher.flush(|i, e| {
+                assert_eq!(i, sizes.len(), "a partial flush takes the oldest requests first");
+                sizes.push(e.micro_batch);
+            });
+            assert_eq!(flushed, expect);
         }
-        // After shutdown, new submissions disconnect immediately.
-        let rx = batcher.submit(data[0].clone());
-        assert!(rx.recv().is_err());
-        assert_eq!(batcher.stats().requests, 5);
+        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
     }
 }

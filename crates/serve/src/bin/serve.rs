@@ -3,7 +3,10 @@
 //! Boots a database snapshot + materialized samples, obtains a model
 //! (either by training a bootstrap MSCN in-process or by loading a
 //! serialized snapshot from `--model`), and serves the wire protocol
-//! until killed. Protocol v2 clients can stream execution feedback back;
+//! until killed. Requests run on the reactor shards that accepted them:
+//! each shard batches what one readiness pass decoded and runs the
+//! forward pass itself, so the process has no inference worker threads
+//! to size. Protocol v2 clients can stream execution feedback back;
 //! the drift monitor watches per-join-template rolling q-error and
 //! retrains + republishes the model in the background when a template
 //! drifts. Drive it with the sibling `loadgen` binary:
@@ -22,9 +25,7 @@
 //! * `--epochs N`          bootstrap training epochs       (default 3)
 //! * `--hidden N`          bootstrap hidden width          (default 32)
 //! * `--cache-capacity N`  estimate-cache entries, 0 disables (default 4096)
-//! * `--max-batch N`       micro-batch size bound          (default 64)
-//! * `--max-delay-us N`    micro-batch hard flush bound    (default 200)
-//! * `--workers N`         inference worker threads        (default 1)
+//! * `--max-batch N`       requests per forward pass, at most (default 64)
 //! * `--shards N`          reactor shards, 0 = one per core (default 0)
 //! * `--max-conns N`       open-connection cap, 0 = unlimited
 //!   (default 65536)
@@ -67,7 +68,6 @@
 
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Duration;
 
 use lc_baselines::{FullJoinSizes, GbmConfig, GbmEstimator, OwnedIbjsEstimator};
 use lc_core::{
@@ -96,8 +96,6 @@ const FLAGS: &[&str] = &[
     "hidden",
     "cache-capacity",
     "max-batch",
-    "max-delay-us",
-    "workers",
     "shards",
     "max-conns",
     "inflight-budget",
@@ -136,8 +134,6 @@ fn run() -> Result<(), String> {
     let hidden: usize = get(&flags, "hidden", 32)?;
     let cache_capacity: usize = get(&flags, "cache-capacity", 4096)?;
     let max_batch: usize = get(&flags, "max-batch", 64)?;
-    let max_delay_us: u64 = get(&flags, "max-delay-us", 200)?;
-    let workers: usize = get(&flags, "workers", 1)?;
     let front_defaults = FrontConfig::default();
     let shards: usize = get(&flags, "shards", front_defaults.shards)?;
     let max_conns: usize = get(&flags, "max-conns", front_defaults.max_connections)?;
@@ -164,11 +160,6 @@ fn run() -> Result<(), String> {
         ensemble: get(&flags, "tier-ensemble", tier_defaults.ensemble)?,
         gbm_rounds: get(&flags, "tier-gbm-rounds", tier_defaults.gbm_rounds)?,
     };
-    if workers == 0 {
-        // workers: 0 is the library's manual-flush mode; with no one
-        // calling flush_now a server would hang every request.
-        return Err("--workers must be at least 1".into());
-    }
     if max_batch == 0 {
         return Err("--max-batch must be at least 1".into());
     }
@@ -316,12 +307,7 @@ fn run() -> Result<(), String> {
     };
     let config = ServeConfig {
         cache: CacheConfig { capacity: cache_capacity, ..CacheConfig::default() },
-        batcher: BatcherConfig {
-            max_batch,
-            max_delay: Duration::from_micros(max_delay_us),
-            workers,
-            ..BatcherConfig::default()
-        },
+        batcher: BatcherConfig { max_batch, ..BatcherConfig::default() },
         drift: DriftConfig {
             window: drift_window,
             min_samples: drift_min_samples,

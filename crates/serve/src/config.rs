@@ -17,7 +17,7 @@ use crate::cache::CacheConfig;
 pub struct ServeConfig {
     /// Estimate-cache sizing (capacity 0 disables caching).
     pub cache: CacheConfig,
-    /// Micro-batcher flush policy and worker count.
+    /// Micro-batch size bound.
     pub batcher: BatcherConfig,
     /// Drift detection and incremental-retraining thresholds.
     pub drift: DriftConfig,

@@ -1,8 +1,8 @@
 //! Minimal `--flag value` command-line parsing shared by the `serve` and
 //! `loadgen` binaries (no external CLI crate — the workspace is
 //! offline). Unknown flags are an error, not a silent no-op, so a typo
-//! like `--max-delay` for `--max-delay-us` cannot quietly run with
-//! defaults.
+//! like `--max-conn` for `--max-conns`, or a flag a later version
+//! dropped, cannot quietly run with defaults.
 
 use std::collections::HashMap;
 

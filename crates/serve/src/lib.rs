@@ -7,8 +7,10 @@
 //! [`MscnEstimator`](lc_core::MscnEstimator) snapshots and answers streams
 //! of estimation requests from concurrent clients.
 //!
-//! Architecture — a request flows `wire → cache → batcher → model`,
-//! inside one of N shard-per-core reactors (see [`server`]):
+//! Architecture — a request flows `wire → cache → batcher → model` down
+//! one lane, on the thread of the reactor shard that owns its connection
+//! (see [`server`]); nothing on that path locks, queues across threads or
+//! waits on a timer:
 //!
 //! ```text
 //!          readiness event            miss                  end-of-pass flush
@@ -18,6 +20,11 @@
 //!                                    └── insert ── [ModelRegistry::current()]
 //!                                                one RaggedBatch forward pass
 //! ```
+//!
+//! The in-process API ([`EstimationService::submit`] /
+//! [`PendingEstimate::wait`] / [`EstimationService::estimate`]) runs the
+//! same lane code over a batcher of the service's own, flushed on the
+//! calling thread.
 //!
 //! * [`wire`] — a length-prefixed, **versioned** binary protocol: a v2
 //!   client opens with a hello carrying its protocol version and a
@@ -44,17 +51,19 @@
 //!   trips, the service schedules `lc_core::train_incremental` in the
 //!   background and publishes the result mid-traffic — the self-healing
 //!   loop the paper's §5 sketches (see also [`config::DriftConfig`]).
-//! * [`batcher`] — coalesces concurrent single-query requests into one
-//!   ragged-batch forward pass (size/time-bounded flush), so service
-//!   throughput scales with the matrix kernels instead of per-query
-//!   vector pipelines. Batched results are bitwise identical to
-//!   sequential ones (guaranteed by `lc_core`'s row-independent kernels).
+//! * [`batcher`] — a single-owner queue whose flush runs up to
+//!   `max_batch` queued single-query requests as one ragged-batch forward
+//!   pass, so service throughput scales with the matrix kernels instead
+//!   of per-query vector pipelines. Batched results are bitwise identical
+//!   to sequential ones (guaranteed by `lc_core`'s row-independent
+//!   kernels).
 //! * [`cache`] — a sharded LRU keyed by the canonical query encoding plus
 //!   the active model version, so repeated optimizer probes of the same
 //!   subquery skip inference entirely and stale entries age out after a
 //!   hot-swap.
-//! * [`service`] — glues the four together behind
-//!   [`EstimationService::estimate`].
+//! * [`service`] — the lane itself (probe → enqueue → flush), shared by
+//!   the shards and [`EstimationService::estimate`], plus the feedback
+//!   loop.
 //! * [`server`] — the event-driven, shard-per-core TCP front: N reactor
 //!   threads share one listener via exclusive-wakeup registration
 //!   (vendored [`lc_poll`] epoll shim), each owning its accepted
@@ -107,13 +116,13 @@ pub mod service;
 pub mod tier;
 pub mod wire;
 
-pub use batcher::{BatchStats, BatchedEstimate, BatcherConfig, MicroBatcher};
+pub use batcher::{BatchStats, BatcherConfig, Estimate, MicroBatcher};
 pub use cache::{CacheConfig, CacheStats, CachedEstimate, EstimateCache};
 pub use config::{DriftConfig, FrontConfig, ServeConfig, TierConfig};
 pub use drift::{DriftDecision, DriftMonitor};
 pub use loadgen::{LoadReport, LoadgenConfig, ShiftReport};
 pub use registry::{ModelRegistry, ModelSnapshot, PipelineBuilder, RegistryError};
 pub use server::{serve, ServerHandle};
-pub use service::{Estimate, EstimationService, PendingEstimate, ServeError};
+pub use service::{EstimationService, PendingEstimate, ServeError};
 pub use tier::{TieredEstimator, TIER_FALLBACK, TIER_GBM, TIER_PRIMARY};
 pub use wire::{HistogramMetric, Message, ScalarMetric, TemplateDrift, TemplateStat, WireError};

@@ -21,13 +21,14 @@
 //!
 //! ## Event-driven micro-batching
 //!
-//! Each shard owns a manual-flush (`workers: 0`) [`MicroBatcher`] and
-//! flushes it at the end of every readiness pass: estimate requests
-//! decoded from all the connections that woke together coalesce into
-//! shared forward passes on the shard's own (pinned) core, without
-//! handing work to another thread. Concurrency in the arrival process is
-//! what creates batching — the paper's amortization argument — with no
-//! added queueing delay for sparse traffic.
+//! Each shard owns a [`MicroBatcher`] by value and flushes it at the end
+//! of every readiness pass: estimate requests decoded from all the
+//! connections that woke together coalesce into shared forward passes on
+//! the shard's own (pinned) core — no lock, no channel, no hand-off to
+//! another thread, and each answer is written to its connection straight
+//! from the flush. Concurrency in the arrival process is what creates
+//! batching — the paper's amortization argument — with no added queueing
+//! delay for sparse traffic: a lone request is a flush of one.
 //!
 //! ## Admission control and load shedding
 //!
@@ -52,7 +53,6 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -60,10 +60,9 @@ use std::time::Instant;
 use lc_obs::{metrics, MetricKind, ShardMetrics, SpanTimer};
 use lc_query::Query;
 
-use crate::batcher::{BatchedEstimate, BatcherConfig, MicroBatcher};
-use crate::cache::CachedEstimate;
+use crate::batcher::{Estimate, MicroBatcher};
 use crate::config::FrontConfig;
-use crate::service::{CacheProbe, EstimationService, ServeError};
+use crate::service::{EstimationService, Ticket};
 use crate::wire::{
     negotiate, HistogramMetric, Message, ScalarMetric, CAPABILITIES, CAP_DRIFT, CAP_FEEDBACK,
     CAP_METRICS, CAP_RETRY, CAP_STATS, CAP_TIER, PROTOCOL_VERSION,
@@ -171,8 +170,8 @@ impl ServerHandle {
     /// readiness wait immediately (no poke connection, no lingering
     /// accept), answers the requests already decoded, and closes its
     /// connections — so `shutdown` returns promptly even with idle
-    /// clients still connected. The service itself (and its batcher)
-    /// stays usable until dropped.
+    /// clients still connected. The service itself stays usable until
+    /// dropped.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -227,10 +226,7 @@ pub fn serve(
         let mut shard = Shard {
             id: shard_id,
             service: Arc::clone(&service),
-            batcher: MicroBatcher::new(
-                Arc::clone(service.registry()),
-                BatcherConfig { workers: 0, ..service.batcher_config() },
-            ),
+            batcher: service.batcher(),
             listener: Arc::clone(&listener),
             poller,
             waker,
@@ -240,10 +236,9 @@ pub fn serve(
             obs: lc_obs::shard_metrics(shard_id),
             slots: Vec::new(),
             free: Vec::new(),
-            pending: Vec::new(),
+            done: Vec::new(),
             dirty: Vec::new(),
             read_buf: vec![0u8; 64 * 1024],
-            scratch: Vec::new(),
         };
         shards.push(
             std::thread::Builder::new()
@@ -295,14 +290,12 @@ struct Slot {
     conn: Option<Conn>,
 }
 
-/// An admitted estimate (or feedback) waiting on the shard's batcher.
+/// An admitted estimate (or feedback): the token that rides the shard's
+/// batcher and comes back with the answer.
 struct PendingReq {
     slot: usize,
     generation: u64,
     id: u64,
-    /// Cache key to fill on resolution (None when caching is off).
-    query_key: Option<Vec<u8>>,
-    rx: Receiver<BatchedEstimate>,
     /// Set when `lc_obs` is enabled: end-to-end estimate latency.
     started: Option<Instant>,
     /// `Some((query, actual_card))` marks a feedback frame: resolution
@@ -320,9 +313,9 @@ enum IoOutcome {
 struct Shard {
     id: usize,
     service: Arc<EstimationService>,
-    /// This shard's own deterministic batcher (`workers: 0`), flushed
-    /// inline at the end of every readiness pass.
-    batcher: MicroBatcher,
+    /// This shard's own batcher, flushed inline at the end of every
+    /// readiness pass; what it holds is the shard's in-flight budget.
+    batcher: MicroBatcher<Ticket<PendingReq>>,
     listener: Arc<TcpListener>,
     poller: lc_poll::Poller,
     waker: lc_poll::Waker,
@@ -333,13 +326,12 @@ struct Shard {
     obs: &'static ShardMetrics,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    pending: Vec<PendingReq>,
+    /// Answers of the flush in progress (reused across passes).
+    done: Vec<(PendingReq, Estimate)>,
     /// Slots with freshly queued output this pass.
     dirty: Vec<usize>,
     /// Shared read scratch — idle connections own no read buffer.
     read_buf: Vec<u8>,
-    /// Shared encode scratch for response frames.
-    scratch: Vec<u8>,
 }
 
 impl Shard {
@@ -365,8 +357,7 @@ impl Shard {
             }
             // Event-driven micro-batching: everything decoded in this
             // pass flushes together on this core.
-            while self.batcher.flush_now() > 0 {}
-            self.resolve_pending();
+            self.flush_batcher();
             self.flush_dirty();
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -378,13 +369,11 @@ impl Shard {
     /// Quiesce: answer what is already in flight, push out what the
     /// sockets will take, close everything.
     fn teardown(&mut self) {
-        while self.batcher.flush_now() > 0 {}
-        self.resolve_pending();
+        self.flush_batcher();
         self.flush_dirty();
         for slot in 0..self.slots.len() {
             self.close(slot);
         }
-        self.batcher.shutdown();
     }
 
     fn accept_ready(&mut self) {
@@ -592,56 +581,15 @@ impl Shard {
             }
             Message::EstimateRequest { id, query } => {
                 metrics::SERVE_REQUESTS.inc();
-                let started = lc_obs::enabled().then(Instant::now);
-                if self.over_budget() {
-                    self.shed(slot, id, started);
-                    return;
-                }
-                match self.service.probe_cache(&query) {
-                    CacheProbe::Hit(est) => {
-                        if let Some(started) = started {
-                            metrics::SERVE_ESTIMATE_NS.record_duration(started.elapsed());
-                        }
-                        self.estimate_reply(
-                            slot,
-                            id,
-                            est.cardinality,
-                            est.model_version,
-                            est.micro_batch,
-                            true,
-                            est.tier,
-                            est.log_std,
-                        )
-                    }
-                    CacheProbe::Miss { query_key } => {
-                        self.admit(slot, id, query_key, started, query, None);
-                        return;
-                    }
-                }
+                self.admit(slot, id, lc_obs::enabled().then(Instant::now), query, None);
+                return;
             }
             Message::Feedback { id, query, actual_card } => {
                 if self.conn_caps(slot) & CAP_FEEDBACK == 0 {
                     error_message(id, "feedback capability not negotiated".into())
-                } else if self.over_budget() {
-                    self.shed(slot, id, None);
-                    return;
                 } else {
-                    match self.service.probe_cache(&query) {
-                        CacheProbe::Hit(est) => {
-                            let _span = SpanTimer::start(&metrics::SERVE_FEEDBACK_NS);
-                            self.service.record_feedback(
-                                &query,
-                                est.cardinality,
-                                est.tier,
-                                actual_card,
-                            );
-                            Message::FeedbackAck { id, model_version: est.model_version }
-                        }
-                        CacheProbe::Miss { query_key } => {
-                            self.admit(slot, id, query_key, None, query, Some(actual_card));
-                            return;
-                        }
-                    }
+                    self.admit(slot, id, None, query, Some(actual_card));
+                    return;
                 }
             }
             Message::StatsRequest { id } => {
@@ -692,18 +640,9 @@ impl Shard {
     /// tier attribution; everyone else (v1, hello-less, or opted out)
     /// gets the classic [`Message::EstimateResponse`], byte-identical to
     /// what pre-tiering servers sent.
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_reply(
-        &self,
-        slot: usize,
-        id: u64,
-        estimate: f64,
-        model_version: u32,
-        micro_batch: u32,
-        cache_hit: bool,
-        tier: u8,
-        log_std: f64,
-    ) -> Message {
+    fn estimate_reply(&self, slot: usize, id: u64, est: &Estimate) -> Message {
+        let Estimate { model_version, micro_batch, cache_hit, tier, log_std, .. } = *est;
+        let estimate = est.cardinality;
         let detail =
             self.slots[slot].conn.as_ref().is_some_and(|c| c.negotiated && c.caps & CAP_TIER != 0);
         if detail {
@@ -719,10 +658,6 @@ impl Shard {
         } else {
             Message::EstimateResponse { id, estimate, model_version, micro_batch, cache_hit }
         }
-    }
-
-    fn over_budget(&self) -> bool {
-        self.front.inflight_budget > 0 && self.pending.len() >= self.front.inflight_budget
     }
 
     /// Refuse one request under overload. Clients that explicitly
@@ -746,95 +681,71 @@ impl Shard {
         self.respond(slot, response);
     }
 
-    /// Enqueue an admitted request into the shard's batcher.
+    /// Admission control, then the service's lane: a request over the
+    /// in-flight budget is shed before any other work; a cache hit is
+    /// answered on the spot; a miss rides the batcher until the
+    /// end-of-pass flush.
     fn admit(
         &mut self,
         slot: usize,
         id: u64,
-        query_key: Option<Vec<u8>>,
         started: Option<Instant>,
         query: Query,
         feedback_actual: Option<u64>,
     ) {
-        // A feedback request keeps its own copy to score once the batch
-        // resolves; an estimate's query moves into the annotation.
-        let feedback = feedback_actual.map(|actual| (query.clone(), actual));
-        let rx = self.batcher.submit(self.service.annotate(query));
+        let budget = self.front.inflight_budget;
+        if budget > 0 && self.batcher.len() >= budget {
+            return self.shed(slot, id, started);
+        }
         let generation = self.slots[slot].generation;
-        self.pending.push(PendingReq { slot, generation, id, query_key, rx, started, feedback });
-        self.obs.inflight.set(self.pending.len() as u64);
-    }
-
-    /// Deliver every batched result to its connection. After the flush
-    /// loop all pending receivers have answers, so this empties the
-    /// queue except when the batcher shut down mid-flight.
-    fn resolve_pending(&mut self) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            match self.pending[i].rx.try_recv() {
-                Ok(batched) => {
-                    let req = self.pending.swap_remove(i);
-                    self.finish(req, Some(batched));
-                }
-                Err(TryRecvError::Disconnected) => {
-                    let req = self.pending.swap_remove(i);
-                    self.finish(req, None);
-                }
-                Err(TryRecvError::Empty) => i += 1,
+        let mut req = PendingReq { slot, generation, id, started, feedback: None };
+        match self.service.probe(&query) {
+            Ok(hit) => {
+                req.feedback = feedback_actual.map(|actual| (query, actual));
+                self.finish(req, hit);
+            }
+            Err(query_key) => {
+                // A feedback request keeps its own copy to score once the
+                // batch resolves; an estimate's query moves into the
+                // annotation.
+                req.feedback = feedback_actual.map(|actual| (query.clone(), actual));
+                self.service.enqueue(&mut self.batcher, query, query_key, req);
+                self.obs.inflight.set(self.batcher.len() as u64);
             }
         }
-        self.obs.inflight.set(self.pending.len() as u64);
     }
 
-    fn finish(&mut self, req: PendingReq, batched: Option<BatchedEstimate>) {
-        if req.slot >= self.slots.len()
-            || self.slots[req.slot].generation != req.generation
-            || self.slots[req.slot].conn.is_none()
-        {
+    /// Event-driven micro-batching: everything admitted in this pass
+    /// flushes together on this core, and every answer goes to its
+    /// connection's write backlog.
+    fn flush_batcher(&mut self) {
+        let mut done = std::mem::take(&mut self.done);
+        while self.service.flush(&mut self.batcher, |req, est| done.push((req, est))) > 0 {
+            for (req, est) in done.drain(..) {
+                self.finish(req, est);
+            }
+        }
+        self.done = done;
+        self.obs.inflight.set(0);
+    }
+
+    /// Answer one request with its estimate (cached or freshly batched).
+    fn finish(&mut self, req: PendingReq, est: Estimate) {
+        if self.slots[req.slot].generation != req.generation {
             return; // peer disconnected while its batch ran
         }
-        let response = match batched {
-            Some(batched) => {
-                if let Some(key) = req.query_key {
-                    self.service.cache_insert(
-                        key,
-                        batched.model_version,
-                        CachedEstimate {
-                            cardinality: batched.cardinality,
-                            tier: batched.tier,
-                            log_std: batched.log_std,
-                        },
-                    );
-                }
-                match req.feedback {
-                    Some((query, actual_card)) => {
-                        let _span = SpanTimer::start(&metrics::SERVE_FEEDBACK_NS);
-                        self.service.record_feedback(
-                            &query,
-                            batched.cardinality,
-                            batched.tier,
-                            actual_card,
-                        );
-                        Message::FeedbackAck { id: req.id, model_version: batched.model_version }
-                    }
-                    None => {
-                        if let Some(started) = req.started {
-                            metrics::SERVE_ESTIMATE_NS.record_duration(started.elapsed());
-                        }
-                        self.estimate_reply(
-                            req.slot,
-                            req.id,
-                            batched.cardinality,
-                            batched.model_version,
-                            batched.micro_batch,
-                            false,
-                            batched.tier,
-                            batched.log_std,
-                        )
-                    }
-                }
+        let response = match req.feedback {
+            Some((query, actual_card)) => {
+                let _span = SpanTimer::start(&metrics::SERVE_FEEDBACK_NS);
+                self.service.record_feedback(&query, est.cardinality, est.tier, actual_card);
+                Message::FeedbackAck { id: req.id, model_version: est.model_version }
             }
-            None => error_message(req.id, ServeError::Shutdown.to_string()),
+            None => {
+                if let Some(started) = req.started {
+                    metrics::SERVE_ESTIMATE_NS.record_duration(started.elapsed());
+                }
+                self.estimate_reply(req.slot, req.id, &est)
+            }
         };
         self.respond(req.slot, response);
     }
@@ -845,13 +756,11 @@ impl Shard {
         if matches!(response, Message::Error { .. }) {
             metrics::SERVE_ERRORS.inc();
         }
-        self.scratch.clear();
-        response.encode(&mut self.scratch);
         let conn = match self.slots[slot].conn.as_mut() {
             Some(conn) => conn,
             None => return,
         };
-        conn.outbuf.extend_from_slice(&self.scratch);
+        response.encode(&mut conn.outbuf);
         if !conn.dirty {
             conn.dirty = true;
             self.dirty.push(slot);
@@ -1102,7 +1011,11 @@ mod tests {
 
     #[test]
     fn serves_requests_pings_and_rejects_garbage() {
-        let (service, data) = tiny_service();
+        let one_shard = ServeConfig {
+            front: FrontConfig { shards: 1, ..FrontConfig::default() },
+            ..ServeConfig::default()
+        };
+        let (service, data) = tiny_service_with(one_shard);
         let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         let addr = handle.local_addr();
 
@@ -1118,23 +1031,55 @@ mod tests {
             Some(Message::Pong { id: 5 })
         );
 
-        // A real estimate round-trip, twice (second hits the cache).
-        for expect_hit in [false, true] {
-            write_message(
-                &mut writer,
-                &Message::EstimateRequest { id: 77, query: data[0].query.clone() },
-            )
-            .unwrap();
-            writer.flush().unwrap();
-            match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
-                Some(Message::EstimateResponse { id, estimate, cache_hit, .. }) => {
-                    assert_eq!(id, 77);
-                    assert!(estimate >= 1.0);
-                    assert_eq!(cache_hit, expect_hit);
+        // Real estimate round-trips, each query twice (the repeat hits
+        // the cache).
+        let mut served = Vec::new();
+        for (i, l) in data.iter().take(8).enumerate() {
+            for expect_hit in [false, true] {
+                let id = 70 + i as u64;
+                write_message(
+                    &mut writer,
+                    &Message::EstimateRequest { id, query: l.query.clone() },
+                )
+                .unwrap();
+                writer.flush().unwrap();
+                match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
+                    Some(Message::EstimateResponse {
+                        id: rid,
+                        estimate,
+                        model_version,
+                        cache_hit,
+                        ..
+                    }) => {
+                        assert_eq!(rid, id);
+                        assert!(estimate >= 1.0);
+                        assert_eq!(cache_hit, expect_hit);
+                        served.push((estimate.to_bits(), model_version, cache_hit));
+                    }
+                    other => panic!("unexpected reply: {other:?}"),
                 }
-                other => panic!("unexpected reply: {other:?}"),
             }
         }
+
+        // The shard ran those down the same lane the in-process API
+        // drives: an identical service asked directly gives the same bits
+        // and ends with the same counters.
+        let (twin, _) = tiny_service_with(one_shard);
+        let mut direct = Vec::new();
+        for l in data.iter().take(8) {
+            for _ in 0..2 {
+                let pending = twin.submit(&l.query);
+                twin.flush_now();
+                let got = pending.wait().unwrap();
+                direct.push((got.cardinality.to_bits(), got.model_version, got.cache_hit));
+            }
+        }
+        assert_eq!(served, direct, "the wire and the in-process lane disagree");
+        let cache = service.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (8, 8));
+        assert_eq!(cache, twin.cache_stats());
+        assert_eq!(service.batch_stats(), twin.batch_stats());
+        assert_eq!(service.batch_stats().requests, 8, "shard flushes count on the service");
 
         // Garbage: declared length 16, bodies of zeros → decode error,
         // server answers with an Error frame and closes the connection.

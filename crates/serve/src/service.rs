@@ -1,14 +1,20 @@
 //! The estimation service: registry → cache → batcher glued behind one
 //! call, plus the self-healing feedback loop.
 //!
-//! [`EstimationService::estimate`] is the whole request path of the
-//! server, in process form: compute the canonical cache key, probe the
-//! sharded LRU, annotate the query against the materialized samples on a
-//! miss (§3.4 runtime featurization — no query execution), enqueue into
-//! the micro-batcher, and cache the result under the producing model's
-//! version. [`EstimationService::submit`] exposes the non-blocking half
-//! so callers holding many queries can enqueue them all before waiting —
-//! that is what makes the coalesced path reachable from a single thread.
+//! A request runs through one lane, whoever carries it: compute the
+//! canonical cache key and probe the sharded LRU (`probe`); on a miss
+//! annotate the query against the materialized samples (§3.4 runtime
+//! featurization — no query execution) and push it into a
+//! [`MicroBatcher`] (`enqueue`); flush the batcher and cache each result
+//! under the producing model's version (`flush`). A reactor shard of the TCP front owns
+//! a batcher of its own and drives those three calls from its readiness
+//! loop. In process, [`EstimationService::submit`] /
+//! [`PendingEstimate::wait`] drive the same three calls over a batcher
+//! the service keeps behind a mutex: `submit` is the non-blocking half,
+//! so a caller holding many queries can enqueue them all before waiting,
+//! and `wait` on an unflushed request flushes on the caller's own thread
+//! — concurrent callers coalesce into whoever flushes first. There is no
+//! batcher thread.
 //!
 //! [`EstimationService::feedback`] closes the maintenance loop the paper
 //! leaves open (§5 "Updates"): each `(query, actual)` observation is
@@ -21,25 +27,19 @@
 //! micro-batches keep their snapshot, the version-keyed cache
 //! invalidates for free, and the drift windows reset so stale
 //! pre-retrain q-errors cannot immediately re-trip.
-//!
-//! Inference itself rides `lc_core`'s allocation-free compute core: the
-//! batcher worker's scratch arena persists across batches, and large
-//! coalesced batches go block-parallel inside `estimate_all` without
-//! changing a single output bit (see `lc_nn`'s kernel determinism
-//! notes), so the service can raise `max_batch` for throughput without
-//! a correctness trade.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use lc_core::train_incremental;
 use lc_engine::{Database, SampleSet};
-use lc_obs::{metrics, RateLimitedLog, SpanTimer};
+use lc_obs::{metrics, Histogram, RateLimitedLog, SpanTimer};
 use lc_query::{annotate_query, Query};
 
-use crate::batcher::{BatchStats, BatchedEstimate, BatcherConfig, MicroBatcher};
+pub use crate::batcher::Estimate;
+use crate::batcher::{BatchStats, BatcherConfig, MicroBatcher};
 use crate::cache::{CacheStats, CachedEstimate, EstimateCache};
 use crate::config::{FrontConfig, ServeConfig};
 use crate::drift::{DriftDecision, DriftMonitor};
@@ -63,24 +63,22 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One served estimate plus its serving metadata.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Estimate {
-    /// Estimated cardinality in rows (≥ 1).
-    pub cardinality: f64,
-    /// Version of the model snapshot that produced (or originally
-    /// produced, for cache hits) the estimate.
-    pub model_version: u32,
-    /// True if the answer came from the cache without inference.
-    pub cache_hit: bool,
-    /// Requests coalesced into the same forward pass (0 for cache hits).
-    pub micro_batch: u32,
-    /// Pipeline tier that produced (or originally produced, for cache
-    /// hits) the estimate — 0 for monolithic estimators, see
-    /// `crate::tier` for the routed ids.
-    pub tier: u8,
-    /// The primary model's log-std trust signal for this query.
-    pub log_std: f64,
+/// What rides a [`MicroBatcher`] on this service's lane: the owner's
+/// token plus the cache key its answer fills.
+pub(crate) struct Ticket<T> {
+    /// Canonical query bytes without the version suffix — appended when
+    /// the flush (and thus the producing version) is known. `None` when
+    /// the cache is disabled.
+    query_key: Option<Vec<u8>>,
+    token: T,
+}
+
+/// The batcher behind the in-process [`EstimationService::submit`].
+struct Lane {
+    batcher: MicroBatcher<Ticket<Sender<Estimate>>>,
+    /// Set by [`EstimationService::shutdown`]: later submissions are
+    /// refused instead of queued.
+    shutdown: bool,
 }
 
 /// A long-lived, thread-safe estimation service. Share it across
@@ -90,7 +88,10 @@ pub struct EstimationService {
     samples: SampleSet,
     registry: Arc<ModelRegistry>,
     cache: EstimateCache,
-    batcher: MicroBatcher,
+    batcher_config: BatcherConfig,
+    lane: Mutex<Lane>,
+    /// Batch sizes of every flush on this lane, the shards' included.
+    flushed: Histogram,
     drift: Arc<DriftMonitor>,
     /// Sizing/admission policy of the sharded TCP front, carried here so
     /// `serve(service, addr)` needs no extra argument.
@@ -104,7 +105,7 @@ pub struct EstimationService {
 }
 
 /// An estimate in flight: either answered from the cache at submit time
-/// or waiting on the micro-batcher. Produced by
+/// or queued for the next flush. Produced by
 /// [`EstimationService::submit`]; redeem it with
 /// [`PendingEstimate::wait`].
 pub struct PendingEstimate<'a> {
@@ -114,27 +115,7 @@ pub struct PendingEstimate<'a> {
 
 enum PendingState {
     Ready(Estimate),
-    Waiting {
-        /// Canonical query bytes — the version suffix is appended when
-        /// the batch result (and thus the producing version) is known.
-        query_key: Vec<u8>,
-        rx: Receiver<BatchedEstimate>,
-    },
-}
-
-/// Outcome of [`EstimationService::probe_cache`] — the non-blocking
-/// cache probe the sharded TCP front runs before enqueueing into its
-/// per-shard batcher.
-pub(crate) enum CacheProbe {
-    /// Answered from the cache; no inference needed.
-    Hit(Estimate),
-    /// Not cached: `query_key` is the bare canonical encoding to pass to
-    /// [`EstimationService::cache_insert`] once the producing version is
-    /// known (`None` when the cache is disabled).
-    Miss {
-        /// Canonical query bytes without the version suffix.
-        query_key: Option<Vec<u8>>,
-    },
+    Waiting(Receiver<Estimate>),
 }
 
 impl PendingEstimate<'_> {
@@ -143,33 +124,24 @@ impl PendingEstimate<'_> {
         matches!(self.state, PendingState::Ready(_))
     }
 
-    /// Block until the estimate is available, inserting batch-produced
-    /// results into the cache.
+    /// Block until the estimate is available. A request nobody flushed
+    /// yet is flushed here, on the caller's thread, together with
+    /// everything else queued.
     pub fn wait(self) -> Result<Estimate, ServeError> {
-        match self.state {
-            PendingState::Ready(estimate) => Ok(estimate),
-            PendingState::Waiting { mut query_key, rx } => {
-                let batched = rx.recv().map_err(|_| ServeError::Shutdown)?;
-                if self.service.cache.enabled() {
-                    query_key.extend_from_slice(&batched.model_version.to_le_bytes());
-                    self.service.cache.insert(
-                        query_key,
-                        CachedEstimate {
-                            cardinality: batched.cardinality,
-                            tier: batched.tier,
-                            log_std: batched.log_std,
-                        },
-                    );
-                }
-                Ok(Estimate {
-                    cardinality: batched.cardinality,
-                    model_version: batched.model_version,
-                    cache_hit: false,
-                    micro_batch: batched.micro_batch,
-                    tier: batched.tier,
-                    log_std: batched.log_std,
-                })
-            }
+        let rx = match self.state {
+            PendingState::Ready(estimate) => return Ok(estimate),
+            PendingState::Waiting(rx) => rx,
+        };
+        loop {
+            // Flushes run under the lane lock, so once `flush_now`
+            // returns this request was either answered (by this flush or
+            // a concurrent caller's) or is still queued behind more than
+            // `max_batch` older ones — flush again.
+            match rx.try_recv() {
+                Ok(estimate) => return Ok(estimate),
+                Err(TryRecvError::Disconnected) => return Err(ServeError::Shutdown),
+                Err(TryRecvError::Empty) => self.service.flush_now(),
+            };
         }
     }
 }
@@ -189,7 +161,12 @@ impl EstimationService {
             db,
             samples,
             cache: EstimateCache::new(config.cache),
-            batcher: MicroBatcher::new(Arc::clone(&registry), config.batcher),
+            batcher_config: config.batcher,
+            lane: Mutex::new(Lane {
+                batcher: MicroBatcher::new(Arc::clone(&registry), config.batcher),
+                shutdown: false,
+            }),
+            flushed: Histogram::new(),
             registry,
             drift: Arc::new(DriftMonitor::new(config.drift)),
             front: config.front,
@@ -198,41 +175,99 @@ impl EstimationService {
         }
     }
 
-    /// Non-blocking request entry: probe the cache, and on a miss
-    /// annotate + enqueue into the micro-batcher. Submitting many
-    /// queries before waiting on any lets one thread fill a whole
-    /// micro-batch.
-    pub fn submit(&self, query: &Query) -> PendingEstimate<'_> {
-        // When the cache is disabled, skip key construction entirely —
-        // the hot path then carries zero cache overhead.
-        let mut query_key = Vec::new();
-        if self.cache.enabled() {
-            // Probe with the version suffix appended in place, then
-            // strip it again for the Waiting state (wait() re-appends
-            // the *producing* version) — one allocation, no clone.
-            query_key = query.to_canonical_bytes();
-            let version = self.registry.active_version();
-            query_key.extend_from_slice(&version.to_le_bytes());
-            if let Some(cached) = self.cache.get(&query_key) {
-                metrics::CACHE_HITS.inc();
-                return PendingEstimate {
-                    service: self,
-                    state: PendingState::Ready(Estimate {
-                        cardinality: cached.cardinality,
-                        model_version: version,
-                        cache_hit: true,
-                        micro_batch: 0,
-                        tier: cached.tier,
-                        log_std: cached.log_std,
-                    }),
-                };
-            }
-            query_key.truncate(query_key.len() - 4);
-            metrics::CACHE_MISSES.inc();
+    /// An empty batcher on this service's lane, for a caller that owns
+    /// its own queue (one per reactor shard).
+    pub(crate) fn batcher<T>(&self) -> MicroBatcher<Ticket<T>> {
+        MicroBatcher::new(Arc::clone(&self.registry), self.batcher_config)
+    }
+
+    /// Lane step 1: probe the cache. `Ok` is a hit; `Err` carries the
+    /// miss's cache key for `enqueue` (`None` when
+    /// the cache is disabled — the hot path then builds no key at all).
+    pub(crate) fn probe(&self, query: &Query) -> Result<Estimate, Option<Vec<u8>>> {
+        if !self.cache.enabled() {
+            return Err(None);
         }
-        let annotated = annotate_query(&self.db, &self.samples, query.clone());
-        let rx = self.batcher.submit(annotated);
-        PendingEstimate { service: self, state: PendingState::Waiting { query_key, rx } }
+        // Probe with the version suffix appended in place, then strip it
+        // again: the flush re-appends the *producing* version — one
+        // allocation, no clone.
+        let mut query_key = query.to_canonical_bytes();
+        let version = self.registry.active_version();
+        query_key.extend_from_slice(&version.to_le_bytes());
+        if let Some(cached) = self.cache.get(&query_key) {
+            metrics::CACHE_HITS.inc();
+            return Ok(Estimate {
+                cardinality: cached.cardinality,
+                model_version: version,
+                cache_hit: true,
+                micro_batch: 0,
+                tier: cached.tier,
+                log_std: cached.log_std,
+            });
+        }
+        query_key.truncate(query_key.len() - 4);
+        metrics::CACHE_MISSES.inc();
+        Err(Some(query_key))
+    }
+
+    /// Lane step 2, for a miss: annotate `query` against this service's
+    /// materialized samples (the featurization input the model expects)
+    /// and queue it. `token` comes back from the flush that answers it.
+    pub(crate) fn enqueue<T>(
+        &self,
+        batcher: &mut MicroBatcher<Ticket<T>>,
+        query: Query,
+        query_key: Option<Vec<u8>>,
+        token: T,
+    ) {
+        batcher.push(annotate_query(&self.db, &self.samples, query), Ticket { query_key, token });
+    }
+
+    /// Lane step 3: run one batch of `batcher`, cache every result under
+    /// the producing model version and hand each token its estimate.
+    /// Returns the batch size (0 when nothing was queued).
+    pub(crate) fn flush<T>(
+        &self,
+        batcher: &mut MicroBatcher<Ticket<T>>,
+        mut deliver: impl FnMut(T, Estimate),
+    ) -> usize {
+        let n = batcher.flush(|ticket, estimate| {
+            if let Some(mut key) = ticket.query_key {
+                key.extend_from_slice(&estimate.model_version.to_le_bytes());
+                self.cache.insert(
+                    key,
+                    CachedEstimate {
+                        cardinality: estimate.cardinality,
+                        tier: estimate.tier,
+                        log_std: estimate.log_std,
+                    },
+                );
+            }
+            deliver(ticket.token, estimate);
+        });
+        if n > 0 {
+            self.flushed.record(n as u64);
+        }
+        n
+    }
+
+    /// Non-blocking request entry: probe the cache, and on a miss
+    /// annotate + enqueue. Submitting many queries before waiting on any
+    /// lets one thread fill a whole micro-batch.
+    pub fn submit(&self, query: &Query) -> PendingEstimate<'_> {
+        let state = match self.probe(query) {
+            Ok(hit) => PendingState::Ready(hit),
+            Err(query_key) => {
+                let (tx, rx) = channel();
+                let mut lane = self.lane();
+                // After shutdown `tx` drops here: `wait` reports it.
+                if !lane.shutdown {
+                    self.enqueue(&mut lane.batcher, query.clone(), query_key, tx);
+                }
+                PendingState::Waiting(rx)
+            }
+        };
+        PendingEstimate { service: self, state }
     }
 
     /// Estimate one query, blocking until the answer is available.
@@ -294,60 +329,6 @@ impl EstimationService {
             metrics::DRIFT_TRIPS.inc();
             self.schedule_retrain();
         }
-    }
-
-    /// The cache half of [`EstimationService::submit`] for callers that
-    /// run their own micro-batcher (the sharded TCP front): probe only,
-    /// never enqueue. Hit/miss counters record exactly as in `submit`.
-    pub(crate) fn probe_cache(&self, query: &Query) -> CacheProbe {
-        if !self.cache.enabled() {
-            return CacheProbe::Miss { query_key: None };
-        }
-        let mut query_key = query.to_canonical_bytes();
-        let version = self.registry.active_version();
-        query_key.extend_from_slice(&version.to_le_bytes());
-        if let Some(cached) = self.cache.get(&query_key) {
-            metrics::CACHE_HITS.inc();
-            return CacheProbe::Hit(Estimate {
-                cardinality: cached.cardinality,
-                model_version: version,
-                cache_hit: true,
-                micro_batch: 0,
-                tier: cached.tier,
-                log_std: cached.log_std,
-            });
-        }
-        query_key.truncate(query_key.len() - 4);
-        metrics::CACHE_MISSES.inc();
-        CacheProbe::Miss { query_key: Some(query_key) }
-    }
-
-    /// Insert a batch-produced estimate under the producing model
-    /// version — the insert half of [`PendingEstimate::wait`], for the
-    /// sharded front's resolution path.
-    pub(crate) fn cache_insert(
-        &self,
-        mut query_key: Vec<u8>,
-        model_version: u32,
-        value: CachedEstimate,
-    ) {
-        if self.cache.enabled() {
-            query_key.extend_from_slice(&model_version.to_le_bytes());
-            self.cache.insert(query_key, value);
-        }
-    }
-
-    /// Annotate `query` against this service's database snapshot and
-    /// materialized samples (the featurization input every batcher
-    /// expects). The query moves into its annotation.
-    pub(crate) fn annotate(&self, query: Query) -> lc_query::LabeledQuery {
-        annotate_query(&self.db, &self.samples, query)
-    }
-
-    /// The flush policy of this service's batcher — the sharded front
-    /// clones it (with `workers: 0`) for its per-shard batchers.
-    pub(crate) fn batcher_config(&self) -> BatcherConfig {
-        self.batcher.config()
     }
 
     /// The TCP-front sizing/admission policy this service was built with.
@@ -437,33 +418,44 @@ impl EstimationService {
         self.cache.stats()
     }
 
-    /// Micro-batcher counters.
+    /// Flush counters: every request answered by a forward pass on this
+    /// service's behalf, whether a reactor shard or an in-process caller
+    /// ran the flush.
     pub fn batch_stats(&self) -> BatchStats {
-        self.batcher.stats()
+        let sizes = self.flushed.snapshot();
+        BatchStats { requests: sizes.sum, batches: sizes.count(), max_batch: sizes.max }
     }
 
-    /// Synchronously process at most one queued batch (deterministic
-    /// mode, `workers: 0`); returns its size.
+    /// Run at most one batch of what [`EstimationService::submit`]
+    /// queued, on the calling thread; returns its size.
     pub fn flush_now(&self) -> usize {
-        self.batcher.flush_now()
+        let mut lane = self.lane();
+        self.flush(&mut lane.batcher, |tx, estimate| {
+            // A receiver that gave up (dropped its `PendingEstimate`) is
+            // not an error.
+            let _ = tx.send(estimate);
+        })
     }
 
-    /// Stop the batcher: drain queued requests, join workers (including
-    /// any in-flight retrainer), and refuse new submissions. Idempotent
-    /// (also runs on drop).
+    /// Answer what is queued, refuse new submissions, and join any
+    /// in-flight retrainer. Idempotent.
     pub fn shutdown(&self) {
-        self.batcher.shutdown();
+        self.lane().shutdown = true;
+        while self.flush_now() > 0 {}
         let handle = self.retrainer.lock().expect("retrainer slot poisoned").take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
+    }
+
+    fn lane(&self) -> std::sync::MutexGuard<'_, Lane> {
+        self.lane.lock().expect("a flush panicked while holding the lane")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::BatcherConfig;
     use crate::cache::CacheConfig;
     use crate::config::DriftConfig;
     use lc_core::{train, Estimator, FeatureMode, MscnEstimator, TrainConfig};
@@ -489,19 +481,15 @@ mod tests {
         (db, samples, a, b, data)
     }
 
-    fn service(workers: usize) -> (EstimationService, MscnEstimator, Vec<LabeledQuery>) {
+    fn service() -> (EstimationService, MscnEstimator, Vec<LabeledQuery>) {
         let (db, samples, a, _, data) = fixture();
         let registry = Arc::new(ModelRegistry::new(a.clone()));
-        let config = ServeConfig {
-            batcher: BatcherConfig { workers, ..BatcherConfig::default() },
-            ..ServeConfig::default()
-        };
-        (EstimationService::new(db, samples, registry, config), a, data)
+        (EstimationService::new(db, samples, registry, ServeConfig::default()), a, data)
     }
 
     #[test]
     fn estimates_match_direct_inference_and_cache_on_repeat() {
-        let (svc, est, data) = service(1);
+        let (svc, est, data) = service();
         let q = &data[0].query;
         let direct = est.estimate(&data[0]);
         let first = svc.estimate(q).unwrap();
@@ -519,7 +507,7 @@ mod tests {
 
     #[test]
     fn submit_then_wait_coalesces_a_whole_batch() {
-        let (svc, est, data) = service(0);
+        let (svc, est, data) = service();
         let expected: Vec<f64> = data[..16].iter().map(|q| est.estimate(q)).collect();
         let pending: Vec<_> = data[..16].iter().map(|l| svc.submit(&l.query)).collect();
         assert_eq!(svc.flush_now(), 16);
@@ -528,12 +516,85 @@ mod tests {
             assert_eq!(got.cardinality, want);
             assert_eq!(got.micro_batch, 16);
         }
-        assert_eq!(svc.batch_stats().batches, 1);
-        // All 16 answers were cached on wait().
+        let stats = svc.batch_stats();
+        assert_eq!((stats.requests, stats.batches, stats.max_batch), (16, 1, 16));
+        assert!((stats.mean_batch() - 16.0).abs() < 1e-9);
+        // All 16 answers were cached by the flush.
         assert_eq!(svc.cache_stats().entries, 16);
         for l in &data[..16] {
             assert!(svc.submit(&l.query).is_ready());
         }
+    }
+
+    /// Nothing flushes behind the caller's back, so `wait` must: a
+    /// request nobody flushed is answered on the waiting thread, together
+    /// with everything queued behind it — in chunks when the queue is
+    /// longer than `max_batch`.
+    #[test]
+    fn wait_without_an_explicit_flush_answers() {
+        let (svc, est, data) = service();
+        let max_batch = ServeConfig::default().batcher.max_batch;
+        let n = max_batch + 6;
+        let pending: Vec<_> = data[..n].iter().map(|l| svc.submit(&l.query)).collect();
+        assert_eq!(svc.batch_stats().batches, 0, "submit alone runs nothing");
+        // Waiting on the *last* request has to flush its way through the
+        // whole queue.
+        let mut pending = pending.into_iter().zip(&data[..n]).rev();
+        let (last, labeled) = pending.next().unwrap();
+        let got = last.wait().unwrap();
+        assert_eq!(got.cardinality, est.estimate(labeled));
+        assert_eq!(got.micro_batch, 6);
+        let stats = svc.batch_stats();
+        assert_eq!((stats.requests, stats.batches), (n as u64, 2));
+        assert_eq!(stats.max_batch, max_batch as u64);
+        for (p, labeled) in pending {
+            assert_eq!(p.wait().unwrap().cardinality, est.estimate(labeled));
+        }
+        assert_eq!(svc.batch_stats().batches, 2, "the rest were already answered");
+        // And the plain blocking call needs no flush either.
+        let fresh = &data[n];
+        assert_eq!(svc.estimate(&fresh.query).unwrap().cardinality, est.estimate(fresh));
+    }
+
+    /// Concurrent blocking callers share one lane: every answer is
+    /// bitwise the sequential one, every miss is counted once, and a
+    /// caller whose request rode another thread's flush runs none itself.
+    #[test]
+    fn concurrent_estimates_coalesce_on_the_callers_threads() {
+        let (svc, est, data) = service();
+        let expected: Vec<f64> = data.iter().map(|q| est.estimate(q)).collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for chunk in 0..4 {
+                let (svc, data, expected, start) = (&svc, &data, &expected, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in chunk * data.len() / 4..(chunk + 1) * data.len() / 4 {
+                        let got = svc.estimate(&data[i].query).expect("served");
+                        assert_eq!(got.cardinality, expected[i], "query {i} changed");
+                        assert!(got.micro_batch >= 1 || got.cache_hit);
+                    }
+                });
+            }
+        });
+        let (stats, cache) = (svc.batch_stats(), svc.cache_stats());
+        assert_eq!(stats.requests, cache.misses);
+        assert_eq!(cache.hits + cache.misses, data.len() as u64);
+        assert!(stats.batches >= 1 && stats.batches <= stats.requests);
+    }
+
+    #[test]
+    fn shutdown_drains_pending_requests() {
+        let (svc, _, data) = service();
+        let pending: Vec<_> = data[..5].iter().map(|l| svc.submit(&l.query)).collect();
+        svc.shutdown();
+        assert_eq!(svc.batch_stats().requests, 5, "shutdown answered what was queued");
+        for p in pending {
+            assert!(p.wait().is_ok(), "pending request dropped on shutdown");
+        }
+        // After shutdown, new submissions are refused, not queued.
+        assert_eq!(svc.submit(&data[5].query).wait(), Err(ServeError::Shutdown));
+        assert_eq!(svc.batch_stats().requests, 5);
     }
 
     #[test]
@@ -653,7 +714,7 @@ mod tests {
 
     #[test]
     fn estimate_after_shutdown_reports_shutdown() {
-        let (svc, _, data) = service(1);
+        let (svc, _, data) = service();
         svc.shutdown();
         assert_eq!(svc.estimate(&data[0].query), Err(ServeError::Shutdown));
     }
@@ -713,7 +774,7 @@ mod tests {
     /// from the corpus — ln(0) would poison the training targets.
     #[test]
     fn zero_row_feedback_never_reaches_the_corpus() {
-        let (svc, _, data) = service(1);
+        let (svc, _, data) = service();
         for l in data.iter().take(5) {
             svc.feedback(&l.query, 0).expect("feedback");
         }

@@ -167,6 +167,10 @@ fn snapshot_counters_are_consistent_over_a_live_server() {
     }
     let batch_sizes = histogram(&histograms, "batcher.batch_size");
     assert_eq!(batch_sizes.sum, misses, "forwarded queries == cache misses");
+    // The service's own counters agree: a shard's flush is the service's.
+    let batches = service.batch_stats();
+    assert_eq!(batches.requests, misses, "batch_stats() must count the shards' flushes");
+    assert_eq!(batches.batches, batch_sizes.buckets.iter().sum::<u64>());
 
     handle.shutdown();
     service.shutdown();

@@ -74,6 +74,10 @@ fn main() {
         cache.entries
     );
     assert_eq!(report.errors, 0, "a request failed during the run");
+    // The shards' flushes are the service's flushes: every cache miss was
+    // answered by exactly one forward pass.
+    assert_eq!(batches.requests, cache.misses, "server-side batch counters out of step");
+    assert!(batches.batches >= 1);
     assert!(report.qps > 0.0);
 
     handle.shutdown();
