@@ -3,8 +3,8 @@
 //!
 //! Random Sampling and the IBJS fallback estimate a filtered join as
 //! `Π selectivities × |unfiltered join|`; the unfiltered star-join size for
-//! any edge subset is cheap to precompute exactly (one fan-out array per
-//! edge, then one multiply-accumulate pass per subset).
+//! any edge subset is cheap to precompute exactly (the database's stored
+//! fan-out array per edge, then one multiply-accumulate pass per subset).
 
 use lc_engine::{Database, JoinId};
 
@@ -28,20 +28,7 @@ impl FullJoinSizes {
         let num_edges = db.schema().num_joins();
         assert!(num_edges <= 20, "too many join edges for subset enumeration");
         let center_rows = db.table(db.schema().center).num_rows();
-        // Per-edge fan-out arrays.
-        let fanouts: Vec<Vec<u32>> = db
-            .schema()
-            .joins
-            .iter()
-            .map(|e| {
-                let keys = db.table(e.fact).column(e.fact_col).raw_slice();
-                let mut f = vec![0u32; center_rows];
-                for &k in keys {
-                    f[k as usize] += 1;
-                }
-                f
-            })
-            .collect();
+        let fanouts: Vec<&[u32]> = (0..num_edges).map(|e| db.fanout(JoinId(e as u16))).collect();
         let mut sizes = vec![0u64; (1usize << num_edges) - 1];
         for mask in 1usize..(1 << num_edges) {
             let edges: Vec<usize> = (0..num_edges).filter(|i| mask >> i & 1 == 1).collect();

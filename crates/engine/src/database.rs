@@ -3,7 +3,9 @@
 //! executor relies on.
 
 use crate::column::{Column, ColumnStats};
-use crate::schema::{ColumnRole, Schema, TableId};
+use crate::predicate::Predicate;
+use crate::sample::Bitmap;
+use crate::schema::{ColumnRole, JoinId, Schema, TableId};
 
 /// Columnar data for one table.
 #[derive(Clone, Debug, Default)]
@@ -42,6 +44,18 @@ impl Table {
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
     }
+
+    /// The rows satisfying every predicate of `preds` (all of which must be
+    /// on this table), as a bitmap over row ids: one
+    /// [`Column::and_matching`] scan per predicate. With no predicates this
+    /// is all rows.
+    pub fn qualifying<'a>(&self, preds: impl IntoIterator<Item = &'a Predicate>) -> Bitmap {
+        let mut rows = Bitmap::ones(self.num_rows);
+        for p in preds {
+            self.column(p.column).and_matching(p.op, p.value, rows.words_mut());
+        }
+        rows
+    }
 }
 
 /// An immutable database snapshot: schema, data, statistics.
@@ -53,6 +67,8 @@ pub struct Database {
     schema: Schema,
     tables: Vec<Table>,
     stats: Vec<Vec<ColumnStats>>,
+    /// Per join edge, the number of fact rows carrying each center key.
+    fanouts: Vec<Vec<u32>>,
 }
 
 impl Database {
@@ -104,7 +120,20 @@ impl Database {
             .iter()
             .map(|t| (0..t.num_columns()).map(|c| t.column(c).stats()).collect())
             .collect();
-        Database { schema, tables, stats }
+        // Every join column was just checked to land in the center's rows.
+        let center_rows = tables[schema.center.index()].num_rows();
+        let fanouts = schema
+            .joins
+            .iter()
+            .map(|e| {
+                let mut counts = vec![0u32; center_rows];
+                for &k in tables[e.fact.index()].column(e.fact_col).raw_slice() {
+                    counts[k as usize] += 1;
+                }
+                counts
+            })
+            .collect();
+        Database { schema, tables, stats, fanouts }
     }
 
     /// The schema.
@@ -125,6 +154,15 @@ impl Database {
         &self.stats[t.index()][column]
     }
 
+    /// The unfiltered fan-out of join edge `j`: per center key, the number
+    /// of rows of the edge's fact table carrying it. Counted once, at
+    /// construction — it depends on no query, and the label oracle needs it
+    /// for every join whose fact side has no predicate.
+    #[inline]
+    pub fn fanout(&self, j: JoinId) -> &[u32] {
+        &self.fanouts[j.index()]
+    }
+
     /// Total number of rows across all tables.
     pub fn total_rows(&self) -> usize {
         self.tables.iter().map(Table::num_rows).sum()
@@ -134,6 +172,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::CmpOp;
     use crate::schema::{ColumnDef, JoinEdge, TableDef};
 
     pub(crate) fn tiny_schema() -> Schema {
@@ -175,6 +214,24 @@ mod tests {
         assert_eq!((ys.min, ys.max, ys.ndv, ys.null_count), (1990, 2005, 2, 1));
         let cs = db.column_stats(TableId(1), 1);
         assert_eq!((cs.min, cs.max, cs.ndv), (7, 9, 3));
+    }
+
+    #[test]
+    fn fanouts_are_counted_once_and_cloned() {
+        let db = tiny_db();
+        // mc.movie_id = [0, 0, 2, 2, 2] over three title rows.
+        assert_eq!(db.fanout(JoinId(0)), [2, 0, 3]);
+        assert_eq!(db.clone().fanout(JoinId(0)), [2, 0, 3]);
+    }
+
+    #[test]
+    fn qualifying_is_the_conjunction() {
+        let mc = tiny_db();
+        let mc = mc.table(TableId(1));
+        let p = |column, op, value| Predicate { table: TableId(1), column, op, value };
+        assert_eq!(mc.qualifying([]).iter_ones().collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        let preds = [p(1, CmpOp::Gt, 7), p(0, CmpOp::Eq, 2)];
+        assert_eq!(mc.qualifying(&preds).iter_ones().collect::<Vec<_>>(), [3, 4]);
     }
 
     #[test]

@@ -11,12 +11,24 @@
 //! |Q| = Σ_{t ∈ sel(c)}  Π_{f ∈ facts(Q)} cnt_f[t.id]
 //! ```
 //!
-//! which [`count_star`] computes in one pass over each participating table.
+//! which [`count_star`] computes as a column scan. The rows of a table that
+//! pass its predicates are a [`Bitmap`] from [`Table::qualifying`] — 64 rows
+//! per compare-and-fold, the same evaluator that probes the materialized
+//! samples. A table outside the join contributes the bitmap's population
+//! count; a predicated fact side bumps `cnt_f` for the set bits only; a fact
+//! side *without* predicates needs no scan at all, because its `cnt_f` does
+//! not depend on the query and [`Database::fanout`] counted it once; and the
+//! final sum visits the set bits of `sel(c)`.
 //! [`count_star_naive`] is an exponential nested-loop reference used to
 //! property-test the fast path on small databases.
+//!
+//! [`Table::qualifying`]: crate::Table::qualifying
+
+use std::borrow::Cow;
 
 use crate::database::Database;
-use crate::predicate::{count_matching, row_matches_all, Predicate};
+use crate::predicate::Predicate;
+use crate::sample::Bitmap;
 use crate::schema::{JoinId, TableId};
 
 /// A query in engine terms: the three sets `(T_q, J_q, P_q)` of the paper's
@@ -51,33 +63,7 @@ impl QuerySpec<'_> {
     }
 }
 
-/// Count rows of fact table `fact` passing `preds`, bucketed by join key.
-/// Returns a dense vector indexed by center key.
-fn filtered_fanouts(
-    db: &Database,
-    fact: TableId,
-    fact_col: usize,
-    preds: &[Predicate],
-    center_rows: usize,
-) -> Vec<u32> {
-    let data = db.table(fact);
-    let keys = data.column(fact_col).raw_slice();
-    let mut counts = vec![0u32; center_rows];
-    if preds.is_empty() {
-        for &k in keys {
-            counts[k as usize] += 1;
-        }
-    } else {
-        for (row, &k) in keys.iter().enumerate() {
-            if row_matches_all(data, preds, row) {
-                counts[k as usize] += 1;
-            }
-        }
-    }
-    counts
-}
-
-/// Exact cardinality of a filtered star join, in one pass per table.
+/// Exact cardinality of a filtered star join, in one scan per predicate.
 ///
 /// Tables not connected through a join edge contribute as cross-product
 /// factors (the paper's generator never produces such queries, but the
@@ -88,16 +74,28 @@ fn filtered_fanouts(
 /// [`QuerySpec`] field docs).
 pub fn count_star(db: &Database, spec: &QuerySpec) -> u64 {
     spec.validate(db);
-    let center = db.schema().center;
+    let schema = db.schema();
+    let center = schema.center;
+    // The rows of `t` passing its predicates; `None` when it has none,
+    // which is every row and costs nothing.
+    let qualifying = |t: TableId| -> Option<Bitmap> {
+        let mut preds = spec.predicates.iter().filter(|p| p.table == t).peekable();
+        preds.peek().is_some().then(|| db.table(t).qualifying(preds))
+    };
 
-    // Split tables into: center, joined facts, and disconnected tables.
-    let joined_facts: Vec<TableId> = spec.joins.iter().map(|&j| db.schema().join(j).fact).collect();
     let mut cross_factor = 1u64;
     for &t in spec.tables {
-        let is_center_in_join = t == center && !spec.joins.is_empty();
-        if !is_center_in_join && !joined_facts.contains(&t) {
-            let preds = spec.predicates_on(t);
-            cross_factor = cross_factor.saturating_mul(count_matching(db.table(t), &preds));
+        let joined = if t == center {
+            !spec.joins.is_empty()
+        } else {
+            spec.joins.iter().any(|&j| schema.join(j).fact == t)
+        };
+        if !joined {
+            let rows = match qualifying(t) {
+                Some(rows) => u64::from(rows.count_ones()),
+                None => db.table(t).num_rows() as u64,
+            };
+            cross_factor = cross_factor.saturating_mul(rows);
             if cross_factor == 0 {
                 return 0;
             }
@@ -108,34 +106,30 @@ pub fn count_star(db: &Database, spec: &QuerySpec) -> u64 {
     }
 
     let center_rows = db.table(center).num_rows();
-    let fanouts: Vec<Vec<u32>> = spec
+    let fanouts: Vec<Cow<[u32]>> = spec
         .joins
         .iter()
         .map(|&j| {
-            let edge = db.schema().join(j);
-            let preds = spec.predicates_on(edge.fact);
-            filtered_fanouts(db, edge.fact, edge.fact_col, &preds, center_rows)
+            let edge = schema.join(j);
+            match qualifying(edge.fact) {
+                None => Cow::Borrowed(db.fanout(j)),
+                Some(rows) => {
+                    let keys = db.table(edge.fact).column(edge.fact_col).raw_slice();
+                    let mut counts = vec![0u32; center_rows];
+                    for row in rows.iter_ones() {
+                        counts[keys[row] as usize] += 1;
+                    }
+                    Cow::Owned(counts)
+                }
+            }
         })
         .collect();
 
-    let center_preds = spec.predicates_on(center);
-    let center_data = db.table(center);
-    let mut total = 0u64;
-    for row in 0..center_rows {
-        if !center_preds.is_empty() && !row_matches_all(center_data, &center_preds, row) {
-            continue;
-        }
-        let mut product = 1u64;
-        for f in &fanouts {
-            let c = f[row] as u64;
-            if c == 0 {
-                product = 0;
-                break;
-            }
-            product *= c;
-        }
-        total += product;
-    }
+    let product = |row: usize| fanouts.iter().map(|f| u64::from(f[row])).product::<u64>();
+    let total: u64 = match qualifying(center) {
+        Some(rows) => rows.iter_ones().map(product).sum(),
+        None => (0..center_rows).map(product).sum(),
+    };
     total.saturating_mul(cross_factor)
 }
 

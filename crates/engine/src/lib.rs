@@ -7,16 +7,18 @@
 //!
 //! * [`Schema`] / [`Database`]: columnar tables of `i64` values (with
 //!   nullability), a PK/FK **star** join graph centered on a dimension table
-//!   (`title` in the IMDb-like schema), and exact per-column statistics.
+//!   (`title` in the IMDb-like schema), exact per-column statistics and
+//!   the unfiltered fan-out of every join edge.
 //! * [`Predicate`]: conjunctive `=`, `<`, `>` predicates on numeric columns —
 //!   exactly the predicate language of the paper's query generator (§3.3).
 //! * [`SampleSet`] / [`Bitmap`]: materialized uniform per-table samples and
 //!   the qualifying-sample bitmaps that MSCN featurizes (§3.4).
 //! * [`JoinIndexes`]: CSR indexes from join-key to fact rows, the "existing
 //!   index structures" probed by Index-Based Join Sampling.
-//! * [`count_star`]: exact cardinality of a filtered star join in
-//!   O(qualifying rows), and [`count_star_naive`], a brute-force reference
-//!   used by the property-test suite.
+//! * [`count_star`]: exact cardinality of a filtered star join, one
+//!   word-packed column scan per predicate ([`Column::and_matching`], the
+//!   evaluator the samples are probed with too), and [`count_star_naive`],
+//!   a brute-force reference used by the property-test suite.
 
 pub mod column;
 pub mod database;

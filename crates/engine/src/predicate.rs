@@ -1,6 +1,13 @@
 //! Conjunctive base-table predicates of the form `(col, op, val)` with
 //! `op ∈ {=, <, >}` — the exact predicate language of the paper's query
 //! generator (§3.3). Predicates never match NULL (SQL semantics).
+//!
+//! Sets of rows are selected by [`Table::qualifying`], a word-packed scan
+//! per predicate ([`crate::Column::and_matching`]); [`filter_rows`] and
+//! [`count_matching`] are views of its bitmap. [`Predicate::matches_row`] /
+//! [`row_matches_all`] are the row-at-a-time definition of the same thing:
+//! the reference the tests compare the scan against, and what Index-Based
+//! Join Sampling uses to check the single rows it reaches through an index.
 
 use crate::database::Table;
 use crate::schema::TableId;
@@ -86,55 +93,13 @@ pub fn row_matches_all(table_data: &Table, preds: &[Predicate], row: usize) -> b
 /// Collect the row ids of `table_data` satisfying all `preds`.
 /// With no predicates this is all rows.
 pub fn filter_rows(table_data: &Table, preds: &[Predicate]) -> Vec<u32> {
-    let n = table_data.num_rows();
-    let mut out = Vec::new();
-    match preds {
-        [] => out.extend(0..n as u32),
-        [single] => {
-            // Hot path: one predicate, scan the raw buffer.
-            let col = table_data.column(single.column);
-            let data = col.raw_slice();
-            match col.validity() {
-                None => {
-                    for (i, &v) in data.iter().enumerate() {
-                        if single.op.matches(v, single.value) {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-                Some(mask) => {
-                    for (i, &v) in data.iter().enumerate() {
-                        if mask[i] && single.op.matches(v, single.value) {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-            }
-        }
-        _ => {
-            for row in 0..n {
-                if row_matches_all(table_data, preds, row) {
-                    out.push(row as u32);
-                }
-            }
-        }
-    }
-    out
+    table_data.qualifying(preds).iter_ones().map(|row| row as u32).collect()
 }
 
 /// Count the rows of `table_data` satisfying all `preds` without
 /// materializing a selection vector.
 pub fn count_matching(table_data: &Table, preds: &[Predicate]) -> u64 {
-    if preds.is_empty() {
-        return table_data.num_rows() as u64;
-    }
-    let mut count = 0u64;
-    for row in 0..table_data.num_rows() {
-        if row_matches_all(table_data, preds, row) {
-            count += 1;
-        }
-    }
-    count
+    u64::from(table_data.qualifying(preds).count_ones())
 }
 
 #[cfg(test)]

@@ -12,29 +12,29 @@
 //! The sample is *materialized*, as in the paper and in Deep Sketches
 //! (which ships the samples inside the sketch so that estimating never
 //! touches the database): [`SampleSet::draw`] copies the sampled rows out
-//! of the base tables into a column-major store of its own. Per table and
-//! column that is a dense `Vec<i64>` in sample-position order (NULL slots
-//! hold 0) plus a validity mask packed into `u64` words, and per table one
-//! `present` mask of the positions that hold a sampled row at all — a table
-//! smaller than `sample_size` is fully sampled and its tail positions stay
-//! absent. Values are padded to whole 64-position words, so probing a
-//! predicate is a branch-free scan of one column: 64 compares fold into a
-//! word, which is then ANDed with the validity word (NULL never matches).
-//! A conjunction is the AND of its predicates' bitmaps and the table's
-//! `present` mask; nothing on this path reads the [`Database`].
+//! of the base tables into a [`Table`] of its own, in sample-position
+//! order — the same [`Column`] layout as the base tables (dense `Vec<i64>`,
+//! NULL slots hold 0, validity packed into `u64` words) — plus, per table,
+//! one `present` mask of the positions that hold a sampled row at all: a
+//! table smaller than `sample_size` is fully sampled and its tail positions
+//! stay absent. Probing a predicate is therefore the same branch-free scan
+//! that labels queries on the base tables, [`Column::and_matching`], started
+//! from the `present` mask. A conjunction is the AND of its predicates'
+//! bitmaps; nothing on this path reads the [`Database`].
 //!
-//! Memory: 8 B × sampled rows (rounded up to 64) × columns per table, plus
-//! one bit per value — about 8 KB for the IMDb-like schema (16 columns) at
-//! 64 samples, about 130 KB at the paper's 1,000.
+//! Memory: 8 B × sampled rows × columns per table, plus one bit per value
+//! of a column with NULLs — about 8 KB for the IMDb-like schema (16
+//! columns) at 64 samples, about 130 KB at the paper's 1,000.
 
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 
+use crate::column::Column;
 use crate::database::{Database, Table};
-use crate::predicate::{CmpOp, Predicate};
+use crate::predicate::Predicate;
 use crate::schema::TableId;
 
-/// A fixed-length bitmap over sample positions.
+/// A fixed-length bitmap over sample positions or row ids.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
@@ -45,6 +45,20 @@ impl Bitmap {
     /// All-zero bitmap of length `len`.
     pub fn new(len: usize) -> Self {
         Bitmap { words: vec![0; len.div_ceil(64)], len }
+    }
+
+    /// All-one bitmap of length `len` (bits beyond `len` stay clear).
+    pub fn ones(len: usize) -> Self {
+        let mut words = vec![!0u64; len.div_ceil(64)];
+        if len % 64 != 0 {
+            *words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
+        }
+        Bitmap { words, len }
+    }
+
+    /// The packed words, for [`Column::and_matching`] to AND into.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Number of positions.
@@ -109,71 +123,33 @@ impl std::ops::BitAndAssign<&Bitmap> for Bitmap {
     }
 }
 
-/// The materialized sample of one table: the sampled row ids and a
-/// column-major copy of those rows (see the module docs for the layout).
+/// The materialized sample of one table: the sampled row ids and a copy of
+/// those rows (see the module docs for the layout).
 #[derive(Clone, Debug)]
 pub struct TableSample {
     /// Row ids included in the sample (ascending order); sample position
     /// `i` holds base row `row_ids[i]`.
     pub row_ids: Vec<u32>,
-    /// Column `c`'s values at `[c * words * 64..][..words * 64]`, in
-    /// position order, `words` being [`TableSample::words`]; NULL and
-    /// padding slots hold 0.
-    values: Vec<i64>,
-    /// Column `c`'s validity words at `[c * words..][..words]`; padding
-    /// positions are invalid.
-    valid: Vec<u64>,
+    /// Row `i` is base row `row_ids[i]`.
+    rows: Table,
     /// Positions that hold a sampled row, as a `sample_size`-long bitmap.
     present: Bitmap,
 }
 
 impl TableSample {
-    /// 64-position words covering the sampled rows.
-    fn words(&self) -> usize {
-        self.row_ids.len().div_ceil(64)
-    }
-
-    /// Copy rows `row_ids` of `data` into the column-major store.
+    /// Copy rows `row_ids` of `data` out in position order.
     fn materialize(data: &Table, row_ids: Vec<u32>, sample_size: usize) -> Self {
-        let words = row_ids.len().div_ceil(64);
-        let stride = words * 64;
-        let mut values = vec![0i64; data.num_columns() * stride];
-        let mut valid = vec![0u64; data.num_columns() * words];
-        for c in 0..data.num_columns() {
-            let col = data.column(c);
-            for (pos, &row) in row_ids.iter().enumerate() {
-                if let Some(v) = col.value(row as usize) {
-                    values[c * stride + pos] = v;
-                    valid[c * words + pos / 64] |= 1u64 << (pos % 64);
-                }
-            }
-        }
+        let columns = (0..data.num_columns())
+            .map(|c| {
+                let col = data.column(c);
+                Column::from_nullable(row_ids.iter().map(|&row| col.value(row as usize)).collect())
+            })
+            .collect();
         let mut present = Bitmap::new(sample_size);
         for pos in 0..row_ids.len() {
             present.set(pos);
         }
-        TableSample { row_ids, values, valid, present }
-    }
-}
-
-/// One bitmap word per 64 values: bit `i` of `out[w]` is set iff
-/// `values[w * 64 + i] op literal` and the position is valid. The operator
-/// is matched once, outside the scan.
-fn compare_words(op: CmpOp, literal: i64, values: &[i64], valid: &[u64], out: &mut [u64]) {
-    #[inline(always)]
-    fn scan(values: &[i64], valid: &[u64], out: &mut [u64], matches: impl Fn(i64) -> bool) {
-        for ((chunk, &ok), word) in values.chunks_exact(64).zip(valid).zip(out) {
-            let mut bits = 0u64;
-            for (i, &v) in chunk.iter().enumerate() {
-                bits |= u64::from(matches(v)) << i;
-            }
-            *word = bits & ok;
-        }
-    }
-    match op {
-        CmpOp::Eq => scan(values, valid, out, |v| v == literal),
-        CmpOp::Lt => scan(values, valid, out, |v| v < literal),
-        CmpOp::Gt => scan(values, valid, out, |v| v > literal),
+        TableSample { row_ids, rows: Table::new(columns), present }
     }
 }
 
@@ -225,18 +201,11 @@ impl SampleSet {
     /// Evaluate `p` alone over the materialized sample of its table: the
     /// positions whose row is non-NULL in `p.column` and satisfies `p`.
     /// Positions beyond the actual sample stay zero. A conjunction is the
-    /// AND of these bitmaps with [`SampleSet::present`].
+    /// AND of these bitmaps.
     pub fn predicate_bitmap(&self, p: &Predicate) -> Bitmap {
         let sample = &self.per_table[p.table.index()];
-        let (words, stride) = (sample.words(), sample.words() * 64);
-        let mut bm = Bitmap::new(self.sample_size);
-        compare_words(
-            p.op,
-            p.value,
-            &sample.values[p.column * stride..][..stride],
-            &sample.valid[p.column * words..][..words],
-            &mut bm.words[..words],
-        );
+        let mut bm = sample.present.clone();
+        sample.rows.column(p.column).and_matching(p.op, p.value, bm.words_mut());
         bm
     }
 }
@@ -244,9 +213,7 @@ impl SampleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
-    use crate::database::{Database, Table};
-    use crate::predicate::row_matches_all;
+    use crate::predicate::{row_matches_all, CmpOp};
     use crate::schema::{ColumnDef, JoinEdge, Schema, TableDef};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -331,7 +331,7 @@ pub fn generate(cfg: &ImdbConfig) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lc_engine::FxHashSet;
+    use lc_engine::{FxHashSet, JoinId};
 
     fn db() -> Database {
         generate(&ImdbConfig::tiny())
@@ -376,6 +376,19 @@ mod tests {
         let ci = db.table(TableId(2)).num_rows() as f64;
         assert!((1.0..4.0).contains(&(mc / n)), "mc fanout {}", mc / n);
         assert!((2.0..9.0).contains(&(ci / n)), "ci fanout {}", ci / n);
+    }
+
+    #[test]
+    fn stored_fanouts_equal_a_recount() {
+        let db = db();
+        let center_rows = db.table(db.schema().center).num_rows();
+        for (j, edge) in db.schema().joins.iter().enumerate() {
+            let mut recount = vec![0u32; center_rows];
+            for row in 0..db.table(edge.fact).num_rows() {
+                recount[db.table(edge.fact).column(edge.fact_col).raw(row) as usize] += 1;
+            }
+            assert_eq!(db.fanout(JoinId(j as u16)), recount, "join {j}");
+        }
     }
 
     #[test]

@@ -102,24 +102,24 @@ pub fn label_queries(
         queries.into_iter().map(|q| LabeledQuery::compute(db, samples, q)).collect()
     } else {
         let chunk = queries.len().div_ceil(threads);
-        let chunks: Vec<&[Query]> = queries.chunks(chunk).collect();
-        let mut results: Vec<Vec<LabeledQuery>> = Vec::with_capacity(chunks.len());
+        let mut rest = queries.into_iter();
+        let chunks = std::iter::from_fn(|| {
+            let owned: Vec<Query> = rest.by_ref().take(chunk).collect();
+            (!owned.is_empty()).then_some(owned)
+        });
         std::thread::scope(|s| {
             let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|c| {
+                .map(|owned| {
                     s.spawn(move || {
-                        c.iter()
-                            .map(|q| LabeledQuery::compute(db, samples, q.clone()))
+                        owned
+                            .into_iter()
+                            .map(|q| LabeledQuery::compute(db, samples, q))
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
-            for h in handles {
-                results.push(h.join().expect("labeling thread panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
+            handles.into_iter().flat_map(|h| h.join().expect("labeling thread panicked")).collect()
+        })
     };
     if skip_empty {
         labeled.into_iter().filter(|l| l.cardinality > 0).collect()

@@ -15,7 +15,7 @@
 //!   paper highlights (closed ranges and equality-heavy predicates never
 //!   generated by the trainer) is preserved.
 
-use lc_engine::{count_star, CmpOp, Database, Predicate, SampleSet, TableId};
+use lc_engine::{CmpOp, Database, Predicate, SampleSet, TableId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -116,7 +116,7 @@ pub fn job_light(db: &Database, samples: &SampleSet, seed: u64) -> Workload {
     let facts: Vec<TableId> = schema.joins.iter().map(|e| e.fact).collect();
     assert!(facts.len() >= 4, "JOB-light needs at least four fact tables");
 
-    let mut queries: Vec<Query> = Vec::with_capacity(70);
+    let mut queries: Vec<LabeledQuery> = Vec::with_capacity(70);
     let mut seen = std::collections::HashSet::new();
     for (bucket, &count) in JOB_LIGHT_JOIN_COUNTS.iter().enumerate() {
         let num_joins = bucket + 1;
@@ -129,15 +129,14 @@ pub fn job_light(db: &Database, samples: &SampleSet, seed: u64) -> Workload {
             if q.predicates().is_empty() || !seen.insert(q.clone()) {
                 continue;
             }
-            if count_star(db, &q.spec()) == 0 {
+            let labeled = LabeledQuery::compute(db, samples, q);
+            if labeled.cardinality == 0 {
                 continue;
             }
-            queries.push(q);
+            queries.push(labeled);
             accepted += 1;
         }
     }
-    let queries = label_queries(db, samples, queries, true);
-    assert_eq!(queries.len(), 70);
     Workload { name: "JOB-light".into(), queries }
 }
 

@@ -20,19 +20,21 @@ use learned_cardinalities::prelude::*;
 #[derive(Debug, Clone)]
 struct MicroDb {
     center_rows: usize,
-    /// Per fact table: (fk values, data values).
-    facts: Vec<(Vec<i64>, Vec<i64>)>,
+    /// Per fact table: (fk values, data values with NULLs).
+    facts: Vec<(Vec<i64>, Vec<Option<i64>>)>,
     /// Center data column values (with NULLs).
     center_data: Vec<Option<i64>>,
 }
 
+/// Tables of up to 71 rows, so that the executor's 64-row words are crossed
+/// while the nested-loop reference (rows³ at two joins) stays affordable.
 fn micro_db_strategy() -> impl Strategy<Value = MicroDb> {
-    (1usize..10).prop_flat_map(|center_rows| {
-        let fact =
-            proptest::collection::vec((0..center_rows as i64, -3i64..4), 0..25).prop_map(|rows| {
-                let (fks, data): (Vec<i64>, Vec<i64>) = rows.into_iter().unzip();
-                (fks, data)
-            });
+    (1usize..72).prop_flat_map(|center_rows| {
+        let row = (0..center_rows as i64, proptest::option::weighted(0.85, -3i64..4));
+        let fact = proptest::collection::vec(row, 0..72).prop_map(|rows| {
+            let (fks, data): (Vec<i64>, Vec<Option<i64>>) = rows.into_iter().unzip();
+            (fks, data)
+        });
         let center_data =
             proptest::collection::vec(proptest::option::weighted(0.85, -3i64..4), center_rows);
         (Just(center_rows), proptest::collection::vec(fact, 2..3), center_data).prop_map(
@@ -64,7 +66,7 @@ fn build_micro(m: &MicroDb) -> Database {
     for (fks, vals) in &m.facts {
         data.push(Table::new(vec![
             Column::from_values(fks.clone()),
-            Column::from_values(vals.clone()),
+            Column::from_nullable(vals.clone()),
         ]));
     }
     Database::new(schema, data)
@@ -87,7 +89,10 @@ impl TableDefOwned {
         TableDefOwned {
             def: lc_engine::TableDef {
                 name: format!("fact{i}"),
-                columns: vec![ColumnDef::foreign_key("fk", TableId(0)), ColumnDef::data("v")],
+                columns: vec![
+                    ColumnDef::foreign_key("fk", TableId(0)),
+                    ColumnDef::nullable_data("v"),
+                ],
             },
         }
     }
