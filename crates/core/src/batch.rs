@@ -2,13 +2,25 @@
 //!
 //! The paper zero-pads every query to the maximum set size in the batch and
 //! masks the dummy elements out of the average (§3.2). We store the same
-//! information without padding: all set elements of a batch are stacked
-//! into one CSR [`SparseRows`] stack per module (the rows are ~85% zeros,
-//! so CSR is their only encoding — no dense copy exists anywhere), plus
-//! per-query `(offset, len)` segments. Segment-mean pooling then computes
-//! exactly the paper's masked average — an empty set yields the zero
-//! vector, matching the all-masked behaviour of the reference
-//! implementation.
+//! information without padding. Per set module, the batch holds:
+//!
+//! * one CSR [`SparseRows`] stack of feature rows (the rows are ~85%
+//!   zeros, so CSR is their only encoding — no dense copy exists
+//!   anywhere);
+//! * the module's set elements, query after query: for each element, the
+//!   stack row that holds it;
+//! * per query, an `(offset, len)` segment of those elements.
+//!
+//! A row is a pure function of its element, and so is the set MLP's
+//! output for it. The serving block builder therefore stacks each
+//! *distinct* row once and points every repeat at it, so the MLPs run
+//! once per distinct row. Training batches
+//! ([`RaggedBatch::assemble_indexed`]) stack one row per element (the
+//! identity index), which the backward pass requires. Segment-mean
+//! pooling reads element rows through the index and computes exactly the
+//! paper's masked average — the same values, summed in the same order,
+//! whichever rows are shared. An empty set yields the zero vector,
+//! matching the all-masked behaviour of the reference implementation.
 
 use std::sync::Mutex;
 
@@ -17,24 +29,34 @@ use lc_nn::{Matrix, SparseRows};
 use crate::featurize::FeaturizedQuery;
 
 /// A mini-batch of featurized queries in ragged layout: per set module,
-/// the element rows of all queries stacked in CSR form and one
-/// `(offset, len)` row segment per query.
+/// a CSR stack of feature rows, the stack row of each set element, and
+/// one `(offset, len)` element segment per query.
 #[derive(Clone, Debug, Default)]
 pub struct RaggedBatch {
-    /// Stacked table feature rows of all queries.
+    /// Table feature rows (each distinct row once in a serving block).
     pub tables_sp: SparseRows,
-    /// `(offset, len)` into `tables_sp` per query.
+    /// `(offset, len)` into the table elements (`table_index`) per query.
     pub table_segs: Vec<(u32, u32)>,
-    /// Stacked join feature rows.
+    /// Per table element, the row of `tables_sp` that holds it.
+    pub table_index: Vec<u32>,
+    /// Join feature rows.
     pub joins_sp: SparseRows,
-    /// `(offset, len)` into `joins_sp` per query.
+    /// `(offset, len)` into the join elements (`join_index`) per query.
     pub join_segs: Vec<(u32, u32)>,
-    /// Stacked predicate feature rows.
+    /// Per join element, the row of `joins_sp` that holds it.
+    pub join_index: Vec<u32>,
+    /// Predicate feature rows.
     pub preds_sp: SparseRows,
-    /// `(offset, len)` into `preds_sp` per query.
+    /// `(offset, len)` into the predicate elements (`pred_index`) per
+    /// query.
     pub pred_segs: Vec<(u32, u32)>,
+    /// Per predicate element, the row of `preds_sp` that holds it.
+    pub pred_index: Vec<u32>,
     /// Normalized targets, one per query.
     pub targets: Vec<f32>,
+    /// The block builder's distinct-row lookups (table, join, predicate),
+    /// kept warm with the batch.
+    pub(crate) lookups: [RowLookup; 3],
 }
 
 impl RaggedBatch {
@@ -57,6 +79,8 @@ impl RaggedBatch {
     /// Assemble the mini-batch holding queries `idx` (in order) of a
     /// corpus: row ranges are bulk-copied out of `corpus`, targets come
     /// from `feats` — the per-epoch re-batching path of the trainer.
+    /// Every element gets a row of its own (the identity index), so the
+    /// batch can be trained on.
     ///
     /// `table_dim`, `join_dim`, `pred_dim` must be the widths `corpus`
     /// was built with.
@@ -69,13 +93,108 @@ impl RaggedBatch {
         pred_dim: usize,
     ) -> Self {
         let pick = |(src, segs): &(SparseRows, Vec<(u32, u32)>), dim| {
-            stack(dim, idx.iter().map(|&i| (src, segs[i])))
+            let (rows, segs) = stack(dim, idx.iter().map(|&i| (src, segs[i])));
+            let index = (0..rows.rows() as u32).collect();
+            (rows, segs, index)
         };
-        let (tables_sp, table_segs) = pick(&corpus.tables, table_dim);
-        let (joins_sp, join_segs) = pick(&corpus.joins, join_dim);
-        let (preds_sp, pred_segs) = pick(&corpus.preds, pred_dim);
+        let (tables_sp, table_segs, table_index) = pick(&corpus.tables, table_dim);
+        let (joins_sp, join_segs, join_index) = pick(&corpus.joins, join_dim);
+        let (preds_sp, pred_segs, pred_index) = pick(&corpus.preds, pred_dim);
         let targets = idx.iter().map(|&i| feats[i].target).collect();
-        RaggedBatch { tables_sp, table_segs, joins_sp, join_segs, preds_sp, pred_segs, targets }
+        RaggedBatch {
+            tables_sp,
+            table_segs,
+            table_index,
+            joins_sp,
+            join_segs,
+            join_index,
+            preds_sp,
+            pred_segs,
+            pred_index,
+            targets,
+            lookups: Default::default(),
+        }
+    }
+
+    /// The identity-indexed twin of this batch: each element's row
+    /// copied out in element order — what `assemble_indexed` builds.
+    #[cfg(test)]
+    pub(crate) fn expanded(&self) -> RaggedBatch {
+        let expand = |rows: &SparseRows, index: &[u32]| {
+            let mut out = SparseRows::new(rows.cols());
+            index.iter().for_each(|&r| out.push_rows_from(rows, r as usize..r as usize + 1));
+            (out, (0..index.len() as u32).collect())
+        };
+        let (tables_sp, table_index) = expand(&self.tables_sp, &self.table_index);
+        let (joins_sp, join_index) = expand(&self.joins_sp, &self.join_index);
+        let (preds_sp, pred_index) = expand(&self.preds_sp, &self.pred_index);
+        RaggedBatch {
+            tables_sp,
+            table_index,
+            joins_sp,
+            join_index,
+            preds_sp,
+            pred_index,
+            lookups: Default::default(),
+            ..self.clone()
+        }
+    }
+}
+
+/// Open-addressing map from a row key's hash to the stack row holding
+/// that row — how the block builder finds a repeated row. Sized per
+/// module per block (load ≤ 1/2) and kept in the reused batch, so a warm
+/// lookup never allocates.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RowLookup {
+    /// `(hash tag, row)` per slot; `row == EMPTY` marks a free slot.
+    slots: Vec<(u32, u32)>,
+    /// `64 − log2(slots.len())`: a hash's top bits pick its first slot.
+    shift: u32,
+}
+
+impl RowLookup {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Slots inspected per lookup before giving up on sharing. Bounds the
+    /// cost of colliding keys (which query literals can make on purpose)
+    /// at the price of a duplicate row.
+    const MAX_PROBES: usize = 16;
+
+    /// Forget every row and size the table for `rows` insertions.
+    pub(crate) fn reset(&mut self, rows: usize) {
+        let len = (2 * rows).next_power_of_two().max(2);
+        self.slots.clear();
+        self.slots.resize(len, (0, Self::EMPTY));
+        self.shift = 64 - len.trailing_zeros();
+    }
+
+    /// The earlier row that holds an element whose key hashes to `hash`,
+    /// as confirmed by `same(row)` on that row's stored entries; or `None`
+    /// after recording `next` — the row the caller then pushes — under
+    /// `hash`. Only a confirmed row is shared, so a hash collision costs
+    /// at most a duplicate row.
+    pub(crate) fn find_or_reserve(
+        &mut self,
+        hash: u64,
+        next: u32,
+        same: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        let tag = (hash ^ hash >> 32) as u32;
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> self.shift) as usize;
+        for _ in 0..Self::MAX_PROBES {
+            let (t, r) = self.slots[slot];
+            if r == Self::EMPTY {
+                self.slots[slot] = (tag, next);
+                return None;
+            }
+            if t == tag && same(r) {
+                return Some(r);
+            }
+            slot = (slot + 1) & mask;
+        }
+        None
     }
 }
 
@@ -155,14 +274,23 @@ impl<T: Default> WarmPool<T> {
 }
 
 /// Masked average pooling written into a **column window** of `out`:
-/// `out[q][col0 .. col0 + elems.cols()] = mean(elems[offset..offset+len])`,
-/// zeros for an empty segment. Writing straight into a window of the
-/// concatenation matrix needs neither pooled temporaries nor a copy pass.
+/// `out[q][col0 .. col0 + rows.cols()]` is the mean of
+/// `rows[index[e]]` over the elements `e` of segment `q`, summed in
+/// element order; zeros for an empty segment. Writing straight into a
+/// window of the concatenation matrix needs neither pooled temporaries
+/// nor a copy pass.
 ///
 /// # Panics
-/// If `out` has fewer rows than `segs` or the window exceeds its width.
-pub fn segment_mean_into_cols(elems: &Matrix, segs: &[(u32, u32)], out: &mut Matrix, col0: usize) {
-    let d = elems.cols();
+/// If `out` has fewer rows than `segs`, the window exceeds its width, or
+/// a segment or index entry is out of range.
+pub fn segment_mean_into_cols(
+    rows: &Matrix,
+    segs: &[(u32, u32)],
+    index: &[u32],
+    out: &mut Matrix,
+    col0: usize,
+) {
+    let d = rows.cols();
     assert!(out.rows() >= segs.len(), "segment_mean output too short");
     assert!(col0 + d <= out.cols(), "segment_mean column window out of range");
     for (qi, &(offset, len)) in segs.iter().enumerate() {
@@ -172,8 +300,8 @@ pub fn segment_mean_into_cols(elems: &Matrix, segs: &[(u32, u32)], out: &mut Mat
             continue;
         }
         let inv = 1.0 / len as f32;
-        for e in offset..offset + len {
-            for (o, &v) in out_row.iter_mut().zip(elems.row(e as usize)) {
+        for &r in &index[offset as usize..(offset + len) as usize] {
+            for (o, &v) in out_row.iter_mut().zip(rows.row(r as usize)) {
                 *o += v;
             }
         }
@@ -183,14 +311,15 @@ pub fn segment_mean_into_cols(elems: &Matrix, segs: &[(u32, u32)], out: &mut Mat
     }
 }
 
-/// Backward of [`segment_mean_into_cols`], reading the pooled gradient
-/// from a **column window** of `grad_pooled` and writing the expanded
-/// per-element gradient into `out` (pre-sized by the caller): each
-/// element of segment `q` receives `grad_pooled[q] / len`.
+/// Backward of [`segment_mean_into_cols`] for an identity index (element
+/// `e` is row `e`), reading the pooled gradient from a **column window**
+/// of `grad_pooled` and writing the expanded per-element gradient into
+/// `out` (pre-sized by the caller): each element of segment `q` receives
+/// `grad_pooled[q] / len`.
 /// Allocation-free. Each covered row is **overwritten**, so when the
 /// segments tile `out`'s rows exactly — which every [`RaggedBatch`]
 /// builder guarantees: offsets advance by each segment's length and empty
-/// segments own no rows — the caller may pre-size `out` with
+/// segments own no elements — the caller may pre-size `out` with
 /// [`Matrix::resize_for_overwrite`]. Rows outside every segment keep
 /// their prior contents; zero them beforehand if they are meaningful.
 ///
@@ -225,8 +354,9 @@ mod tests {
     use super::*;
 
     fn segment_mean(elems: &Matrix, segs: &[(u32, u32)]) -> Matrix {
+        let identity: Vec<u32> = (0..elems.rows() as u32).collect();
         let mut out = Matrix::zeros(segs.len(), elems.cols());
-        segment_mean_into_cols(elems, segs, &mut out, 0);
+        segment_mean_into_cols(elems, segs, &identity, &mut out, 0);
         out
     }
 
@@ -244,6 +374,30 @@ mod tests {
         assert_eq!(pooled.row(0), &[2.0, 3.0]);
         assert_eq!(pooled.row(1), &[10.0, 20.0]);
         assert_eq!(pooled.row(2), &[0.0, 0.0]);
+
+        // Elements read their rows through the index: two rows stand in
+        // for the three elements above.
+        let distinct = Matrix::from_vec(2, 2, vec![10.0, 20.0, 2.0, 3.0]);
+        let mut shared = Matrix::zeros(3, 2);
+        segment_mean_into_cols(&distinct, &segs, &[1, 1, 0], &mut shared, 0);
+        assert_eq!(shared.row(0), &[2.0, 3.0]);
+        assert_eq!(shared.row(1), &[10.0, 20.0]);
+        assert_eq!(shared.row(2), &[0.0, 0.0]);
+    }
+
+    /// Rows under one hash are told apart by `same` alone: an unconfirmed
+    /// candidate gets a row of its own, and each row is found again only
+    /// where it is confirmed.
+    #[test]
+    fn lookup_shares_only_confirmed_rows() {
+        let mut lookup = RowLookup::default();
+        lookup.reset(4);
+        assert_eq!(lookup.find_or_reserve(7, 0, |_| unreachable!("empty table")), None);
+        assert_eq!(lookup.find_or_reserve(7, 1, |_| false), None);
+        assert_eq!(lookup.find_or_reserve(7, 2, |r| r == 1), Some(1));
+        assert_eq!(lookup.find_or_reserve(7, 2, |r| r == 0), Some(0));
+        lookup.reset(4);
+        assert_eq!(lookup.find_or_reserve(7, 0, |_| unreachable!("reset forgets")), None);
     }
 
     #[test]
@@ -304,6 +458,10 @@ mod tests {
         assert_eq!(b.table_segs, vec![(0, 1), (1, 2)]);
         assert_eq!(b.join_segs, vec![(0, 0), (0, 1)]);
         assert_eq!(b.pred_segs, vec![(0, 1), (1, 0)]);
+        assert_eq!(
+            (&b.table_index[..], &b.join_index[..], &b.pred_index[..]),
+            (&[0, 1, 2][..], &[0][..], &[0][..])
+        );
         assert_eq!(b.targets, vec![0.25, 0.75]);
         assert_eq!(b.tables_sp, rows(2, &[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]));
         assert_eq!(b.joins_sp, rows(1, &[&[1.0]]));

@@ -7,8 +7,17 @@
 //!   normalized into `[0,1]` by the column's min/max;
 //! * target: `log(cardinality)` min/max-normalized to `[0,1]` over the
 //!   training set ([`LabelNorm`]).
+//!
+//! A serving block ([`Featurizer::featurize_into_sparse_batch`]) stacks
+//! each distinct element row once per module and records, per element,
+//! which stack row holds it; segments then count elements, not rows.
+//! Within a block many rows repeat (the same join edge, the same table
+//! without predicates, the same predicate on another query), and every
+//! repeat is one set-MLP row the forward pass no longer computes.
 
-use lc_engine::{Database, TableId};
+use std::hash::Hasher;
+
+use lc_engine::{Database, FxHasher, TableId};
 use lc_nn::SparseRows;
 use lc_query::LabeledQuery;
 
@@ -41,6 +50,27 @@ impl FeatureMode {
             FeatureMode::SampleCounts => "MSCN (#samples)",
             FeatureMode::Bitmaps => "MSCN (bitmaps)",
             FeatureMode::PredicateBitmaps => "MSCN (predicate bitmaps)",
+        }
+    }
+}
+
+/// The three set modules, in concatenation order.
+#[derive(Clone, Copy, Debug)]
+enum Set {
+    Tables,
+    Joins,
+    Preds,
+}
+
+impl Set {
+    const ALL: [Set; 3] = [Set::Tables, Set::Joins, Set::Preds];
+
+    /// Number of elements of this set in `q`.
+    fn len(self, q: &LabeledQuery) -> usize {
+        match self {
+            Set::Tables => q.query.tables().len(),
+            Set::Joins => q.query.joins().len(),
+            Set::Preds => q.query.predicates().len(),
         }
     }
 }
@@ -269,26 +299,64 @@ impl Featurizer {
         }
     }
 
-    /// Append every set-element row of `q` to the three CSR stacks.
-    fn emit_query(
-        &self,
-        q: &LabeledQuery,
-        tables: &mut SparseRows,
-        joins: &mut SparseRows,
-        preds: &mut SparseRows,
-    ) {
-        for i in 0..q.query.tables().len() {
-            self.emit_table_row(q, i, &mut |idx, val| tables.push_entry_trusted(idx, val));
-            tables.finish_row();
+    /// Emit the nonzeros of element row `i` of `set` in `q`.
+    fn emit_row(&self, set: Set, q: &LabeledQuery, i: usize, f: &mut impl FnMut(u32, f32)) {
+        match set {
+            Set::Tables => self.emit_table_row(q, i, f),
+            Set::Joins => self.emit_join_row(q, i, f),
+            Set::Preds => self.emit_pred_row(q, i, f),
         }
-        for i in 0..q.query.joins().len() {
-            self.emit_join_row(q, i, &mut |idx, val| joins.push_entry_trusted(idx, val));
-            joins.finish_row();
+    }
+
+    /// Append element row `i` of `set` in `q` to `rows` as one closed row.
+    fn push_row(&self, set: Set, q: &LabeledQuery, i: usize, rows: &mut SparseRows) {
+        self.emit_row(set, q, i, &mut |idx, val| rows.push_entry_trusted(idx, val));
+        rows.finish_row();
+    }
+
+    /// Whether element row `i` of `set` in `q` has exactly the entries
+    /// of `stored`, bit for bit — checked against the emitter's output,
+    /// so a repeated row is confirmed without being pushed.
+    fn emits(&self, set: Set, q: &LabeledQuery, i: usize, stored: (&[u32], &[f32])) -> bool {
+        let (indices, values) = stored;
+        let (mut k, mut same) = (0, true);
+        self.emit_row(set, q, i, &mut |idx, val| {
+            same &= (indices.get(k) == Some(&idx))
+                & (values.get(k).map(|v| v.to_bits()) == Some(val.to_bits()));
+            k += 1;
+        });
+        same && k == indices.len()
+    }
+
+    /// A hash of what the emitter reads for element row `i` of `set` in
+    /// `q`: the block builder's key for finding a repeated row. A row is
+    /// compared entry by entry before it is shared, so the key decides
+    /// only how often sharing is found, never what a row holds.
+    fn row_key(&self, set: Set, q: &LabeledQuery, i: usize) -> u64 {
+        let mut h = FxHasher::default();
+        match set {
+            Set::Tables => {
+                h.write_usize(q.query.tables()[i].index());
+                match self.mode {
+                    FeatureMode::NoSamples => {}
+                    FeatureMode::SampleCounts => h.write_u32(q.sample_counts[i]),
+                    FeatureMode::Bitmaps | FeatureMode::PredicateBitmaps => {
+                        q.bitmaps[i].words().iter().for_each(|&w| h.write_u64(w))
+                    }
+                }
+            }
+            Set::Joins => h.write_usize(q.query.joins()[i].index()),
+            Set::Preds => {
+                let p = &q.query.predicates()[i];
+                h.write_usize(self.column_index[p.table.index()][p.column]);
+                h.write_usize(p.op.index());
+                h.write_i64(p.value);
+                if self.mode == FeatureMode::PredicateBitmaps {
+                    q.pred_bitmaps[i].words().iter().for_each(|&w| h.write_u64(w));
+                }
+            }
         }
-        for pi in 0..q.query.predicates().len() {
-            self.emit_pred_row(q, pi, &mut |idx, val| preds.push_entry_trusted(idx, val));
-            preds.finish_row();
-        }
+        h.finish()
     }
 
     /// Encode one annotated query on its own — the unit a training corpus
@@ -301,28 +369,75 @@ impl Featurizer {
             preds: SparseRows::new(self.pred_dim()),
             target: self.label_norm.normalize(q.cardinality.max(1)),
         };
-        self.emit_query(q, &mut out.tables, &mut out.joins, &mut out.preds);
+        let stacks = [&mut out.tables, &mut out.joins, &mut out.preds];
+        for (set, rows) in Set::ALL.into_iter().zip(stacks) {
+            (0..set.len(q)).for_each(|i| self.push_row(set, q, i, rows));
+        }
         out
     }
 
     /// Featurize a block of queries into a **reused** batch: the CSR
-    /// stacks, segment maps, and targets are rebuilt in place (buffer
-    /// capacity carries over from the previous call), so a warm batch
-    /// costs one emitter walk per set element and nothing else.
+    /// stacks, element indexes, segment maps, and targets are rebuilt in
+    /// place (buffer capacity carries over from the previous call), so a
+    /// warm batch costs one emitter walk and one lookup per set element
+    /// and nothing else.
+    ///
+    /// Each module's stack holds every distinct row once, in order of
+    /// first occurrence; a repeated row is compared against its earlier
+    /// copy instead of being pushed, and its element points at that copy.
+    /// The batch is for the forward pass only:
+    /// `MscnModel::backward_scratch` needs one row per element
+    /// ([`RaggedBatch::assemble_indexed`]).
     pub fn featurize_into_sparse_batch(&self, queries: &[LabeledQuery], out: &mut RaggedBatch) {
-        out.tables_sp.clear(self.table_dim());
-        out.joins_sp.clear(self.join_dim());
-        out.preds_sp.clear(self.pred_dim());
-        out.table_segs.clear();
-        out.join_segs.clear();
-        out.pred_segs.clear();
-        out.targets.clear();
+        let RaggedBatch {
+            tables_sp,
+            table_segs,
+            table_index,
+            joins_sp,
+            join_segs,
+            join_index,
+            preds_sp,
+            pred_segs,
+            pred_index,
+            targets,
+            lookups: [table_lookup, join_lookup, pred_lookup],
+        } = out;
+        let mut modules = [
+            (Set::Tables, self.table_dim(), tables_sp, table_segs, table_index, table_lookup),
+            (Set::Joins, self.join_dim(), joins_sp, join_segs, join_index, join_lookup),
+            (Set::Preds, self.pred_dim(), preds_sp, pred_segs, pred_index, pred_lookup),
+        ];
+        // A lone query has no other query to share rows with.
+        let share = queries.len() > 1;
+        for (set, dim, rows, segs, index, lookup) in &mut modules {
+            rows.clear(*dim);
+            segs.clear();
+            index.clear();
+            if share {
+                lookup.reset(queries.iter().map(|q| set.len(q)).sum());
+            }
+        }
+        targets.clear();
         for q in queries {
-            out.targets.push(self.label_norm.normalize(q.cardinality.max(1)));
-            out.table_segs.push((out.tables_sp.rows() as u32, q.query.tables().len() as u32));
-            out.join_segs.push((out.joins_sp.rows() as u32, q.query.joins().len() as u32));
-            out.pred_segs.push((out.preds_sp.rows() as u32, q.query.predicates().len() as u32));
-            self.emit_query(q, &mut out.tables_sp, &mut out.joins_sp, &mut out.preds_sp);
+            targets.push(self.label_norm.normalize(q.cardinality.max(1)));
+            for (set, _, rows, segs, index, lookup) in &mut modules {
+                let (set, n) = (*set, set.len(q));
+                segs.push((index.len() as u32, n as u32));
+                for i in 0..n {
+                    let next = rows.rows() as u32;
+                    let stack = &**rows;
+                    let earlier = if share {
+                        let same = |r: u32| self.emits(set, q, i, stack.row(r as usize));
+                        lookup.find_or_reserve(self.row_key(set, q, i), next, same)
+                    } else {
+                        None
+                    };
+                    index.push(earlier.unwrap_or_else(|| {
+                        self.push_row(set, q, i, rows);
+                        next
+                    }));
+                }
+            }
         }
     }
 
@@ -448,11 +563,36 @@ mod tests {
         assert_eq!(idx.len() - 1, labeled.sample_counts[0] as usize);
     }
 
+    /// A repeated row is shared only when the emitter reproduces the
+    /// stored entries exactly: a stored row that is shorter, longer, or
+    /// off in one value is a different row, whatever its key.
+    #[test]
+    fn emits_confirms_only_an_identical_row() {
+        let (db, samples) = fixture();
+        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size(), [1u64, 1000]);
+        let year_col = db.schema().table(TableId(0)).column_index("production_year").unwrap();
+        let stats = db.column_stats(TableId(0), year_col);
+        let p = Predicate { table: TableId(0), column: year_col, op: CmpOp::Lt, value: stats.max };
+        let q = LabeledQuery::compute(&db, &samples, Query::new(vec![TableId(0)], vec![], vec![p]));
+        let fq = f.featurize(&q);
+        for (set, (idx, vals)) in [(Set::Tables, fq.tables.row(0)), (Set::Preds, fq.preds.row(0))] {
+            assert!(f.emits(set, &q, 0, (idx, vals)), "{set:?}: the row itself");
+            let n = idx.len();
+            assert!(!f.emits(set, &q, 0, (&idx[..n - 1], &vals[..n - 1])), "{set:?}: shorter");
+            let longer = ([idx, &[idx[n - 1] + 1]].concat(), [vals, &[1.0]].concat());
+            assert!(!f.emits(set, &q, 0, (&longer.0, &longer.1)), "{set:?}: longer");
+            let mut off = vals.to_vec();
+            off[n - 1] += 0.5;
+            assert!(!f.emits(set, &q, 0, (idx, &off)), "{set:?}: one value off");
+        }
+    }
+
     /// The two consumers of the emitters — per-query [`Featurizer::featurize`]
     /// stacked by `CorpusSparse` + `assemble_indexed` (training), and the
     /// block builder [`Featurizer::featurize_into_sparse_batch`] (serving)
-    /// — must produce exactly the same batch: CSR stacks, segments, and
-    /// targets alike.
+    /// — must describe exactly the same elements: the builder's rows read
+    /// through its index are the assembled CSR rows, with the same
+    /// segments and targets, while its stacks hold each distinct row once.
     #[test]
     fn sparse_batch_builder_matches_assemble_indexed() {
         let (db, samples) = fixture();
@@ -467,11 +607,14 @@ mod tests {
                 &db,
                 lc_query::GeneratorConfig { max_joins: 2, seed },
             );
-            let labeled: Vec<LabeledQuery> = gen
+            let mut labeled: Vec<LabeledQuery> = gen
                 .generate_unique(25)
                 .into_iter()
                 .map(|q| LabeledQuery::compute(&db, &samples, q))
                 .collect();
+            // Whole repeated queries on top of the rows unique queries
+            // already share.
+            labeled.extend_from_within(3..9);
             let feats: Vec<FeaturizedQuery> = labeled.iter().map(|q| f.featurize(q)).collect();
             let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
             let corpus = crate::batch::CorpusSparse::build(&feats, td, jd, pd);
@@ -483,14 +626,28 @@ mod tests {
             let mut reused = RaggedBatch::empty();
             f.featurize_into_sparse_batch(&labeled[..5], &mut reused);
             f.featurize_into_sparse_batch(&labeled, &mut reused);
-            assert_eq!(reused.tables_sp, via_assemble.tables_sp, "{mode:?}: CSR tables");
-            assert_eq!(reused.joins_sp, via_assemble.joins_sp, "{mode:?}: CSR joins");
-            assert_eq!(reused.preds_sp, via_assemble.preds_sp, "{mode:?}: CSR preds");
+            let elementwise = reused.expanded();
+            assert_eq!(elementwise.tables_sp, via_assemble.tables_sp, "{mode:?}: CSR tables");
+            assert_eq!(elementwise.joins_sp, via_assemble.joins_sp, "{mode:?}: CSR joins");
+            assert_eq!(elementwise.preds_sp, via_assemble.preds_sp, "{mode:?}: CSR preds");
             assert_eq!(reused.table_segs, via_assemble.table_segs, "{mode:?}: table segs");
             assert_eq!(reused.join_segs, via_assemble.join_segs, "{mode:?}: join segs");
             assert_eq!(reused.pred_segs, via_assemble.pred_segs, "{mode:?}: pred segs");
             assert_eq!(reused.targets, via_assemble.targets, "{mode:?}: targets");
             assert_eq!(reused.len(), labeled.len(), "{mode:?}: batch length");
+
+            for (rows, index) in [
+                (&reused.tables_sp, &reused.table_index),
+                (&reused.joins_sp, &reused.join_index),
+                (&reused.preds_sp, &reused.pred_index),
+            ] {
+                let distinct: Vec<_> = (0..rows.rows()).map(|r| rows.row(r)).collect();
+                for (r, row) in distinct.iter().enumerate() {
+                    assert!(!distinct[..r].contains(row), "{mode:?}: row {r} is stacked twice");
+                    assert!(index.contains(&(r as u32)), "{mode:?}: row {r} is unused");
+                }
+                assert!(rows.rows() < index.len(), "{mode:?}: the repeated queries share rows");
+            }
         }
     }
 

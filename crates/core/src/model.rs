@@ -92,8 +92,9 @@ impl MscnScratch {
     }
 }
 
-/// One set module with its CSR input rows and per-query row segments.
-type SetInput<'a> = (&'a Mlp, &'a SparseRows, &'a [(u32, u32)]);
+/// One set module with its CSR input rows, per-query element segments and
+/// per-element row index.
+type SetInput<'a> = (&'a Mlp, &'a SparseRows, &'a [(u32, u32)], &'a [u32]);
 
 /// The multi-set convolutional network.
 #[derive(Clone, Debug)]
@@ -151,16 +152,17 @@ impl MscnModel {
     ///
     /// The set-module input layers gather weight rows for the CSR
     /// inputs' nonzeros only — the widest matmuls of the model are
-    /// O(nnz).
+    /// O(nnz) — and each set MLP runs once per stacked row, however many
+    /// elements share that row.
     pub fn forward_scratch(&self, batch: &RaggedBatch, s: &mut MscnScratch) {
         let n = batch.len();
         let d = self.hidden;
         // The three pooling windows overwrite every element, so the
         // reshape can skip its zero-fill.
         s.concat.resize_for_overwrite(n, 3 * d);
-        for (m, (mlp, x, segs)) in self.sets(batch).into_iter().enumerate() {
+        for (m, (mlp, x, segs, index)) in self.sets(batch).into_iter().enumerate() {
             mlp.forward_sparse_into(x, &mut s.set_caches[m]);
-            segment_mean_into_cols(&s.set_caches[m].output, segs, &mut s.concat, m * d);
+            segment_mean_into_cols(&s.set_caches[m].output, segs, index, &mut s.concat, m * d);
         }
         self.out_mlp.forward_into(&s.concat, &mut s.out_cache);
         s.preds.clear();
@@ -171,9 +173,9 @@ impl MscnModel {
     /// predicate).
     fn sets<'a>(&'a self, batch: &'a RaggedBatch) -> [SetInput<'a>; 3] {
         [
-            (&self.table_mlp, &batch.tables_sp, &batch.table_segs),
-            (&self.join_mlp, &batch.joins_sp, &batch.join_segs),
-            (&self.pred_mlp, &batch.preds_sp, &batch.pred_segs),
+            (&self.table_mlp, &batch.tables_sp, &batch.table_segs, &batch.table_index),
+            (&self.join_mlp, &batch.joins_sp, &batch.join_segs, &batch.join_index),
+            (&self.pred_mlp, &batch.preds_sp, &batch.pred_segs, &batch.pred_index),
         ]
     }
 
@@ -188,7 +190,10 @@ impl MscnModel {
     /// computed.
     ///
     /// # Panics
-    /// If `s.grad_pred.len() != batch.len()`.
+    /// If `s.grad_pred.len() != batch.len()`, or if some set element does
+    /// not own its row (a serving block from
+    /// `Featurizer::featurize_into_sparse_batch` that shares rows is
+    /// forward-only; train on [`RaggedBatch::assemble_indexed`] batches).
     pub fn backward_scratch(
         &self,
         batch: &RaggedBatch,
@@ -197,6 +202,12 @@ impl MscnModel {
     ) {
         let n = batch.len();
         assert_eq!(s.grad_pred.len(), n, "grad_pred must match the batch");
+        assert!(
+            self.sets(batch).iter().all(|(_, x, _, index)| {
+                index.len() == x.rows() && index.iter().enumerate().all(|(e, &r)| r as usize == e)
+            }),
+            "backward_scratch: this batch shares rows between set elements, so it is forward-only"
+        );
         let d = self.hidden;
         s.grad_out.resize_for_overwrite(n, 1);
         s.grad_out.data_mut().copy_from_slice(&s.grad_pred);
@@ -216,7 +227,7 @@ impl MscnModel {
         // segments tile the element rows exactly, so the expansion
         // overwrites every row and the reshape can skip its zero-fill.
         let set_grads = [&mut grads.table, &mut grads.join, &mut grads.pred];
-        for (m, ((mlp, x, segs), g)) in self.sets(batch).into_iter().zip(set_grads).enumerate() {
+        for (m, ((mlp, x, segs, _), g)) in self.sets(batch).into_iter().zip(set_grads).enumerate() {
             s.g_elems.resize_for_overwrite(x.rows(), d);
             segment_mean_backward_from_cols(&s.grad_concat, m * d, d, segs, &mut s.g_elems);
             mlp.backward_sparse_scratch(x, &s.set_caches[m], &mut s.g_elems, g, &mut s.arena);
@@ -414,11 +425,13 @@ mod tests {
         }
     }
 
-    /// A batch built by the serving-side block builder must be as good a
-    /// training batch as the trainer's own: the same predictions and the
-    /// same `MscnGrads`, bitwise, as the `assemble_indexed` batch of the
-    /// same queries — also on a scratch left dirty by a differently shaped
-    /// batch.
+    /// A batch built by the serving-side block builder shares repeated
+    /// rows, yet every element must see what it sees in the trainer's own
+    /// batch: bitwise the same set-MLP output per element (read through
+    /// the index), the same predictions, and — once expanded to one row
+    /// per element — the same `MscnGrads`, as the `assemble_indexed` batch
+    /// of the same queries; also on a scratch left dirty by a differently
+    /// shaped batch.
     #[test]
     fn sparse_batch_builder_yields_the_same_grads_bitwise() {
         use crate::featurize::{FeatureMode, Featurizer};
@@ -430,11 +443,12 @@ mod tests {
         let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size(), [1u64, 800]);
         let mut gen =
             lc_query::QueryGenerator::new(&db, lc_query::GeneratorConfig { max_joins: 2, seed: 9 });
-        let labeled: Vec<LabeledQuery> = gen
+        let mut labeled: Vec<LabeledQuery> = gen
             .generate_unique(25)
             .into_iter()
             .map(|q| LabeledQuery::compute(&db, &samples, q))
             .collect();
+        labeled.extend_from_within(2..6);
         let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
         let model = MscnModel::new(td, jd, pd, 16, 13);
         let run = |batch: &RaggedBatch, s: &mut MscnScratch| {
@@ -445,20 +459,56 @@ mod tests {
             model.backward_scratch(batch, s, &mut grads);
             (s.preds.clone(), flat(&grads))
         };
+        // Each module's set-MLP output row per element, read through the
+        // batch's index.
+        let per_element = |batch: &RaggedBatch, s: &MscnScratch| -> Vec<Vec<f32>> {
+            let indexes = [&batch.table_index, &batch.join_index, &batch.pred_index];
+            indexes
+                .iter()
+                .zip(&s.set_caches)
+                .flat_map(|(index, cache)| index.iter().map(|&r| cache.output.row(r as usize)))
+                .map(<[f32]>::to_vec)
+                .collect()
+        };
 
         let feats: Vec<FeaturizedQuery> = labeled.iter().map(|q| f.featurize(q)).collect();
         let corpus = CorpusSparse::build(&feats, td, jd, pd);
         let all: Vec<usize> = (0..feats.len()).collect();
         let assembled = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
-        let expected = run(&assembled, &mut MscnScratch::new());
+        let mut fresh = MscnScratch::new();
+        let expected = run(&assembled, &mut fresh);
         assert!(expected.1.iter().any(|&g| g != 0.0));
+        let expected_elements = per_element(&assembled, &fresh);
 
         let mut built = RaggedBatch::empty();
         let mut dirty = MscnScratch::new();
         f.featurize_into_sparse_batch(&labeled[..7], &mut built);
-        run(&built, &mut dirty);
+        run(&built.expanded(), &mut dirty);
         f.featurize_into_sparse_batch(&labeled, &mut built);
-        assert_eq!(run(&built, &mut dirty), expected);
+        assert!(built.tables_sp.rows() < built.table_index.len(), "the block must share rows");
+        model.forward_scratch(&built, &mut dirty);
+        assert_eq!(dirty.preds, expected.0);
+        assert_eq!(per_element(&built, &dirty), expected_elements);
+        assert_eq!(run(&built.expanded(), &mut dirty), expected);
+    }
+
+    /// A block that shares rows between elements cannot be trained on:
+    /// the backward pass would need one gradient row per element.
+    #[test]
+    #[should_panic(expected = "forward-only")]
+    fn backward_rejects_a_batch_that_shares_rows() {
+        let dims = (8, 4, 6);
+        let mut rng = SmallRng::seed_from_u64(8);
+        let q = random_query(&mut rng, dims, 0.5);
+        let mut batch = batch_of(&[q.clone(), q], dims);
+        // Point the second query's table elements at the first query's.
+        let shared = batch.table_segs[0].1 as usize;
+        batch.table_index.copy_within(..shared, shared);
+        let model = MscnModel::new(dims.0, dims.1, dims.2, 8, 9);
+        let mut s = MscnScratch::new();
+        model.forward_scratch(&batch, &mut s);
+        s.grad_pred = vec![0.1; batch.len()];
+        model.backward_scratch(&batch, &mut s, &mut model.new_grads());
     }
 
     #[test]

@@ -161,17 +161,17 @@ impl QuantizedMscnModel {
         // reshape can skip its zero-fill.
         s.concat.resize_for_overwrite(n, 3 * d);
         let sets = [
-            (&self.table_mlp, &batch.tables_sp, &batch.table_segs),
-            (&self.join_mlp, &batch.joins_sp, &batch.join_segs),
-            (&self.pred_mlp, &batch.preds_sp, &batch.pred_segs),
+            (&self.table_mlp, &batch.tables_sp, &batch.table_segs, &batch.table_index),
+            (&self.join_mlp, &batch.joins_sp, &batch.join_segs, &batch.join_index),
+            (&self.pred_mlp, &batch.preds_sp, &batch.pred_segs, &batch.pred_index),
         ];
-        for (m, (mlp, x, segs)) in sets.into_iter().enumerate() {
+        for (m, (mlp, x, segs, index)) in sets.into_iter().enumerate() {
             // One (qvals, qscales) pair serves all three set modules in
             // sequence: each forward consumes the buffers before the next
             // quantization overwrites them.
             quantize_csr(x, &mut s.qvals, &mut s.qscales);
             mlp.forward_sparse_into(x, &s.qvals, &s.qscales, &mut s.set_caches[m]);
-            segment_mean_into_cols(&s.set_caches[m].output, segs, &mut s.concat, m * d);
+            segment_mean_into_cols(&s.set_caches[m].output, segs, index, &mut s.concat, m * d);
         }
         s.qconcat.quantize_from(&s.concat);
         self.out_mlp.forward_into(&s.qconcat, &mut s.out_cache);

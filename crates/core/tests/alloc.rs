@@ -1,8 +1,10 @@
 //! The zero-allocation guarantee of the scratch compute surface, asserted
 //! with a counting global allocator: after one warm-up pass, the
 //! steady-state training step — forward, loss, backward, fixed-order
-//! gradient reduction, Adam — and the arena-backed inference forward must
-//! never touch the allocator. The pooled phases additionally assert
+//! gradient reduction, Adam — the arena-backed inference forward, and a
+//! serving block (the featurizer's block builder with its shared-row
+//! lookup, then the f32 and int8 forwards) must never touch the
+//! allocator. The pooled phases additionally assert
 //! **zero thread spawns**: once the persistent worker pool is warm, a
 //! multi-worker step is one condvar dispatch, not a `thread::scope`
 //! spawn+join (the last per-step allocation source PR 3 documented).
@@ -31,11 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lc_core::batch::CorpusSparse;
 use lc_core::featurize::FeaturizedQuery;
-use lc_core::{MscnModel, RaggedBatch};
+use lc_core::{FeatureMode, Featurizer, MscnModel, RaggedBatch};
 use lc_engine::SampleSet;
 use lc_nn::{Adam, DisjointSliceMut, LossKind, SparseRows, WorkerPool};
 use lc_obs::{metrics, SpanTimer};
-use lc_query::{annotate_query, GeneratorConfig, QueryGenerator};
+use lc_query::{annotate_query, GeneratorConfig, LabeledQuery, QueryGenerator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -339,10 +341,49 @@ fn steady_state_compute_paths_do_not_allocate() {
         "the steady-state quantized forward pass must perform zero heap allocations"
     );
 
-    // Phase six: sample annotation. Three result vectors, one bitmap per
-    // table, one per predicate.
+    // Phase six: the serving block path. A warm 256-query block from the
+    // featurizer's block builder, made of repeated queries so that rows
+    // are shared through the element index, then its f32 and int8
+    // forwards. The row lookup lives in the reused batch.
     let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
     let samples = SampleSet::draw(&db, 130, &mut SmallRng::seed_from_u64(5));
+    let featurizer =
+        Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size(), [1u64, 1000]);
+    let mut generator = QueryGenerator::new(&db, GeneratorConfig { max_joins: 3, seed: 7 });
+    let distinct: Vec<LabeledQuery> = generator
+        .generate_unique(64)
+        .into_iter()
+        .map(|q| annotate_query(&db, &samples, q))
+        .collect();
+    let block: Vec<LabeledQuery> = distinct.iter().cycle().take(256).cloned().collect();
+    let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
+    let serve_model = MscnModel::new(td, jd, pd, 16, 43);
+    let serve_qmodel = lc_core::QuantizedMscnModel::quantize(&serve_model);
+    let mut built = RaggedBatch::empty();
+    let mut f32_scratch = lc_core::MscnScratch::new();
+    let mut int8_scratch = lc_core::QuantScratch::new();
+    let mut serve_block = |built: &mut RaggedBatch| {
+        featurizer.featurize_into_sparse_batch(&block, built);
+        serve_model.forward_scratch(built, &mut f32_scratch);
+        featurizer.featurize_into_sparse_batch(&block, built);
+        serve_qmodel.forward_scratch(built, &mut int8_scratch);
+    };
+    for _ in 0..3 {
+        serve_block(&mut built);
+    }
+    assert!(built.tables_sp.rows() < built.table_index.len(), "the block must share rows");
+    let before = allocation_count();
+    for _ in 0..5 {
+        serve_block(&mut built);
+    }
+    assert_eq!(
+        allocation_count() - before,
+        0,
+        "a warm serving block (build + f32 and int8 forwards) must perform zero heap allocations"
+    );
+
+    // Phase seven: sample annotation. Three result vectors, one bitmap per
+    // table, one per predicate.
     let mut generator = QueryGenerator::new(&db, GeneratorConfig { max_joins: 4, seed: 6 });
     for query in generator.generate_unique(200) {
         let (t, p) = (query.tables().len() as u64, query.predicates().len() as u64);

@@ -56,6 +56,11 @@ impl Bitmap {
         Bitmap { words, len }
     }
 
+    /// The packed words, 64 positions each.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The packed words, for [`Column::and_matching`] to AND into.
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words

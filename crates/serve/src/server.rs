@@ -348,7 +348,9 @@ impl Shard {
             if !events.is_empty() {
                 self.obs.wakeups.inc();
             }
-            for ev in std::mem::take(&mut events) {
+            // Drained in place, so the buffer keeps its capacity for the
+            // next wait.
+            for ev in events.drain(..) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKER => self.waker.drain(),
