@@ -7,20 +7,25 @@
 //! * one CSR [`SparseRows`] stack of feature rows (the rows are ~85%
 //!   zeros, so CSR is their only encoding — no dense copy exists
 //!   anywhere);
-//! * the module's set elements, query after query: for each element, the
-//!   stack row that holds it;
+//! * the module's set elements, query after query: for each element, an
+//!   index entry naming either the stack row that holds it or a model
+//!   constant ([`CONSTANT`]);
 //! * per query, an `(offset, len)` segment of those elements.
 //!
 //! A row is a pure function of its element, and so is the set MLP's
-//! output for it. The serving block builder therefore stacks each
+//! output for it. Rows that no query changes — join one-hots, tables
+//! whose samples all qualify — are the featurizer's constant rows, whose
+//! outputs the model derives once when it is built or loaded; the serving
+//! block builder names them and stacks nothing. It stacks every other
 //! *distinct* row once and points every repeat at it, so the MLPs run
-//! once per distinct row. Training batches
+//! once per distinct non-constant row. Training batches
 //! ([`RaggedBatch::assemble_indexed`]) stack one row per element (the
 //! identity index), which the backward pass requires. Segment-mean
 //! pooling reads element rows through the index and computes exactly the
 //! paper's masked average — the same values, summed in the same order,
-//! whichever rows are shared. An empty set yields the zero vector,
-//! matching the all-masked behaviour of the reference implementation.
+//! whichever rows are shared or constant. An empty set yields the zero
+//! vector, matching the all-masked behaviour of the reference
+//! implementation.
 
 use std::sync::Mutex;
 
@@ -28,22 +33,31 @@ use lc_nn::{Matrix, SparseRows};
 
 use crate::featurize::FeaturizedQuery;
 
+/// The tag bit of an element index entry that names a model constant:
+/// `CONSTANT | id` is row `id` of the featurizer's `constant_rows` for
+/// the module, read from the model's derived outputs instead of the
+/// stack. An untagged entry is a stack row.
+pub const CONSTANT: u32 = 1 << 31;
+
 /// A mini-batch of featurized queries in ragged layout: per set module,
-/// a CSR stack of feature rows, the stack row of each set element, and
-/// one `(offset, len)` element segment per query.
+/// a CSR stack of feature rows, each set element's row (a stack row or a
+/// model constant), and one `(offset, len)` element segment per query.
 #[derive(Clone, Debug, Default)]
 pub struct RaggedBatch {
-    /// Table feature rows (each distinct row once in a serving block).
+    /// Table feature rows (each distinct non-constant row once in a
+    /// serving block).
     pub tables_sp: SparseRows,
     /// `(offset, len)` into the table elements (`table_index`) per query.
     pub table_segs: Vec<(u32, u32)>,
-    /// Per table element, the row of `tables_sp` that holds it.
+    /// Per table element, the row of `tables_sp` that holds it, or a
+    /// [`CONSTANT`]-tagged table constant.
     pub table_index: Vec<u32>,
-    /// Join feature rows.
+    /// Join feature rows (none in a serving block: joins are constants).
     pub joins_sp: SparseRows,
     /// `(offset, len)` into the join elements (`join_index`) per query.
     pub join_segs: Vec<(u32, u32)>,
-    /// Per join element, the row of `joins_sp` that holds it.
+    /// Per join element, the row of `joins_sp` that holds it, or a
+    /// [`CONSTANT`]-tagged join constant.
     pub join_index: Vec<u32>,
     /// Predicate feature rows.
     pub preds_sp: SparseRows,
@@ -55,7 +69,8 @@ pub struct RaggedBatch {
     /// Normalized targets, one per query.
     pub targets: Vec<f32>,
     /// The block builder's distinct-row lookups (table, join, predicate),
-    /// kept warm with the batch.
+    /// kept warm with the batch. Join rows are constants, so the join
+    /// lookup is reset but never probed.
     pub(crate) lookups: [RowLookup; 3],
 }
 
@@ -116,18 +131,25 @@ impl RaggedBatch {
         }
     }
 
-    /// The identity-indexed twin of this batch: each element's row
-    /// copied out in element order — what `assemble_indexed` builds.
+    /// The identity-indexed twin of this batch: each element's row — a
+    /// stack row or one of `featurizer`'s constant rows — copied out in
+    /// element order; what `assemble_indexed` builds.
     #[cfg(test)]
-    pub(crate) fn expanded(&self) -> RaggedBatch {
-        let expand = |rows: &SparseRows, index: &[u32]| {
+    pub(crate) fn expanded(&self, featurizer: &crate::Featurizer) -> RaggedBatch {
+        use crate::featurize::Set;
+        let expand = |set: Set, rows: &SparseRows, index: &[u32]| {
+            let constants = featurizer.constant_rows(set);
             let mut out = SparseRows::new(rows.cols());
-            index.iter().for_each(|&r| out.push_rows_from(rows, r as usize..r as usize + 1));
+            for &e in index {
+                let (src, r) =
+                    if e & CONSTANT == 0 { (rows, e) } else { (&constants, e ^ CONSTANT) };
+                out.push_rows_from(src, r as usize..r as usize + 1);
+            }
             (out, (0..index.len() as u32).collect())
         };
-        let (tables_sp, table_index) = expand(&self.tables_sp, &self.table_index);
-        let (joins_sp, join_index) = expand(&self.joins_sp, &self.join_index);
-        let (preds_sp, pred_index) = expand(&self.preds_sp, &self.pred_index);
+        let (tables_sp, table_index) = expand(Set::Tables, &self.tables_sp, &self.table_index);
+        let (joins_sp, join_index) = expand(Set::Joins, &self.joins_sp, &self.join_index);
+        let (preds_sp, pred_index) = expand(Set::Preds, &self.preds_sp, &self.pred_index);
         RaggedBatch {
             tables_sp,
             table_index,
@@ -274,17 +296,20 @@ impl<T: Default> WarmPool<T> {
 }
 
 /// Masked average pooling written into a **column window** of `out`:
-/// `out[q][col0 .. col0 + rows.cols()]` is the mean of
-/// `rows[index[e]]` over the elements `e` of segment `q`, summed in
-/// element order; zeros for an empty segment. Writing straight into a
-/// window of the concatenation matrix needs neither pooled temporaries
-/// nor a copy pass.
+/// `out[q][col0 .. col0 + rows.cols()]` is the mean over the elements `e`
+/// of segment `q`, summed in element order, of element `e`'s row —
+/// `rows[index[e]]`, or `constants[id]` for an entry `CONSTANT | id` —
+/// and zeros for an empty segment. Writing straight into a window of the
+/// concatenation matrix needs neither pooled temporaries nor a copy pass.
 ///
 /// # Panics
-/// If `out` has fewer rows than `segs`, the window exceeds its width, or
-/// a segment or index entry is out of range.
+/// If `out` has fewer rows than `segs`, the window exceeds its width, a
+/// segment or index entry is out of range, or an entry names a constant
+/// that `constants` does not hold (a model whose derived constants were
+/// dropped by mutable access).
 pub fn segment_mean_into_cols(
     rows: &Matrix,
+    constants: &Matrix,
     segs: &[(u32, u32)],
     index: &[u32],
     out: &mut Matrix,
@@ -293,6 +318,19 @@ pub fn segment_mean_into_cols(
     let d = rows.cols();
     assert!(out.rows() >= segs.len(), "segment_mean output too short");
     assert!(col0 + d <= out.cols(), "segment_mean column window out of range");
+    let row = |e: u32| {
+        if e & CONSTANT == 0 {
+            return rows.row(e as usize);
+        }
+        let id = (e ^ CONSTANT) as usize;
+        assert!(
+            id < constants.rows(),
+            "segment_mean: an element names model constant {id}, but the model holds {} \
+             (mutable access drops the derived constants; derive them again)",
+            constants.rows()
+        );
+        constants.row(id)
+    };
     for (qi, &(offset, len)) in segs.iter().enumerate() {
         let out_row = &mut out.row_mut(qi)[col0..col0 + d];
         out_row.iter_mut().for_each(|o| *o = 0.0);
@@ -300,8 +338,8 @@ pub fn segment_mean_into_cols(
             continue;
         }
         let inv = 1.0 / len as f32;
-        for &r in &index[offset as usize..(offset + len) as usize] {
-            for (o, &v) in out_row.iter_mut().zip(rows.row(r as usize)) {
+        for &e in &index[offset as usize..(offset + len) as usize] {
+            for (o, &v) in out_row.iter_mut().zip(row(e)) {
                 *o += v;
             }
         }
@@ -356,7 +394,7 @@ mod tests {
     fn segment_mean(elems: &Matrix, segs: &[(u32, u32)]) -> Matrix {
         let identity: Vec<u32> = (0..elems.rows() as u32).collect();
         let mut out = Matrix::zeros(segs.len(), elems.cols());
-        segment_mean_into_cols(elems, segs, &identity, &mut out, 0);
+        segment_mean_into_cols(elems, &Matrix::default(), segs, &identity, &mut out, 0);
         out
     }
 
@@ -376,13 +414,26 @@ mod tests {
         assert_eq!(pooled.row(2), &[0.0, 0.0]);
 
         // Elements read their rows through the index: two rows stand in
-        // for the three elements above.
+        // for the three elements above, and a tagged entry reads a
+        // constant instead of a stack row.
         let distinct = Matrix::from_vec(2, 2, vec![10.0, 20.0, 2.0, 3.0]);
+        let constants = Matrix::from_vec(2, 2, vec![0.0, 0.0, 1.0, 2.0]);
         let mut shared = Matrix::zeros(3, 2);
-        segment_mean_into_cols(&distinct, &segs, &[1, 1, 0], &mut shared, 0);
-        assert_eq!(shared.row(0), &[2.0, 3.0]);
+        segment_mean_into_cols(&distinct, &constants, &segs, &[1, CONSTANT | 1, 0], &mut shared, 0);
+        assert_eq!(shared.row(0), &[1.5, 2.5]);
         assert_eq!(shared.row(1), &[10.0, 20.0]);
         assert_eq!(shared.row(2), &[0.0, 0.0]);
+    }
+
+    /// A constant the caller does not hold is an error, never a read of
+    /// whatever sits at that position.
+    #[test]
+    #[should_panic(expected = "model constant 2")]
+    fn segment_mean_rejects_a_missing_constant() {
+        let rows = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+        let constants = Matrix::from_vec(2, 2, vec![0.0; 4]);
+        let mut out = Matrix::zeros(1, 2);
+        segment_mean_into_cols(&rows, &constants, &[(0, 2)], &[0, CONSTANT | 2], &mut out, 0);
     }
 
     /// Rows under one hash are told apart by `same` alone: an unconfirmed

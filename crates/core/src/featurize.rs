@@ -8,20 +8,29 @@
 //! * target: `log(cardinality)` min/max-normalized to `[0,1]` over the
 //!   training set ([`LabelNorm`]).
 //!
-//! A serving block ([`Featurizer::featurize_into_sparse_batch`]) stacks
-//! each distinct element row once per module and records, per element,
-//! which stack row holds it; segments then count elements, not rows.
-//! Within a block many rows repeat (the same join edge, the same table
-//! without predicates, the same predicate on another query), and every
-//! repeat is one set-MLP row the forward pass no longer computes.
+//! Some element rows carry nothing specific to a query: every join row,
+//! and every table row whose samples all qualify (in
+//! [`FeatureMode::NoSamples`], every table row). The featurizer decides
+//! which — it is the one place feature positions are decided — and emits
+//! them once, as [`Featurizer::constant_rows`]; a model derives their
+//! set-MLP outputs when it is built or loaded.
+//!
+//! In a serving block ([`Featurizer::featurize_into_sparse_batch`]) an
+//! element's index therefore names either a stack row or a model
+//! constant ([`crate::batch::CONSTANT`]). Constants are never stacked;
+//! every other distinct row is stacked once per module, and each repeat
+//! (the same table under the same bitmap, the same predicate on another
+//! query) points at it. Segments count elements, not rows, and every
+//! constant or repeat is one set-MLP row the forward pass does not
+//! compute.
 
 use std::hash::Hasher;
 
-use lc_engine::{Database, FxHasher, TableId};
+use lc_engine::{Bitmap, Database, FxHasher, JoinId, TableId};
 use lc_nn::SparseRows;
-use lc_query::LabeledQuery;
+use lc_query::{LabeledQuery, Query};
 
-use crate::batch::RaggedBatch;
+use crate::batch::{RaggedBatch, CONSTANT};
 
 /// Which §3.4 sample information enriches the table features — the three
 /// model variants of Fig. 4.
@@ -55,15 +64,20 @@ impl FeatureMode {
 }
 
 /// The three set modules, in concatenation order.
-#[derive(Clone, Copy, Debug)]
-enum Set {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Set {
+    /// The table set `T_q`.
     Tables,
+    /// The join set `J_q`.
     Joins,
+    /// The predicate set `P_q`.
     Preds,
 }
 
 impl Set {
-    const ALL: [Set; 3] = [Set::Tables, Set::Joins, Set::Preds];
+    /// All three, in concatenation order (a module's position here is its
+    /// position in every per-module array of the model and the batch).
+    pub const ALL: [Set; 3] = [Set::Tables, Set::Joins, Set::Preds];
 
     /// Number of elements of this set in `q`.
     fn len(self, q: &LabeledQuery) -> usize {
@@ -244,6 +258,77 @@ impl Featurizer {
             + if self.mode == FeatureMode::PredicateBitmaps { self.sample_size } else { 0 }
     }
 
+    /// Width of a feature row of `set`.
+    fn dim(&self, set: Set) -> usize {
+        match set {
+            Set::Tables => self.table_dim(),
+            Set::Joins => self.join_dim(),
+            Set::Preds => self.pred_dim(),
+        }
+    }
+
+    /// The constant element rows of `set`, stacked: row `id` is the row
+    /// of every element that [`Featurizer::featurize_into_sparse_batch`]
+    /// indexes as constant `id` of `set` — table `id` with all of its
+    /// samples qualifying, join `id`'s one-hot; predicates have none.
+    /// Emitted like any other rows, as the elements of one query that
+    /// holds every table and every join with all samples qualifying.
+    pub fn constant_rows(&self, set: Set) -> SparseRows {
+        let every = LabeledQuery {
+            query: Query::new(
+                (0..self.num_tables as u16).map(TableId).collect(),
+                (0..self.num_joins as u16).map(JoinId).collect(),
+                vec![],
+            ),
+            cardinality: 0,
+            sample_counts: vec![self.sample_size as u32; self.num_tables],
+            bitmaps: vec![Bitmap::ones(self.sample_size); self.num_tables],
+            pred_bitmaps: vec![],
+        };
+        let mut rows = SparseRows::new(self.dim(set));
+        (0..set.len(&every)).for_each(|i| self.push_row(set, &every, i, &mut rows));
+        rows
+    }
+
+    /// The constant row element `i` of `set` in `q` emits, if it emits
+    /// one: a join's, always; a table's when the mode reads no samples or
+    /// all `sample_size` of them qualify. The annotation counts a table's
+    /// qualifying samples out of its bitmap, and that bitmap is no longer
+    /// than `sample_size` ([`Featurizer::check_sample_width`]), so a full
+    /// count means every bitmap position is set.
+    fn constant_id(&self, set: Set, q: &LabeledQuery, i: usize) -> Option<u32> {
+        match set {
+            Set::Tables => {
+                let all_qualify = self.mode == FeatureMode::NoSamples
+                    || q.sample_counts[i] as usize == self.sample_size;
+                all_qualify.then(|| q.query.tables()[i].index() as u32)
+            }
+            Set::Joins => Some(q.query.joins()[i].index() as u32),
+            Set::Preds => None,
+        }
+    }
+
+    /// Check, once per element, that the sample bitmap element `i` of
+    /// `set` in `q` carries is no longer than `sample_size`. Bitmap
+    /// positions are feature columns, so a query annotated against a
+    /// larger sample set would name columns past the model's input width.
+    ///
+    /// # Panics
+    /// If the bitmap is longer, naming both sizes.
+    fn check_sample_width(&self, set: Set, q: &LabeledQuery, i: usize) {
+        let bitmap = match set {
+            Set::Tables => &q.bitmaps[i],
+            Set::Joins => return,
+            Set::Preds => &q.pred_bitmaps[i],
+        };
+        assert!(
+            bitmap.len() <= self.sample_size,
+            "query annotated against {} samples, but the featurizer was fitted for sample size {}",
+            bitmap.len(),
+            self.sample_size
+        );
+    }
+
     /// Normalize a literal by its column's min/max (§3.1).
     fn normalize_value(&self, global_col: usize, v: i64) -> f32 {
         let (min, max) = self.value_range[global_col];
@@ -331,7 +416,8 @@ impl Featurizer {
     /// A hash of what the emitter reads for element row `i` of `set` in
     /// `q`: the block builder's key for finding a repeated row. A row is
     /// compared entry by entry before it is shared, so the key decides
-    /// only how often sharing is found, never what a row holds.
+    /// only how often sharing is found, never what a row holds. Join rows
+    /// are constants and never looked up.
     fn row_key(&self, set: Set, q: &LabeledQuery, i: usize) -> u64 {
         let mut h = FxHasher::default();
         match set {
@@ -345,12 +431,15 @@ impl Featurizer {
                     }
                 }
             }
-            Set::Joins => h.write_usize(q.query.joins()[i].index()),
+            Set::Joins => unreachable!("join rows are constants"),
             Set::Preds => {
                 let p = &q.query.predicates()[i];
-                h.write_usize(self.column_index[p.table.index()][p.column]);
+                let g = self.column_index[p.table.index()][p.column];
+                h.write_usize(g);
                 h.write_usize(p.op.index());
-                h.write_i64(p.value);
+                // The emitted literal, not the raw one: literals past the
+                // column's range clamp to the same row.
+                h.write_u32(self.normalize_value(g, p.value).to_bits());
                 if self.mode == FeatureMode::PredicateBitmaps {
                     q.pred_bitmaps[i].words().iter().for_each(|&w| h.write_u64(w));
                 }
@@ -360,8 +449,12 @@ impl Featurizer {
     }
 
     /// Encode one annotated query on its own — the unit a training corpus
-    /// is made of (`CorpusSparse::build` stacks them). Serving featurizes
-    /// whole blocks with [`Featurizer::featurize_into_sparse_batch`].
+    /// is made of (`CorpusSparse::build` stacks them). Every element,
+    /// constant or not, gets a row of its own. Serving featurizes whole
+    /// blocks with [`Featurizer::featurize_into_sparse_batch`].
+    ///
+    /// # Panics
+    /// If `q` was annotated against more than `sample_size` samples.
     pub fn featurize(&self, q: &LabeledQuery) -> FeaturizedQuery {
         let mut out = FeaturizedQuery {
             tables: SparseRows::new(self.table_dim()),
@@ -371,7 +464,10 @@ impl Featurizer {
         };
         let stacks = [&mut out.tables, &mut out.joins, &mut out.preds];
         for (set, rows) in Set::ALL.into_iter().zip(stacks) {
-            (0..set.len(q)).for_each(|i| self.push_row(set, q, i, rows));
+            for i in 0..set.len(q) {
+                self.check_sample_width(set, q, i);
+                self.push_row(set, q, i, rows);
+            }
         }
         out
     }
@@ -379,15 +475,20 @@ impl Featurizer {
     /// Featurize a block of queries into a **reused** batch: the CSR
     /// stacks, element indexes, segment maps, and targets are rebuilt in
     /// place (buffer capacity carries over from the previous call), so a
-    /// warm batch costs one emitter walk and one lookup per set element
-    /// and nothing else.
+    /// warm batch costs at most one emitter walk and one lookup per set
+    /// element and nothing else.
     ///
-    /// Each module's stack holds every distinct row once, in order of
-    /// first occurrence; a repeated row is compared against its earlier
-    /// copy instead of being pushed, and its element points at that copy.
-    /// The batch is for the forward pass only:
-    /// `MscnModel::backward_scratch` needs one row per element
+    /// An element whose row is constant ([`Featurizer::constant_rows`])
+    /// is recorded as that constant ([`CONSTANT`]` | id`) and neither
+    /// stacked nor looked up. Each module's stack holds every other
+    /// distinct row once, in order of first occurrence; a repeated row is
+    /// compared against its earlier copy instead of being pushed, and its
+    /// element points at that copy. The batch is for the forward pass
+    /// only: `MscnModel::backward_scratch` needs one row per element
     /// ([`RaggedBatch::assemble_indexed`]).
+    ///
+    /// # Panics
+    /// If a query was annotated against more than `sample_size` samples.
     pub fn featurize_into_sparse_batch(&self, queries: &[LabeledQuery], out: &mut RaggedBatch) {
         let RaggedBatch {
             tables_sp,
@@ -424,6 +525,11 @@ impl Featurizer {
                 let (set, n) = (*set, set.len(q));
                 segs.push((index.len() as u32, n as u32));
                 for i in 0..n {
+                    self.check_sample_width(set, q, i);
+                    if let Some(id) = self.constant_id(set, q, i) {
+                        index.push(CONSTANT | id);
+                        continue;
+                    }
                     let next = rows.rows() as u32;
                     let stack = &**rows;
                     let earlier = if share {
@@ -486,9 +592,8 @@ pub(crate) struct FeaturizerParts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lc_engine::{CmpOp, JoinId, Predicate, SampleSet};
+    use lc_engine::{CmpOp, Predicate, SampleSet};
     use lc_imdb::{generate, ImdbConfig};
-    use lc_query::Query;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -591,8 +696,9 @@ mod tests {
     /// stacked by `CorpusSparse` + `assemble_indexed` (training), and the
     /// block builder [`Featurizer::featurize_into_sparse_batch`] (serving)
     /// — must describe exactly the same elements: the builder's rows read
-    /// through its index are the assembled CSR rows, with the same
-    /// segments and targets, while its stacks hold each distinct row once.
+    /// through its index (stack rows, or constant rows for tagged
+    /// elements) are the assembled CSR rows, with the same segments and
+    /// targets, while its stacks hold each distinct non-constant row once.
     #[test]
     fn sparse_batch_builder_matches_assemble_indexed() {
         let (db, samples) = fixture();
@@ -626,7 +732,7 @@ mod tests {
             let mut reused = RaggedBatch::empty();
             f.featurize_into_sparse_batch(&labeled[..5], &mut reused);
             f.featurize_into_sparse_batch(&labeled, &mut reused);
-            let elementwise = reused.expanded();
+            let elementwise = reused.expanded(&f);
             assert_eq!(elementwise.tables_sp, via_assemble.tables_sp, "{mode:?}: CSR tables");
             assert_eq!(elementwise.joins_sp, via_assemble.joins_sp, "{mode:?}: CSR joins");
             assert_eq!(elementwise.preds_sp, via_assemble.preds_sp, "{mode:?}: CSR preds");
@@ -648,7 +754,83 @@ mod tests {
                 }
                 assert!(rows.rows() < index.len(), "{mode:?}: the repeated queries share rows");
             }
+            let tagged = |index: &[u32]| index.iter().filter(|&&e| e & CONSTANT != 0).count();
+            assert_eq!(tagged(&reused.join_index), reused.join_index.len(), "{mode:?}: joins");
+            assert_eq!(reused.joins_sp.rows(), 0, "{mode:?}: no join row is stacked");
+            assert!(tagged(&reused.table_index) > 0, "{mode:?}: some tables are constants");
+            assert_eq!(tagged(&reused.pred_index), 0, "{mode:?}: predicates never are");
         }
+    }
+
+    /// A table element is a constant exactly when the mode reads no
+    /// samples or all of them qualify — not for a table smaller than the
+    /// sample, whose bitmap leaves positions clear — and a constant
+    /// element emits its constant row, entry for entry.
+    #[test]
+    fn constant_elements_emit_their_constant_row() {
+        let db = generate(&ImdbConfig::tiny());
+        // One table smaller than the sample: the smallest.
+        let rows = |t: u16| db.table(TableId(t)).num_rows();
+        let small = (0..6).min_by_key(|&t| rows(t)).unwrap();
+        let samples = SampleSet::draw(&db, rows(small) + 1, &mut SmallRng::seed_from_u64(8));
+        let kind = db.schema().table(TableId(0)).column_index("kind_id").unwrap();
+        let stats = db.column_stats(TableId(0), kind);
+        let any_kind =
+            Predicate { table: TableId(0), column: kind, op: CmpOp::Gt, value: stats.min - 1 };
+        let mut queries: Vec<Query> =
+            (0..6).map(|t| Query::new(vec![TableId(t)], vec![], vec![])).collect();
+        queries.push(Query::new(vec![TableId(0)], vec![], vec![any_kind]));
+        queries.push(Query::new(vec![TableId(0), TableId(1)], vec![JoinId(0)], vec![]));
+        let labeled: Vec<_> =
+            queries.into_iter().map(|q| LabeledQuery::compute(&db, &samples, q)).collect();
+        for mode in [
+            FeatureMode::NoSamples,
+            FeatureMode::SampleCounts,
+            FeatureMode::Bitmaps,
+            FeatureMode::PredicateBitmaps,
+        ] {
+            let f = Featurizer::fit(&db, mode, samples.sample_size(), [1u64, 1000]);
+            let constants = [f.constant_rows(Set::Tables), f.constant_rows(Set::Joins)];
+            assert_eq!((constants[0].rows(), constants[1].rows()), (6, 5), "{mode:?}");
+            assert_eq!(f.constant_rows(Set::Preds).rows(), 0, "{mode:?}");
+            for q in &labeled {
+                let fq = f.featurize(q);
+                for (i, &count) in q.sample_counts.iter().enumerate() {
+                    let full = count as usize == samples.sample_size();
+                    let id = f.constant_id(Set::Tables, q, i);
+                    assert_eq!(id.is_some(), mode == FeatureMode::NoSamples || full, "{mode:?}");
+                    if let Some(id) = id {
+                        assert_eq!(fq.tables.row(i), constants[0].row(id as usize), "{mode:?}");
+                    }
+                }
+                for i in 0..fq.joins.rows() {
+                    let id = f.constant_id(Set::Joins, q, i).expect("joins are constants");
+                    assert_eq!(fq.joins.row(i), constants[1].row(id as usize), "{mode:?}");
+                }
+            }
+            // Title is fully sampled unless it is the small table; the
+            // predicate every row passes leaves its row as constant as
+            // without it. The small table's row is never constant unless
+            // no samples are read.
+            let title = f.constant_id(Set::Tables, &labeled[0], 0);
+            assert_eq!(f.constant_id(Set::Tables, &labeled[6], 0), title, "{mode:?}");
+            let small_row = f.constant_id(Set::Tables, &labeled[small as usize], 0);
+            assert_eq!(small_row.is_some(), mode == FeatureMode::NoSamples, "{mode:?}");
+            let constant = |t: usize| f.constant_id(Set::Tables, &labeled[t], 0).is_some();
+            assert_eq!((0..6).filter(|&t| constant(t)).count(), 5 + small_row.is_some() as usize);
+        }
+    }
+
+    /// A query annotated against a larger sample set than the featurizer
+    /// was fitted for would name feature columns past the model's input
+    /// width; the featurizer stops instead, in release builds too.
+    #[test]
+    #[should_panic(expected = "sample size")]
+    fn a_larger_sample_set_is_rejected() {
+        let (db, samples) = fixture();
+        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, 16, [1u64, 1000]);
+        let q = LabeledQuery::compute(&db, &samples, Query::new(vec![TableId(2)], vec![], vec![]));
+        f.featurize_into_sparse_batch(&[q], &mut RaggedBatch::empty());
     }
 
     #[test]

@@ -9,12 +9,23 @@
 //! intermediate in a reusable [`MscnScratch`], and accumulate gradients
 //! into an external [`MscnGrads`] — after one warm-up pass a whole
 //! training step touches the allocator exactly zero times.
+//!
+//! A batch element's index names either a stack row or a model constant
+//! (`crate::batch::CONSTANT`). The model holds, as derived state, the
+//! set-MLP outputs of the featurizer's constant rows
+//! ([`MscnModel::derive_constants`]). They are computed by the same
+//! forward as any stack row, so pooling one reads exactly the values a
+//! stacked copy would have produced. The estimator derives them whenever
+//! it is built or loaded; they are never serialized, and
+//! [`MscnModel::mlps_mut`] drops them, so a forward over a batch that
+//! names a constant then panics instead of reading stale outputs.
 
 use lc_nn::{FinalActivation, Matrix, Mlp, MlpCache, MlpGrads, Scratch, SparseRows};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::batch::{segment_mean_backward_from_cols, segment_mean_into_cols, RaggedBatch};
+use crate::featurize::{Featurizer, Set};
 
 /// External gradient buffers for all four MLPs, in canonical order. Each
 /// data-parallel shard accumulates into its own `MscnGrads`; the trainer
@@ -104,6 +115,10 @@ pub struct MscnModel {
     pred_mlp: Mlp,
     out_mlp: Mlp,
     hidden: usize,
+    /// Per set module, the set-MLP outputs of the featurizer's constant
+    /// rows (derived, never serialized; empty until derived and after
+    /// any mutable access).
+    constants: [Matrix; 3],
 }
 
 impl MscnModel {
@@ -123,6 +138,24 @@ impl MscnModel {
             pred_mlp: Mlp::new(pred_dim, hidden, hidden, FinalActivation::Relu, &mut rng),
             out_mlp: Mlp::new(3 * hidden, hidden, 1, FinalActivation::Sigmoid, &mut rng),
             hidden,
+            constants: Default::default(),
+        }
+    }
+
+    /// Compute the set-MLP outputs of `featurizer`'s constant rows with
+    /// this model's own forward and keep them, so serving blocks that name
+    /// a constant can be forwarded. Rows are independent in every kernel,
+    /// so each output is bitwise the one a stacked copy of the row gets.
+    ///
+    /// # Panics
+    /// If `featurizer`'s feature widths are not this model's input widths.
+    pub fn derive_constants(&mut self, featurizer: &Featurizer) {
+        let dims = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
+        assert_eq!(dims, self.input_dims(), "featurizer widths must match the model's inputs");
+        let mut cache = MlpCache::new();
+        for (m, set) in Set::ALL.into_iter().enumerate() {
+            self.mlps()[m].forward_sparse_into(&featurizer.constant_rows(set), &mut cache);
+            self.constants[m] = std::mem::take(&mut cache.output);
         }
     }
 
@@ -153,7 +186,11 @@ impl MscnModel {
     /// The set-module input layers gather weight rows for the CSR
     /// inputs' nonzeros only — the widest matmuls of the model are
     /// O(nnz) — and each set MLP runs once per stacked row, however many
-    /// elements share that row.
+    /// elements share that row; elements that name a constant read the
+    /// derived outputs ([`MscnModel::derive_constants`]).
+    ///
+    /// # Panics
+    /// If the batch names a constant this model does not hold.
     pub fn forward_scratch(&self, batch: &RaggedBatch, s: &mut MscnScratch) {
         let n = batch.len();
         let d = self.hidden;
@@ -162,7 +199,8 @@ impl MscnModel {
         s.concat.resize_for_overwrite(n, 3 * d);
         for (m, (mlp, x, segs, index)) in self.sets(batch).into_iter().enumerate() {
             mlp.forward_sparse_into(x, &mut s.set_caches[m]);
-            segment_mean_into_cols(&s.set_caches[m].output, segs, index, &mut s.concat, m * d);
+            let (rows, constants) = (&s.set_caches[m].output, &self.constants[m]);
+            segment_mean_into_cols(rows, constants, segs, index, &mut s.concat, m * d);
         }
         self.out_mlp.forward_into(&s.concat, &mut s.out_cache);
         s.preds.clear();
@@ -192,8 +230,9 @@ impl MscnModel {
     /// # Panics
     /// If `s.grad_pred.len() != batch.len()`, or if some set element does
     /// not own its row (a serving block from
-    /// `Featurizer::featurize_into_sparse_batch` that shares rows is
-    /// forward-only; train on [`RaggedBatch::assemble_indexed`] batches).
+    /// `Featurizer::featurize_into_sparse_batch`, which shares rows and
+    /// names constants, is forward-only; train on
+    /// [`RaggedBatch::assemble_indexed`] batches).
     pub fn backward_scratch(
         &self,
         batch: &RaggedBatch,
@@ -206,7 +245,7 @@ impl MscnModel {
             self.sets(batch).iter().all(|(_, x, _, index)| {
                 index.len() == x.rows() && index.iter().enumerate().all(|(e, &r)| r as usize == e)
             }),
-            "backward_scratch: this batch shares rows between set elements, so it is forward-only"
+            "backward_scratch: this batch shares rows or names constants, so it is forward-only"
         );
         let d = self.hidden;
         s.grad_out.resize_for_overwrite(n, 1);
@@ -245,8 +284,10 @@ impl MscnModel {
     }
 
     /// All MLPs in canonical order (table, join, predicate, output) — the
-    /// order the optimizer registration and the serializer use.
+    /// order the optimizer registration and the serializer use. Drops
+    /// the derived constants: the weights may change under them.
     pub fn mlps_mut(&mut self) -> [&mut Mlp; 4] {
+        self.constants = Default::default();
         [&mut self.table_mlp, &mut self.join_mlp, &mut self.pred_mlp, &mut self.out_mlp]
     }
 
@@ -259,7 +300,7 @@ impl MscnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::CorpusSparse;
+    use crate::batch::{CorpusSparse, CONSTANT};
     use crate::featurize::FeaturizedQuery;
     use lc_nn::LossKind;
     use rand::seq::SliceRandom;
@@ -426,12 +467,13 @@ mod tests {
     }
 
     /// A batch built by the serving-side block builder shares repeated
-    /// rows, yet every element must see what it sees in the trainer's own
-    /// batch: bitwise the same set-MLP output per element (read through
-    /// the index), the same predictions, and — once expanded to one row
-    /// per element — the same `MscnGrads`, as the `assemble_indexed` batch
-    /// of the same queries; also on a scratch left dirty by a differently
-    /// shaped batch.
+    /// rows and names constants, yet every element must see what it sees
+    /// in the trainer's own batch: bitwise the same set-MLP output per
+    /// element (read through the index, from the stack or the model's
+    /// derived constants), the same predictions, and — once expanded to
+    /// one row per element — the same `MscnGrads`, as the
+    /// `assemble_indexed` batch of the same queries; also on a scratch
+    /// left dirty by a differently shaped batch.
     #[test]
     fn sparse_batch_builder_yields_the_same_grads_bitwise() {
         use crate::featurize::{FeatureMode, Featurizer};
@@ -450,7 +492,8 @@ mod tests {
             .collect();
         labeled.extend_from_within(2..6);
         let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
-        let model = MscnModel::new(td, jd, pd, 16, 13);
+        let mut model = MscnModel::new(td, jd, pd, 16, 13);
+        model.derive_constants(&f);
         let run = |batch: &RaggedBatch, s: &mut MscnScratch| {
             let mut grads = model.new_grads();
             model.forward_scratch(batch, s);
@@ -463,10 +506,14 @@ mod tests {
         // batch's index.
         let per_element = |batch: &RaggedBatch, s: &MscnScratch| -> Vec<Vec<f32>> {
             let indexes = [&batch.table_index, &batch.join_index, &batch.pred_index];
-            indexes
-                .iter()
-                .zip(&s.set_caches)
-                .flat_map(|(index, cache)| index.iter().map(|&r| cache.output.row(r as usize)))
+            let modules = indexes.iter().zip(&s.set_caches).zip(&model.constants);
+            modules
+                .flat_map(|((index, cache), constants)| {
+                    index.iter().map(|&e| match e & CONSTANT {
+                        0 => cache.output.row(e as usize),
+                        _ => constants.row((e ^ CONSTANT) as usize),
+                    })
+                })
                 .map(<[f32]>::to_vec)
                 .collect()
         };
@@ -483,13 +530,43 @@ mod tests {
         let mut built = RaggedBatch::empty();
         let mut dirty = MscnScratch::new();
         f.featurize_into_sparse_batch(&labeled[..7], &mut built);
-        run(&built.expanded(), &mut dirty);
+        run(&built.expanded(&f), &mut dirty);
         f.featurize_into_sparse_batch(&labeled, &mut built);
         assert!(built.tables_sp.rows() < built.table_index.len(), "the block must share rows");
+        assert!(built.join_index.iter().all(|&e| e & CONSTANT != 0), "joins are constants");
         model.forward_scratch(&built, &mut dirty);
         assert_eq!(dirty.preds, expected.0);
         assert_eq!(per_element(&built, &dirty), expected_elements);
-        assert_eq!(run(&built.expanded(), &mut dirty), expected);
+        assert_eq!(run(&built.expanded(&f), &mut dirty), expected);
+    }
+
+    /// Mutable access drops the derived constants, so a forward over a
+    /// block that names one stops with a message instead of pooling
+    /// outputs of weights that may have changed since.
+    #[test]
+    #[should_panic(expected = "derive them again")]
+    fn mutable_access_drops_the_constants() {
+        use crate::featurize::{FeatureMode, Featurizer};
+
+        let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
+        let samples = lc_engine::SampleSet::draw(&db, 16, &mut SmallRng::seed_from_u64(6));
+        let f = Featurizer::fit(&db, FeatureMode::Bitmaps, samples.sample_size(), [1u64, 800]);
+        let mut model = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), 8, 14);
+        model.derive_constants(&f);
+        let mut gen =
+            lc_query::QueryGenerator::new(&db, lc_query::GeneratorConfig { max_joins: 2, seed: 3 });
+        let labeled: Vec<_> = gen
+            .generate_unique(8)
+            .into_iter()
+            .map(|q| lc_query::LabeledQuery::compute(&db, &samples, q))
+            .collect();
+        let mut block = RaggedBatch::empty();
+        f.featurize_into_sparse_batch(&labeled, &mut block);
+        assert!(block.join_index.iter().any(|&e| e & CONSTANT != 0), "the block names constants");
+        let mut s = MscnScratch::new();
+        model.forward_scratch(&block, &mut s);
+        let _ = model.mlps_mut();
+        model.forward_scratch(&block, &mut s);
     }
 
     /// A block that shares rows between elements cannot be trained on:

@@ -18,6 +18,15 @@
 //! front of every quantized product, so a query's quantized answer never
 //! depends on which other queries share its batch (the serving layer's
 //! batching-transparency invariant).
+//!
+//! An element's index names either a stack row or a model constant, as
+//! on the f32 path: the int8 model derives the outputs of the
+//! featurizer's constant rows with its own forward
+//! ([`QuantizedMscnModel::derive_constants`]) when [`QuantizedMscn`] is
+//! quantized or decoded. Per-row activation scales make each derived row
+//! exactly what a stacked copy would give; the outputs are never
+//! serialized.
+//!
 //! Serialization follows the hardened `MSCN` format discipline: magic +
 //! version, the *identical* featurizer section, and an exact-size check
 //! computed before any allocation.
@@ -30,7 +39,7 @@ use lc_query::LabeledQuery;
 use crate::batch::{segment_mean_into_cols, RaggedBatch, WarmPool};
 use crate::ensemble::UncertainEstimate;
 use crate::estimator::Estimator;
-use crate::featurize::Featurizer;
+use crate::featurize::{Featurizer, Set};
 use crate::model::MscnModel;
 use crate::serialize::{need, read_featurizer, write_featurizer, DecodeError};
 use crate::train::{predict_blocks, MscnEstimator};
@@ -71,6 +80,9 @@ pub struct QuantizedMscnModel {
     pred_mlp: QMlp,
     out_mlp: QMlp,
     hidden: usize,
+    /// Per set module, the int8 set-MLP outputs of the featurizer's
+    /// constant rows (derived, never serialized; empty until derived).
+    constants: [Matrix; 3],
 }
 
 impl QuantizedMscnModel {
@@ -92,6 +104,27 @@ impl QuantizedMscnModel {
             pred_mlp,
             out_mlp: QMlp::quantize(out),
             hidden: model.hidden(),
+            constants: Default::default(),
+        }
+    }
+
+    /// Compute the int8 set-MLP outputs of `featurizer`'s constant rows
+    /// with this model's own forward and keep them, so serving blocks
+    /// that name a constant can be forwarded. Activation scales are per
+    /// row, so each output is bitwise the one a stacked copy of the row
+    /// gets.
+    ///
+    /// # Panics
+    /// If `featurizer`'s feature widths are not this model's input widths.
+    pub fn derive_constants(&mut self, featurizer: &Featurizer) {
+        let dims = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
+        assert_eq!(dims, self.input_dims(), "featurizer widths must match the model's inputs");
+        let (mut cache, mut qvals, mut qscales) = (QMlpCache::new(), Vec::new(), Vec::new());
+        for (m, set) in Set::ALL.into_iter().enumerate() {
+            let rows = featurizer.constant_rows(set);
+            quantize_csr(&rows, &mut qvals, &mut qscales);
+            self.mlps()[m].forward_sparse_into(&rows, &qvals, &qscales, &mut cache);
+            self.constants[m] = std::mem::take(&mut cache.output);
         }
     }
 
@@ -116,7 +149,14 @@ impl QuantizedMscnModel {
         table_mlp.mark_sparse_input();
         join_mlp.mark_sparse_input();
         pred_mlp.mark_sparse_input();
-        QuantizedMscnModel { table_mlp, join_mlp, pred_mlp, out_mlp, hidden }
+        QuantizedMscnModel {
+            table_mlp,
+            join_mlp,
+            pred_mlp,
+            out_mlp,
+            hidden,
+            constants: Default::default(),
+        }
     }
 
     /// Hidden width `d`.
@@ -153,7 +193,12 @@ impl QuantizedMscnModel {
     /// consumes the batch's CSR view (its stored values quantized with
     /// per-row dynamic scales), pooling and concatenation run in f32,
     /// and the concatenation is re-quantized for the output module.
+    /// Elements that name a constant read the derived outputs
+    /// ([`QuantizedMscnModel::derive_constants`]).
     /// After this call `s.preds` holds `w_out ∈ [0,1]` per query.
+    ///
+    /// # Panics
+    /// If the batch names a constant this model does not hold.
     pub fn forward_scratch(&self, batch: &RaggedBatch, s: &mut QuantScratch) {
         let n = batch.len();
         let d = self.hidden;
@@ -171,7 +216,8 @@ impl QuantizedMscnModel {
             // quantization overwrites them.
             quantize_csr(x, &mut s.qvals, &mut s.qscales);
             mlp.forward_sparse_into(x, &s.qvals, &s.qscales, &mut s.set_caches[m]);
-            segment_mean_into_cols(&s.set_caches[m].output, segs, index, &mut s.concat, m * d);
+            let (rows, constants) = (&s.set_caches[m].output, &self.constants[m]);
+            segment_mean_into_cols(rows, constants, segs, index, &mut s.concat, m * d);
         }
         s.qconcat.quantize_from(&s.concat);
         self.out_mlp.forward_into(&s.qconcat, &mut s.out_cache);
@@ -190,12 +236,16 @@ pub struct QuantizedMscn {
 }
 
 impl QuantizedMscn {
+    /// Pair a network with its featurizer, deriving the network's
+    /// constants — the one way an int8 estimator is built or loaded.
+    fn new(mut qmodel: QuantizedMscnModel, featurizer: Featurizer) -> Self {
+        qmodel.derive_constants(&featurizer);
+        QuantizedMscn { qmodel, featurizer }
+    }
+
     /// Quantize a trained f32 estimator — the publish-time conversion.
     pub fn quantize(est: &MscnEstimator) -> Self {
-        QuantizedMscn {
-            qmodel: QuantizedMscnModel::quantize(est.model()),
-            featurizer: est.featurizer().clone(),
-        }
+        Self::new(QuantizedMscnModel::quantize(est.model()), est.featurizer().clone())
     }
 
     /// The quantized network.
@@ -321,10 +371,8 @@ impl QuantizedMscn {
         let pred_mlp = modules.pop().expect("4 modules read");
         let join_mlp = modules.pop().expect("4 modules read");
         let table_mlp = modules.pop().expect("4 modules read");
-        Ok(QuantizedMscn {
-            qmodel: QuantizedMscnModel::from_parts(table_mlp, join_mlp, pred_mlp, out_mlp),
-            featurizer,
-        })
+        let qmodel = QuantizedMscnModel::from_parts(table_mlp, join_mlp, pred_mlp, out_mlp);
+        Ok(Self::new(qmodel, featurizer))
     }
 
     /// Size in bytes of the serialized artifact.
@@ -481,6 +529,33 @@ mod tests {
         let restored = QuantizedMscn::from_bytes(&q.to_bytes()).expect("decode");
         assert_eq!(q.estimate_cards(&data[..32]), restored.estimate_cards(&data[..32]));
         assert_eq!(q.resident_bytes(), restored.resident_bytes());
+    }
+
+    /// The int8 model derives its constants with its own forward when it
+    /// is quantized or decoded, so served answers (blocks name constants)
+    /// are bitwise those of the one-row-per-element batch (which names
+    /// none), for the original, a clone and a decoded copy alike.
+    #[test]
+    fn derived_constants_follow_every_quantized_estimator() {
+        use crate::batch::CorpusSparse;
+        use crate::featurize::FeaturizedQuery;
+
+        let (est, data) = teacher();
+        let q = QuantizedMscn::quantize(&est);
+        let f = q.featurizer();
+        let feats: Vec<FeaturizedQuery> = data.iter().map(|l| f.featurize(l)).collect();
+        let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
+        let corpus = CorpusSparse::build(&feats, td, jd, pd);
+        let all: Vec<usize> = (0..data.len()).collect();
+        let batch = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
+        let mut s = QuantScratch::new();
+        q.qmodel().forward_scratch(&batch, &mut s);
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let want = bits(&s.preds);
+        let decoded = QuantizedMscn::from_bytes(&q.to_bytes()).expect("decode");
+        for (name, served) in [("quantized", &q), ("clone", &q.clone()), ("decoded", &decoded)] {
+            assert_eq!(bits(&served.estimate_normalized(&data)), want, "{name}");
+        }
     }
 
     #[test]

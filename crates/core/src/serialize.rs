@@ -120,7 +120,7 @@ pub(crate) fn read_featurizer(data: &mut &[u8]) -> Result<Featurizer, DecodeErro
     let value_range = (0..n_ranges).map(|_| (data.get_i64_le(), data.get_i64_le())).collect();
     let min_log = data.get_f64_le();
     let max_log = data.get_f64_le();
-    Ok(Featurizer::from_parts(FeaturizerParts {
+    let featurizer = Featurizer::from_parts(FeaturizerParts {
         mode,
         num_tables,
         num_joins,
@@ -130,7 +130,24 @@ pub(crate) fn read_featurizer(data: &mut &[u8]) -> Result<Featurizer, DecodeErro
         value_range,
         min_log,
         max_log,
-    }))
+    });
+    // Loading derives the outputs of the featurizer's constant rows: one
+    // row per table of at most `1 + (table_dim − num_tables)` entries and
+    // one entry per join. The table and join weights of any model at
+    // least as wide as its table count take more bytes than that, so
+    // refusing a header whose constant rows outnumber the bytes that
+    // follow keeps a hostile one from making a load cost more than linear
+    // in its input.
+    let row_width = (featurizer.table_dim() - num_tables) as u128 + 1;
+    let constant_entries = num_tables as u128 * row_width + num_joins as u128;
+    if constant_entries > data.remaining() as u128 {
+        return Err(DecodeError(format!(
+            "featurizer implies {constant_entries} constant-row entries, more than the {} \
+             network bytes that follow",
+            data.remaining()
+        )));
+    }
+    Ok(featurizer)
 }
 
 impl MscnEstimator {
@@ -346,6 +363,30 @@ mod tests {
         let mut bogus = bytes[..meta_len].to_vec();
         bogus.extend(u32::MAX.to_le_bytes());
         assert!(MscnEstimator::from_bytes(&bogus).is_err());
+    }
+
+    /// Loading derives the outputs of the featurizer's constant rows, so a
+    /// header implying more constant-row entries than the bytes after it
+    /// is refused first. Hidden width 0 makes every weight tensor empty,
+    /// so the exact-size check alone would let a huge sample size through.
+    #[test]
+    fn constant_rows_cannot_outgrow_the_input() {
+        let (t, _) = trained(FeatureMode::Bitmaps);
+        let bytes = t.estimator.to_bytes();
+        let meta_len = bytes.len() - network_bytes(&t.estimator);
+        let mut hostile = bytes[..meta_len].to_vec();
+        let sample_size = 1u32 << 20;
+        hostile[21..25].copy_from_slice(&sample_size.to_le_bytes());
+        hostile.extend(0u32.to_le_bytes());
+        let (td, jd, pd) = t.estimator.model().input_dims();
+        let td = td - 24 + sample_size as usize;
+        for (input, output) in [(td, 0), (0, 0), (jd, 0), (0, 0), (pd, 0), (0, 0), (0, 0), (0, 1)] {
+            hostile.extend((input as u32).to_le_bytes());
+            hostile.extend((output as u32).to_le_bytes());
+        }
+        hostile.extend(0f32.to_le_bytes());
+        let err = MscnEstimator::from_bytes(&hostile).unwrap_err();
+        assert!(err.0.contains("constant-row entries"), "unexpected error: {err}");
     }
 
     /// Byte length of the serialized network section (dims headers +

@@ -212,8 +212,11 @@ pub struct MscnEstimator {
 }
 
 impl MscnEstimator {
-    /// Assemble from parts (used by deserialization).
-    pub(crate) fn from_parts(model: MscnModel, featurizer: Featurizer) -> Self {
+    /// Pair a network with its featurizer, deriving the network's
+    /// constants — the one way an estimator is built ([`train`],
+    /// [`train_incremental`], [`distill`]) or loaded (deserialization).
+    pub(crate) fn from_parts(mut model: MscnModel, featurizer: Featurizer) -> Self {
+        model.derive_constants(&featurizer);
         MscnEstimator { model, featurizer }
     }
 
@@ -525,7 +528,7 @@ fn fit_frozen(
         order.shuffle(&mut rng);
         trainer.run_epoch(&mut model, &feats, &corpus, &order);
     }
-    MscnEstimator { model, featurizer }
+    MscnEstimator::from_parts(model, featurizer)
 }
 
 /// Distill a trained teacher into a (typically narrower) student:
@@ -647,7 +650,7 @@ pub fn train(
         report.epoch_val_mean_qerror.push(q_sum / val_truth.len().max(1) as f64);
     }
     report.train_seconds = start.elapsed().as_secs_f64();
-    TrainedModel { estimator: MscnEstimator { model, featurizer }, config, report }
+    TrainedModel { estimator: MscnEstimator::from_parts(model, featurizer), config, report }
 }
 
 #[cfg(test)]
@@ -942,6 +945,42 @@ mod tests {
         // reduce every row in the same order as the single-query pass, so
         // micro-batching in the serving layer cannot change any estimate.
         assert_eq!(batched, sequential);
+    }
+
+    /// An estimator's derived constants are rebuilt wherever it is built
+    /// or loaded — training, cloning, decoding, incremental training and
+    /// distillation — so its served answers (blocks name constants) stay
+    /// bitwise those of the one-row-per-element batch (which names none),
+    /// and a clone or a decoded copy answers exactly like the original.
+    #[test]
+    fn derived_constants_follow_every_estimator() {
+        let db = generate(&ImdbConfig::tiny());
+        let samples = SampleSet::draw(&db, 16, &mut SmallRng::seed_from_u64(12));
+        let data = workloads::synthetic(&db, &samples, 150, 2, 43).queries;
+        let cfg = TrainConfig { epochs: 2, hidden: 16, ..TrainConfig::default() };
+        let trained = train(&db, 16, &data, cfg).estimator;
+        let decoded = MscnEstimator::from_bytes(&trained.to_bytes()).expect("decode");
+        let refit = train_incremental(&trained, &data[..40], TrainConfig { epochs: 1, ..cfg });
+        let student = distill(&trained, &data[..40], TrainConfig { epochs: 1, hidden: 8, ..cfg });
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let served = |est: &MscnEstimator| bits(&est.estimate_normalized(&data));
+        let assembled = |est: &MscnEstimator| {
+            let f = est.featurizer();
+            let feats: Vec<FeaturizedQuery> = data.iter().map(|q| f.featurize(q)).collect();
+            let (td, jd, pd) = (f.table_dim(), f.join_dim(), f.pred_dim());
+            let corpus = CorpusSparse::build(&feats, td, jd, pd);
+            let all: Vec<usize> = (0..data.len()).collect();
+            let batch = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
+            let mut s = MscnScratch::new();
+            est.model().forward_scratch(&batch, &mut s);
+            bits(&s.preds)
+        };
+        let want = served(&trained);
+        assert_eq!(want, assembled(&trained), "trained");
+        assert_eq!(served(&trained.clone()), want, "clone");
+        assert_eq!(served(&decoded), want, "decoded");
+        assert_eq!(served(&refit), assembled(&refit), "incremental");
+        assert_eq!(served(&student), assembled(&student), "distilled");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lc_core::batch::CorpusSparse;
+use lc_core::batch::{CorpusSparse, CONSTANT};
 use lc_core::featurize::FeaturizedQuery;
 use lc_core::{FeatureMode, Featurizer, MscnModel, RaggedBatch};
 use lc_engine::SampleSet;
@@ -344,7 +344,9 @@ fn steady_state_compute_paths_do_not_allocate() {
     // Phase six: the serving block path. A warm 256-query block from the
     // featurizer's block builder, made of repeated queries so that rows
     // are shared through the element index, then its f32 and int8
-    // forwards. The row lookup lives in the reused batch.
+    // forwards. The row lookup lives in the reused batch. Then the same
+    // for one query whose join rows and one table row are model
+    // constants.
     let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
     let samples = SampleSet::draw(&db, 130, &mut SmallRng::seed_from_u64(5));
     let featurizer =
@@ -357,29 +359,54 @@ fn steady_state_compute_paths_do_not_allocate() {
         .collect();
     let block: Vec<LabeledQuery> = distinct.iter().cycle().take(256).cloned().collect();
     let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
-    let serve_model = MscnModel::new(td, jd, pd, 16, 43);
-    let serve_qmodel = lc_core::QuantizedMscnModel::quantize(&serve_model);
+    let mut serve_model = MscnModel::new(td, jd, pd, 16, 43);
+    serve_model.derive_constants(&featurizer);
+    let mut serve_qmodel = lc_core::QuantizedMscnModel::quantize(&serve_model);
+    serve_qmodel.derive_constants(&featurizer);
     let mut built = RaggedBatch::empty();
     let mut f32_scratch = lc_core::MscnScratch::new();
     let mut int8_scratch = lc_core::QuantScratch::new();
-    let mut serve_block = |built: &mut RaggedBatch| {
-        featurizer.featurize_into_sparse_batch(&block, built);
+    let mut serve_block = |built: &mut RaggedBatch, block: &[LabeledQuery]| {
+        featurizer.featurize_into_sparse_batch(block, built);
         serve_model.forward_scratch(built, &mut f32_scratch);
-        featurizer.featurize_into_sparse_batch(&block, built);
+        featurizer.featurize_into_sparse_batch(block, built);
         serve_qmodel.forward_scratch(built, &mut int8_scratch);
     };
     for _ in 0..3 {
-        serve_block(&mut built);
+        serve_block(&mut built, &block);
     }
     assert!(built.tables_sp.rows() < built.table_index.len(), "the block must share rows");
     let before = allocation_count();
     for _ in 0..5 {
-        serve_block(&mut built);
+        serve_block(&mut built, &block);
     }
     assert_eq!(
         allocation_count() - before,
         0,
         "a warm serving block (build + f32 and int8 forwards) must perform zero heap allocations"
+    );
+    let tagged = |index: &[u32]| index.iter().filter(|&&e| e & CONSTANT != 0).count();
+    let one = distinct
+        .iter()
+        .find(|q| {
+            featurizer.featurize_into_sparse_batch(std::slice::from_ref(q), &mut built);
+            !q.query.joins().is_empty()
+                && tagged(&built.join_index) == built.join_index.len()
+                && tagged(&built.table_index) == 1
+        })
+        .expect("a query with joins and exactly one constant table row");
+    let one = std::slice::from_ref(one);
+    for _ in 0..3 {
+        serve_block(&mut built, one);
+    }
+    let before = allocation_count();
+    for _ in 0..10 {
+        serve_block(&mut built, one);
+    }
+    assert_eq!(
+        allocation_count() - before,
+        0,
+        "a warm one-query estimate on model constants must perform zero heap allocations"
     );
 
     // Phase seven: sample annotation. Three result vectors, one bitmap per

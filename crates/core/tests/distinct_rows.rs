@@ -1,22 +1,28 @@
-//! Differential test of the serving block builder's shared rows:
-//! [`Featurizer::featurize_into_sparse_batch`] stacks each distinct set
-//! element row once and points every repeat at it, and that must change
-//! nothing a caller can see.
+//! Differential test of the serving block builder's shared rows and
+//! model constants: [`Featurizer::featurize_into_sparse_batch`] records a
+//! constant element (every join, every table whose samples all qualify)
+//! as a model constant, stacks every other distinct row once and points
+//! every repeat at it, and none of that may change anything a caller can
+//! see.
 //!
-//! * Estimates: a block's f32 and int8 answers equal, bit for bit, the
-//!   answers for each query estimated alone (a one-query block, which
-//!   shares nothing).
-//! * Inputs: the builder's stacks expanded through its element index are
-//!   exactly the one-row-per-element CSR that `RaggedBatch::assemble_indexed`
-//!   stacks from per-query featurization, with the same segments and
-//!   targets; and no row is stacked twice.
+//! * Estimates: a block's f32 and int8 answers, and each query's answer
+//!   estimated alone, equal bit for bit what `forward_scratch` gives on
+//!   the `RaggedBatch::assemble_indexed` batch of the same queries — one
+//!   row per element, nothing shared, no constants.
+//! * Inputs: the builder's index read through its stacks and, for tagged
+//!   elements, through `Featurizer::constant_rows` is exactly the
+//!   one-row-per-element CSR that `assemble_indexed` stacks from per-query
+//!   featurization, with the same segments and targets; so every tagged
+//!   element's emitted row is its constant row. No row is stacked twice,
+//!   and no constant row is stacked at all.
 //!
 //! Blocks are drawn with replacement from a small pool, so they repeat
-//! whole queries. The pool also holds base tables without predicates and
-//! the same predicate on different queries — rows that repeat across
-//! distinct queries. Block sizes straddle the 256-query inference block
-//! and, at 600, the parallel-inference fan-out. Both bitmap feature modes
-//! are covered. CI runs this file at `PROPTEST_CASES=4096`.
+//! whole queries. The pool holds base tables without predicates — one of
+//! them smaller than the sample, so its row is not constant — a predicate
+//! every sample passes, whose table row is constant, and the same
+//! predicate on different queries. Block sizes straddle the 256-query
+//! inference block and, at 600, the parallel-inference fan-out. All four
+//! feature modes are covered. CI runs this file at `PROPTEST_CASES=4096`.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -26,52 +32,93 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use lc_core::batch::CorpusSparse;
-use lc_core::featurize::FeaturizedQuery;
-use lc_core::{train, FeatureMode, MscnEstimator, QuantizedMscn, RaggedBatch, TrainConfig};
-use lc_engine::{Database, SampleSet, TableId};
+use lc_core::batch::{CorpusSparse, CONSTANT};
+use lc_core::featurize::{FeaturizedQuery, Set};
+use lc_core::{
+    train, FeatureMode, MscnEstimator, MscnScratch, QuantScratch, QuantizedMscn, RaggedBatch,
+    TrainConfig,
+};
+use lc_engine::{CmpOp, Database, Predicate, SampleSet, TableId};
 use lc_imdb::{generate, ImdbConfig};
 use lc_nn::SparseRows;
 use lc_query::{workloads, GeneratorConfig, LabeledQuery, Query, QueryGenerator};
 
 const BLOCK_SIZES: [usize; 6] = [1, 2, 63, 256, 257, 600];
-const MODES: [FeatureMode; 2] = [FeatureMode::Bitmaps, FeatureMode::PredicateBitmaps];
+const MODES: [FeatureMode; 4] = [
+    FeatureMode::NoSamples,
+    FeatureMode::SampleCounts,
+    FeatureMode::Bitmaps,
+    FeatureMode::PredicateBitmaps,
+];
+/// One more sample than `movie_info_idx` has rows at this scale (so its
+/// row misses being constant by one sample), fewer than `title` has.
+const SAMPLE_SIZE: usize = 84;
+const SMALL_TABLE: TableId = TableId(4);
 
-/// One feature mode's models and the answers each pool query gets alone.
+/// One feature mode's models and each pool query's answers from the
+/// one-row-per-element batch.
 struct Served {
     f32: MscnEstimator,
     int8: QuantizedMscn,
-    alone_f32: Vec<u32>,
-    alone_int8: Vec<u32>,
+    want_f32: Vec<u32>,
+    want_int8: Vec<u32>,
 }
 
 struct Fixture {
+    db: Database,
     pool: Vec<LabeledQuery>,
     served: Vec<Served>,
 }
 
-fn bits(values: Vec<f32>) -> Vec<u32> {
-    values.into_iter().map(f32::to_bits).collect()
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Generated queries, every base table without predicates, and each
-/// generated predicate again on its table alone.
+/// Title under a predicate every row passes — alone, and joined with the
+/// table smaller than the sample.
+fn passing_predicate_queries(db: &Database) -> [Query; 2] {
+    let kind = db.schema().table(TableId(0)).column_index("kind_id").expect("title.kind_id");
+    let min = db.column_stats(TableId(0), kind).min;
+    let every = Predicate { table: TableId(0), column: kind, op: CmpOp::Gt, value: min - 1 };
+    let join = db.schema().join_of_fact(SMALL_TABLE).expect("a fact table");
+    [
+        Query::new(vec![TableId(0)], vec![], vec![every]),
+        Query::new(vec![TableId(0), SMALL_TABLE], vec![join], vec![every]),
+    ]
+}
+
+/// Generated queries, every base table without predicates, the
+/// passing-predicate queries, and each generated predicate again on its
+/// table alone.
 fn pool(db: &Database, samples: &SampleSet) -> Vec<LabeledQuery> {
     let mut generator = QueryGenerator::new(db, GeneratorConfig { max_joins: 2, seed: 71 });
     let mut queries = generator.generate_unique(30);
     let base_tables = (0..db.schema().num_tables() as u16).map(TableId);
     queries.extend(base_tables.map(|t| Query::new(vec![t], vec![], vec![])));
+    queries.extend(passing_predicate_queries(db));
     let predicates: Vec<_> =
         queries.iter().flat_map(|q| q.predicates().iter().take(1).copied()).collect();
     queries.extend(predicates.into_iter().map(|p| Query::new(vec![p.table], vec![], vec![p])));
     queries.into_iter().map(|q| LabeledQuery::compute(db, samples, q)).collect()
 }
 
+/// The one-row-per-element training batch of `queries`.
+fn assembled(est: &MscnEstimator, queries: &[LabeledQuery]) -> RaggedBatch {
+    let featurizer = est.featurizer();
+    let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
+    let feats: Vec<FeaturizedQuery> = queries.iter().map(|q| featurizer.featurize(q)).collect();
+    let corpus = CorpusSparse::build(&feats, td, jd, pd);
+    let all: Vec<usize> = (0..queries.len()).collect();
+    RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd)
+}
+
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let db = generate(&ImdbConfig::tiny());
-        let samples = SampleSet::draw(&db, 70, &mut SmallRng::seed_from_u64(72));
+        let db = generate(&ImdbConfig::tiny().scaled(0.1));
+        let rows = |t: TableId| db.table(t).num_rows();
+        assert!(rows(SMALL_TABLE) + 1 == SAMPLE_SIZE && rows(TableId(0)) > SAMPLE_SIZE);
+        let samples = SampleSet::draw(&db, SAMPLE_SIZE, &mut SmallRng::seed_from_u64(72));
         let data = workloads::synthetic(&db, &samples, 200, 2, 73).queries;
         let pool = pool(&db, &samples);
         let served = MODES
@@ -84,28 +131,44 @@ fn fixture() -> &'static Fixture {
                     mode,
                     ..TrainConfig::default()
                 };
-                let f32 = train(&db, samples.sample_size(), &data, config).estimator;
+                let f32 = train(&db, SAMPLE_SIZE, &data, config).estimator;
                 let int8 = QuantizedMscn::quantize(&f32);
-                let alone = |estimate: &dyn Fn(&[LabeledQuery]) -> Vec<f32>| {
-                    pool.iter().flat_map(|q| bits(estimate(std::slice::from_ref(q)))).collect()
-                };
-                Served {
-                    alone_f32: alone(&|qs| f32.estimate_normalized(qs)),
-                    alone_int8: alone(&|qs| int8.estimate_normalized(qs)),
-                    f32,
-                    int8,
+                let batch = assembled(&f32, &pool);
+                let mut s = MscnScratch::new();
+                f32.model().forward_scratch(&batch, &mut s);
+                let mut q = QuantScratch::new();
+                int8.qmodel().forward_scratch(&batch, &mut q);
+                let served =
+                    Served { want_f32: bits(&s.preds), want_int8: bits(&q.preds), f32, int8 };
+                for (i, query) in pool.iter().enumerate() {
+                    let alone = std::slice::from_ref(query);
+                    assert_eq!(bits(&served.f32.estimate_normalized(alone))[0], served.want_f32[i]);
+                    assert_eq!(
+                        bits(&served.int8.estimate_normalized(alone))[0],
+                        served.want_int8[i]
+                    );
                 }
+                served
             })
             .collect();
-        Fixture { pool, served }
+        Fixture { db, pool, served }
     })
 }
 
-/// The builder's rows read through its element index: one row per element.
-fn expand(rows: &SparseRows, index: &[u32]) -> SparseRows {
+/// The builder's rows read through its element index — stack rows, and
+/// `constants` rows for tagged elements: one row per element.
+fn expand(rows: &SparseRows, constants: &SparseRows, index: &[u32]) -> SparseRows {
     let mut out = SparseRows::new(rows.cols());
-    index.iter().for_each(|&r| out.push_rows_from(rows, r as usize..r as usize + 1));
+    for &e in index {
+        let (src, r) = if e & CONSTANT == 0 { (rows, e) } else { (constants, e ^ CONSTANT) };
+        out.push_rows_from(src, r as usize..r as usize + 1);
+    }
     out
+}
+
+/// A row as a hashable key, values compared bit for bit.
+fn key((idx, vals): (&[u32], &[f32])) -> (Vec<u32>, Vec<u32>) {
+    (idx.to_vec(), bits(vals))
 }
 
 fn case_strategy() -> impl Strategy<Value = (usize, Vec<usize>)> {
@@ -120,48 +183,42 @@ fn check_block(mode: usize, picks: &[usize]) -> Result<(), TestCaseError> {
     let served = &fx.served[mode];
     let block: Vec<LabeledQuery> = picks.iter().map(|&i| fx.pool[i].clone()).collect();
 
-    let f32_block = bits(served.f32.estimate_normalized(&block));
-    let int8_block = bits(served.int8.estimate_normalized(&block));
+    let f32_block = bits(&served.f32.estimate_normalized(&block));
+    let int8_block = bits(&served.int8.estimate_normalized(&block));
     for (k, &i) in picks.iter().enumerate() {
-        prop_assert_eq!(f32_block[k], served.alone_f32[i], "f32, query {} of {}", k, picks.len());
-        prop_assert_eq!(
-            int8_block[k],
-            served.alone_int8[i],
-            "int8, query {} of {}",
-            k,
-            picks.len()
-        );
+        prop_assert_eq!(f32_block[k], served.want_f32[i], "f32, query {} of {}", k, picks.len());
+        prop_assert_eq!(int8_block[k], served.want_int8[i], "int8, query {} of {}", k, picks.len());
     }
 
     let featurizer = served.f32.featurizer();
-    let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
-    let feats: Vec<FeaturizedQuery> = block.iter().map(|q| featurizer.featurize(q)).collect();
-    let corpus = CorpusSparse::build(&feats, td, jd, pd);
-    let all: Vec<usize> = (0..block.len()).collect();
-    let assembled = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
+    let want = assembled(&served.f32, &block);
     // A differently shaped block first: stale buffers must not leak.
     let mut built = RaggedBatch::empty();
     featurizer.featurize_into_sparse_batch(&fx.pool, &mut built);
     featurizer.featurize_into_sparse_batch(&block, &mut built);
-    prop_assert_eq!(&built.targets, &assembled.targets);
+    prop_assert_eq!(&built.targets, &want.targets);
     let modules = [
-        (&built.tables_sp, &built.table_index, &built.table_segs, &assembled.tables_sp),
-        (&built.joins_sp, &built.join_index, &built.join_segs, &assembled.joins_sp),
-        (&built.preds_sp, &built.pred_index, &built.pred_segs, &assembled.preds_sp),
+        (&built.tables_sp, &built.table_index, &built.table_segs, &want.tables_sp),
+        (&built.joins_sp, &built.join_index, &built.join_segs, &want.joins_sp),
+        (&built.preds_sp, &built.pred_index, &built.pred_segs, &want.preds_sp),
     ];
-    let want_segs = [&assembled.table_segs, &assembled.join_segs, &assembled.pred_segs];
-    for (m, ((rows, index, segs, want_rows), want_segs)) in
-        modules.into_iter().zip(want_segs).enumerate()
+    let want_segs = [&want.table_segs, &want.join_segs, &want.pred_segs];
+    for (((rows, index, segs, want_rows), want_segs), set) in
+        modules.into_iter().zip(want_segs).zip(Set::ALL)
     {
-        prop_assert_eq!(segs, want_segs, "module {} segments", m);
-        prop_assert_eq!(&expand(rows, index), want_rows, "module {} rows per element", m);
+        let constants = featurizer.constant_rows(set);
+        prop_assert_eq!(segs, want_segs, "{:?} segments", set);
+        prop_assert_eq!(&expand(rows, &constants, index), want_rows, "{:?} rows per element", set);
+        let constant_keys: HashSet<_> =
+            (0..constants.rows()).map(|r| key(constants.row(r))).collect();
         let mut seen = HashSet::new();
         for r in 0..rows.rows() {
-            let (idx, vals) = rows.row(r);
-            let key = (idx.to_vec(), vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-            prop_assert!(seen.insert(key), "module {} stacks row {} twice", m, r);
+            let row = key(rows.row(r));
+            prop_assert!(!constant_keys.contains(&row), "{:?} stacks constant row {}", set, r);
+            prop_assert!(seen.insert(row), "{:?} stacks row {} twice", set, r);
         }
     }
+    prop_assert_eq!(built.joins_sp.rows(), 0, "join rows are constants");
     Ok(())
 }
 
@@ -169,5 +226,31 @@ proptest! {
     #[test]
     fn shared_rows_change_no_estimate_and_no_element((mode, picks) in case_strategy()) {
         check_block(mode, &picks)?;
+    }
+}
+
+/// The pool holds the two table rows the constant rule must tell apart:
+/// a predicate every sample passes leaves title's row constant, and a
+/// table smaller than the sample is not constant, even without
+/// predicates (unless no samples are read).
+#[test]
+fn the_pool_holds_both_sides_of_the_constant_rule() {
+    let fx = fixture();
+    let [alone, joined] = passing_predicate_queries(&fx.db);
+    let small = Query::new(vec![SMALL_TABLE], vec![], vec![]);
+    let find = |query: &Query| fx.pool.iter().find(|q| &q.query == query).expect("in the pool");
+    // Per query: whether each table element is a constant, with samples.
+    let cases = [(alone, vec![true]), (joined, vec![true, false]), (small, vec![false])];
+    for (mode, served) in MODES.iter().zip(&fx.served) {
+        let mut built = RaggedBatch::empty();
+        for (query, with_samples) in &cases {
+            let featurizer = served.f32.featurizer();
+            featurizer.featurize_into_sparse_batch(std::slice::from_ref(find(query)), &mut built);
+            let constant: Vec<bool> =
+                built.table_index.iter().map(|&e| e & CONSTANT != 0).collect();
+            let want: Vec<bool> =
+                with_samples.iter().map(|&c| c || *mode == FeatureMode::NoSamples).collect();
+            assert_eq!(constant, want, "{mode:?}: {query}");
+        }
     }
 }

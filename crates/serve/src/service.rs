@@ -151,12 +151,23 @@ impl EstimationService {
     /// samples. `samples` must be the sample set whose size the
     /// registry's models were trained with (their featurizers bake the
     /// bitmap width in).
+    ///
+    /// # Panics
+    /// If the active model was trained with another sample size.
     pub fn new(
         db: Database,
         samples: SampleSet,
         registry: Arc<ModelRegistry>,
         config: ServeConfig,
     ) -> Self {
+        let trained_with = registry.current().base().featurizer().sample_size();
+        assert_eq!(
+            trained_with,
+            samples.sample_size(),
+            "the active model was trained with sample size {trained_with}, but the service \
+             annotates queries against {} samples",
+            samples.sample_size()
+        );
         EstimationService {
             db,
             samples,
@@ -485,6 +496,17 @@ mod tests {
         let (db, samples, a, _, data) = fixture();
         let registry = Arc::new(ModelRegistry::new(a.clone()));
         (EstimationService::new(db, samples, registry, ServeConfig::default()), a, data)
+    }
+
+    /// A model trained on one sample size cannot serve queries annotated
+    /// against another: the service refuses it before any query runs.
+    #[test]
+    #[should_panic(expected = "sample size 24")]
+    fn rejects_a_model_of_another_sample_size() {
+        let (db, _, a, _, _) = fixture();
+        let other = SampleSet::draw(&db, 64, &mut SmallRng::seed_from_u64(4));
+        let registry = Arc::new(ModelRegistry::new(a));
+        EstimationService::new(db, other, registry, ServeConfig::default());
     }
 
     #[test]
