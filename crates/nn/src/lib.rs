@@ -28,7 +28,9 @@
 //!   that are bitwise-equal to the dense kernel on the densified rows;
 //! * [`WorkerPool`] — a persistent, pinned, barrier-synchronized worker
 //!   pool shared by training steps, batch inference, and the serving
-//!   layer (replaces per-step `thread::scope` fan-out);
+//!   layer (replaces per-step `thread::scope` fan-out), plus the one
+//!   thread-placement policy over the process's CPU set
+//!   ([`process_cpus`], [`pin_thread_to_core`], [`cpus_beside`]);
 //! * [`Scratch`] — a reusable buffer arena so forward/backward passes
 //!   run with zero steady-state allocations;
 //! * [`Linear`] — fully-connected layer with Xavier init; gradients
@@ -62,7 +64,10 @@ pub use linear::{Linear, LinearGrads};
 pub use loss::LossKind;
 pub use matrix::Matrix;
 pub use mlp::{FinalActivation, Mlp, MlpCache, MlpGrads};
-pub use pool::{pin_thread_to_core, threads_spawned, DisjointSliceMut, WorkerPool};
+pub use pool::{
+    core_for, cpus_beside, pin_thread_to_core, pin_thread_to_cpus, process_cpus, threads_spawned,
+    DisjointSliceMut, WorkerPool,
+};
 pub use qmatrix::{QActs, QLinear, QMatrix, QMlp, QMlpCache};
 pub use runtime::{KernelChoice, RuntimeConfig};
 pub use scratch::Scratch;

@@ -20,12 +20,25 @@
 //! shards, inference blocks) and reduce in fixed order, so results stay
 //! bitwise identical at any worker count — pooled or scoped.
 //!
-//! **Pinning.** On Linux/x86-64 each worker pins itself to core
-//! `id % cores` at spawn (a raw `sched_setaffinity` syscall — no libc
-//! dependency), so a worker's warm scratch buffers stay on one core's
-//! cache hierarchy instead of migrating. Best-effort: failures (e.g.
-//! restricted cgroup masks) are ignored, single-core hosts skip it, and
-//! `LC_PIN_WORKERS=0` disables it.
+//! **Placement.** One policy places every thread this workspace pins,
+//! built on the *process's* CPU set ([`process_cpus`]: the thread-group
+//! leader's `Cpus_allowed_list`, read once — never the calling thread's
+//! mask, which a pinned parent would have narrowed to one CPU):
+//!
+//! * a thread of a thread-per-core layout — pool worker `id`, reactor
+//!   shard `id` — runs on [`core_for`]`(id)`, element `id mod n` of the
+//!   process set ([`pin_thread_to_core`]), so a worker's warm scratch
+//!   buffers stay on one core's cache hierarchy instead of migrating,
+//!   and `taskset -c 2,3` or a `--cpuset-cpus` container places threads
+//!   on CPUs 2 and 3, not on CPU 0;
+//! * a background thread that must not preempt latency-critical ones
+//!   (`lc-serve`'s retrainer) runs on [`cpus_beside`] them: the process
+//!   set minus their CPUs, or the whole process set when that leaves
+//!   nothing — never on one of their CPUs alone.
+//!
+//! The mask is applied with a raw `sched_setaffinity` syscall (no libc
+//! dependency, Linux/x86-64 only). Best-effort: a refused mask is
+//! ignored, and `LC_PIN_WORKERS=0` disables all pinning.
 #![allow(unsafe_code)] // two contained uses: the lifetime-erased task pointer
                        // (sound because `run` blocks until every worker has finished
                        // with it) and the raw sched_setaffinity syscall.
@@ -274,20 +287,75 @@ fn worker_loop(shared: &'static Shared, id: usize) {
     }
 }
 
-/// Best-effort: pin the calling thread to core `id % cores`. No-op on
-/// single-core hosts, when [`RuntimeConfig`](crate::RuntimeConfig)
-/// disables pinning (`LC_PIN_WORKERS=0`), and off Linux/x86-64.
-///
-/// Public so other subsystems with a thread-per-core layout (`lc-serve`'s
-/// reactor shards) share the pool's affinity policy — same modular core
-/// assignment, same `LC_PIN_WORKERS` off-switch. Returns whether the
-/// kernel accepted the mask (false covers every no-op case too).
-pub fn pin_thread_to_core(id: usize) -> bool {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores <= 1 || !crate::runtime::RuntimeConfig::global().pin_workers {
-        return false;
+/// The CPUs this process may run on, ascending: the thread-group
+/// leader's `Cpus_allowed_list` (`/proc/self/status`), read once on first
+/// use. It is the leader's mask, not the caller's, so the answer is the
+/// same from a pinned thread. Where that file is unreadable (off Linux),
+/// CPUs `0..available_parallelism()`.
+pub fn process_cpus() -> &'static [usize] {
+    static CPUS: OnceLock<Vec<usize>> = OnceLock::new();
+    CPUS.get_or_init(|| {
+        std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|status| {
+                let list = status.lines().find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
+                parse_cpu_list(list)
+            })
+            .unwrap_or_else(|| {
+                (0..std::thread::available_parallelism().map_or(1, |n| n.get())).collect()
+            })
+    })
+}
+
+/// Parse a kernel CPU list (`0-3,8,10-11`, ascending) into CPU numbers;
+/// `None` when malformed or empty.
+fn parse_cpu_list(list: &str) -> Option<Vec<usize>> {
+    let mut cpus = Vec::new();
+    for part in list.trim().split(',') {
+        let (lo, hi) = part.split_once('-').unwrap_or((part, part));
+        let (lo, hi): (usize, usize) = (lo.parse().ok()?, hi.parse().ok()?);
+        if lo > hi {
+            return None;
+        }
+        cpus.extend(lo..=hi);
     }
-    pin_to_cpu(id % cores)
+    Some(cpus)
+}
+
+/// The CPU thread `id` of a thread-per-core layout runs on: element
+/// `id mod n` of the [`process_cpus`] set.
+pub fn core_for(id: usize) -> usize {
+    let cpus = process_cpus();
+    cpus[id % cpus.len()]
+}
+
+/// Best-effort: pin the calling thread to [`core_for`]`(id)`. Pool
+/// workers and `lc-serve`'s reactor shards share this one call — same
+/// core assignment, same `LC_PIN_WORKERS` off-switch. Returns whether the
+/// kernel accepted the mask (false when pinning is off, too).
+pub fn pin_thread_to_core(id: usize) -> bool {
+    pin_thread_to_cpus(&[core_for(id)])
+}
+
+/// Where a thread that must not preempt the `serving` CPUs runs: the
+/// `process` set minus `serving`, with `false`; or, when that leaves no
+/// CPU, the whole `process` set with `true` — it then shares a serving
+/// CPU, but never sits on one serving CPU alone.
+pub fn cpus_beside(process: &[usize], serving: &[usize]) -> (Vec<usize>, bool) {
+    let free: Vec<usize> = process.iter().copied().filter(|c| !serving.contains(c)).collect();
+    if free.is_empty() {
+        (process.to_vec(), true)
+    } else {
+        (free, false)
+    }
+}
+
+/// Best-effort: restrict the calling thread to `cpus`. No-op (false)
+/// when [`RuntimeConfig`](crate::RuntimeConfig) disables pinning
+/// (`LC_PIN_WORKERS=0`) and off Linux/x86-64. Returns whether the kernel
+/// accepted the mask.
+pub fn pin_thread_to_cpus(cpus: &[usize]) -> bool {
+    crate::runtime::RuntimeConfig::global().pin_workers && set_affinity(cpus)
 }
 
 /// Worker-spawn wrapper around [`pin_thread_to_core`], discarding the
@@ -297,15 +365,18 @@ fn pin_self(id: usize) {
 }
 
 /// Raw `sched_setaffinity(0, ...)` for the calling thread (pid 0 =
-/// caller). Returns whether the kernel accepted the mask. Implemented as
-/// a direct syscall so the vendored-deps-only build needs no libc crate.
+/// caller). Returns whether the kernel accepted the mask; false when a
+/// CPU is beyond the 1024 the mask holds. Implemented as a direct syscall
+/// so the vendored-deps-only build needs no libc crate.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_to_cpu(cpu: usize) -> bool {
+fn set_affinity(cpus: &[usize]) -> bool {
     let mut mask = [0u64; 16]; // up to 1024 cores
-    if cpu >= mask.len() * 64 {
-        return false;
+    for &cpu in cpus {
+        if cpu >= mask.len() * 64 {
+            return false;
+        }
+        mask[cpu / 64] |= 1 << (cpu % 64);
     }
-    mask[cpu / 64] |= 1 << (cpu % 64);
     let ret: i64;
     // SAFETY: sched_setaffinity reads `mask.len() * 8` bytes from a
     // live, properly sized buffer and has no other memory effects.
@@ -325,7 +396,7 @@ fn pin_to_cpu(cpu: usize) -> bool {
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_to_cpu(_cpu: usize) -> bool {
+fn set_affinity(_cpus: &[usize]) -> bool {
     false
 }
 
@@ -510,9 +581,67 @@ mod tests {
 
     #[test]
     fn pinning_is_best_effort() {
-        // Pinning to core 0 must be accepted on any Linux host this test
-        // runs on; elsewhere the stub reports false. Either way: no panic.
-        let _ = pin_to_cpu(0);
+        // Pinning to a CPU of the process set must be accepted on any
+        // Linux host this test runs on; elsewhere the stub reports false.
+        // Either way: no panic.
+        let _ = set_affinity(&[core_for(0)]);
         pin_self(1);
+    }
+
+    #[test]
+    fn cpu_lists_parse_like_the_kernel_prints_them() {
+        assert_eq!(parse_cpu_list("0-1\n"), Some(vec![0, 1]));
+        assert_eq!(parse_cpu_list("2,3"), Some(vec![2, 3]));
+        assert_eq!(parse_cpu_list(" 0-2,8,10-11"), Some(vec![0, 1, 2, 8, 10, 11]));
+        assert_eq!(parse_cpu_list("5"), Some(vec![5]));
+        for bad in ["", "x", "3-1", "0-", "1,,2"] {
+            assert_eq!(parse_cpu_list(bad), None, "{bad:?}");
+        }
+        let process = process_cpus();
+        assert!(!process.is_empty() && process.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(core_for(process.len()), process[0], "ids wrap around the set");
+    }
+
+    #[test]
+    fn cpus_beside_leaves_the_serving_cpus_free() {
+        assert_eq!(cpus_beside(&[0, 1], &[0]), (vec![1], false));
+        assert_eq!(cpus_beside(&[2, 3, 4], &[3]), (vec![2, 4], false));
+        assert_eq!(cpus_beside(&[0, 1], &[]), (vec![0, 1], false));
+        // Nothing left over: the whole process set, flagged as shared —
+        // never one serving CPU alone.
+        assert_eq!(cpus_beside(&[0, 1], &[0, 1]), (vec![0, 1], true));
+        assert_eq!(cpus_beside(&[7], &[7]), (vec![7], true));
+    }
+
+    /// The calling thread's allowed CPUs, as the kernel lists them.
+    fn thread_cpus() -> String {
+        let status = std::fs::read_to_string("/proc/thread-self/status").expect("proc status");
+        let list = status.lines().find_map(|l| l.strip_prefix("Cpus_allowed_list:"));
+        list.expect("Cpus_allowed_list").trim().to_string()
+    }
+
+    /// A thread spawned by a pinned parent inherits a one-CPU mask; its
+    /// own `pin_thread_to_core(1)` must still land on the second CPU of
+    /// the process set, not read the inherited mask and give up.
+    #[test]
+    fn a_pinned_parent_does_not_narrow_its_childs_placement() {
+        let process = process_cpus();
+        if process.len() < 2
+            || !crate::RuntimeConfig::global().pin_workers
+            || !cfg!(all(target_os = "linux", target_arch = "x86_64"))
+        {
+            return; // one CPU, pinning off, or no affinity syscall
+        }
+        let child = std::thread::spawn(|| {
+            assert!(pin_thread_to_core(0));
+            assert_eq!(thread_cpus(), core_for(0).to_string());
+            std::thread::spawn(|| {
+                assert!(pin_thread_to_core(1), "the kernel refused the second CPU");
+                thread_cpus()
+            })
+            .join()
+            .expect("child panicked")
+        });
+        assert_eq!(child.join().expect("parent panicked"), process[1].to_string());
     }
 }

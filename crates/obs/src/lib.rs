@@ -437,15 +437,16 @@ macro_rules! shard_row {
 
 // Wire ids are positions in `CATALOG`, which is laid out as: `counters`,
 // the shard family's counters (shard-major), `gauges`, the family's
-// gauges, `gauges_after_shards`, `histograms`. The split gauge block is
-// that layout's history, kept so no id moves; `catalog_ids_are_pinned`
-// fails if one does.
+// gauges, `gauges_after_shards`, `histograms`, `counters_after_histograms`.
+// The split gauge and counter blocks are that layout's history, kept so
+// no id moves; `catalog_ids_are_pinned` fails if one does.
 macro_rules! define_catalog {
     (
         counters { $( $cname:ident => $cstr:literal, )* }
         gauges { $( $gname:ident => $gstr:literal, )* }
         gauges_after_shards { $( $lname:ident => $lstr:literal, )* }
         histograms { $( $hname:ident => $hstr:literal, )* }
+        counters_after_histograms { $( $aname:ident => $astr:literal, )* }
         shards [ $( $shard:literal )* ] { counters $cfields:tt gauges $gfields:tt }
     ) => {
         /// The statically declared metrics every instrumented crate
@@ -461,6 +462,8 @@ macro_rules! define_catalog {
                pub static $lname: Gauge = Gauge::new(); )*
             $( #[doc = concat!("Histogram `", $hstr, "`.")]
                pub static $hname: Histogram = Histogram::new(); )*
+            $( #[doc = concat!("Counter `", $astr, "`.")]
+               pub static $aname: Counter = Counter::new(); )*
         }
 
         /// Number of reactor shards the catalog declares metrics for.
@@ -480,6 +483,7 @@ macro_rules! define_catalog {
             $( &shard_row!($shard, Gauge $gfields), )*
             &[ $( MetricDef { name: $lstr, metric: MetricRef::Gauge(&metrics::$lname) }, )* ],
             &[ $( MetricDef { name: $hstr, metric: MetricRef::Histogram(&metrics::$hname) }, )* ],
+            &[ $( MetricDef { name: $astr, metric: MetricRef::Counter(&metrics::$aname) }, )* ],
         ];
 
         /// Every metric this build records, in wire-id order.
@@ -535,6 +539,9 @@ define_catalog! {
         TRAIN_EPOCH_NS => "train.epoch_ns",
         TRAIN_SHARD_NS => "train.shard_ns",
         POOL_RUN_NS => "pool.run_ns",
+    }
+    counters_after_histograms {
+        RETRAIN_SHARED_CORE => "retrain.shared_core",
     }
     shards [0 1 2 3 4 5 6 7] {
         counters {
@@ -878,6 +885,7 @@ mod tests {
             ("train.epoch_ns", Histogram),
             ("train.shard_ns", Histogram),
             ("pool.run_ns", Histogram),
+            ("retrain.shared_core", Counter),
         ];
         let catalog: Vec<_> = CATALOG.iter().map(|def| (def.name, def.kind())).collect();
         assert_eq!(catalog, golden);

@@ -323,14 +323,15 @@ fn render(
     }
     writeln!(
         out,
-        "feedback {}   drift trips {} ({} template{} tripped)   retrains {} ok / {} panicked   \
-         publishes {}   retrain in flight: {}",
+        "feedback {}   drift trips {} ({} template{} tripped)   retrains {} ok / {} panicked / \
+         {} on a serving core   publishes {}   retrain in flight: {}",
         sample.scalar("serve.feedback"),
         sample.scalar("drift.trips"),
         sample.tripped_templates,
         if sample.tripped_templates == 1 { "" } else { "s" },
         sample.scalar("retrain.success"),
         sample.scalar("retrain.panics"),
+        sample.scalar("retrain.shared_core"),
         sample.scalar("registry.publishes"),
         if sample.retrain_in_flight { "yes" } else { "no" },
     )?;
@@ -444,6 +445,7 @@ mod tests {
             "drift.trips",
             "retrain.success",
             "retrain.panics",
+            "retrain.shared_core",
             "registry.publishes",
             "registry.active_version",
             "pool.workers",

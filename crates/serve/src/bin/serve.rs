@@ -325,10 +325,14 @@ fn run() -> Result<(), String> {
     // The startup banner goes to stdout: scripts wait for it. The kernel
     // name says which compute dispatch path (`LC_KERNEL`) this process
     // resolved to — the first thing to check when serving latency looks
-    // off on new hardware.
+    // off on new hardware. The placement says whether a retrain will
+    // preempt a shard (it shares a CPU only when the shard CPUs are all
+    // of the process's).
+    let shard_cpus = service.serving_cpus();
     println!(
         "lc-serve listening on {} ({} v{}, {} params, {} resident bytes, {} kernels, {} shard{}, \
-         cache {}, max batch {}, inflight budget {}, drift threshold {} over {}-obs windows)",
+         shard CPUs {}, retrainer CPUs {:?}, cache {}, max batch {}, inflight budget {}, drift \
+         threshold {} over {}-obs windows)",
         handle.local_addr(),
         if tiered {
             format!("tiered model (max log-std {})", tier.max_log_std)
@@ -346,6 +350,8 @@ fn run() -> Result<(), String> {
         lc_nn::kernel_name(),
         handle.shard_count(),
         if handle.shard_count() == 1 { "" } else { "s" },
+        if shard_cpus.is_empty() { "unpinned".to_string() } else { format!("{shard_cpus:?}") },
+        service.retrain_cpus(),
         cache_capacity,
         max_batch,
         inflight_budget,

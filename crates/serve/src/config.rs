@@ -128,8 +128,9 @@ pub struct DriftConfig {
     /// this the corpus cannot teach the model anything stable.
     pub min_corpus: usize,
     /// Hyperparameters for the incremental retrain (`train_incremental`
-    /// honors epochs, batch size, learning rate, loss, seed, threads;
-    /// the featurizer and label normalization stay frozen).
+    /// honors epochs, batch size, learning rate, loss, seed, threads —
+    /// where `threads: 0` means one; the featurizer and label
+    /// normalization stay frozen).
     pub retrain: TrainConfig,
 }
 

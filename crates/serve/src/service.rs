@@ -22,18 +22,31 @@
 //! [`DriftMonitor`]'s per-template rolling windows, and banked in the
 //! retraining corpus. When a window trips, a background retrainer thread
 //! runs [`train_incremental`] over the corpus (frozen featurizer, warm
-//! weights — the worker pool parallelizes the steps) and
+//! weights) and
 //! [`ModelRegistry::publish`]es the result mid-traffic: in-flight
 //! micro-batches keep their snapshot, the version-keyed cache
 //! invalidates for free, and the drift windows reset so stale
 //! pre-retrain q-errors cannot immediately re-trip.
+//!
+//! **The retrainer runs beside the serving cores, not on them.** It is
+//! spawned from whichever thread records the tripping feedback — a
+//! reactor shard pinned to one CPU — and would inherit that one-CPU mask.
+//! Each shard records the CPU it pinned in the service's serving set
+//! ([`EstimationService::serving_cpus`]); the retrainer's first act is to
+//! restrict itself to the process's CPU set minus those
+//! (`lc_nn::cpus_beside`). When the shards hold every CPU it takes the
+//! whole process set instead of one shard's core, and counts
+//! `retrain.shared_core`. A retrain whose `TrainConfig::threads` is 0
+//! runs on one thread: the global pool's workers are pinned round-robin
+//! over every CPU, shard CPUs included. With pinning off
+//! (`LC_PIN_WORKERS=0`) nothing is pinned and nothing is recorded.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use lc_core::train_incremental;
+use lc_core::{train_incremental, TrainConfig};
 use lc_engine::{Database, SampleSet};
 use lc_obs::{metrics, Histogram, RateLimitedLog, SpanTimer};
 use lc_query::{annotate_query, Query};
@@ -102,6 +115,9 @@ pub struct EstimationService {
     /// The latest retrainer thread, joined on the next schedule or at
     /// shutdown.
     retrainer: Mutex<Option<JoinHandle<()>>>,
+    /// CPUs the reactor shards serving this service pinned, ascending —
+    /// the ones a retrainer keeps off.
+    serving_cpus: Mutex<Vec<usize>>,
 }
 
 /// An estimate in flight: either answered from the cache at submit time
@@ -183,7 +199,27 @@ impl EstimationService {
             front: config.front,
             retrain_in_flight: Arc::new(AtomicBool::new(false)),
             retrainer: Mutex::new(None),
+            serving_cpus: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Record that a reactor shard serving this service pinned `cpu`.
+    pub(crate) fn claim_serving_cpu(&self, cpu: usize) {
+        let mut cpus = self.serving_cpus.lock().expect("serving cpus poisoned");
+        if let Err(at) = cpus.binary_search(&cpu) {
+            cpus.insert(at, cpu);
+        }
+    }
+
+    /// The CPUs this service's reactor shards pinned, ascending (empty
+    /// with pinning off or no server).
+    pub fn serving_cpus(&self) -> Vec<usize> {
+        self.serving_cpus.lock().expect("serving cpus poisoned").clone()
+    }
+
+    /// The CPUs a retrain scheduled now would run on.
+    pub fn retrain_cpus(&self) -> Vec<usize> {
+        lc_nn::cpus_beside(lc_nn::process_cpus(), &self.serving_cpus()).0
     }
 
     /// An empty batcher on this service's lane, for a caller that owns
@@ -363,9 +399,11 @@ impl EstimationService {
         let drift = Arc::clone(&self.drift);
         let registry = Arc::clone(&self.registry);
         let in_flight = Arc::clone(&self.retrain_in_flight);
+        let serving = self.serving_cpus();
         let handle = std::thread::Builder::new()
             .name("lc-retrain".into())
             .spawn(move || {
+                place_retrainer(&serving);
                 // Catch panics so a failed retrain can never wedge the
                 // in-flight flag (which would silently disable
                 // self-healing for the rest of the process).
@@ -375,6 +413,10 @@ impl EstimationService {
                     if !corpus.is_empty() {
                         let prev = registry.current();
                         let config = drift.config().retrain;
+                        // `threads: 0` is one thread here, not the
+                        // hardware count: pool workers may sit on the
+                        // serving CPUs.
+                        let config = TrainConfig { threads: config.threads.max(1), ..config };
                         let retrained = train_incremental(prev.base(), &corpus, config);
                         registry.publish(retrained);
                         drift.on_publish();
@@ -462,6 +504,18 @@ impl EstimationService {
     fn lane(&self) -> std::sync::MutexGuard<'_, Lane> {
         self.lane.lock().expect("a flush panicked while holding the lane")
     }
+}
+
+/// Restrict the calling retrainer thread to the CPUs beside `serving`
+/// (see the module docs), counting `retrain.shared_core` when there are
+/// none. Returns the CPUs chosen.
+fn place_retrainer(serving: &[usize]) -> Vec<usize> {
+    let (cpus, shared) = lc_nn::cpus_beside(lc_nn::process_cpus(), serving);
+    if shared {
+        metrics::RETRAIN_SHARED_CORE.inc();
+    }
+    lc_nn::pin_thread_to_cpus(&cpus);
+    cpus
 }
 
 #[cfg(test)]
@@ -790,6 +844,34 @@ mod tests {
         let est = svc.estimate(&data[0].query).expect("estimate after retrain");
         assert!(est.cardinality >= 1.0);
         svc.shutdown();
+    }
+
+    /// The placement policy's fallback: with every CPU of the process
+    /// set serving, a retrainer takes the whole process set — not one
+    /// shard's core — and the retrain is counted as sharing one.
+    #[test]
+    fn a_retrainer_with_no_free_cpu_takes_the_whole_process_set() {
+        let process = lc_nn::process_cpus();
+        let before = metrics::RETRAIN_SHARED_CORE.get();
+        // On a thread of its own: placement changes the caller's mask.
+        let cpus = std::thread::spawn(|| place_retrainer(lc_nn::process_cpus())).join().unwrap();
+        assert_eq!(cpus, process);
+        assert!(metrics::RETRAIN_SHARED_CORE.get() > before, "retrain.shared_core not counted");
+        if process.len() > 1 {
+            let cpus = std::thread::spawn(move || place_retrainer(&process[..1])).join().unwrap();
+            assert_eq!(cpus, &process[1..], "a free CPU is taken over a shared one");
+        }
+    }
+
+    #[test]
+    fn serving_cpus_are_a_sorted_set() {
+        let (svc, _, _) = service();
+        assert!(svc.serving_cpus().is_empty());
+        assert_eq!(svc.retrain_cpus(), lc_nn::process_cpus());
+        for cpu in [3, 1, 3] {
+            svc.claim_serving_cpu(cpu);
+        }
+        assert_eq!(svc.serving_cpus(), vec![1, 3]);
     }
 
     /// Zero-row feedback contributes to drift detection but is excluded
