@@ -78,24 +78,26 @@ fn shard_ranges(n: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
     (0..n).step_by(size).map(move |lo| lo..(lo + size).min(n))
 }
 
-/// Hardware-derived default worker count (capped: beyond a few workers
-/// the per-step shards are too small to amortize).
+/// Hardware-derived default worker count: the process CPU set
+/// ([`lc_nn::process_cpus`]), so a call from a pinned thread still sees
+/// every CPU (capped: beyond a few workers the per-step shards are too
+/// small to amortize).
 fn auto_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(4)
+    lc_nn::process_cpus().len().min(4)
 }
 
 /// Shared worker-count resolution: an explicit `configured` value wins;
 /// for the default (`0`) the process [`RuntimeConfig`] decides (which in
 /// turn resolved `LC_TRAIN_THREADS` / `LC_INFER_THREADS` exactly once,
 /// or was installed explicitly by the binary), else the hardware-derived
-/// default. Code that pins a count — like the thread-determinism tests
-/// and the t1/t2/t4 scaling benches — therefore keeps it even when CI
-/// steers every default-config run via the env. Used by both the
-/// training and inference knobs so their precedence rules can never
-/// drift apart. Whatever the source, the result is capped at the worker
-/// pool's dispatch bound (`lc_nn::pool::MAX_PARTICIPANTS`, 64) — far
-/// above any productive count for this workload, and never a
-/// behavioural change: worker counts affect wall-clock only.
+/// default. Code that pins a count — like the thread-determinism tests —
+/// therefore keeps it even when CI steers every default-config run via
+/// the env. Used by both the training and inference knobs so their
+/// precedence rules can never drift apart. Whatever the source, the
+/// result is capped at the worker pool's dispatch bound
+/// (`lc_nn::pool::MAX_PARTICIPANTS`, 64) — far above any productive
+/// count for this workload, and never a behavioural change: worker
+/// counts affect wall-clock only.
 ///
 /// [`RuntimeConfig`]: lc_nn::RuntimeConfig
 fn resolve_threads(configured: usize, from_runtime: usize) -> usize {
@@ -813,6 +815,20 @@ mod tests {
             .collect();
         assert_eq!(inc[0], inc[1]);
         assert_eq!(inc[0], inc[2]);
+    }
+
+    /// The default worker count reads the process CPU set, not the
+    /// calling thread's mask: a thread pinned to one CPU still sees all.
+    #[test]
+    fn auto_threads_counts_the_process_cpus_from_a_pinned_thread() {
+        if lc_nn::process_cpus().len() < 2 {
+            return; // one CPU: nothing to tell apart
+        }
+        let pinned =
+            std::thread::spawn(|| lc_nn::pin_thread_to_core(0).then(auto_threads)).join().unwrap();
+        if let Some(threads) = pinned {
+            assert_eq!(threads, lc_nn::process_cpus().len().min(4));
+        } // else pinning is off or unsupported here
     }
 
     #[test]

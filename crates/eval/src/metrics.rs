@@ -196,7 +196,7 @@ impl TierBreakdown {
     }
 
     /// Serialize as a JSON object (no external dependencies), suitable
-    /// for emitting next to `BENCH_baseline.json`-style artifacts.
+    /// for a checked-in artifact like `TIER_baseline.json`.
     pub fn to_json(&self) -> String {
         fn stats_json(s: &QErrorStats) -> String {
             format!(

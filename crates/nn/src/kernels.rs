@@ -42,10 +42,10 @@
 //! Dispatch is resolved once per process from the global
 //! [`RuntimeConfig`](crate::RuntimeConfig) (whose `from_env` reads
 //! `LC_KERNEL`: `auto`|`avx2`|`scalar`, default `auto`) and exposed via
-//! [`kernel_name`] so benches and the serve startup banner can report
-//! which path is live. The `*_with` variants take an explicit [`Kernel`]
-//! — the property tests use them to prove both paths identical inside
-//! one process.
+//! [`kernel_name`] so the benchmark's header and the serve startup
+//! banner can report which path is live. The `*_with` variants take an
+//! explicit [`Kernel`] — the property tests use them to prove both paths
+//! identical inside one process.
 #![allow(unsafe_code)] // std::arch intrinsics + raw-pointer loads in the AVX2 kernels;
                        // every unsafe block is gated on runtime feature detection and
                        // stays inside slice bounds established by the safe caller.
@@ -116,7 +116,8 @@ pub fn active() -> Kernel {
 }
 
 /// Name of the dispatch path this process resolved to (`"avx2"` or
-/// `"scalar"`) — surfaced by the benches and the serve startup banner.
+/// `"scalar"`) — surfaced by the benchmark's header and the serve
+/// startup banner.
 pub fn kernel_name() -> &'static str {
     active().name()
 }
@@ -144,7 +145,7 @@ pub(crate) fn matmul_overwrite(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 /// [`matmul_accumulate`] with an explicit kernel — the hook the
-/// cross-kernel equivalence tests and benches use.
+/// cross-kernel equivalence tests use.
 ///
 /// # Panics
 /// If `Kernel::Avx2` is requested on hardware without AVX2+FMA.
@@ -461,7 +462,7 @@ pub(crate) fn sparse_matmul_bias(x: &SparseRows, w: &Matrix, bias: &[f32], out: 
     sparse_matmul_bias_with(active(), x, w, bias, out);
 }
 
-/// [`sparse_matmul_bias`] with an explicit kernel (tests/benches).
+/// [`sparse_matmul_bias`] with an explicit kernel (tests).
 ///
 /// # Panics
 /// On shape mismatch, or if `Kernel::Avx2` is requested on hardware
@@ -598,7 +599,7 @@ pub(crate) fn sparse_transa_accumulate(x: &SparseRows, b: &Matrix, out: &mut Mat
     sparse_transa_accumulate_with(active(), x, b, out);
 }
 
-/// [`sparse_transa_accumulate`] with an explicit kernel (tests/benches).
+/// [`sparse_transa_accumulate`] with an explicit kernel (tests).
 ///
 /// # Panics
 /// On shape mismatch, or if `Kernel::Avx2` is requested on hardware

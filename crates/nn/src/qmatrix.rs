@@ -530,7 +530,7 @@ pub fn qmatmul_dequant_bias(x: &QActs, w: &QMatrix, bias: &[f32], out: &mut Matr
 }
 
 /// [`qmatmul_dequant_bias`] with an explicit kernel — the hook the
-/// cross-kernel equivalence tests and benches use.
+/// cross-kernel equivalence tests use.
 ///
 /// # Panics
 /// If shapes disagree, or `Kernel::Avx2` is requested on hardware
@@ -784,7 +784,7 @@ pub fn qsparse_matmul_dequant_bias(
 
 /// [`qsparse_matmul_dequant_bias`] with an explicit kernel. Convenience
 /// wrapper over [`qsparse_matmul_dequant_bias_staged`] that allocates
-/// its own staging row — tests and benches; the inference path threads a
+/// its own staging row, for tests; the inference path threads a
 /// cache-owned buffer instead (the zero-alloc guarantee).
 pub fn qsparse_matmul_dequant_bias_with(
     kernel: Kernel,

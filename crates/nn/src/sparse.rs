@@ -155,7 +155,7 @@ impl SparseRows {
     }
 
     /// The canonical sparse view of a dense matrix (exact nonzeros, in
-    /// ascending column order per row) — tests and benches.
+    /// ascending column order per row) — tests.
     pub fn from_dense(m: &Matrix) -> Self {
         let mut out = SparseRows::new(m.cols());
         for i in 0..m.rows() {

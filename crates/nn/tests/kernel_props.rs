@@ -28,6 +28,23 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// Textbook int8 reference: plain `i32` dot products over the quantized
+/// operands plus the kernels' shared dequantization expression. With
+/// activations in `[0, 127]` no pair saturates, so every kernel must
+/// match it bitwise.
+fn naive_qmatmul(x: &QActs, w: &QMatrix, bias: &[f32]) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), w.output_dim());
+    for i in 0..x.rows() {
+        let s = x.scales()[i];
+        for (j, &b) in bias.iter().enumerate() {
+            let acc: i32 =
+                x.row(i).iter().zip(w.channel(j)).map(|(&q, &wq)| q as i32 * wq as i32).sum();
+            out.set(i, j, acc as f32 * (s * w.scales()[j]) + b);
+        }
+    }
+    out
+}
+
 /// Build a matrix by cycling through integer value/mask pools (the
 /// vendored proptest stub generates integers only).
 fn matrix_from(rows: usize, cols: usize, vals: &[i32], zero_mask: &[u8]) -> Matrix {
@@ -250,8 +267,9 @@ proptest! {
     }
 
     /// The int8 dense and sparse kernels agree bitwise across dispatch
-    /// tiers and with each other on arbitrary non-negative activations —
-    /// the quantized twin of `sparse_paths_match_dense_bitwise`.
+    /// tiers, with each other and with the textbook `i32` reference on
+    /// arbitrary non-negative activations — the quantized twin of
+    /// `sparse_paths_match_dense_bitwise`.
     #[test]
     fn quantized_paths_match_bitwise(
         (r, k, c) in (1usize..40, 1usize..150, 1usize..40),
@@ -280,6 +298,12 @@ proptest! {
                 "int8 dense dispatch paths must match bitwise"
             );
         }
+        // Both tiers equal the scalar one, which equals the i32 reference.
+        let reference = naive_qmatmul(&qa, &qw, &bias);
+        prop_assert_eq!(
+            scalar.data(), reference.data(),
+            "int8 dense kernel must match the textbook i32 reference bitwise"
+        );
 
         // Sparse path on the CSR view: same scales, same bits.
         let sp = SparseRows::from_dense(&x);

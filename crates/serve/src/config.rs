@@ -80,7 +80,8 @@ impl Default for TierConfig {
 /// frame. Either way the connection stays open and healthy.
 #[derive(Clone, Copy, Debug)]
 pub struct FrontConfig {
-    /// Reactor shard count; 0 means one shard per available core.
+    /// Reactor shard count; 0 means one shard per CPU of the process's
+    /// CPU set (`lc_nn::process_cpus`).
     pub shards: usize,
     /// Open-connection cap across all shards; a connection accepted
     /// over the cap is closed immediately. 0 means unlimited.

@@ -218,11 +218,7 @@ pub fn serve(
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let listener = Arc::new(listener);
-    let shard_count = if front.shards == 0 {
-        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-    } else {
-        front.shards
-    };
+    let shard_count = if front.shards == 0 { lc_nn::process_cpus().len() } else { front.shards };
     let stop = Arc::new(AtomicBool::new(false));
     let open_connections = Arc::new(AtomicUsize::new(0));
     let mut wakers = Vec::with_capacity(shard_count);
@@ -1316,6 +1312,27 @@ mod tests {
             "the retrainer never left the shard's CPU {shard_cpus:?}"
         );
         handle.shutdown();
+        service.shutdown();
+    }
+
+    /// `shards: 0` sizes the front from the process CPU set, so a server
+    /// started from a thread pinned to one CPU still runs one shard per CPU.
+    #[test]
+    fn default_shard_count_is_the_process_cpu_count_from_a_pinned_thread() {
+        if lc_nn::process_cpus().len() < 2 {
+            return; // one CPU: nothing to tell apart
+        }
+        let (service, _) = tiny_service();
+        let pinned = Arc::clone(&service);
+        let handle = std::thread::spawn(move || {
+            lc_nn::pin_thread_to_core(0).then(|| serve(pinned, "127.0.0.1:0").expect("bind"))
+        })
+        .join()
+        .unwrap();
+        if let Some(handle) = handle {
+            assert_eq!(handle.shard_count(), lc_nn::process_cpus().len());
+            handle.shutdown();
+        } // else pinning is off or unsupported here
         service.shutdown();
     }
 

@@ -18,7 +18,7 @@
 //! ping         := kind 4
 //! pong         := kind 5
 //!
-//! # protocol version 2 (kinds 6–16)
+//! # protocol version 2 (kinds 6–17)
 //! hello        := kind 6  | u8 version | u8 capabilities
 //! hello_ack    := kind 7  | u8 version | u8 capabilities (both negotiated)
 //! feedback     := kind 8  | u64 actual_card | canonical query encoding
@@ -87,7 +87,8 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// The original protocol: kinds 1–5 (estimate, error, ping/pong).
 pub const PROTOCOL_V1: u8 = 1;
 /// The current protocol: adds hello negotiation, feedback, stats, drift
-/// status, metrics, and busy/retry load-shedding (kinds 6–16).
+/// status, metrics, busy/retry load-shedding, and estimate detail
+/// (kinds 6–17).
 pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Capability bit: the server accepts [`Message::Feedback`] frames.
@@ -283,7 +284,7 @@ pub struct HistogramMetric {
     pub buckets: [u64; 64],
 }
 
-/// One protocol message. Kinds 1–5 are protocol v1; 6–15 need v2.
+/// One protocol message. Kinds 1–5 are protocol v1; 6–17 need v2.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client → server: estimate the cardinality of `query`. (v1)
@@ -1408,7 +1409,7 @@ mod tests {
     }
 
     /// Generator covering every arm of the v2 protocol: `arm` picks the
-    /// variant (so all 16 are exercised no matter what the RNG draws),
+    /// variant (so all 17 are exercised no matter what the RNG draws),
     /// `rng` fills in the fields.
     fn arb_message(arm: usize, rng: &mut SmallRng) -> Message {
         let id = rng.gen_range(0u64..=u64::MAX);

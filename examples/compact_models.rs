@@ -6,11 +6,11 @@
 //! model bytes next to q-error so the compression cost is a number, not
 //! a guess.
 //!
-//! Writes the grid as `COMPACT_baseline.json` next to
-//! `BENCH_baseline.json` so the compression frontier is a tracked
-//! artifact, and asserts the serving acceptance gate: the int8 model at
-//! the teacher's width (what `serve --quantized` deploys) keeps median
-//! q-error within 1.5× of the f32 teacher.
+//! Writes the grid to `COMPACT_baseline.json` in the working directory
+//! (the checked-in copy is at the repository root) so the compression
+//! frontier is a tracked artifact, and asserts the serving acceptance
+//! gate: the int8 model at the teacher's width (what `serve --quantized`
+//! deploys) keeps median q-error within 1.5× of the f32 teacher.
 //!
 //! ```text
 //! cargo run --release --example compact_models

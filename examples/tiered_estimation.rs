@@ -10,8 +10,9 @@
 //! primary keeps the bulk at learned-model accuracy while the fallback
 //! tiers absorb the shapes it cannot answer.
 //!
-//! Writes the breakdown as `TIER_baseline.json` next to
-//! `BENCH_baseline.json` so routing quality is a tracked artifact.
+//! Writes the breakdown to `TIER_baseline.json` in the working directory
+//! (the checked-in copy is at the repository root) so routing quality is
+//! a tracked artifact.
 //!
 //! ```text
 //! cargo run --release --example tiered_estimation
