@@ -32,7 +32,9 @@
 //!   capability intersection) pair. v1 clients skip the hello and keep
 //!   working unchanged. v2 adds feedback, stats, drift-status, and —
 //!   behind the negotiated `CAP_TIER` bit — tier-attributed estimate
-//!   detail frames. Decoding is strict, panic-free, and version-gated.
+//!   detail frames. One table declares every kind's fields in wire order;
+//!   encoding, strict panic-free decoding and the version gate derive
+//!   from it.
 //! * [`registry`] — versioned model snapshots with **atomic hot-swap**:
 //!   publishing a new model never pauses in-flight requests; each
 //!   micro-batch runs against the `Arc` snapshot it grabbed at flush

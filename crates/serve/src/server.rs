@@ -51,7 +51,9 @@
 //! [`Message::Busy`] frame carrying a retry hint, everyone else (v1,
 //! hello-less, or opted out) gets a plain [`Message::Error`] — either
 //! way the connection stays open and the next request is admitted
-//! normally.
+//! normally. A query that names a table, join or column the served schema
+//! does not hold is refused the same way, with an `Error` frame carrying
+//! its id, before it reaches the cache.
 //!
 //! ## Protocol negotiation
 //!
@@ -59,7 +61,9 @@
 //! [`Message::Hello`] and the connection then decodes at the negotiated
 //! version with the negotiated capabilities; a v1 client sends no hello
 //! and stays in the pre-hello state, where the server decodes at its own
-//! maximum version — v1 traffic (kinds 1–5) works byte-identically.
+//! maximum version with every capability except the two that change a
+//! reply frame ([`CAP_RETRY`], [`CAP_TIER`]) — v1 traffic (kinds 1–5)
+//! works byte-identically.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -269,17 +273,19 @@ pub fn serve(
     Ok(ServerHandle { addr: local, stop, wakers, shards })
 }
 
+/// Capabilities of a connection that sent no Hello: everything a v1
+/// client can use without knowing it, and none of the bits that would
+/// answer it with a frame it cannot decode (`Busy`, `EstimateDetail`).
+const PRE_HELLO_CAPS: u8 = CAPABILITIES & !(CAP_RETRY | CAP_TIER);
+
 /// One connection owned by a shard. An idle connection keeps both
 /// buffers empty — its footprint is this struct plus the socket.
 struct Conn {
     stream: TcpStream,
     /// Negotiated (or pre-hello maximum) protocol version.
     version: u8,
-    /// Negotiated (or pre-hello full) capability set.
+    /// Negotiated (or [`PRE_HELLO_CAPS`]) capability set.
     caps: u8,
-    /// True once a Hello was answered: only explicitly negotiated
-    /// clients may be sent v2 frames they did not ask for (Busy).
-    negotiated: bool,
     /// Bytes received that do not yet form a complete frame.
     inbuf: Vec<u8>,
     /// Encoded responses not yet accepted by the socket.
@@ -440,12 +446,10 @@ impl Shard {
                     }
                     self.slots[slot].conn = Some(Conn {
                         stream,
-                        // Pre-hello: the server's own maximum version
-                        // with every capability available — exactly
-                        // what keeps hello-less v1 clients working.
+                        // Pre-hello: the server's own maximum version —
+                        // exactly what keeps hello-less v1 clients working.
                         version: PROTOCOL_VERSION,
-                        caps: CAPABILITIES,
-                        negotiated: false,
+                        caps: PRE_HELLO_CAPS,
                         inbuf: Vec::new(),
                         outbuf: Vec::new(),
                         out_pos: 0,
@@ -603,7 +607,6 @@ impl Shard {
                 if let Some(conn) = self.slots[slot].conn.as_mut() {
                     conn.version = v;
                     conn.caps = c;
-                    conn.negotiated = true;
                 }
                 Message::HelloAck { id, version: v, capabilities: c }
             }
@@ -663,7 +666,7 @@ impl Shard {
         self.slots[slot].conn.as_ref().map_or(0, |c| c.caps)
     }
 
-    /// The estimate reply for `slot`: a connection that *negotiated*
+    /// The estimate reply for `slot`: a connection that negotiated
     /// [`CAP_TIER`] gets the v2 [`Message::EstimateDetail`] frame with
     /// tier attribution; everyone else (v1, hello-less, or opted out)
     /// gets the classic [`Message::EstimateResponse`], byte-identical to
@@ -671,9 +674,7 @@ impl Shard {
     fn estimate_reply(&self, slot: usize, id: u64, est: &Estimate) -> Message {
         let Estimate { model_version, micro_batch, cache_hit, tier, log_std, .. } = *est;
         let estimate = est.cardinality;
-        let detail =
-            self.slots[slot].conn.as_ref().is_some_and(|c| c.negotiated && c.caps & CAP_TIER != 0);
-        if detail {
+        if self.conn_caps(slot) & CAP_TIER != 0 {
             Message::EstimateDetail {
                 id,
                 estimate,
@@ -688,31 +689,34 @@ impl Shard {
         }
     }
 
-    /// Refuse one request under overload. Clients that explicitly
-    /// negotiated [`CAP_RETRY`] get the typed Busy frame; everyone else
-    /// (v1, hello-less, or opted out) gets a plain error they can
-    /// already decode.
+    /// Refuse one request under overload. Clients that negotiated
+    /// [`CAP_RETRY`] get the typed Busy frame; everyone else (v1,
+    /// hello-less, or opted out) gets a plain error they can already
+    /// decode.
     fn shed(&mut self, slot: usize, id: u64, started: Option<Instant>) {
         self.obs.shed.inc();
-        if let Some(started) = started {
-            // Keep the estimate-span count == request count invariant:
-            // a shed request was answered too, just not by the model.
-            metrics::SERVE_ESTIMATE_NS.record_duration(started.elapsed());
-        }
-        let retry =
-            self.slots[slot].conn.as_ref().is_some_and(|c| c.negotiated && c.caps & CAP_RETRY != 0);
-        let response = if retry {
+        let response = if self.conn_caps(slot) & CAP_RETRY != 0 {
             Message::Busy { id, retry_after_ms: self.front.retry_after_ms }
         } else {
             error_message(id, "server busy".into())
         };
+        self.refuse(slot, started, response);
+    }
+
+    /// Answer a request the model never saw (shed or out of schema).
+    fn refuse(&mut self, slot: usize, started: Option<Instant>, response: Message) {
+        if let Some(started) = started {
+            // Keep the estimate-span count == request count invariant:
+            // a refused request was answered too, just not by the model.
+            metrics::SERVE_ESTIMATE_NS.record_duration(started.elapsed());
+        }
         self.respond(slot, response);
     }
 
-    /// Admission control, then the service's lane: a request over the
-    /// in-flight budget is shed before any other work; a cache hit is
-    /// answered on the spot; a miss rides the batcher until the
-    /// end-of-pass flush.
+    /// Admission control, then the service's lane: a query outside the
+    /// served schema is refused and a request over the in-flight budget
+    /// is shed before any other work; a cache hit is answered on the
+    /// spot; a miss rides the batcher until the end-of-pass flush.
     fn admit(
         &mut self,
         slot: usize,
@@ -721,6 +725,9 @@ impl Shard {
         query: Query,
         feedback_actual: Option<u64>,
     ) {
+        if let Err(refused) = self.service.check(&query) {
+            return self.refuse(slot, started, error_message(id, refused.to_string()));
+        }
         let budget = self.front.inflight_budget;
         if budget > 0 && self.batcher.len() >= budget {
             return self.shed(slot, id, started);
@@ -880,6 +887,7 @@ mod tests {
     use crate::cache::CacheConfig;
     use crate::config::ServeConfig;
     use crate::registry::ModelRegistry;
+    use crate::service::tests::out_of_schema_queries;
     use crate::wire::{read_message, write_message, CAP_FEEDBACK, PROTOCOL_V1};
     use lc_core::{train, TrainConfig};
     use lc_engine::SampleSet;
@@ -1128,6 +1136,55 @@ mod tests {
             None,
             "server closed after error"
         );
+
+        handle.shutdown();
+        service.shutdown();
+    }
+
+    /// A query that decodes but lies outside the served schema is refused
+    /// with an Error frame carrying its id, as an estimate and as feedback,
+    /// and the shard keeps serving the connection.
+    #[test]
+    fn out_of_schema_queries_get_error_frames_and_the_connection_survives() {
+        let one_shard = ServeConfig {
+            front: FrontConfig { shards: 1, ..FrontConfig::default() },
+            ..ServeConfig::default()
+        };
+        let (service, data) = tiny_service_with(one_shard);
+        let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+
+        let db = generate(&ImdbConfig::tiny());
+        for (i, query) in out_of_schema_queries(db.schema()).into_iter().enumerate() {
+            let id = 2 * i as u64;
+            for (id, request) in [
+                (id, Message::EstimateRequest { id, query: query.clone() }),
+                (id + 1, Message::Feedback { id: id + 1, query, actual_card: 10 }),
+            ] {
+                write_message(&mut writer, &request).unwrap();
+                writer.flush().unwrap();
+                match read_message(&mut reader, PROTOCOL_VERSION) {
+                    Ok(Some(Message::Error { id: got, message })) => {
+                        assert_eq!(got, id);
+                        assert!(message.contains("schema"), "got: {message}");
+                    }
+                    other => panic!("{request:?} got {other:?}"),
+                }
+            }
+        }
+        write_message(
+            &mut writer,
+            &Message::EstimateRequest { id: 99, query: data[0].query.clone() },
+        )
+        .unwrap();
+        writer.flush().unwrap();
+        assert!(matches!(
+            read_message(&mut reader, PROTOCOL_VERSION).unwrap(),
+            Some(Message::EstimateResponse { id: 99, .. })
+        ));
+        assert_eq!(service.drift().feedback_count(), 0, "refused feedback was recorded");
 
         handle.shutdown();
         service.shutdown();

@@ -1,8 +1,9 @@
 //! The estimation service: registry → cache → batcher glued behind one
 //! call, plus the self-healing feedback loop.
 //!
-//! A request runs through one lane, whoever carries it: compute the
-//! canonical cache key and probe the sharded LRU (`probe`); on a miss
+//! A request runs through one lane, whoever carries it: refuse a query
+//! the served schema does not hold (`check`); compute the canonical cache
+//! key and probe the sharded LRU (`probe`); on a miss
 //! annotate the query against the materialized samples (§3.4 runtime
 //! featurization — no query execution) and push it into a
 //! [`MicroBatcher`] (`enqueue`); flush the batcher and cache each result
@@ -47,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use lc_core::{train_incremental, TrainConfig};
-use lc_engine::{Database, SampleSet};
+use lc_engine::{ColumnRole, Database, SampleSet};
 use lc_obs::{metrics, Histogram, RateLimitedLog, SpanTimer};
 use lc_query::{annotate_query, Query};
 
@@ -64,12 +65,19 @@ use crate::tier::{TIER_FALLBACK, TIER_GBM};
 pub enum ServeError {
     /// The service shut down before the request was answered.
     Shutdown,
+    /// The query names a table, join or column the served schema does not
+    /// have, or puts a predicate on a key column. Nothing was estimated or
+    /// recorded.
+    OutOfSchema(String),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Shutdown => write!(f, "estimation service shut down"),
+            ServeError::OutOfSchema(detail) => {
+                write!(f, "query outside the served schema: {detail}")
+            }
         }
     }
 }
@@ -130,12 +138,12 @@ pub struct PendingEstimate<'a> {
 }
 
 enum PendingState {
-    Ready(Estimate),
+    Ready(Result<Estimate, ServeError>),
     Waiting(Receiver<Estimate>),
 }
 
 impl PendingEstimate<'_> {
-    /// True if the answer is already available (cache hit).
+    /// True if the answer is already available (cache hit or refusal).
     pub fn is_ready(&self) -> bool {
         matches!(self.state, PendingState::Ready(_))
     }
@@ -145,7 +153,7 @@ impl PendingEstimate<'_> {
     /// everything else queued.
     pub fn wait(self) -> Result<Estimate, ServeError> {
         let rx = match self.state {
-            PendingState::Ready(estimate) => return Ok(estimate),
+            PendingState::Ready(result) => return result,
             PendingState::Waiting(rx) => rx,
         };
         loop {
@@ -228,6 +236,33 @@ impl EstimationService {
         MicroBatcher::new(Arc::clone(&self.registry), self.batcher_config)
     }
 
+    /// Lane step 0, before the cache probe: refuse a query the served
+    /// schema cannot annotate or featurize. Ids arrive from the network as
+    /// any `u16`, and the sample probe and the featurizer index by them.
+    pub(crate) fn check(&self, query: &Query) -> Result<(), ServeError> {
+        let schema = self.db.schema();
+        let refuse = |detail| Err(ServeError::OutOfSchema(detail));
+        if let Some(t) = query.tables().iter().find(|t| t.index() >= schema.num_tables()) {
+            return refuse(format!("table {} (the schema has {})", t.0, schema.num_tables()));
+        }
+        if let Some(j) = query.joins().iter().find(|j| j.index() >= schema.num_joins()) {
+            return refuse(format!("join {} (the schema has {})", j.0, schema.num_joins()));
+        }
+        for p in query.predicates() {
+            let Some(table) = schema.tables.get(p.table.index()) else {
+                return refuse(format!("predicate on table {}", p.table.0));
+            };
+            match table.columns.get(p.column).map(|c| c.role) {
+                Some(ColumnRole::Data) => {}
+                Some(_) => {
+                    return refuse(format!("predicate on key column {}.{}", table.name, p.column))
+                }
+                None => return refuse(format!("predicate on column {}.{}", table.name, p.column)),
+            }
+        }
+        Ok(())
+    }
+
     /// Lane step 1: probe the cache. `Ok` is a hit; `Err` carries the
     /// miss's cache key for `enqueue` (`None` when
     /// the cache is disabled — the hot path then builds no key at all).
@@ -298,13 +333,15 @@ impl EstimationService {
         n
     }
 
-    /// Non-blocking request entry: probe the cache, and on a miss
-    /// annotate + enqueue. Submitting many queries before waiting on any
-    /// lets one thread fill a whole micro-batch.
+    /// Non-blocking request entry: check the query against the schema,
+    /// probe the cache, and on a miss annotate + enqueue. Submitting many
+    /// queries before waiting on any lets one thread fill a whole
+    /// micro-batch.
     pub fn submit(&self, query: &Query) -> PendingEstimate<'_> {
-        let state = match self.probe(query) {
-            Ok(hit) => PendingState::Ready(hit),
-            Err(query_key) => {
+        let state = match self.check(query).map(|()| self.probe(query)) {
+            Err(refused) => PendingState::Ready(Err(refused)),
+            Ok(Ok(hit)) => PendingState::Ready(Ok(hit)),
+            Ok(Err(query_key)) => {
                 let (tx, rx) = channel();
                 let mut lane = self.lane();
                 // After shutdown `tx` drops here: `wait` reports it.
@@ -519,16 +556,39 @@ fn place_retrainer(serving: &[usize]) -> Vec<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::config::DriftConfig;
     use lc_core::{train, Estimator, FeatureMode, MscnEstimator, TrainConfig};
+    use lc_engine::{CmpOp, ColumnRole, JoinId, Predicate, Schema, TableId};
     use lc_imdb::{generate, ImdbConfig};
     use lc_query::{workloads, LabeledQuery};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::time::{Duration, Instant};
+
+    /// Queries that decode but do not fit `schema`: a table or join id
+    /// one past the end (and `u16::MAX`), a predicate on a table past the
+    /// end, on a column past the end, and on a key column.
+    pub(crate) fn out_of_schema_queries(schema: &Schema) -> Vec<Query> {
+        let (tables, joins) = (schema.num_tables() as u16, schema.num_joins() as u16);
+        let columns = &schema.table(TableId(0)).columns;
+        let key = columns.iter().position(|c| c.role != ColumnRole::Data).expect("a key column");
+        let on = |table: u16, column: usize| {
+            let predicate = Predicate { table: TableId(table), column, op: CmpOp::Eq, value: 1 };
+            Query::new(vec![TableId(0)], vec![], vec![predicate])
+        };
+        vec![
+            Query::new(vec![TableId(tables)], vec![], vec![]),
+            Query::new(vec![TableId(u16::MAX)], vec![], vec![]),
+            Query::new(vec![TableId(0)], vec![JoinId(joins)], vec![]),
+            Query::new(vec![TableId(0)], vec![JoinId(u16::MAX)], vec![]),
+            on(tables, 0),
+            on(0, columns.len()),
+            on(0, key),
+        ]
+    }
 
     fn fixture() -> (Database, SampleSet, MscnEstimator, MscnEstimator, Vec<LabeledQuery>) {
         let db = generate(&ImdbConfig::tiny());
@@ -785,6 +845,28 @@ mod tests {
         assert!(!after_swap.cache_hit, "stale quantized cache entry served across a hot-swap");
         assert_eq!(after_swap.model_version, 2);
         assert_eq!(after_swap.cardinality, expect_v2);
+        svc.shutdown();
+    }
+
+    /// In process, a query outside the schema is refused by `submit` and
+    /// `feedback` before the cache: nothing is estimated, cached or
+    /// recorded, and the service keeps serving.
+    #[test]
+    fn out_of_schema_queries_are_refused_in_process() {
+        let (svc, est, data) = service();
+        for query in out_of_schema_queries(svc.db.schema()) {
+            let pending = svc.submit(&query);
+            assert!(pending.is_ready(), "{query}");
+            match pending.wait() {
+                Err(e @ ServeError::OutOfSchema(_)) => assert!(e.to_string().contains("schema")),
+                other => panic!("{query} estimated as {other:?}"),
+            }
+            assert!(matches!(svc.feedback(&query, 10), Err(ServeError::OutOfSchema(_))));
+        }
+        assert_eq!(svc.drift().feedback_count(), 0);
+        let cache = svc.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (0, 0), "refused after the cache probe");
+        assert_eq!(svc.estimate(&data[0].query).unwrap().cardinality, est.estimate(&data[0]));
         svc.shutdown();
     }
 

@@ -7,41 +7,27 @@
 //! format — so the protocol stays auditable byte by byte:
 //!
 //! ```text
-//! frame        := u32 body_len | body         (body_len ≤ MAX_FRAME_LEN)
-//! body         := u8 kind | u64 id | payload
+//! frame := u32 body_len | body          (body_len ≤ MAX_FRAME_LEN)
+//! body  := u8 kind | the kind's fields, in the order its row lists them
+//! ```
 //!
-//! # protocol version 1 (kinds 1–5)
-//! request      := kind 1  | canonical query encoding
-//! response     := kind 2  | f64 estimate | u32 model_version
-//!                         | u32 micro_batch | u8 flags   (bit 0: cache hit)
-//! error        := kind 3  | u32 len | utf-8 message
-//! ping         := kind 4
-//! pong         := kind 5
+//! **The `messages!` table below is the grammar.** One row per kind gives
+//! the kind tag, the protocol version that introduced it, the [`Message`]
+//! variant and its fields in wire order (every kind starts with its `u64`
+//! id). The enum, [`Message::kind`], the version gate, [`Message::encode`],
+//! the strict [`Message::decode_body`] and the tests' generator are all
+//! derived from those rows. A field travels as its type says:
 //!
-//! # protocol version 2 (kinds 6–17)
-//! hello        := kind 6  | u8 version | u8 capabilities
-//! hello_ack    := kind 7  | u8 version | u8 capabilities (both negotiated)
-//! feedback     := kind 8  | u64 actual_card | canonical query encoding
-//! feedback_ack := kind 9  | u32 model_version
-//! stats_req    := kind 10
-//! stats        := kind 11 | u32 model_version | u32 retrains
-//!                         | u64 feedback_count | u16 n | n × template_stat
-//! drift_req    := kind 12
-//! drift_status := kind 13 | u8 retrain_in_flight | u16 n | n × template_drift
-//! metrics_req  := kind 14
-//! metrics      := kind 15 | u64 uptime_ns | u16 n | n × scalar_metric
-//!                         | u16 m | m × histogram_metric
-//! busy         := kind 16 | u32 retry_after_ms
-//! est_detail   := kind 17 | f64 estimate | u32 model_version
-//!                         | u32 micro_batch | u8 flags   (bit 0: cache hit)
-//!                         | u8 tier | f64 log_std
-//!
-//! template_stat  := u32 template | u64 count | f64 mean_qerror
-//! template_drift := u32 template | u32 window_len | f64 rolling_qerror
-//!                 | u8 tripped
-//! scalar_metric  := u16 metric_id | u8 is_gauge | u64 value
-//! histogram_metric := u16 metric_id | u64 sum | u64 max
-//!                   | u64 mask | popcount(mask) × u64 bucket_count
+//! ```text
+//! u8 | u16 | u32 | u64 | f64   little-endian
+//! bool                         one byte, 0 or 1
+//! String                       u32 byte length | UTF-8 bytes
+//! Query                        the canonical query encoding (lc_query)
+//! Vec<T>                       u16 count | count × T
+//! TemplateStat, TemplateDrift, ScalarMetric
+//!                              their fields, in declaration order
+//! HistogramMetric              u16 id | u64 sum | u64 max | u64 mask
+//!                              | popcount(mask) × u64 bucket_count
 //! ```
 //!
 //! A histogram's 64 log₂ buckets travel sparsely: `mask` bit *i* is set
@@ -62,10 +48,10 @@
 //! [`Message::decode_body`] run at version 1 rejects v2 kinds with
 //! [`WireError::KindAboveVersion`] instead of misparsing them.
 //!
-//! Adding the next message is a one-arm diff: pick the next kind tag,
-//! add the enum arm and its encode/decode match arms, and gate it on the
-//! version that introduces it — the frame layer, hello exchange, and
-//! error taxonomy all stay untouched.
+//! Adding the next message is one row: the next kind tag, the version
+//! that introduces it, the variant and its fields. A new payload type
+//! also needs a `Field` impl (and a test `Arbitrary` one); the frame
+//! layer, hello exchange and error taxonomy stay untouched.
 //!
 //! The message `id` is an opaque client token echoed back in the
 //! matching response, so a client may pipeline requests on one
@@ -78,6 +64,8 @@ use std::io::{self, Read, Write};
 
 use bytes::{Buf, BufMut};
 use lc_query::Query;
+#[cfg(test)]
+use rand::rngs::SmallRng;
 
 /// Upper bound on a frame body, bounding per-connection buffer growth. A
 /// maximal query (hundreds of predicates) encodes to a few KiB; 1 MiB
@@ -228,44 +216,159 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Response metadata flag: the estimate was answered from the cache.
-const FLAG_CACHE_HIT: u8 = 1;
-
-/// Per-join-template feedback summary carried by [`Message::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TemplateStat {
-    /// The [`Query::join_template`] key.
-    pub template: u32,
-    /// Feedback observations recorded for this template (lifetime).
-    pub count: u64,
-    /// Mean q-error over the template's current rolling window.
-    pub mean_qerror: f64,
+/// One payload type's wire encoding: `put` appends it, `get` reads it
+/// back strictly from the front of `buf` at the negotiated `version`.
+/// `what` names the field in errors.
+trait Field: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(buf: &mut &[u8], version: u8, what: &'static str) -> Result<Self, WireError>;
 }
 
-/// Per-join-template drift snapshot carried by [`Message::DriftStatus`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TemplateDrift {
-    /// The [`Query::join_template`] key.
-    pub template: u32,
-    /// Observations currently in the rolling window.
-    pub window_len: u32,
-    /// Mean q-error over the window (1.0 when empty).
-    pub rolling_qerror: f64,
-    /// True if this template's window is past the drift threshold.
-    pub tripped: bool,
+fn need(buf: &[u8], n: usize, what: &'static str, version: u8) -> Result<(), WireError> {
+    if buf.remaining() < n {
+        return Err(WireError::Truncated { version, what, need: n, have: buf.remaining() });
+    }
+    Ok(())
 }
 
-/// One counter or gauge value in a [`Message::MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScalarMetric {
-    /// Index into the server's `lc_obs::CATALOG` (resolve names with
-    /// `lc_obs::metric_name`).
-    pub id: u16,
-    /// True for a gauge (instantaneous), false for a counter
-    /// (monotonic).
-    pub gauge: bool,
-    /// The value at snapshot time.
-    pub value: u64,
+/// Fixed-width numbers, little-endian.
+macro_rules! le_fields {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.$put(*self);
+            }
+            fn get(buf: &mut &[u8], version: u8, what: &'static str) -> Result<Self, WireError> {
+                need(buf, std::mem::size_of::<$ty>(), what, version)?;
+                Ok(buf.$get())
+            }
+        }
+    )*};
+}
+
+le_fields! {
+    u8 => put_u8, get_u8;
+    u16 => put_u16_le, get_u16_le;
+    u32 => put_u32_le, get_u32_le;
+    u64 => put_u64_le, get_u64_le;
+    f64 => put_f64_le, get_f64_le;
+}
+
+/// Strict: `0` or `1`, anything else is malformed.
+impl Field for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u8(u8::from(*self));
+    }
+    fn get(buf: &mut &[u8], version: u8, what: &'static str) -> Result<Self, WireError> {
+        match u8::get(buf, version, what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Malformed {
+                version,
+                detail: format!("{what}: flags byte {b:#04x} is not 0|1"),
+            }),
+        }
+    }
+}
+
+impl Field for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self.as_bytes());
+    }
+    fn get(buf: &mut &[u8], version: u8, what: &'static str) -> Result<Self, WireError> {
+        let len = u32::get(buf, version, what)? as usize;
+        need(buf, len, what, version)?;
+        String::from_utf8(buf.take_bytes(len).to_vec())
+            .map_err(|_| WireError::Malformed { version, detail: format!("{what} is not UTF-8") })
+    }
+}
+
+impl Field for Query {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.encode(buf);
+    }
+    fn get(buf: &mut &[u8], version: u8, what: &'static str) -> Result<Self, WireError> {
+        Query::decode(buf)
+            .map_err(|e| WireError::Malformed { version, detail: format!("{what}: {}", e.0) })
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_u16_le(self.len() as u16);
+        self.iter().for_each(|item| item.put(buf));
+    }
+    fn get(buf: &mut &[u8], version: u8, what: &'static str) -> Result<Self, WireError> {
+        let n = u16::get(buf, version, what)?;
+        (0..n).map(|_| T::get(buf, version, what)).collect()
+    }
+}
+
+/// Declares plain structs whose wire encoding is their fields in order.
+macro_rules! rows {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $Row:ident { $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )* }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $Row { $( $(#[$fmeta])* pub $field: $ty, )* }
+
+        impl Field for $Row {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $( self.$field.put(buf); )*
+            }
+            fn get(buf: &mut &[u8], version: u8, _: &'static str) -> Result<Self, WireError> {
+                Ok($Row { $( $field: <$ty as Field>::get(buf, version, stringify!($field))?, )* })
+            }
+        }
+
+        #[cfg(test)]
+        impl tests::Arbitrary for $Row {
+            fn arbitrary(rng: &mut SmallRng) -> Self {
+                $Row { $( $field: tests::Arbitrary::arbitrary(rng), )* }
+            }
+        }
+    )*};
+}
+
+rows! {
+    /// Per-join-template feedback summary carried by [`Message::Stats`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TemplateStat {
+        /// The [`Query::join_template`] key.
+        pub template: u32,
+        /// Feedback observations recorded for this template (lifetime).
+        pub count: u64,
+        /// Mean q-error over the template's current rolling window.
+        pub mean_qerror: f64,
+    }
+
+    /// Per-join-template drift snapshot carried by [`Message::DriftStatus`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TemplateDrift {
+        /// The [`Query::join_template`] key.
+        pub template: u32,
+        /// Observations currently in the rolling window.
+        pub window_len: u32,
+        /// Mean q-error over the window (1.0 when empty).
+        pub rolling_qerror: f64,
+        /// True if this template's window is past the drift threshold.
+        pub tripped: bool,
+    }
+
+    /// One counter or gauge value in a [`Message::MetricsSnapshot`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ScalarMetric {
+        /// Index into the server's `lc_obs::CATALOG` (resolve names with
+        /// `lc_obs::metric_name`).
+        pub id: u16,
+        /// True for a gauge (instantaneous), false for a counter
+        /// (monotonic).
+        pub gauge: bool,
+        /// The value at snapshot time.
+        pub value: u64,
+    }
 }
 
 /// One histogram state in a [`Message::MetricsSnapshot`]: the full
@@ -284,224 +387,287 @@ pub struct HistogramMetric {
     pub buckets: [u64; 64],
 }
 
-/// One protocol message. Kinds 1–5 are protocol v1; 6–17 need v2.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Client → server: estimate the cardinality of `query`. (v1)
-    EstimateRequest {
-        /// Client-chosen token echoed back in the response.
-        id: u64,
-        /// The query to estimate.
-        query: Query,
-    },
-    /// Server → client: the estimate plus serving metadata. (v1)
-    EstimateResponse {
-        /// Token of the request this answers.
-        id: u64,
-        /// Estimated cardinality in rows (≥ 1).
-        estimate: f64,
-        /// Version of the model snapshot that produced the estimate.
-        model_version: u32,
-        /// Size of the coalesced micro-batch this request rode in (0 for
-        /// cache hits, which skip inference).
-        micro_batch: u32,
-        /// True if the estimate came from the cache.
-        cache_hit: bool,
-    },
-    /// Server → client: the request could not be served. (v1)
-    Error {
-        /// Token of the offending request, 0 if it could not be decoded.
-        id: u64,
-        /// Human-readable reason.
-        message: String,
-    },
-    /// Liveness probe. (v1)
-    Ping {
-        /// Echo token.
-        id: u64,
-    },
-    /// Liveness reply. (v1)
-    Pong {
-        /// Echo token.
-        id: u64,
-    },
-    /// Client → server, first message on a connection: protocol version
-    /// and requested capabilities. (v2)
-    Hello {
-        /// Echo token.
-        id: u64,
-        /// The highest protocol version the client speaks.
-        version: u8,
-        /// Capability bits the client wants ([`CAP_FEEDBACK`] | ...).
-        capabilities: u8,
-    },
-    /// Server → client: the negotiated version and capabilities the
-    /// connection will run with (see [`negotiate`]). (v2)
-    HelloAck {
-        /// Token of the hello this answers.
-        id: u64,
-        /// Negotiated protocol version (min of the two).
-        version: u8,
-        /// Negotiated capabilities (intersection).
-        capabilities: u8,
-    },
-    /// Client → server: the true cardinality observed after executing
-    /// `query` — the raw material of drift detection and incremental
-    /// retraining. (v2)
-    Feedback {
-        /// Client-chosen token echoed back in the ack.
-        id: u64,
-        /// The executed query.
-        query: Query,
-        /// The true row count the execution produced.
-        actual_card: u64,
-    },
-    /// Server → client: feedback recorded. (v2)
-    FeedbackAck {
-        /// Token of the feedback this answers.
-        id: u64,
-        /// The model version that was active when the feedback was
-        /// scored (clients watch this increase across retrains).
-        model_version: u32,
-    },
-    /// Client → server: ask for serving statistics. (v2)
-    StatsRequest {
-        /// Echo token.
-        id: u64,
-    },
-    /// Server → client: retrain/feedback counters and per-template
-    /// q-error. (v2)
-    Stats {
-        /// Token of the request this answers.
-        id: u64,
-        /// The currently active model version.
-        model_version: u32,
-        /// Completed drift-triggered retrains since startup.
-        retrains: u32,
-        /// Feedback frames recorded since startup.
-        feedback_count: u64,
-        /// Per-join-template rolling q-error summaries.
-        templates: Vec<TemplateStat>,
-    },
-    /// Client → server: ask for the drift monitor's current state. (v2)
-    DriftStatusRequest {
-        /// Echo token.
-        id: u64,
-    },
-    /// Server → client: the drift monitor's window state. (v2)
-    DriftStatus {
-        /// Token of the request this answers.
-        id: u64,
-        /// True while an incremental retrain is running in the
-        /// background.
-        retrain_in_flight: bool,
-        /// Per-join-template window snapshots.
-        templates: Vec<TemplateDrift>,
-    },
-    /// Client → server: ask for a full metrics snapshot (requires
-    /// [`CAP_METRICS`]). (v2)
-    MetricsRequest {
-        /// Echo token.
-        id: u64,
-    },
-    /// Server → client: every metric in the server's `lc_obs` catalog
-    /// at one instant. (v2)
-    MetricsSnapshot {
-        /// Token of the request this answers.
-        id: u64,
-        /// Nanoseconds the server process has been up.
-        uptime_ns: u64,
-        /// Every counter and gauge, in catalog-id order.
-        scalars: Vec<ScalarMetric>,
-        /// Every histogram, in catalog-id order.
-        histograms: Vec<HistogramMetric>,
-    },
-    /// Server → client: the request was shed by admission control (the
-    /// shard's in-flight budget or the global connection cap was hit).
-    /// Sent only on connections that negotiated [`CAP_RETRY`]; the
-    /// request was **not** processed and should be retried after the
-    /// hinted delay, ideally with jitter. (v2)
-    Busy {
-        /// Token of the request that was shed.
-        id: u64,
-        /// Suggested client back-off before retrying, in milliseconds.
-        retry_after_ms: u32,
-    },
-    /// Server → client: the estimate plus routing metadata — which tier
-    /// of the serving pipeline answered and the primary model's trust
-    /// signal. Sent instead of [`Message::EstimateResponse`] on
-    /// connections that negotiated [`CAP_TIER`]. (v2)
-    EstimateDetail {
-        /// Token of the request this answers.
-        id: u64,
-        /// Estimated cardinality in rows (≥ 1).
-        estimate: f64,
-        /// Version of the model snapshot that produced the estimate.
-        model_version: u32,
-        /// Size of the coalesced micro-batch this request rode in (0 for
-        /// cache hits, which skip inference).
-        micro_batch: u32,
-        /// True if the estimate came from the cache.
-        cache_hit: bool,
-        /// The pipeline tier that answered (0 = primary MSCN/ensemble,
-        /// 1 = GBM stumps, 2 = sampling fallback).
-        tier: u8,
-        /// The primary model's log-standard-deviation trust signal for
-        /// this query (0 when the primary has no uncertainty channel).
-        log_std: f64,
-    },
-}
-
-/// The lowest protocol version that defines kind tag `kind`, or `None`
-/// if no version does.
-fn kind_min_version(kind: u8) -> Option<u8> {
-    match kind {
-        1..=5 => Some(PROTOCOL_V1),
-        6..=17 => Some(PROTOCOL_VERSION),
-        _ => None,
+/// The canonical sparse encoding of the module docs.
+impl Field for HistogramMetric {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let nonzero = || self.buckets.iter().enumerate().filter(|(_, &count)| count != 0);
+        self.id.put(buf);
+        self.sum.put(buf);
+        self.max.put(buf);
+        nonzero().fold(0u64, |mask, (i, _)| mask | 1 << i).put(buf);
+        nonzero().for_each(|(_, count)| count.put(buf));
+    }
+    fn get(buf: &mut &[u8], version: u8, _: &'static str) -> Result<Self, WireError> {
+        let id = u16::get(buf, version, "id")?;
+        let sum = u64::get(buf, version, "sum")?;
+        let max = u64::get(buf, version, "max")?;
+        let mask = u64::get(buf, version, "mask")?;
+        let mut buckets = [0u64; 64];
+        for (i, bucket) in buckets.iter_mut().enumerate().filter(|&(i, _)| mask & 1 << i != 0) {
+            *bucket = u64::get(buf, version, "bucket")?;
+            if *bucket == 0 {
+                return Err(WireError::Malformed {
+                    version,
+                    detail: format!(
+                        "histogram metric {id}: zero count under set mask bit {i} \
+                         (non-canonical encoding)"
+                    ),
+                });
+            }
+        }
+        Ok(HistogramMetric { id, sum, max, buckets })
     }
 }
 
-fn need(buf: &[u8], n: usize, what: &'static str, version: u8) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        return Err(WireError::Truncated { version, what, need: n, have: buf.remaining() });
-    }
-    Ok(())
+/// Declares [`Message`] from one row per kind — `tag @ version => Variant
+/// { fields in wire order }`, optionally `unless <invalid> => "reason"` —
+/// and derives every per-kind piece of the codec from the same rows.
+macro_rules! messages {
+    (
+        $(#[$meta:meta])*
+        pub enum Message { $(
+            $(#[$vmeta:meta])*
+            $kind:literal @ $since:ident => $Variant:ident {
+                $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+            } $(unless $invalid:expr => $why:literal)?,
+        )* }
+    ) => {
+        $(#[$meta])*
+        pub enum Message { $(
+            $(#[$vmeta])*
+            #[doc = ""]
+            #[doc = concat!("Kind ", $kind, ", since [`", stringify!($since), "`].")]
+            $Variant { $( $(#[$fmeta])* $field: $ty, )* },
+        )* }
+
+        /// The lowest protocol version that defines kind tag `kind`, or
+        /// `None` if no version does.
+        fn kind_min_version(kind: u8) -> Option<u8> {
+            match kind {
+                $( $kind => Some($since), )*
+                _ => None,
+            }
+        }
+
+        impl Message {
+            /// The kind tag this message encodes with.
+            pub fn kind(&self) -> u8 {
+                match self { $( Message::$Variant { .. } => $kind, )* }
+            }
+
+            /// Append the fields of the body after the kind tag.
+            fn put_fields(&self, buf: &mut Vec<u8>) {
+                match self { $( Message::$Variant { $($field),* } => { $( $field.put(buf); )* } )* }
+            }
+
+            /// Read the fields of a kind-`kind` body after its tag.
+            fn get_fields(kind: u8, buf: &mut &[u8], version: u8) -> Result<Message, WireError> {
+                match kind {
+                    $( $kind => {
+                        $( let $field = <$ty as Field>::get(buf, version, stringify!($field))?; )*
+                        $( if $invalid {
+                            return Err(WireError::Malformed { version, detail: $why.into() });
+                        } )?
+                        Ok(Message::$Variant { $($field),* })
+                    } )*
+                    _ => Err(WireError::UnknownKind { version, kind }),
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl Message {
+            /// Every kind tag, in table order.
+            const KINDS: &'static [u8] = &[$($kind),*];
+
+            /// A random valid message of kind `kind`, drawn field by field.
+            fn arbitrary(kind: u8, rng: &mut SmallRng) -> Message {
+                use tests::Arbitrary;
+                match kind {
+                    $( $kind => loop {
+                        $( let $field = <$ty as Arbitrary>::arbitrary(rng); )*
+                        $( if $invalid { continue; } )?
+                        break Message::$Variant { $($field),* };
+                    }, )*
+                    _ => panic!("no message kind {kind}"),
+                }
+            }
+        }
+    };
 }
 
-/// Decode a strict wire bool (`0` or `1`; anything else is malformed).
-fn get_bool(buf: &mut &[u8], what: &str, version: u8) -> Result<bool, WireError> {
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(WireError::Malformed { version, detail: format!("{what} byte {b:#04x} not 0|1") }),
+messages! {
+    /// One protocol message. Kinds 1–5 are protocol v1; 6–17 need v2. Each
+    /// variant's fields are declared in the order they travel.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message {
+        /// Client → server: estimate the cardinality of `query`.
+        1 @ PROTOCOL_V1 => EstimateRequest {
+            /// Client-chosen token echoed back in the response.
+            id: u64,
+            /// The query to estimate.
+            query: Query,
+        },
+        /// Server → client: the estimate plus serving metadata.
+        2 @ PROTOCOL_V1 => EstimateResponse {
+            /// Token of the request this answers.
+            id: u64,
+            /// Estimated cardinality in rows (≥ 1).
+            estimate: f64,
+            /// Version of the model snapshot that produced the estimate.
+            model_version: u32,
+            /// Size of the coalesced micro-batch this request rode in (0 for
+            /// cache hits, which skip inference).
+            micro_batch: u32,
+            /// True if the estimate came from the cache.
+            cache_hit: bool,
+        },
+        /// Server → client: the request could not be served.
+        3 @ PROTOCOL_V1 => Error {
+            /// Token of the offending request, 0 if it could not be decoded.
+            id: u64,
+            /// Human-readable reason.
+            message: String,
+        },
+        /// Liveness probe.
+        4 @ PROTOCOL_V1 => Ping {
+            /// Echo token.
+            id: u64,
+        },
+        /// Liveness reply.
+        5 @ PROTOCOL_V1 => Pong {
+            /// Echo token.
+            id: u64,
+        },
+        /// Client → server, first message on a connection: protocol version
+        /// and requested capabilities.
+        6 @ PROTOCOL_VERSION => Hello {
+            /// Echo token.
+            id: u64,
+            /// The highest protocol version the client speaks.
+            version: u8,
+            /// Capability bits the client wants ([`CAP_FEEDBACK`] | ...).
+            capabilities: u8,
+        } unless version == 0 => "hello advertises protocol version 0",
+        /// Server → client: the negotiated version and capabilities the
+        /// connection will run with (see [`negotiate`]).
+        7 @ PROTOCOL_VERSION => HelloAck {
+            /// Token of the hello this answers.
+            id: u64,
+            /// Negotiated protocol version (min of the two).
+            version: u8,
+            /// Negotiated capabilities (intersection).
+            capabilities: u8,
+        } unless version == 0 => "hello advertises protocol version 0",
+        /// Client → server: the true cardinality observed after executing
+        /// `query` — the raw material of drift detection and incremental
+        /// retraining.
+        8 @ PROTOCOL_VERSION => Feedback {
+            /// Client-chosen token echoed back in the ack.
+            id: u64,
+            /// The true row count the execution produced.
+            actual_card: u64,
+            /// The executed query.
+            query: Query,
+        },
+        /// Server → client: feedback recorded.
+        9 @ PROTOCOL_VERSION => FeedbackAck {
+            /// Token of the feedback this answers.
+            id: u64,
+            /// The model version that was active when the feedback was
+            /// scored (clients watch this increase across retrains).
+            model_version: u32,
+        },
+        /// Client → server: ask for serving statistics.
+        10 @ PROTOCOL_VERSION => StatsRequest {
+            /// Echo token.
+            id: u64,
+        },
+        /// Server → client: retrain/feedback counters and per-template
+        /// q-error.
+        11 @ PROTOCOL_VERSION => Stats {
+            /// Token of the request this answers.
+            id: u64,
+            /// The currently active model version.
+            model_version: u32,
+            /// Completed drift-triggered retrains since startup.
+            retrains: u32,
+            /// Feedback frames recorded since startup.
+            feedback_count: u64,
+            /// Per-join-template rolling q-error summaries.
+            templates: Vec<TemplateStat>,
+        },
+        /// Client → server: ask for the drift monitor's current state.
+        12 @ PROTOCOL_VERSION => DriftStatusRequest {
+            /// Echo token.
+            id: u64,
+        },
+        /// Server → client: the drift monitor's window state.
+        13 @ PROTOCOL_VERSION => DriftStatus {
+            /// Token of the request this answers.
+            id: u64,
+            /// True while an incremental retrain is running in the
+            /// background.
+            retrain_in_flight: bool,
+            /// Per-join-template window snapshots.
+            templates: Vec<TemplateDrift>,
+        },
+        /// Client → server: ask for a full metrics snapshot (requires
+        /// [`CAP_METRICS`]).
+        14 @ PROTOCOL_VERSION => MetricsRequest {
+            /// Echo token.
+            id: u64,
+        },
+        /// Server → client: every metric in the server's `lc_obs` catalog
+        /// at one instant.
+        15 @ PROTOCOL_VERSION => MetricsSnapshot {
+            /// Token of the request this answers.
+            id: u64,
+            /// Nanoseconds the server process has been up.
+            uptime_ns: u64,
+            /// Every counter and gauge, in catalog-id order.
+            scalars: Vec<ScalarMetric>,
+            /// Every histogram, in catalog-id order.
+            histograms: Vec<HistogramMetric>,
+        },
+        /// Server → client: the request was shed by admission control (the
+        /// shard's in-flight budget or the global connection cap was hit).
+        /// Sent only on connections that negotiated [`CAP_RETRY`]; the
+        /// request was **not** processed and should be retried after the
+        /// hinted delay, ideally with jitter.
+        16 @ PROTOCOL_VERSION => Busy {
+            /// Token of the request that was shed.
+            id: u64,
+            /// Suggested client back-off before retrying, in milliseconds.
+            retry_after_ms: u32,
+        },
+        /// Server → client: the estimate plus routing metadata — which tier
+        /// of the serving pipeline answered and the primary model's trust
+        /// signal. Sent instead of [`Message::EstimateResponse`] on
+        /// connections that negotiated [`CAP_TIER`].
+        17 @ PROTOCOL_VERSION => EstimateDetail {
+            /// Token of the request this answers.
+            id: u64,
+            /// Estimated cardinality in rows (≥ 1).
+            estimate: f64,
+            /// Version of the model snapshot that produced the estimate.
+            model_version: u32,
+            /// Size of the coalesced micro-batch this request rode in (0 for
+            /// cache hits, which skip inference).
+            micro_batch: u32,
+            /// True if the estimate came from the cache.
+            cache_hit: bool,
+            /// The pipeline tier that answered (0 = primary MSCN/ensemble,
+            /// 1 = GBM stumps, 2 = sampling fallback).
+            tier: u8,
+            /// The primary model's log-standard-deviation trust signal for
+            /// this query (0 when the primary has no uncertainty channel).
+            log_std: f64,
+        },
     }
 }
 
 impl Message {
-    /// The kind tag this message encodes with.
-    pub fn kind(&self) -> u8 {
-        match self {
-            Message::EstimateRequest { .. } => 1,
-            Message::EstimateResponse { .. } => 2,
-            Message::Error { .. } => 3,
-            Message::Ping { .. } => 4,
-            Message::Pong { .. } => 5,
-            Message::Hello { .. } => 6,
-            Message::HelloAck { .. } => 7,
-            Message::Feedback { .. } => 8,
-            Message::FeedbackAck { .. } => 9,
-            Message::StatsRequest { .. } => 10,
-            Message::Stats { .. } => 11,
-            Message::DriftStatusRequest { .. } => 12,
-            Message::DriftStatus { .. } => 13,
-            Message::MetricsRequest { .. } => 14,
-            Message::MetricsSnapshot { .. } => 15,
-            Message::Busy { .. } => 16,
-            Message::EstimateDetail { .. } => 17,
-        }
-    }
-
     /// The lowest protocol version that can carry this message.
     pub fn min_version(&self) -> u8 {
         kind_min_version(self.kind()).expect("every constructed message has a version")
@@ -512,117 +678,7 @@ impl Message {
         let start = buf.len();
         buf.put_u32_le(0); // patched below
         buf.put_u8(self.kind());
-        match self {
-            Message::EstimateRequest { id, query } => {
-                buf.put_u64_le(*id);
-                query.encode(buf);
-            }
-            Message::EstimateResponse { id, estimate, model_version, micro_batch, cache_hit } => {
-                buf.put_u64_le(*id);
-                buf.put_f64_le(*estimate);
-                buf.put_u32_le(*model_version);
-                buf.put_u32_le(*micro_batch);
-                buf.put_u8(if *cache_hit { FLAG_CACHE_HIT } else { 0 });
-            }
-            Message::Error { id, message } => {
-                buf.put_u64_le(*id);
-                let bytes = message.as_bytes();
-                buf.put_u32_le(bytes.len() as u32);
-                buf.put_slice(bytes);
-            }
-            Message::Ping { id }
-            | Message::Pong { id }
-            | Message::StatsRequest { id }
-            | Message::DriftStatusRequest { id }
-            | Message::MetricsRequest { id } => {
-                buf.put_u64_le(*id);
-            }
-            Message::Hello { id, version, capabilities }
-            | Message::HelloAck { id, version, capabilities } => {
-                buf.put_u64_le(*id);
-                buf.put_u8(*version);
-                buf.put_u8(*capabilities);
-            }
-            Message::Feedback { id, query, actual_card } => {
-                buf.put_u64_le(*id);
-                buf.put_u64_le(*actual_card);
-                query.encode(buf);
-            }
-            Message::FeedbackAck { id, model_version } => {
-                buf.put_u64_le(*id);
-                buf.put_u32_le(*model_version);
-            }
-            Message::Stats { id, model_version, retrains, feedback_count, templates } => {
-                buf.put_u64_le(*id);
-                buf.put_u32_le(*model_version);
-                buf.put_u32_le(*retrains);
-                buf.put_u64_le(*feedback_count);
-                buf.put_u16_le(templates.len() as u16);
-                for t in templates {
-                    buf.put_u32_le(t.template);
-                    buf.put_u64_le(t.count);
-                    buf.put_f64_le(t.mean_qerror);
-                }
-            }
-            Message::DriftStatus { id, retrain_in_flight, templates } => {
-                buf.put_u64_le(*id);
-                buf.put_u8(u8::from(*retrain_in_flight));
-                buf.put_u16_le(templates.len() as u16);
-                for t in templates {
-                    buf.put_u32_le(t.template);
-                    buf.put_u32_le(t.window_len);
-                    buf.put_f64_le(t.rolling_qerror);
-                    buf.put_u8(u8::from(t.tripped));
-                }
-            }
-            Message::MetricsSnapshot { id, uptime_ns, scalars, histograms } => {
-                buf.put_u64_le(*id);
-                buf.put_u64_le(*uptime_ns);
-                buf.put_u16_le(scalars.len() as u16);
-                for s in scalars {
-                    buf.put_u16_le(s.id);
-                    buf.put_u8(u8::from(s.gauge));
-                    buf.put_u64_le(s.value);
-                }
-                buf.put_u16_le(histograms.len() as u16);
-                for h in histograms {
-                    buf.put_u16_le(h.id);
-                    buf.put_u64_le(h.sum);
-                    buf.put_u64_le(h.max);
-                    let mut mask = 0u64;
-                    for (i, &count) in h.buckets.iter().enumerate() {
-                        if count != 0 {
-                            mask |= 1 << i;
-                        }
-                    }
-                    buf.put_u64_le(mask);
-                    for &count in h.buckets.iter().filter(|&&count| count != 0) {
-                        buf.put_u64_le(count);
-                    }
-                }
-            }
-            Message::Busy { id, retry_after_ms } => {
-                buf.put_u64_le(*id);
-                buf.put_u32_le(*retry_after_ms);
-            }
-            Message::EstimateDetail {
-                id,
-                estimate,
-                model_version,
-                micro_batch,
-                cache_hit,
-                tier,
-                log_std,
-            } => {
-                buf.put_u64_le(*id);
-                buf.put_f64_le(*estimate);
-                buf.put_u32_le(*model_version);
-                buf.put_u32_le(*micro_batch);
-                buf.put_u8(if *cache_hit { FLAG_CACHE_HIT } else { 0 });
-                buf.put_u8(*tier);
-                buf.put_f64_le(*log_std);
-            }
-        }
+        self.put_fields(buf);
         let body_len = (buf.len() - start - 4) as u32;
         buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
     }
@@ -642,193 +698,11 @@ impl Message {
     /// refuses v2 traffic without misparsing it).
     pub fn decode_body(body: &[u8], version: u8) -> Result<Message, WireError> {
         let mut buf = body;
-        need(buf, 1, "kind tag", version)?;
-        let kind = buf.get_u8();
-        match kind_min_version(kind) {
-            None => return Err(WireError::UnknownKind { version, kind }),
-            Some(min) if min > version => {
-                return Err(WireError::KindAboveVersion { version, kind });
-            }
-            Some(_) => {}
+        let kind = u8::get(&mut buf, version, "kind tag")?;
+        if kind_min_version(kind).is_some_and(|min| min > version) {
+            return Err(WireError::KindAboveVersion { version, kind });
         }
-        need(buf, 8, "message id", version)?;
-        let id = buf.get_u64_le();
-        let message = match kind {
-            1 => {
-                let query = Query::decode(&mut buf).map_err(|e| WireError::Malformed {
-                    version,
-                    detail: format!("request: {}", e.0),
-                })?;
-                Message::EstimateRequest { id, query }
-            }
-            2 => {
-                need(buf, 8 + 4 + 4 + 1, "response payload", version)?;
-                let estimate = buf.get_f64_le();
-                let model_version = buf.get_u32_le();
-                let micro_batch = buf.get_u32_le();
-                let flags = buf.get_u8();
-                if flags & !FLAG_CACHE_HIT != 0 {
-                    return Err(WireError::Malformed {
-                        version,
-                        detail: format!("unknown response flags {flags:#04x}"),
-                    });
-                }
-                Message::EstimateResponse {
-                    id,
-                    estimate,
-                    model_version,
-                    micro_batch,
-                    cache_hit: flags & FLAG_CACHE_HIT != 0,
-                }
-            }
-            3 => {
-                need(buf, 4, "error length", version)?;
-                let len = buf.get_u32_le() as usize;
-                need(buf, len, "error message", version)?;
-                let message = String::from_utf8(buf.take_bytes(len).to_vec()).map_err(|_| {
-                    WireError::Malformed { version, detail: "error message is not UTF-8".into() }
-                })?;
-                Message::Error { id, message }
-            }
-            4 => Message::Ping { id },
-            5 => Message::Pong { id },
-            6 | 7 => {
-                need(buf, 2, "hello payload", version)?;
-                let peer_version = buf.get_u8();
-                let capabilities = buf.get_u8();
-                if peer_version == 0 {
-                    return Err(WireError::Malformed {
-                        version,
-                        detail: "hello advertises protocol version 0".into(),
-                    });
-                }
-                if kind == 6 {
-                    Message::Hello { id, version: peer_version, capabilities }
-                } else {
-                    Message::HelloAck { id, version: peer_version, capabilities }
-                }
-            }
-            8 => {
-                need(buf, 8, "feedback cardinality", version)?;
-                let actual_card = buf.get_u64_le();
-                let query = Query::decode(&mut buf).map_err(|e| WireError::Malformed {
-                    version,
-                    detail: format!("feedback query: {}", e.0),
-                })?;
-                Message::Feedback { id, query, actual_card }
-            }
-            9 => {
-                need(buf, 4, "feedback ack payload", version)?;
-                Message::FeedbackAck { id, model_version: buf.get_u32_le() }
-            }
-            10 => Message::StatsRequest { id },
-            11 => {
-                need(buf, 4 + 4 + 8 + 2, "stats header", version)?;
-                let model_version = buf.get_u32_le();
-                let retrains = buf.get_u32_le();
-                let feedback_count = buf.get_u64_le();
-                let n = buf.get_u16_le() as usize;
-                need(buf, n * (4 + 8 + 8), "stats templates", version)?;
-                let templates = (0..n)
-                    .map(|_| TemplateStat {
-                        template: buf.get_u32_le(),
-                        count: buf.get_u64_le(),
-                        mean_qerror: buf.get_f64_le(),
-                    })
-                    .collect();
-                Message::Stats { id, model_version, retrains, feedback_count, templates }
-            }
-            12 => Message::DriftStatusRequest { id },
-            13 => {
-                need(buf, 1 + 2, "drift status header", version)?;
-                let retrain_in_flight = get_bool(&mut buf, "retrain-in-flight", version)?;
-                let n = buf.get_u16_le() as usize;
-                need(buf, n * (4 + 4 + 8 + 1), "drift templates", version)?;
-                let templates = (0..n)
-                    .map(|_| -> Result<TemplateDrift, WireError> {
-                        Ok(TemplateDrift {
-                            template: buf.get_u32_le(),
-                            window_len: buf.get_u32_le(),
-                            rolling_qerror: buf.get_f64_le(),
-                            tripped: get_bool(&mut buf, "tripped", version)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Message::DriftStatus { id, retrain_in_flight, templates }
-            }
-            14 => Message::MetricsRequest { id },
-            15 => {
-                need(buf, 8 + 2, "metrics header", version)?;
-                let uptime_ns = buf.get_u64_le();
-                let n = buf.get_u16_le() as usize;
-                need(buf, n * (2 + 1 + 8), "metrics scalars", version)?;
-                let scalars = (0..n)
-                    .map(|_| -> Result<ScalarMetric, WireError> {
-                        let metric_id = buf.get_u16_le();
-                        let gauge = get_bool(&mut buf, "scalar metric kind", version)?;
-                        Ok(ScalarMetric { id: metric_id, gauge, value: buf.get_u64_le() })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                need(buf, 2, "metrics histogram count", version)?;
-                let n = buf.get_u16_le() as usize;
-                let mut histograms = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    need(buf, 2 + 8 + 8 + 8, "histogram metric header", version)?;
-                    let metric_id = buf.get_u16_le();
-                    let sum = buf.get_u64_le();
-                    let max = buf.get_u64_le();
-                    let mask = buf.get_u64_le();
-                    need(buf, mask.count_ones() as usize * 8, "histogram buckets", version)?;
-                    let mut buckets = [0u64; 64];
-                    for (i, bucket) in buckets.iter_mut().enumerate() {
-                        if mask & (1 << i) != 0 {
-                            let count = buf.get_u64_le();
-                            if count == 0 {
-                                return Err(WireError::Malformed {
-                                    version,
-                                    detail: format!(
-                                        "histogram metric {metric_id}: zero count under set mask \
-                                         bit {i} (non-canonical encoding)"
-                                    ),
-                                });
-                            }
-                            *bucket = count;
-                        }
-                    }
-                    histograms.push(HistogramMetric { id: metric_id, sum, max, buckets });
-                }
-                Message::MetricsSnapshot { id, uptime_ns, scalars, histograms }
-            }
-            16 => {
-                need(buf, 4, "busy payload", version)?;
-                Message::Busy { id, retry_after_ms: buf.get_u32_le() }
-            }
-            17 => {
-                need(buf, 8 + 4 + 4 + 1 + 1 + 8, "detail payload", version)?;
-                let estimate = buf.get_f64_le();
-                let model_version = buf.get_u32_le();
-                let micro_batch = buf.get_u32_le();
-                let flags = buf.get_u8();
-                if flags & !FLAG_CACHE_HIT != 0 {
-                    return Err(WireError::Malformed {
-                        version,
-                        detail: format!("unknown detail flags {flags:#04x}"),
-                    });
-                }
-                let tier = buf.get_u8();
-                let log_std = buf.get_f64_le();
-                Message::EstimateDetail {
-                    id,
-                    estimate,
-                    model_version,
-                    micro_batch,
-                    cache_hit: flags & FLAG_CACHE_HIT != 0,
-                    tier,
-                    log_std,
-                }
-            }
-            t => unreachable!("kind {t} passed the version gate but has no decoder"),
-        };
+        let message = Message::get_fields(kind, &mut buf, version)?;
         if !buf.is_empty() {
             return Err(WireError::Trailing { version, kind, extra: buf.len() });
         }
@@ -918,7 +792,6 @@ mod tests {
     use super::*;
     use lc_engine::{CmpOp, JoinId, Predicate, TableId};
     use proptest::prelude::*;
-    use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
     fn sample_query() -> Query {
@@ -932,102 +805,13 @@ mod tests {
         )
     }
 
+    /// Two random messages of every kind, in table order (fixed seed).
     fn sample_messages() -> Vec<Message> {
-        vec![
-            Message::EstimateRequest { id: 7, query: sample_query() },
-            Message::EstimateRequest { id: u64::MAX, query: Query::new(vec![], vec![], vec![]) },
-            Message::EstimateResponse {
-                id: 9,
-                estimate: 12345.75,
-                model_version: 3,
-                micro_batch: 64,
-                cache_hit: true,
-            },
-            Message::Error { id: 0, message: "no such model".into() },
-            Message::Error { id: 1, message: String::new() },
-            Message::Ping { id: 42 },
-            Message::Pong { id: 42 },
-            Message::Hello { id: 1, version: PROTOCOL_VERSION, capabilities: CAPABILITIES },
-            Message::HelloAck { id: 1, version: PROTOCOL_V1, capabilities: 0 },
-            Message::Feedback { id: 11, query: sample_query(), actual_card: 123_456 },
-            Message::Feedback { id: 12, query: Query::new(vec![], vec![], vec![]), actual_card: 0 },
-            Message::FeedbackAck { id: 11, model_version: 4 },
-            Message::StatsRequest { id: 21 },
-            Message::Stats {
-                id: 21,
-                model_version: 4,
-                retrains: 2,
-                feedback_count: 900,
-                templates: vec![
-                    TemplateStat { template: 0x0001_0003, count: 512, mean_qerror: 1.75 },
-                    TemplateStat { template: 0x0007_000F, count: 17, mean_qerror: 96.5 },
-                ],
-            },
-            Message::Stats {
-                id: 22,
-                model_version: 1,
-                retrains: 0,
-                feedback_count: 0,
-                templates: vec![],
-            },
-            Message::DriftStatusRequest { id: 31 },
-            Message::DriftStatus {
-                id: 31,
-                retrain_in_flight: true,
-                templates: vec![TemplateDrift {
-                    template: 0x0001_0003,
-                    window_len: 64,
-                    rolling_qerror: 8.25,
-                    tripped: true,
-                }],
-            },
-            Message::DriftStatus { id: 32, retrain_in_flight: false, templates: vec![] },
-            Message::MetricsRequest { id: 41 },
-            Message::MetricsSnapshot {
-                id: 41,
-                uptime_ns: 5_000_000_000,
-                scalars: vec![
-                    ScalarMetric { id: 0, gauge: false, value: 12_345 },
-                    ScalarMetric { id: 14, gauge: true, value: 7 },
-                ],
-                histograms: vec![
-                    HistogramMetric { id: 18, sum: 0, max: 0, buckets: [0; 64] },
-                    HistogramMetric {
-                        id: 19,
-                        sum: u64::MAX,
-                        max: u64::MAX,
-                        buckets: {
-                            let mut b = [0u64; 64];
-                            b[0] = 3;
-                            b[17] = 1_000_000;
-                            b[63] = 1;
-                            b
-                        },
-                    },
-                ],
-            },
-            Message::MetricsSnapshot { id: 42, uptime_ns: 0, scalars: vec![], histograms: vec![] },
-            Message::Busy { id: 51, retry_after_ms: 50 },
-            Message::Busy { id: u64::MAX, retry_after_ms: 0 },
-            Message::EstimateDetail {
-                id: 52,
-                estimate: 4096.0,
-                model_version: 3,
-                micro_batch: 8,
-                cache_hit: false,
-                tier: 1,
-                log_std: 1.75,
-            },
-            Message::EstimateDetail {
-                id: u64::MAX,
-                estimate: 1.0,
-                model_version: u32::MAX,
-                micro_batch: 0,
-                cache_hit: true,
-                tier: u8::MAX,
-                log_std: -0.0,
-            },
-        ]
+        let mut rng = SmallRng::seed_from_u64(7);
+        Message::KINDS
+            .iter()
+            .flat_map(|&kind| [0, 1].map(|_| Message::arbitrary(kind, &mut rng)))
+            .collect()
     }
 
     #[test]
@@ -1040,6 +824,171 @@ mod tests {
             assert_eq!(back, message);
             assert_eq!(consumed, bytes.len());
         }
+    }
+
+    /// The exact bytes of at least one frame per kind, written field by
+    /// field (spaces separate fields). Every other test here is an encode
+    /// → decode round trip, which a layout change made on both sides
+    /// would pass; this one pins the layout itself, in both directions.
+    #[test]
+    fn golden_frames_are_pinned() {
+        const QUERY: &str = "0200 0000 0200  0100 0100  0200 0000 0200 02 cb07000000000000 \
+                             0200 0100 00 fdffffffffffffff";
+        let mut buckets = [0u64; 64];
+        buckets[0] = 3;
+        buckets[17] = 1_000_000;
+        buckets[63] = 1;
+        let golden = [
+            (
+                Message::EstimateRequest { id: u64::MAX, query: sample_query() },
+                format!("2f000000 01 ffffffffffffffff {QUERY}"),
+            ),
+            (
+                Message::EstimateResponse {
+                    id: 9,
+                    estimate: 12345.75,
+                    model_version: 3,
+                    micro_batch: 64,
+                    cache_hit: true,
+                },
+                "1a000000 02 0900000000000000 00000000e01cc840 03000000 40000000 01".into(),
+            ),
+            (
+                Message::Error { id: 0, message: "no such model".into() },
+                "1a000000 03 0000000000000000 0d000000 6e6f2073756368206d6f64656c".into(),
+            ),
+            (Message::Ping { id: 42 }, "09000000 04 2a00000000000000".into()),
+            (Message::Pong { id: u64::MAX }, "09000000 05 ffffffffffffffff".into()),
+            (
+                Message::Hello { id: 1, version: 2, capabilities: CAP_FEEDBACK | CAP_RETRY },
+                "0b000000 06 0100000000000000 02 11".into(),
+            ),
+            (
+                Message::HelloAck { id: 1, version: 1, capabilities: CAPABILITIES },
+                "0b000000 07 0100000000000000 01 3f".into(),
+            ),
+            (
+                Message::Feedback { id: 11, query: sample_query(), actual_card: 123_456 },
+                format!("37000000 08 0b00000000000000 40e2010000000000 {QUERY}"),
+            ),
+            (
+                Message::FeedbackAck { id: 11, model_version: 4 },
+                "0d000000 09 0b00000000000000 04000000".into(),
+            ),
+            (Message::StatsRequest { id: 21 }, "09000000 0a 1500000000000000".into()),
+            (
+                Message::Stats {
+                    id: 21,
+                    model_version: 4,
+                    retrains: 2,
+                    feedback_count: 900,
+                    templates: vec![TemplateStat {
+                        template: 0x0001_0003,
+                        count: 512,
+                        mean_qerror: 1.75,
+                    }],
+                },
+                "2f000000 0b 1500000000000000 04000000 02000000 8403000000000000 \
+                 0100 03000100 0002000000000000 000000000000fc3f"
+                    .into(),
+            ),
+            (
+                Message::Stats {
+                    id: 22,
+                    model_version: 1,
+                    retrains: 0,
+                    feedback_count: 0,
+                    templates: vec![],
+                },
+                "1b000000 0b 1600000000000000 01000000 00000000 0000000000000000 0000".into(),
+            ),
+            (Message::DriftStatusRequest { id: 31 }, "09000000 0c 1f00000000000000".into()),
+            (
+                Message::DriftStatus {
+                    id: 31,
+                    retrain_in_flight: true,
+                    templates: vec![TemplateDrift {
+                        template: 0x0001_0003,
+                        window_len: 64,
+                        rolling_qerror: 8.25,
+                        tripped: true,
+                    }],
+                },
+                "1d000000 0d 1f00000000000000 01 0100 03000100 40000000 0000000000802040 01".into(),
+            ),
+            (
+                Message::DriftStatus { id: 32, retrain_in_flight: false, templates: vec![] },
+                "0c000000 0d 2000000000000000 00 0000".into(),
+            ),
+            (Message::MetricsRequest { id: 41 }, "09000000 0e 2900000000000000".into()),
+            (
+                Message::MetricsSnapshot {
+                    id: 41,
+                    uptime_ns: 5_000_000_000,
+                    scalars: vec![
+                        ScalarMetric { id: 0, gauge: false, value: 12_345 },
+                        ScalarMetric { id: 14, gauge: true, value: 7 },
+                    ],
+                    histograms: vec![
+                        HistogramMetric { id: 18, sum: 0, max: 0, buckets: [0; 64] },
+                        HistogramMetric { id: 19, sum: u64::MAX, max: u64::MAX, buckets },
+                    ],
+                },
+                "77000000 0f 2900000000000000 00f2052a01000000 \
+                 0200 0000 00 3930000000000000  0e00 01 0700000000000000 \
+                 0200 1200 0000000000000000 0000000000000000 0000000000000000 \
+                 1300 ffffffffffffffff ffffffffffffffff 0100020000000080 \
+                 0300000000000000 40420f0000000000 0100000000000000"
+                    .into(),
+            ),
+            (
+                Message::MetricsSnapshot {
+                    id: 42,
+                    uptime_ns: 0,
+                    scalars: vec![],
+                    histograms: vec![],
+                },
+                "15000000 0f 2a00000000000000 0000000000000000 0000 0000".into(),
+            ),
+            (
+                Message::Busy { id: u64::MAX, retry_after_ms: 50 },
+                "0d000000 10 ffffffffffffffff 32000000".into(),
+            ),
+            (
+                Message::EstimateDetail {
+                    id: u64::MAX,
+                    estimate: 1.0,
+                    model_version: u32::MAX,
+                    micro_batch: 8,
+                    cache_hit: false,
+                    tier: 2,
+                    log_std: -0.0,
+                },
+                "23000000 11 ffffffffffffffff 000000000000f03f ffffffff 08000000 00 02 \
+                 0000000000000080"
+                    .into(),
+            ),
+        ];
+        let mut kinds = Vec::new();
+        for (message, hex) in &golden {
+            let hex: String = hex.split_whitespace().collect();
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
+                .collect();
+            assert_eq!(message.to_bytes(), bytes, "{message:?} encodes differently");
+            let (back, consumed) = Message::decode_prefix(&bytes, PROTOCOL_VERSION)
+                .expect("golden frame decodes")
+                .expect("golden frame is complete");
+            assert_eq!(
+                (&back, consumed),
+                (message, bytes.len()),
+                "golden frame decodes differently"
+            );
+            kinds.push(message.kind());
+        }
+        kinds.dedup();
+        assert_eq!(kinds, (1..=17).collect::<Vec<u8>>(), "one golden frame per kind, in order");
     }
 
     #[test]
@@ -1336,156 +1285,96 @@ mod tests {
         assert_eq!(read_message(&mut reader, PROTOCOL_VERSION).unwrap(), None, "clean EOF");
     }
 
-    fn arb_query(rng: &mut SmallRng) -> Query {
-        let tables: Vec<TableId> =
-            (0..rng.gen_range(0..4usize)).map(|_| TableId(rng.gen_range(0u16..8))).collect();
-        let joins: Vec<JoinId> =
-            (0..rng.gen_range(0..3usize)).map(|_| JoinId(rng.gen_range(0u16..6))).collect();
-        let predicates = (0..rng.gen_range(0..5usize))
-            .map(|_| Predicate {
-                table: TableId(rng.gen_range(0u16..8)),
-                column: rng.gen_range(0usize..4),
-                op: CmpOp::ALL[rng.gen_range(0..CmpOp::ALL.len())],
-                value: rng.gen_range(-500i64..500),
-            })
-            .collect();
-        Query::new(tables, joins, predicates)
+    /// A random value of one field type, for the generator the message
+    /// table derives ([`Message::arbitrary`]).
+    pub(super) trait Arbitrary {
+        fn arbitrary(rng: &mut SmallRng) -> Self;
     }
 
-    fn arb_string(rng: &mut SmallRng) -> String {
-        (0..rng.gen_range(0..64usize)).map(|_| rng.gen_range(b' '..=b'~') as char).collect()
-    }
-
-    fn arb_template_stats(rng: &mut SmallRng) -> Vec<TemplateStat> {
-        (0..rng.gen_range(0..8usize))
-            .map(|_| TemplateStat {
-                template: rng.gen_range(0u32..=u32::MAX),
-                count: rng.gen_range(0u64..=u64::MAX),
-                mean_qerror: rng.gen_range(1.0f64..1e12),
-            })
-            .collect()
-    }
-
-    fn arb_template_drifts(rng: &mut SmallRng) -> Vec<TemplateDrift> {
-        (0..rng.gen_range(0..8usize))
-            .map(|_| TemplateDrift {
-                template: rng.gen_range(0u32..=u32::MAX),
-                window_len: rng.gen_range(0u32..10_000),
-                rolling_qerror: rng.gen_range(1.0f64..1e12),
-                tripped: rng.gen_bool(0.5),
-            })
-            .collect()
-    }
-
-    fn arb_scalar_metrics(rng: &mut SmallRng) -> Vec<ScalarMetric> {
-        (0..rng.gen_range(0..24usize))
-            .map(|_| ScalarMetric {
-                id: rng.gen_range(0u16..=u16::MAX),
-                gauge: rng.gen_bool(0.5),
-                value: rng.gen_range(0u64..=u64::MAX),
-            })
-            .collect()
-    }
-
-    fn arb_histogram_metrics(rng: &mut SmallRng) -> Vec<HistogramMetric> {
-        (0..rng.gen_range(0..12usize))
-            .map(|_| {
-                let mut buckets = [0u64; 64];
-                for bucket in buckets.iter_mut() {
-                    // ~25% of buckets populated; zero buckets stay off
-                    // the wire, which is exactly the canonical form.
-                    if rng.gen_bool(0.25) {
-                        *bucket = rng.gen_range(1u64..=u64::MAX);
-                    }
+    macro_rules! arbitrary_ints {
+        ($($ty:ty),*) => {$(
+            impl Arbitrary for $ty {
+                fn arbitrary(rng: &mut SmallRng) -> Self {
+                    rng.gen_range(<$ty>::MIN..=<$ty>::MAX)
                 }
-                HistogramMetric {
-                    id: rng.gen_range(0u16..=u16::MAX),
-                    sum: rng.gen_range(0u64..=u64::MAX),
-                    max: rng.gen_range(0u64..=u64::MAX),
-                    buckets,
-                }
-            })
-            .collect()
+            }
+        )*};
     }
 
-    /// Generator covering every arm of the v2 protocol: `arm` picks the
-    /// variant (so all 17 are exercised no matter what the RNG draws),
-    /// `rng` fills in the fields.
-    fn arb_message(arm: usize, rng: &mut SmallRng) -> Message {
-        let id = rng.gen_range(0u64..=u64::MAX);
-        match arm {
-            0 => Message::EstimateRequest { id, query: arb_query(rng) },
-            1 => Message::EstimateResponse {
-                id,
-                estimate: rng.gen_range(0u64..1 << 52) as f64,
-                model_version: rng.gen_range(0u32..=u32::MAX),
-                micro_batch: rng.gen_range(0u32..65),
-                cache_hit: rng.gen_bool(0.5),
-            },
-            2 => Message::Error { id, message: arb_string(rng) },
-            3 => Message::Ping { id },
-            4 => Message::Pong { id },
-            5 => Message::Hello {
-                id,
-                version: rng.gen_range(1u8..=u8::MAX),
-                capabilities: rng.gen_range(0u8..=u8::MAX),
-            },
-            6 => Message::HelloAck {
-                id,
-                version: rng.gen_range(1u8..=u8::MAX),
-                capabilities: rng.gen_range(0u8..=u8::MAX),
-            },
-            7 => Message::Feedback {
-                id,
-                query: arb_query(rng),
-                actual_card: rng.gen_range(0u64..=u64::MAX),
-            },
-            8 => Message::FeedbackAck { id, model_version: rng.gen_range(0u32..=u32::MAX) },
-            9 => Message::StatsRequest { id },
-            10 => Message::Stats {
-                id,
-                model_version: rng.gen_range(0u32..=u32::MAX),
-                retrains: rng.gen_range(0u32..=u32::MAX),
-                feedback_count: rng.gen_range(0u64..=u64::MAX),
-                templates: arb_template_stats(rng),
-            },
-            11 => Message::DriftStatusRequest { id },
-            12 => Message::DriftStatus {
-                id,
-                retrain_in_flight: rng.gen_bool(0.5),
-                templates: arb_template_drifts(rng),
-            },
-            13 => Message::MetricsRequest { id },
-            14 => Message::MetricsSnapshot {
-                id,
-                uptime_ns: rng.gen_range(0u64..=u64::MAX),
-                scalars: arb_scalar_metrics(rng),
-                histograms: arb_histogram_metrics(rng),
-            },
-            15 => Message::Busy { id, retry_after_ms: rng.gen_range(0u32..=u32::MAX) },
-            16 => Message::EstimateDetail {
-                id,
-                estimate: rng.gen_range(0u64..1 << 52) as f64,
-                model_version: rng.gen_range(0u32..=u32::MAX),
-                micro_batch: rng.gen_range(0u32..65),
-                cache_hit: rng.gen_bool(0.5),
-                tier: rng.gen_range(0u8..=u8::MAX),
-                log_std: rng.gen_range(-16i32..=16) as f64 / 4.0,
-            },
-            _ => unreachable!("arm out of range"),
+    arbitrary_ints!(u8, u16, u32, u64);
+
+    impl Arbitrary for bool {
+        fn arbitrary(rng: &mut SmallRng) -> Self {
+            rng.gen_bool(0.5)
+        }
+    }
+
+    /// Any bit pattern but a NaN, which would not compare equal to itself.
+    impl Arbitrary for f64 {
+        fn arbitrary(rng: &mut SmallRng) -> Self {
+            loop {
+                let x = f64::from_bits(u64::arbitrary(rng));
+                if !x.is_nan() {
+                    return x;
+                }
+            }
+        }
+    }
+
+    impl Arbitrary for String {
+        fn arbitrary(rng: &mut SmallRng) -> Self {
+            const CHARS: [char; 6] = ['a', 'Z', ' ', '~', 'é', '🦀'];
+            (0..rng.gen_range(0..64usize)).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect()
+        }
+    }
+
+    impl Arbitrary for Query {
+        fn arbitrary(rng: &mut SmallRng) -> Self {
+            let tables: Vec<TableId> =
+                (0..rng.gen_range(0..4usize)).map(|_| TableId(rng.gen_range(0u16..8))).collect();
+            let joins: Vec<JoinId> =
+                (0..rng.gen_range(0..3usize)).map(|_| JoinId(rng.gen_range(0u16..6))).collect();
+            let predicates = (0..rng.gen_range(0..5usize))
+                .map(|_| Predicate {
+                    table: TableId(rng.gen_range(0u16..8)),
+                    column: rng.gen_range(0usize..4),
+                    op: CmpOp::ALL[rng.gen_range(0..CmpOp::ALL.len())],
+                    value: rng.gen_range(-500i64..500),
+                })
+                .collect();
+            Query::new(tables, joins, predicates)
+        }
+    }
+
+    impl<T: Arbitrary> Arbitrary for Vec<T> {
+        fn arbitrary(rng: &mut SmallRng) -> Self {
+            (0..rng.gen_range(0..8usize)).map(|_| T::arbitrary(rng)).collect()
+        }
+    }
+
+    impl Arbitrary for HistogramMetric {
+        fn arbitrary(rng: &mut SmallRng) -> Self {
+            let mut buckets = [0u64; 64];
+            for bucket in buckets.iter_mut() {
+                // ~25% of buckets populated; zero buckets stay off the
+                // wire, which is exactly the canonical form.
+                if rng.gen_bool(0.25) {
+                    *bucket = rng.gen_range(1u64..=u64::MAX);
+                }
+            }
+            let (id, sum, max) = (u16::arbitrary(rng), u64::arbitrary(rng), u64::arbitrary(rng));
+            HistogramMetric { id, sum, max, buckets }
         }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-        /// Arbitrary messages of every arm survive an encode → decode
+        /// Arbitrary messages of every kind survive an encode → decode
         /// round trip byte-exactly, and every strict prefix of the frame
         /// is "incomplete", never an error or a wrong parse.
         #[test]
-        fn every_arm_roundtrips(arm in 0usize..17, seed in 0u64..u64::MAX) {
+        fn every_arm_roundtrips(arm in 0..Message::KINDS.len(), seed in 0u64..u64::MAX) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let message = arb_message(arm, &mut rng);
+            let message = Message::arbitrary(Message::KINDS[arm], &mut rng);
             let bytes = message.to_bytes();
             let (back, consumed) = Message::decode_prefix(&bytes, PROTOCOL_VERSION)
                 .expect("decode")
