@@ -261,10 +261,10 @@ impl MscnModel {
         // Expand each module's slice of the concatenated gradient straight
         // back to element rows (no per-module pooled temporaries), then
         // backprop through the set MLP in sparse leaf mode: the first
-        // layer's weight gradient picks O(nnz) row updates or
-        // transpose-then-matmul from the CSR input's density. Batch
-        // segments tile the element rows exactly, so the expansion
-        // overwrites every row and the reshape can skip its zero-fill.
+        // layer's weight gradient is the forward's O(nnz) gather run on
+        // the CSR transpose of the input. Batch segments tile the element
+        // rows exactly, so the expansion overwrites every row and the
+        // reshape can skip its zero-fill.
         let set_grads = [&mut grads.table, &mut grads.join, &mut grads.pred];
         for (m, ((mlp, x, segs, _), g)) in self.sets(batch).into_iter().zip(set_grads).enumerate() {
             s.g_elems.resize_for_overwrite(x.rows(), d);
@@ -404,20 +404,17 @@ mod tests {
 
     /// End-to-end gradient check: perturb weights in every tensor of every
     /// module and compare the loss delta with the analytic gradient — once
-    /// on one-hot-like inputs (every set module takes the O(nnz) gather
-    /// branch of the weight gradient) and once on filled-in inputs (every
-    /// set module takes the transpose-then-matmul branch).
+    /// on one-hot-like inputs and once on filled-in inputs.
     #[test]
     fn end_to_end_gradient_check() {
         let dims = (8, 6, 7);
-        for (fill, gather_side) in [(0.0, true), (1.0, false)] {
+        for fill in [0.0, 1.0] {
             let mut rng = SmallRng::seed_from_u64(4);
             let model = MscnModel::new(dims.0, dims.1, dims.2, 8, 6);
             let qs: Vec<_> = (0..4).map(|_| random_query(&mut rng, dims, fill)).collect();
             let batch = batch_of(&qs, dims);
             for x in [&batch.tables_sp, &batch.joins_sp, &batch.preds_sp] {
                 assert!(x.rows() > 0, "every module must see rows");
-                assert_eq!(x.nnz() * 4 < x.rows() * x.cols(), gather_side, "density switch side");
             }
             let loss_of = |m: &MscnModel| -> f32 {
                 let preds = predict(m, &batch);

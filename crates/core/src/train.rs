@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use lc_engine::Database;
-use lc_nn::{Adam, DisjointSliceMut, LossKind, WorkerPool};
+use lc_nn::{Adam, LossKind, WorkerPool};
 use lc_obs::{metrics, SpanTimer};
 use lc_query::LabeledQuery;
 use rand::rngs::SmallRng;
@@ -51,7 +51,8 @@ const MAX_SHARDS: usize = 8;
 
 /// Smallest shard worth the per-shard bookkeeping (queries). Each shard
 /// pays fixed costs per backward — gradient-buffer zero/reduce passes
-/// and the transpose staging of the matmul-form weight gradients — and
+/// and the transpose staging of every weight gradient (a dense `xᵀ` per
+/// hidden layer, a CSR `xᵀ` per set-module input layer) — and
 /// sub-32-query shards also leave the SIMD kernels under-fed (row-pair
 /// blocking wants tall operands). 32 keeps the paper's batch 256 at its
 /// full 8-way shard fan-out while stopping small batches from shredding
@@ -93,24 +94,18 @@ fn auto_threads() -> usize {
 /// default. Code that pins a count — like the thread-determinism tests —
 /// therefore keeps it even when CI steers every default-config run via
 /// the env. Used by both the training and inference knobs so their
-/// precedence rules can never drift apart. Whatever the source, the
-/// result is capped at the worker pool's dispatch bound
-/// (`lc_nn::pool::MAX_PARTICIPANTS`, 64) — far above any productive
-/// count for this workload, and never a behavioural change: worker
-/// counts affect wall-clock only.
+/// precedence rules can never drift apart. A runaway value is harmless:
+/// [`WorkerPool::run_chunks`] clamps its participants.
 ///
 /// [`RuntimeConfig`]: lc_nn::RuntimeConfig
 fn resolve_threads(configured: usize, from_runtime: usize) -> usize {
-    let resolved = if configured != 0 {
+    if configured != 0 {
         configured
     } else if from_runtime != 0 {
         from_runtime
     } else {
         auto_threads()
-    };
-    // The worker pool bounds one dispatch; a runaway configured value
-    // would otherwise panic it.
-    resolved.min(lc_nn::pool::MAX_PARTICIPANTS)
+    }
 }
 
 /// Worker count for batch inference over `n` queries: the process
@@ -155,10 +150,9 @@ pub struct TrainConfig {
     /// wins over the process runtime config; `0` (the default) defers to
     /// [`RuntimeConfig::train_threads`](lc_nn::RuntimeConfig) (which
     /// `from_env` fills from `LC_TRAIN_THREADS`), else a hardware-derived
-    /// count; everything is capped at the worker pool's dispatch bound
-    /// (64) and then at the per-batch shard limit (8). Any value
-    /// produces bitwise-identical training results — see the module
-    /// docs.
+    /// count; everything is capped at the per-batch shard limit (8). Any
+    /// value produces bitwise-identical training results — see the
+    /// module docs.
     pub threads: usize,
 }
 
@@ -262,7 +256,6 @@ impl MscnEstimator {
 /// partition is independent of the worker count and every per-query
 /// reduction runs in a fixed order, so the output bytes never depend on
 /// either the batch composition or the parallelism.
-#[allow(unsafe_code)] // DisjointSliceMut claims: fixed per-worker block ranges are disjoint
 pub(crate) fn predict_blocks<S: Default + Send>(
     featurizer: &Featurizer,
     queries: &[LabeledQuery],
@@ -272,34 +265,15 @@ pub(crate) fn predict_blocks<S: Default + Send>(
     /// Warm serving batches, shared by every estimator kind.
     static BATCHES: WarmPool<RaggedBatch> = WarmPool::new();
     let mut out = vec![0.0f32; queries.len()];
-    let run_block = |qs: &[LabeledQuery], o: &mut [f32]| {
+    let threads = infer_threads(queries.len());
+    WorkerPool::global().run_chunks(&mut out, INFER_BLOCK, threads, |block, o| {
+        let qs = &queries[block * INFER_BLOCK..][..o.len()];
         let (mut batch, mut scratch) = (BATCHES.take(), scratches.take());
         featurizer.featurize_into_sparse_batch(qs, &mut batch);
         o.copy_from_slice(forward(&batch, &mut scratch));
         BATCHES.put(batch);
         scratches.put(scratch);
-    };
-    let threads = infer_threads(queries.len());
-    if threads <= 1 {
-        for (qs, o) in queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)) {
-            run_block(qs, o);
-        }
-    } else {
-        let mut work: Vec<(&[LabeledQuery], &mut [f32])> =
-            queries.chunks(INFER_BLOCK).zip(out.chunks_mut(INFER_BLOCK)).collect();
-        let per = work.len().div_ceil(threads);
-        let workers = work.len().div_ceil(per);
-        let view = DisjointSliceMut::new(&mut work);
-        WorkerPool::global().run(workers, &|w| {
-            for i in (w * per)..((w + 1) * per).min(view.len()) {
-                // SAFETY: worker chunks [w·per, (w+1)·per) are
-                // disjoint and the pool joins before `work` is
-                // touched again.
-                let (qs, o) = unsafe { view.index_mut(i) };
-                run_block(qs, o);
-            }
-        });
-    }
+    });
     out
 }
 
@@ -321,13 +295,13 @@ struct StepBatch {
 }
 
 /// Everything a training run reuses across steps: the optimizer, one
-/// scratch + gradient buffer per shard slot, and the reduction target.
+/// scratch + gradient buffer per shard, and the reduction target.
 /// Allocated once; every buffer is resized in place thereafter.
 struct Trainer {
     adam: Adam,
     slots: Vec<usize>,
-    scratches: Vec<MscnScratch>,
-    shard_grads: Vec<MscnGrads>,
+    /// Shard `i`'s scratch and gradients, handed out together.
+    shard_buffers: Vec<(MscnScratch, MscnGrads)>,
     total: MscnGrads,
     threads: usize,
     loss: LossKind,
@@ -350,8 +324,9 @@ impl Trainer {
         Trainer {
             adam,
             slots,
-            scratches: (0..MAX_SHARDS).map(|_| MscnScratch::new()).collect(),
-            shard_grads: (0..MAX_SHARDS).map(|_| model.new_grads()).collect(),
+            shard_buffers: (0..MAX_SHARDS)
+                .map(|_| (MscnScratch::new(), model.new_grads()))
+                .collect(),
             total: model.new_grads(),
             threads: config.effective_threads(),
             loss: config.loss,
@@ -384,67 +359,30 @@ impl Trainer {
     }
 
     /// One optimizer step over a sharded mini-batch; returns its mean
-    /// training loss. Shards run serially or on the persistent worker
-    /// pool — same bytes either way (fixed partition, fixed-order
-    /// reduction).
-    #[allow(unsafe_code)] // DisjointSliceMut claims: fixed per-worker shard ranges are disjoint
+    /// training loss. Shards run inline or on the persistent worker pool
+    /// — same bytes either way (fixed partition, fixed-order reduction).
     fn run_step(&mut self, model: &mut MscnModel, step: &StepBatch) -> f64 {
         let num_shards = step.shards.len();
-        {
-            let scratches = &mut self.scratches[..num_shards];
-            let shard_grads = &mut self.shard_grads[..num_shards];
-            let (loss, scale, n) = (self.loss, self.scale, step.n);
-            let model_ref: &MscnModel = model;
-            let do_shard = |batch: &RaggedBatch, scr: &mut MscnScratch, g: &mut MscnGrads| {
-                // Per-shard wall time: the histogram's spread (p50 vs
-                // max) is the shard-imbalance signal.
-                let _span = SpanTimer::start(&metrics::TRAIN_SHARD_NS);
-                g.zero();
-                model_ref.forward_scratch(batch, scr);
-                scr.grad_pred.clear();
-                scr.grad_pred.resize(scr.preds.len(), 0.0);
-                scr.loss = loss.loss_and_grad_scaled(
-                    &scr.preds,
-                    &batch.targets,
-                    scale,
-                    n,
-                    &mut scr.grad_pred,
-                );
-                model_ref.backward_scratch(batch, scr, g);
-            };
-            let workers =
-                if step.n >= PARALLEL_STEP_MIN { self.threads.min(num_shards) } else { 1 };
-            if workers <= 1 {
-                for ((batch, scr), g) in
-                    step.shards.iter().zip(scratches.iter_mut()).zip(shard_grads.iter_mut())
-                {
-                    do_shard(batch, scr, g);
-                }
-            } else {
-                // Persistent-pool dispatch: worker w owns the fixed
-                // shard range [w·per, (w+1)·per) — its scratches and
-                // gradient buffers included — so one mutex round-trip
-                // and wake replaces a per-step spawn+join. Results are
-                // identical to the serial loop: the partition and the
-                // later reduction order never depend on the workers.
-                let per = num_shards.div_ceil(workers);
-                let scr_view = DisjointSliceMut::new(scratches);
-                let grad_view = DisjointSliceMut::new(shard_grads);
-                let shards = &step.shards;
-                WorkerPool::global().run(workers, &|w| {
-                    let range = (w * per)..((w + 1) * per).min(num_shards);
-                    for (i, batch) in shards.iter().enumerate().take(range.end).skip(range.start) {
-                        // SAFETY: worker shard ranges are disjoint and
-                        // the pool joins before the views' borrows end.
-                        let (scr, g) = unsafe { (scr_view.index_mut(i), grad_view.index_mut(i)) };
-                        do_shard(batch, scr, g);
-                    }
-                });
-            }
-        }
+        let (loss, scale, n) = (self.loss, self.scale, step.n);
+        let model_ref: &MscnModel = model;
+        let workers = if n >= PARALLEL_STEP_MIN { self.threads } else { 1 };
+        let buffers = &mut self.shard_buffers[..num_shards];
+        WorkerPool::global().run_chunks(buffers, 1, workers, |i, slot| {
+            // Per-shard wall time: the histogram's spread (p50 vs max) is
+            // the shard-imbalance signal.
+            let _span = SpanTimer::start(&metrics::TRAIN_SHARD_NS);
+            let (batch, (scr, g)) = (&step.shards[i], &mut slot[0]);
+            g.zero();
+            model_ref.forward_scratch(batch, scr);
+            scr.grad_pred.clear();
+            scr.grad_pred.resize(scr.preds.len(), 0.0);
+            scr.loss =
+                loss.loss_and_grad_scaled(&scr.preds, &batch.targets, scale, n, &mut scr.grad_pred);
+            model_ref.backward_scratch(batch, scr, g);
+        });
         // Deterministic fixed-order reduction, then one serial Adam step.
         self.total.zero();
-        for g in &self.shard_grads[..num_shards] {
+        for (_, g) in &self.shard_buffers[..num_shards] {
             self.total.add_assign(g);
         }
         self.adam.begin_step();
@@ -463,7 +401,8 @@ impl Trainer {
         for mlp in model.mlps_mut() {
             mlp.refresh_transpose_cache();
         }
-        self.scratches[..num_shards].iter().map(|scr| scr.loss).sum::<f64>() / step.n as f64
+        self.shard_buffers[..num_shards].iter().map(|(scr, _)| scr.loss).sum::<f64>()
+            / step.n as f64
     }
 
     /// One pass over `order`; returns the mean per-batch training loss.
@@ -637,7 +576,7 @@ pub fn train(
         // Validation mean q-error in cardinality space (Fig. 6's metric),
         // via the warm scratch of shard slot 0 — no per-epoch allocation.
         let label = featurizer.label_norm();
-        let scratch = &mut trainer.scratches[0];
+        let scratch = &mut trainer.shard_buffers[0].0;
         let mut q_sum = 0.0f64;
         let mut vi = 0usize;
         for batch in &val_batches {

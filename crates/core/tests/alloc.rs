@@ -12,8 +12,9 @@
 //! Since the `lc_obs` instrumentation landed, every measured window also
 //! exercises the metrics layer — counter increments, histogram records,
 //! and `SpanTimer` guards run *inside* the zero-allocation assertions
-//! (and the pooled phases go through the now-instrumented
-//! `WorkerPool::run`), proving that observability rides along for free.
+//! (and the pooled phases go through `WorkerPool::run_chunks`, the same
+//! instrumented dispatch `lc_core::train` and batch inference use),
+//! proving that observability rides along for free.
 //!
 //! The last phase bounds, rather than forbids, allocation: annotating a
 //! query against the materialized samples builds the `LabeledQuery`'s own
@@ -25,8 +26,7 @@
 //! process-global, so a second concurrently-running test's setup would
 //! bleed into the measured window and flake the assertion.
 #![allow(unsafe_code)] // a GlobalAlloc impl is unavoidably unsafe (it only counts and
-                       // delegates), and the pooled phases use DisjointSliceMut with the
-                       // same fixed disjoint partition the library itself uses
+                       // delegates); nothing else in this file is
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +35,7 @@ use lc_core::batch::{CorpusSparse, CONSTANT};
 use lc_core::featurize::FeaturizedQuery;
 use lc_core::{FeatureMode, Featurizer, MscnModel, RaggedBatch};
 use lc_engine::SampleSet;
-use lc_nn::{Adam, DisjointSliceMut, LossKind, SparseRows, WorkerPool};
+use lc_nn::{Adam, LossKind, SparseRows, WorkerPool};
 use lc_obs::{metrics, SpanTimer};
 use lc_query::{annotate_query, GeneratorConfig, LabeledQuery, QueryGenerator};
 use rand::rngs::SmallRng;
@@ -95,15 +95,34 @@ fn synthetic_batch(queries: usize, dims: (usize, usize, usize), salt: f32) -> Ra
     RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd)
 }
 
+/// One shard's scratch and gradient buffers, as `lc_core::train` keeps
+/// them.
+type ShardBuffers = (lc_core::MscnScratch, lc_core::MscnGrads);
+
+/// One shard's forward, loss gradient and backward into its buffers.
+fn shard_pass(model: &MscnModel, batch: &RaggedBatch, batch_n: usize, buffers: &mut ShardBuffers) {
+    let (scratch, grads) = buffers;
+    grads.zero();
+    model.forward_scratch(batch, scratch);
+    scratch.grad_pred.clear();
+    scratch.grad_pred.resize(scratch.preds.len(), 0.0);
+    LossKind::MeanQError.loss_and_grad_scaled(
+        &scratch.preds,
+        &batch.targets,
+        3.0,
+        batch_n,
+        &mut scratch.grad_pred,
+    );
+    model.backward_scratch(batch, scratch, grads);
+}
+
 /// One full training step on pre-assembled shards with warm buffers:
 /// forward, loss gradient, backward, shard reduction, Adam.
-#[allow(clippy::too_many_arguments)]
 fn train_step(
     model: &mut MscnModel,
     shards: &[RaggedBatch],
     batch_n: usize,
-    scratches: &mut [lc_core::MscnScratch],
-    shard_grads: &mut [lc_core::MscnGrads],
+    shard_buffers: &mut [ShardBuffers],
     total: &mut lc_core::MscnGrads,
     adam: &mut Adam,
     slots: &[usize],
@@ -113,24 +132,11 @@ fn train_step(
     // the metrics layer would fail the assertions below.
     metrics::TRAIN_EPOCHS.inc();
     let _span = SpanTimer::start(&metrics::TRAIN_EPOCH_NS);
-    for ((batch, scratch), grads) in
-        shards.iter().zip(scratches.iter_mut()).zip(shard_grads.iter_mut())
-    {
-        grads.zero();
-        model.forward_scratch(batch, scratch);
-        scratch.grad_pred.clear();
-        scratch.grad_pred.resize(scratch.preds.len(), 0.0);
-        LossKind::MeanQError.loss_and_grad_scaled(
-            &scratch.preds,
-            &batch.targets,
-            3.0,
-            batch_n,
-            &mut scratch.grad_pred,
-        );
-        model.backward_scratch(batch, scratch, grads);
+    for (batch, buffers) in shards.iter().zip(shard_buffers.iter_mut()) {
+        shard_pass(model, batch, batch_n, buffers);
     }
     total.zero();
-    for grads in shard_grads.iter() {
+    for (_, grads) in shard_buffers.iter() {
         total.add_assign(grads);
     }
     adam.begin_step();
@@ -168,39 +174,21 @@ fn steady_state_compute_paths_do_not_allocate() {
             }
         }
     }
-    let mut scratches = [lc_core::MscnScratch::new(), lc_core::MscnScratch::new()];
-    let mut shard_grads = [model.new_grads(), model.new_grads()];
+    let mut shard_buffers: [ShardBuffers; 2] =
+        std::array::from_fn(|_| (lc_core::MscnScratch::new(), model.new_grads()));
     let mut total = model.new_grads();
 
     // Warm-up: grow every scratch buffer to its steady-state capacity.
     for _ in 0..3 {
         for shards in [&shards_a, &shards_b] {
-            train_step(
-                &mut model,
-                shards,
-                32,
-                &mut scratches,
-                &mut shard_grads,
-                &mut total,
-                &mut adam,
-                &slots,
-            );
+            train_step(&mut model, shards, 32, &mut shard_buffers, &mut total, &mut adam, &slots);
         }
     }
 
     let before = allocation_count();
     for _ in 0..5 {
         for shards in [&shards_a, &shards_b] {
-            train_step(
-                &mut model,
-                shards,
-                32,
-                &mut scratches,
-                &mut shard_grads,
-                &mut total,
-                &mut adam,
-                &slots,
-            );
+            train_step(&mut model, shards, 32, &mut shard_buffers, &mut total, &mut adam, &slots);
         }
     }
     let after = allocation_count();
@@ -231,47 +219,29 @@ fn steady_state_compute_paths_do_not_allocate() {
         "the steady-state inference forward pass must perform zero heap allocations"
     );
 
-    // Phase three: the POOLED data-parallel step — two workers of the
-    // persistent pool each own one shard (scratch + gradient buffers),
-    // exactly the dispatch `lc_core::train` runs. After the pool has
-    // grown once, a steady-state step must touch neither the allocator
-    // nor the spawn path.
+    // Phase three: the POOLED data-parallel step — two participants of
+    // the persistent pool each own one shard's buffers (scratch +
+    // gradients), exactly the `run_chunks` dispatch `lc_core::train`
+    // runs. After the pool has grown once, a steady-state step must
+    // touch neither the allocator nor the spawn path.
     let pool = WorkerPool::global();
     let model_ref: &MscnModel = &model;
-    let pooled_step = |shards: &[RaggedBatch],
-                       scratches: &mut [lc_core::MscnScratch],
-                       shard_grads: &mut [lc_core::MscnGrads]| {
-        let scr_view = DisjointSliceMut::new(scratches);
-        let grad_view = DisjointSliceMut::new(shard_grads);
-        pool.run(shards.len(), &|w| {
-            // SAFETY: worker w claims exactly index w — disjoint by
-            // construction, and the pool joins before the views drop.
-            let (scr, g) = unsafe { (scr_view.index_mut(w), grad_view.index_mut(w)) };
-            g.zero();
-            model_ref.forward_scratch(&shards[w], scr);
-            scr.grad_pred.clear();
-            scr.grad_pred.resize(scr.preds.len(), 0.0);
-            LossKind::MeanQError.loss_and_grad_scaled(
-                &scr.preds,
-                &shards[w].targets,
-                3.0,
-                32,
-                &mut scr.grad_pred,
-            );
-            model_ref.backward_scratch(&shards[w], scr, g);
+    let pooled_step = |shards: &[RaggedBatch], shard_buffers: &mut [ShardBuffers]| {
+        pool.run_chunks(shard_buffers, 1, shards.len(), |i, buffers| {
+            shard_pass(model_ref, &shards[i], 32, &mut buffers[0]);
         });
     };
     // Warm-up: spawns the pool worker and grows per-worker buffers.
     for _ in 0..3 {
         for shards in [&shards_a, &shards_b] {
-            pooled_step(shards, &mut scratches, &mut shard_grads);
+            pooled_step(shards, &mut shard_buffers);
         }
     }
     let spawned_before = lc_nn::threads_spawned();
     let before = allocation_count();
     for _ in 0..5 {
         for shards in [&shards_a, &shards_b] {
-            pooled_step(shards, &mut scratches, &mut shard_grads);
+            pooled_step(shards, &mut shard_buffers);
         }
     }
     assert_eq!(
@@ -287,16 +257,14 @@ fn steady_state_compute_paths_do_not_allocate() {
     assert!(pool.workers() >= 1, "the pooled step must actually have engaged the pool");
 
     // Phase four: pooled batch inference — two warm scratches, one
-    // forward block per worker, the shape of `estimate_all`'s fan-out.
+    // forward block per participant, the shape of `estimate_all`'s
+    // fan-out.
     let batch_b = synthetic_batch(24, dims, 0.29);
     let blocks = [&batch, &batch_b];
     let mut infer_scratches = [lc_core::MscnScratch::new(), lc_core::MscnScratch::new()];
     let pooled_infer = |scratches: &mut [lc_core::MscnScratch]| {
-        let view = DisjointSliceMut::new(scratches);
-        pool.run(blocks.len(), &|w| {
-            // SAFETY: worker w claims exactly index w.
-            let scr = unsafe { view.index_mut(w) };
-            model_ref.forward_scratch(blocks[w], scr);
+        pool.run_chunks(scratches, 1, blocks.len(), |i, scratch| {
+            model_ref.forward_scratch(blocks[i], &mut scratch[0]);
         });
     };
     for _ in 0..3 {

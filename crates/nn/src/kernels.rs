@@ -31,13 +31,17 @@
 //!    every platform (hardware FMA where available, libm `fmaf`
 //!    otherwise). A mul-then-add fallback would round twice and diverge.
 //!
-//! The same reasoning extends to the sparse one-hot path: skipping a
-//! zero input element skips a `fma(0, w, acc)` step, which cannot change
-//! `acc` (for finite weights and non-negative-zero accumulators), so
-//! [`sparse_matmul_bias`] is bitwise-equal to the dense kernel on the
-//! same data. The only theoretical exception is a `-0.0` bias with no
-//! nonzero contribution — `fma(0, w, -0.0)` flushes the sign — which no
-//! initializer, optimizer step, or serializer of this crate produces.
+//! The same reasoning extends to the one sparse kernel, the CSR gather
+//! [`sparse_matmul_bias_with`]: skipping a zero input element skips a
+//! `fma(0, w, acc)` step, which cannot change `acc` (for finite weights
+//! and non-negative-zero accumulators), so it is bitwise-equal to the
+//! dense kernel on the same data. The only theoretical exception is a
+//! `-0.0` seed with no nonzero contribution — `fma(0, w, -0.0)` flushes
+//! the sign — which no initializer, optimizer step, or serializer of
+//! this crate produces. The gather serves both directions of a sparse
+//! input layer: seeded with the bias it is the forward `x·W + b`; run
+//! on the CSR transpose of `x`, seeded with the gradient buffer itself,
+//! it is the weight gradient `∂W += xᵀ·g`.
 //!
 //! Dispatch is resolved once per process from the global
 //! [`RuntimeConfig`](crate::RuntimeConfig) (whose `from_env` reads
@@ -148,7 +152,7 @@ pub(crate) fn matmul_overwrite(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// cross-kernel equivalence tests use.
 ///
 /// # Panics
-/// If `Kernel::Avx2` is requested on hardware without AVX2+FMA.
+/// As [`matmul_with`].
 pub fn matmul_accumulate_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     matmul_with(kernel, a, b, out, false);
 }
@@ -156,11 +160,13 @@ pub fn matmul_accumulate_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut 
 /// The full dispatch surface: explicit kernel AND seed mode
 /// (`seed_zero = true` overwrites `out`, `false` accumulates into it).
 /// The cross-kernel property tests drive both modes through this hook —
-/// every production path (`matmul_into`, `matmul_bias_into`,
-/// `matmul_transb_scratch`) is one of these four combinations.
+/// every production path (`matmul_into`, `matmul_bias_into`) is one of
+/// these four combinations.
 ///
 /// # Panics
-/// If `Kernel::Avx2` is requested on hardware without AVX2+FMA.
+/// If `Kernel::Avx2` is requested on hardware without AVX2+FMA and `b`
+/// is at least 8 columns wide. Narrower outputs take the shared
+/// `mul_add` path whichever kernel is named, so they never panic.
 pub fn matmul_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
     if b.cols() < 8 {
         // Narrow outputs (the 1-wide sigmoid head) are latency-bound,
@@ -445,7 +451,7 @@ fn matmul_narrow(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
 }
 
 // ---------------------------------------------------------------------
-// Sparse one-hot rows · dense weights + bias (set-MLP input layers)
+// Sparse rows · dense matrix (set-MLP input layers, forward and backward)
 // ---------------------------------------------------------------------
 
 /// `out = x · w + bias` where `x` is CSR-style sparse: each output row is
@@ -459,10 +465,23 @@ fn matmul_narrow(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
 /// # Panics
 /// If `x.cols() != w.rows()` or `bias.len() != w.cols()`.
 pub(crate) fn sparse_matmul_bias(x: &SparseRows, w: &Matrix, bias: &[f32], out: &mut Matrix) {
-    sparse_matmul_bias_with(active(), x, w, bias, out);
+    sparse_matmul_bias_with(active(), x, w, Some(bias), out);
 }
 
-/// [`sparse_matmul_bias`] with an explicit kernel (tests).
+/// `out += x · w` for CSR-style sparse `x` — the weight gradient of a
+/// sparse input layer when `x` is the CSR transpose of its input
+/// ([`SparseRows::transpose_into`]) and `w` the output gradient: per
+/// element of `∂W` one ascending-row fused chain over the rows where
+/// that input column is nonzero, the same chain the dense kernel runs on
+/// a densified `xᵀ`.
+pub(crate) fn sparse_matmul_accumulate(x: &SparseRows, w: &Matrix, out: &mut Matrix) {
+    sparse_matmul_bias_with(active(), x, w, None, out);
+}
+
+/// The sparse gather with an explicit kernel and seed — the hook the
+/// cross-kernel property tests use. `Some(bias)` overwrites `out`
+/// (resized to `x.rows() × w.cols()`) with `x · w + bias`; `None`
+/// accumulates `x · w` into `out`, which must already have that shape.
 ///
 /// # Panics
 /// On shape mismatch, or if `Kernel::Avx2` is requested on hardware
@@ -471,12 +490,17 @@ pub fn sparse_matmul_bias_with(
     kernel: Kernel,
     x: &SparseRows,
     w: &Matrix,
-    bias: &[f32],
+    bias: Option<&[f32]>,
     out: &mut Matrix,
 ) {
     assert_eq!(x.cols(), w.rows(), "sparse matmul shape mismatch");
-    assert_eq!(bias.len(), w.cols(), "bias width mismatch");
-    out.resize_for_overwrite(x.rows(), w.cols());
+    match bias {
+        Some(bias) => {
+            assert_eq!(bias.len(), w.cols(), "bias width mismatch");
+            out.resize_for_overwrite(x.rows(), w.cols());
+        }
+        None => assert_eq!(out.shape(), (x.rows(), w.cols()), "sparse matmul output shape"),
+    }
     match kernel {
         Kernel::Avx2 => {
             assert!(avx2_available(), "AVX2 kernel requested on non-AVX2 hardware");
@@ -490,12 +514,14 @@ pub fn sparse_matmul_bias_with(
     }
 }
 
-/// Scalar sparse gather: bias seed, then one fused broadcast-row update
-/// per nonzero in ascending index order.
-fn sparse_matmul_bias_scalar(x: &SparseRows, w: &Matrix, bias: &[f32], out: &mut Matrix) {
+/// Scalar sparse gather: seed from the bias (or keep `out`), then one
+/// fused broadcast-row update per nonzero in ascending index order.
+fn sparse_matmul_bias_scalar(x: &SparseRows, w: &Matrix, bias: Option<&[f32]>, out: &mut Matrix) {
     for i in 0..x.rows() {
         let out_row = out.row_mut(i);
-        out_row.copy_from_slice(bias);
+        if let Some(bias) = bias {
+            out_row.copy_from_slice(bias);
+        }
         let (indices, values) = x.row(i);
         for (&k, &v) in indices.iter().zip(values) {
             let w_row = w.row(k as usize);
@@ -508,10 +534,21 @@ fn sparse_matmul_bias_scalar(x: &SparseRows, w: &Matrix, bias: &[f32], out: &mut
 
 /// AVX2 sparse gather: broadcast the nonzero value, 8-lane FMA across
 /// the gathered weight row, scalar `mul_add` tail.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, `out` must be
+/// `x.rows() × w.cols()`, and `bias`, when given, `w.cols()` wide — the
+/// checks [`sparse_matmul_bias_with`] makes. (`x`'s indices are below
+/// `x.cols() == w.rows()` by the `SparseRows` invariant.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[target_feature(enable = "fma")]
-unsafe fn sparse_matmul_bias_avx2(x: &SparseRows, w: &Matrix, bias: &[f32], out: &mut Matrix) {
+unsafe fn sparse_matmul_bias_avx2(
+    x: &SparseRows,
+    w: &Matrix,
+    bias: Option<&[f32]>,
+    out: &mut Matrix,
+) {
     use std::arch::x86_64::*;
     let c = w.cols();
     let w_base = w.data().as_ptr();
@@ -520,26 +557,27 @@ unsafe fn sparse_matmul_bias_avx2(x: &SparseRows, w: &Matrix, bias: &[f32], out:
         let out_row = out.row_mut(i);
         // The output row is processed in 64-column chunks held in eight
         // ymm accumulators for the row's WHOLE nonzero list — seeding
-        // from the bias and storing once per chunk, instead of a
-        // read-modify-write of the output row per nonzero (which is what
-        // dominates a gather kernel). Chunking the j axis never touches
-        // an element's ascending-nonzero accumulation chain.
+        // from the bias (or the row itself) and storing once per chunk,
+        // instead of a read-modify-write of the output row per nonzero
+        // (which is what dominates a gather kernel). Chunking the j axis
+        // never touches an element's ascending-nonzero accumulation
+        // chain.
         let op = out_row.as_mut_ptr();
-        let bias_p = bias.as_ptr();
+        let seed_p = bias.map_or(op as *const f32, <[f32]>::as_ptr);
         let mut j0 = 0;
         while j0 + 64 <= c {
             // SAFETY: j0 + 64 <= c bounds all eight 8-lane loads/stores
-            // in bias/out row windows; k < w.rows() per SparseRows.
+            // in seed/out row windows; k < w.rows() per SparseRows.
             unsafe {
-                let bp = bias_p.add(j0);
-                let mut a0 = _mm256_loadu_ps(bp);
-                let mut a1 = _mm256_loadu_ps(bp.add(8));
-                let mut a2 = _mm256_loadu_ps(bp.add(16));
-                let mut a3 = _mm256_loadu_ps(bp.add(24));
-                let mut a4 = _mm256_loadu_ps(bp.add(32));
-                let mut a5 = _mm256_loadu_ps(bp.add(40));
-                let mut a6 = _mm256_loadu_ps(bp.add(48));
-                let mut a7 = _mm256_loadu_ps(bp.add(56));
+                let sp = seed_p.add(j0);
+                let mut a0 = _mm256_loadu_ps(sp);
+                let mut a1 = _mm256_loadu_ps(sp.add(8));
+                let mut a2 = _mm256_loadu_ps(sp.add(16));
+                let mut a3 = _mm256_loadu_ps(sp.add(24));
+                let mut a4 = _mm256_loadu_ps(sp.add(32));
+                let mut a5 = _mm256_loadu_ps(sp.add(40));
+                let mut a6 = _mm256_loadu_ps(sp.add(48));
+                let mut a7 = _mm256_loadu_ps(sp.add(56));
                 for (&k, &v) in indices.iter().zip(values) {
                     let wp = w_base.add(k as usize * c + j0);
                     let vv = _mm256_set1_ps(v);
@@ -567,7 +605,7 @@ unsafe fn sparse_matmul_bias_avx2(x: &SparseRows, w: &Matrix, bias: &[f32], out:
         while j0 + 8 <= c {
             // SAFETY: j0 + 8 <= c; same bounds reasoning, one vector.
             unsafe {
-                let mut acc = _mm256_loadu_ps(bias_p.add(j0));
+                let mut acc = _mm256_loadu_ps(seed_p.add(j0));
                 for (&k, &v) in indices.iter().zip(values) {
                     let wp = w_base.add(k as usize * c + j0);
                     acc = _mm256_fmadd_ps(_mm256_set1_ps(v), _mm256_loadu_ps(wp), acc);
@@ -578,90 +616,13 @@ unsafe fn sparse_matmul_bias_avx2(x: &SparseRows, w: &Matrix, bias: &[f32], out:
         }
         if j0 < c {
             let out_tail = &mut out_row[j0..c];
-            out_tail.copy_from_slice(&bias[j0..c]);
+            if let Some(bias) = bias {
+                out_tail.copy_from_slice(&bias[j0..c]);
+            }
             for (&k, &v) in indices.iter().zip(values) {
                 let w_row = &w.row(k as usize)[j0..c];
                 for (o, &wv) in out_tail.iter_mut().zip(w_row) {
                     *o = v.mul_add(wv, *o);
-                }
-            }
-        }
-    }
-}
-
-/// Accumulate `xᵀ · b` into `out` for CSR-style sparse `x` — the weight
-/// gradient of a sparse input layer, O(nnz · out_dim). Bitwise-equal to
-/// staging `xᵀ` ([`SparseRows::transpose_into`]) and running
-/// [`matmul_accumulate`] on it: per output element both are the same
-/// ascending-row fused chain, and the products this kernel skips are
-/// exact `fma(0, b, acc)` no-ops there.
-pub(crate) fn sparse_transa_accumulate(x: &SparseRows, b: &Matrix, out: &mut Matrix) {
-    sparse_transa_accumulate_with(active(), x, b, out);
-}
-
-/// [`sparse_transa_accumulate`] with an explicit kernel (tests).
-///
-/// # Panics
-/// On shape mismatch, or if `Kernel::Avx2` is requested on hardware
-/// without AVX2+FMA.
-pub fn sparse_transa_accumulate_with(kernel: Kernel, x: &SparseRows, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(x.rows(), b.rows(), "sparse transa shape mismatch");
-    assert_eq!(out.shape(), (x.cols(), b.cols()), "sparse transa output shape");
-    match kernel {
-        Kernel::Avx2 => {
-            assert!(avx2_available(), "AVX2 kernel requested on non-AVX2 hardware");
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2+FMA presence checked above.
-            unsafe {
-                sparse_transa_accumulate_avx2(x, b, out);
-            }
-        }
-        Kernel::Scalar => sparse_transa_accumulate_scalar(x, b, out),
-    }
-}
-
-/// Scalar sparse `xᵀ·b`: ascending rows, ascending nonzeros, fused.
-fn sparse_transa_accumulate_scalar(x: &SparseRows, b: &Matrix, out: &mut Matrix) {
-    for i in 0..x.rows() {
-        let b_row = b.row(i);
-        let (indices, values) = x.row(i);
-        for (&k, &v) in indices.iter().zip(values) {
-            let out_row = out.row_mut(k as usize);
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = v.mul_add(bv, *o);
-            }
-        }
-    }
-}
-
-/// AVX2 sparse `xᵀ·b`: broadcast value, 8-lane FMA, scalar tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[target_feature(enable = "fma")]
-unsafe fn sparse_transa_accumulate_avx2(x: &SparseRows, b: &Matrix, out: &mut Matrix) {
-    use std::arch::x86_64::*;
-    let c = b.cols();
-    let vec_end = c - c % 8;
-    let out_base = out.data_mut().as_mut_ptr();
-    for i in 0..x.rows() {
-        let (indices, values) = x.row(i);
-        let b_row = b.row(i);
-        for (&k, &v) in indices.iter().zip(values) {
-            // SAFETY: k < x.cols() == out.rows(); both rows are c wide
-            // and the 8-lane loop stops at vec_end <= c.
-            unsafe {
-                let bp = b_row.as_ptr();
-                let op = out_base.add(k as usize * c);
-                let vv = _mm256_set1_ps(v);
-                let mut j = 0;
-                while j < vec_end {
-                    let acc =
-                        _mm256_fmadd_ps(vv, _mm256_loadu_ps(bp.add(j)), _mm256_loadu_ps(op.add(j)));
-                    _mm256_storeu_ps(op.add(j), acc);
-                    j += 8;
-                }
-                for j in vec_end..c {
-                    *op.add(j) = v.mul_add(*bp.add(j), *op.add(j));
                 }
             }
         }

@@ -9,9 +9,9 @@
 //!   transpose + `A·B` — cache-blocked/tiled and always writing into
 //!   caller-provided buffers;
 //! * [`kernels`] — the explicit SIMD micro-kernels behind every
-//!   product: AVX2+FMA inner loops with runtime dispatch (steered by
-//!   [`RuntimeConfig`]) and a bitwise-identical `f32::mul_add` scalar
-//!   fallback;
+//!   product, one dense `A·B` kernel and one sparse gather: AVX2+FMA
+//!   inner loops with runtime dispatch (steered by [`RuntimeConfig`])
+//!   and a bitwise-identical `f32::mul_add` scalar fallback;
 //! * [`qmatrix`] — the int8 post-training-quantization path:
 //!   per-output-channel symmetric weight scales, per-row dynamic u8
 //!   activation quantization (row-local, so batching stays transparent),
@@ -23,14 +23,17 @@
 //!   parses the `LC_*` variables exactly once; binaries can `install()`
 //!   an explicit config instead;
 //! * [`SparseRows`] — CSR-style sparse row stacks, the only encoding of
-//!   the ~85%-zero one-hot/bitmap set-module inputs, with an O(nnz) fused
-//!   forward ([`Linear::forward_sparse_into`]) and weight-gradient kernel
-//!   that are bitwise-equal to the dense kernel on the densified rows;
+//!   the ~85%-zero one-hot/bitmap set-module inputs. One O(nnz) gather
+//!   kernel serves both directions: the fused forward
+//!   ([`Linear::forward_sparse_into`]) and, on the CSR transpose
+//!   ([`SparseRows::transpose_into`]), the weight gradient — each
+//!   bitwise-equal to the dense kernel on the densified rows;
 //! * [`WorkerPool`] — a persistent, pinned, barrier-synchronized worker
 //!   pool shared by training steps, batch inference, and the serving
-//!   layer (replaces per-step `thread::scope` fan-out), plus the one
-//!   thread-placement policy over the process's CPU set
-//!   ([`process_cpus`], [`pin_thread_to_core`], [`cpus_beside`]);
+//!   layer (replaces per-step `thread::scope` fan-out), whose
+//!   [`WorkerPool::run_chunks`] hands each participant its own `&mut`
+//!   chunks, plus the one thread-placement policy over the process's
+//!   CPU set ([`process_cpus`], [`pin_thread_to_core`], [`cpus_beside`]);
 //! * [`Scratch`] — a reusable buffer arena so forward/backward passes
 //!   run with zero steady-state allocations;
 //! * [`Linear`] — fully-connected layer with Xavier init; gradients
@@ -66,7 +69,7 @@ pub use matrix::Matrix;
 pub use mlp::{FinalActivation, Mlp, MlpCache, MlpGrads};
 pub use pool::{
     core_for, cpus_beside, pin_thread_to_core, pin_thread_to_cpus, process_cpus, threads_spawned,
-    DisjointSliceMut, WorkerPool,
+    WorkerPool,
 };
 pub use qmatrix::{QActs, QLinear, QMatrix, QMlp, QMlpCache};
 pub use runtime::{KernelChoice, RuntimeConfig};

@@ -88,11 +88,10 @@ impl Linear {
     /// Recompute the cached `Wᵀ` from the current weights. The trainer
     /// calls this once per optimizer step; every backward pass until the
     /// next weight mutation then reuses the transpose instead of
-    /// re-materializing it per step (`matmul_transb_scratch` re-transposed
-    /// the weights on every call — ~10% of backward at high shard counts,
+    /// re-staging it per call (~10% of backward at high shard counts,
     /// and once per shard rather than once per step). Bitwise-neutral:
     /// the cached path feeds the *same* transposed operand to the *same*
-    /// kernel the scratch path uses.
+    /// kernel the staging fallback uses.
     pub fn refresh_transpose_cache(&mut self) {
         self.w.transpose_into(&mut self.wt);
         self.wt_valid = true;
@@ -142,15 +141,12 @@ impl Linear {
     /// `∂L/∂W = xᵀ·∂L/∂y` and `∂L/∂b` into `grads`. No input gradient —
     /// the sparse featurized inputs are always leaves.
     ///
-    /// Two bitwise-identical strategies, picked by density: truly sparse
-    /// rows use O(nnz) gather updates; denser rows (bitmap-heavy
-    /// workloads light up half the sample bits) go transpose-then-matmul
-    /// — `xᵀ` scattered into a zeroed scratch buffer
-    /// ([`crate::SparseRows::transpose_into`]) — where the extra zero
-    /// products are free FMA no-ops but the kernel runs at full
-    /// throughput instead of read-modify-write speed. The switch can
-    /// never change a gradient bit, so it is purely a scheduling
-    /// decision.
+    /// The weight gradient is the forward's gather kernel run backwards:
+    /// `xᵀ` is staged as CSR ([`crate::SparseRows::transpose_into`], into
+    /// a buffer `scratch` keeps warm) and gathers rows of `∂L/∂y` into
+    /// `grads.w`, seeded from its current contents. Per element that is
+    /// one ascending-row fused chain over the rows where the input column
+    /// is nonzero, O(nnz · out) whatever the density.
     pub fn backward_sparse_leaf(
         &self,
         x: &crate::sparse::SparseRows,
@@ -161,16 +157,8 @@ impl Linear {
         debug_assert_eq!(grad_out.cols(), grads.w.cols());
         debug_assert_eq!(x.cols(), grads.w.rows());
         debug_assert_eq!(x.rows(), grad_out.rows());
-        // A gather update moves ~4 memory words per MAC; the dense kernel
-        // ~1 per 4 MACs. Crossover sits near nnz/total = 1/4.
-        if x.nnz() * 4 < x.rows() * x.cols() {
-            crate::kernels::sparse_transa_accumulate(x, grad_out, &mut grads.w);
-        } else {
-            let mut xt = scratch.take(0, 0);
-            x.transpose_into(&mut xt);
-            crate::kernels::matmul_accumulate(&xt, grad_out, &mut grads.w);
-            scratch.put(xt);
-        }
+        x.transpose_into(&mut scratch.xt);
+        crate::kernels::sparse_matmul_accumulate(&scratch.xt, grad_out, &mut grads.w);
         accumulate_bias_grads(grad_out, grads);
     }
 
@@ -208,7 +196,8 @@ impl Linear {
                 grad_out.matmul_into(&self.wt, grad_in);
             } else {
                 let mut wt = scratch.take(0, 0);
-                grad_out.matmul_transb_scratch(&self.w, grad_in, &mut wt);
+                self.w.transpose_into(&mut wt);
+                grad_out.matmul_into(&wt, grad_in);
                 scratch.put(wt);
             }
         }
@@ -280,22 +269,18 @@ mod tests {
         out
     }
 
-    /// CSR gradient-check inputs on either side of the density switch of
-    /// [`Linear::backward_sparse_leaf`] (`nnz * 4 < rows * cols`):
-    /// one-hot-like rows take the gather branch, fully dense rows the
-    /// transpose-then-matmul branch.
-    fn inputs_on_both_sides_of_the_density_switch(cols: usize) -> [SparseRows; 2] {
+    /// CSR gradient-check inputs of both densities: one-hot-like rows
+    /// and fully dense rows.
+    fn one_hot_and_dense_inputs(cols: usize) -> [SparseRows; 2] {
         let mut sparse = SparseRows::new(cols);
         for r in 0..6usize {
             sparse.push_row([((r * 3 % cols) as u32, 0.4 + 0.3 * r as f32)]);
         }
-        assert!(sparse.nnz() * 4 < sparse.rows() * sparse.cols(), "gather side");
         let dense = SparseRows::from_dense(&Matrix::from_vec(
             2,
             cols,
             (0..2 * cols).map(|i| (i as f32 - 4.5) * 0.3).collect(), // never 0
         ));
-        assert!(dense.nnz() * 4 >= dense.rows() * dense.cols(), "matmul side");
         [sparse, dense]
     }
 
@@ -312,14 +297,14 @@ mod tests {
     }
 
     /// Finite differences against the external-gradient backward, on
-    /// both branches of the density switch — and the dense-input
+    /// one-hot and dense CSR inputs — and the dense-input
     /// [`Linear::backward_scratch`] must land on the same bits.
     #[test]
     fn gradient_check_weights_and_bias() {
         let mut rng = SmallRng::seed_from_u64(2);
         let layer = Linear::new(8, 3, &mut rng);
         let mut scratch = Scratch::new();
-        for x in inputs_on_both_sides_of_the_density_switch(8) {
+        for x in one_hot_and_dense_inputs(8) {
             let n = x.rows();
             // Analytic gradients with dL/dy = 1.
             let ones = Matrix::from_vec(n, 3, vec![1.0; n * 3]);
@@ -406,9 +391,9 @@ mod tests {
         let mut after = layer.new_grads();
         let mut grad_in_after = Matrix::zeros(0, 0);
         layer.backward_scratch(&x, &grad_out, &mut after, Some(&mut grad_in_after), &mut scratch);
-        let mut expect = Matrix::zeros(0, 0);
-        let mut tmp = Matrix::zeros(0, 0);
-        grad_out.matmul_transb_scratch(layer.weights(), &mut expect, &mut tmp);
+        let (mut expect, mut wt) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        layer.weights().transpose_into(&mut wt);
+        grad_out.matmul_into(&wt, &mut expect);
         assert_eq!(grad_in_after.data(), expect.data(), "stale cache must not be used");
         assert_ne!(grad_in_after.data(), grad_in_cold.data(), "weight change must show through");
     }

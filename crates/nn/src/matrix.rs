@@ -7,10 +7,13 @@
 //! caller-provided buffer (resized in place, reusing its capacity), and
 //! the kernels are cache-blocked: the reduction dimension is processed in
 //! tiles sized so the tile of the right-hand operand stays resident in L1
-//! while a block of output rows streams past it. There is one kernel
-//! shape, `A·B`: `A·Bᵀ` and `Aᵀ·B` stage the transposed operand
-//! ([`Matrix::transpose_into`], [`crate::SparseRows::transpose_into`])
-//! and run the same kernel.
+//! while a block of output rows streams past it. There is one dense
+//! kernel shape, `A·B`: `A·Bᵀ` and `Aᵀ·B` stage the transposed operand
+//! ([`Matrix::transpose_into`]) and run the same kernel — backward's
+//! input gradient `g·Wᵀ` against `Linear`'s cached or freshly staged
+//! `Wᵀ`, a dense layer's weight gradient `xᵀ·g` against a staged `xᵀ`.
+//! A sparse input's `xᵀ·g` stages a CSR transpose
+//! ([`crate::SparseRows::transpose_into`]) and runs the sparse gather.
 //!
 //! Neither tiling nor vectorization reorders the per-element
 //! accumulation sequence: vector lanes span output columns, so for each
@@ -180,22 +183,6 @@ impl Matrix {
         }
     }
 
-    /// `self · bᵀ` — `[r×k] · [c×k]ᵀ → [r×c]` — written into `out`, via an
-    /// explicit transpose of `b` into `tmp` followed by the blocked
-    /// matmul kernel: backward's input-gradient product. A small
-    /// transpose (of the weight matrix, amortized over every batch row)
-    /// buys vector FMAs in place of horizontal dot reductions, and keeps
-    /// each output element one ascending-k fused chain.
-    ///
-    /// # Panics
-    /// If `self.cols != b.cols`.
-    pub fn matmul_transb_scratch(&self, b: &Matrix, out: &mut Matrix, tmp: &mut Matrix) {
-        assert_eq!(self.cols, b.cols, "matmul_transb shape mismatch");
-        b.transpose_into(tmp);
-        out.resize_for_overwrite(self.rows, b.rows);
-        kernels::matmul_overwrite(self, tmp, out);
-    }
-
     /// Frobenius-style maximum absolute difference (test helper).
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape());
@@ -244,13 +231,15 @@ mod tests {
         assert!(out.max_abs_diff(&naive_matmul(&a, &b)) < 1e-5);
     }
 
+    /// `A·Bᵀ` as backward runs it: stage `Bᵀ`, then the `A·B` kernel.
     #[test]
     fn matmul_transb_matches_naive() {
         let a = arange(3, 4, -1.0);
         let b = arange(5, 4, 2.0); // b^T is 4x5
-        let (mut out, mut tmp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        a.matmul_transb_scratch(&b, &mut out, &mut tmp);
-        assert_eq!(tmp, transposed(&b), "the staged operand is exactly bᵀ");
+        let (mut out, mut bt) = (Matrix::zeros(0, 0), Matrix::from_vec(1, 2, vec![9.0; 2]));
+        b.transpose_into(&mut bt);
+        assert_eq!(bt, transposed(&b), "the staged operand is exactly bᵀ");
+        a.matmul_into(&bt, &mut out);
         assert!(out.max_abs_diff(&naive_matmul(&a, &transposed(&b))) < 1e-5);
     }
 
@@ -294,9 +283,10 @@ mod tests {
             }
         }
 
-        let bt = arange(40, 130, 1.5); // a · btᵀ with k = 130 > TILE_K
+        let bt = arange(40, 130, 1.5); // a · btᵀ, staged as in backward
         let (mut tr, mut tmp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        a.matmul_transb_scratch(&bt, &mut tr, &mut tmp);
+        bt.transpose_into(&mut tmp);
+        a.matmul_into(&tmp, &mut tr);
         for i in 0..70 {
             for j in 0..40 {
                 let dot: f32 = (0..130).map(|k| a.get(i, k) * bt.get(j, k)).sum();

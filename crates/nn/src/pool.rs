@@ -33,8 +33,9 @@
 //!   on CPUs 2 and 3, not on CPU 0;
 //! * a background thread that must not preempt latency-critical ones
 //!   (`lc-serve`'s retrainer) runs on [`cpus_beside`] them: the process
-//!   set minus their CPUs, or the whole process set when that leaves
-//!   nothing — never on one of their CPUs alone.
+//!   set minus their CPUs and those CPUs' SMT siblings, else minus their
+//!   CPUs only, else the whole process set — never on one of their CPUs
+//!   alone.
 //!
 //! The mask is applied with a raw `sched_setaffinity` syscall (no libc
 //! dependency, Linux/x86-64 only). Best-effort: a refused mask is
@@ -49,9 +50,10 @@ use std::thread::JoinHandle;
 
 use lc_obs::{metrics, SpanTimer};
 
-/// Upper bound on participants per [`WorkerPool::run`] call — a sanity
-/// cap on runaway `LC_*_THREADS` values, far above any productive count
-/// for this workload (training caps at 8 shards).
+/// Upper bound on participants per dispatch: [`WorkerPool::run`] refuses
+/// more, [`WorkerPool::run_chunks`] clamps to it, so a runaway
+/// `LC_*_THREADS` value is harmless. Far above any productive count for
+/// this workload (training caps at 8 shards).
 pub const MAX_PARTICIPANTS: usize = 64;
 
 /// Process-wide count of threads ever spawned by pools in this process —
@@ -209,6 +211,56 @@ impl WorkerPool {
         }
     }
 
+    /// Run `f(index, chunk)` once for every `chunk_len`-element chunk of
+    /// `data` (the last one shorter when `chunk_len` does not divide
+    /// `data.len()`), and wait for all of them. The chunks are dealt out
+    /// as contiguous runs: with `per = ⌈chunks / participants⌉`,
+    /// participant `w` ([`WorkerPool::run`]'s id) takes chunks
+    /// `w·per .. (w+1)·per` in ascending order. `participants` is clamped
+    /// to `1..=`[`MAX_PARTICIPANTS`] and to the chunk count; one
+    /// participant runs every chunk inline on the calling thread.
+    ///
+    /// This is the safe fan-out for data-parallel steps: each participant
+    /// owns its chunks' `&mut` outright, so per-shard scratch, gradient
+    /// buffers and output blocks need no shared-mutable view. Which
+    /// participant runs a chunk never changes what it computes.
+    ///
+    /// # Panics
+    /// If `chunk_len == 0`, or `f` panicked on any participant (see
+    /// [`WorkerPool::run`]).
+    pub fn run_chunks<T: Send>(
+        &self,
+        data: &mut [T],
+        chunk_len: usize,
+        participants: usize,
+        f: impl Fn(usize, &mut [T]) + Sync,
+    ) {
+        assert!(chunk_len > 0, "run_chunks needs a positive chunk length");
+        let chunks = data.len().div_ceil(chunk_len);
+        let participants = participants.clamp(1, MAX_PARTICIPANTS).min(chunks.max(1));
+        if participants == 1 {
+            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
+                f(i, chunk);
+            }
+            return;
+        }
+        let per = chunks.div_ceil(participants);
+        // Each participant's run waits in its own slot; the participant
+        // takes it out, so every `&mut` is handed over exactly once.
+        let mut runs: [Mutex<Option<&mut [T]>>; MAX_PARTICIPANTS] =
+            std::array::from_fn(|_| Mutex::new(None));
+        for (slot, run) in runs.iter_mut().zip(data.chunks_mut(per * chunk_len)) {
+            *slot.get_mut().expect("fresh slot") = Some(run);
+        }
+        self.run(chunks.div_ceil(per), &|w| {
+            let run = runs[w].lock().expect("run slot poisoned").take();
+            let run = run.expect("each participant's run is taken once");
+            for (j, chunk) in run.chunks_mut(chunk_len).enumerate() {
+                f(w * per + j, chunk);
+            }
+        });
+    }
+
     /// Grow the pool to at least `needed` workers (allocates and spawns
     /// only on growth — never in steady state).
     fn ensure_workers(&self, needed: usize) {
@@ -337,17 +389,42 @@ pub fn pin_thread_to_core(id: usize) -> bool {
     pin_thread_to_cpus(&[core_for(id)])
 }
 
-/// Where a thread that must not preempt the `serving` CPUs runs: the
-/// `process` set minus `serving`, with `false`; or, when that leaves no
-/// CPU, the whole `process` set with `true` — it then shares a serving
-/// CPU, but never sits on one serving CPU alone.
+/// Where a thread that must not preempt the `serving` CPUs runs, with
+/// `true` when it shares one of them. The first non-empty answer wins:
+///
+/// 1. the `process` set minus the serving CPUs and their SMT siblings
+///    (each serving CPU's `topology/thread_siblings_list`, read once per
+///    call) — a load on a serving core's twin thread slows it as much
+///    as one on the core itself;
+/// 2. the `process` set minus the serving CPUs;
+/// 3. the whole `process` set, with `true` — the thread then shares a
+///    serving CPU, but never sits on one serving CPU alone.
 pub fn cpus_beside(process: &[usize], serving: &[usize]) -> (Vec<usize>, bool) {
-    let free: Vec<usize> = process.iter().copied().filter(|c| !serving.contains(c)).collect();
-    if free.is_empty() {
-        (process.to_vec(), true)
-    } else {
-        (free, false)
-    }
+    cpus_beside_with(process, serving, |cpu| {
+        let path = format!("/sys/devices/system/cpu/cpu{cpu}/topology/thread_siblings_list");
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|list| parse_cpu_list(&list))
+            .unwrap_or_default()
+    })
+}
+
+/// The rule of [`cpus_beside`] over an injected sibling map:
+/// `siblings(cpu)` lists the hardware threads of `cpu`'s core.
+fn cpus_beside_with(
+    process: &[usize],
+    serving: &[usize],
+    siblings: impl Fn(usize) -> Vec<usize>,
+) -> (Vec<usize>, bool) {
+    let without = |taken: &[usize]| -> Vec<usize> {
+        process.iter().copied().filter(|c| !taken.contains(c)).collect()
+    };
+    let cores: Vec<usize> =
+        serving.iter().flat_map(|&cpu| siblings(cpu)).chain(serving.iter().copied()).collect();
+    [without(&cores), without(serving)]
+        .into_iter()
+        .find(|free| !free.is_empty())
+        .map_or_else(|| (process.to_vec(), true), |free| (free, false))
 }
 
 /// Best-effort: restrict the calling thread to `cpus`. No-op (false)
@@ -400,86 +477,95 @@ fn set_affinity(_cpus: &[usize]) -> bool {
     false
 }
 
-/// A `Sync` view over a `&mut [T]` that lets [`WorkerPool::run`] workers
-/// claim **disjoint** elements by index — the bridge between the pool's
-/// shared `Fn(usize)` task and the per-worker `&mut` state (scratches,
-/// gradient shards, output blocks) a data-parallel step hands out.
-///
-/// The aliasing discipline lives in the caller's fixed partition: each
-/// element index must be claimed by at most one worker per dispatch
-/// (e.g. worker `w` takes `w * per .. (w + 1) * per`). That is exactly
-/// the contract `thread::scope` + `chunks_mut` used to enforce
-/// statically; the pool trades that static proof for one `unsafe` call
-/// site per claim.
-pub struct DisjointSliceMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: sharing the view only hands out raw capacity to claim
-// elements; actual `&mut T` access is gated by `index_mut`'s contract
-// that claims never overlap, and `T: Send` lets claimed elements be
-// mutated from worker threads.
-unsafe impl<T: Send> Sync for DisjointSliceMut<'_, T> {}
-
-impl<'a, T> DisjointSliceMut<'a, T> {
-    /// Wrap an exclusive slice borrow for distribution across workers.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        DisjointSliceMut {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of elements in the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exclusive access to element `i`.
-    ///
-    /// # Safety
-    /// Within one pool dispatch, no two workers may claim the same
-    /// index, and the caller must not touch the wrapped slice until the
-    /// dispatch completes.
-    ///
-    /// # Panics
-    /// If `i` is out of bounds.
-    #[allow(clippy::mut_from_ref)] // the &self receiver is what workers share; exclusivity
-                                   // of each element is the documented safety contract
-    pub unsafe fn index_mut(&self, i: usize) -> &'a mut T {
-        assert!(i < self.len, "disjoint slice index {i} out of bounds ({})", self.len);
-        // SAFETY: in-bounds by the assert; exclusive by the caller's
-        // disjointness contract.
-        unsafe { &mut *self.ptr.add(i) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Every chunk runs exactly once, with its own index and length —
+    /// the last one short when the length does not divide — and each
+    /// participant takes a contiguous run of chunks.
     #[test]
-    fn disjoint_slice_hands_out_every_element() {
+    fn run_chunks_runs_every_chunk_once() {
         let pool = WorkerPool::new();
-        let mut data = vec![0u64; 10];
-        let view = DisjointSliceMut::new(&mut data);
-        let per = view.len().div_ceil(3);
-        pool.run(3, &|w| {
-            for i in (w * per)..((w + 1) * per).min(view.len()) {
-                // SAFETY: the [w*per, (w+1)*per) ranges are disjoint.
-                *unsafe { view.index_mut(i) } = (w as u64 + 1) * 100 + i as u64;
+        for (len, chunk_len, participants) in [(10, 1, 3), (10, 3, 3), (257, 32, 2), (8, 8, 4)] {
+            let mut data = vec![(usize::MAX, 0usize, 0usize); len];
+            let runs = AtomicUsize::new(0);
+            pool.run_chunks(&mut data, chunk_len, participants, |i, chunk| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                let n = chunk.len();
+                for (j, slot) in chunk.iter_mut().enumerate() {
+                    *slot = (i, j, n);
+                }
+            });
+            let chunks = len.div_ceil(chunk_len);
+            assert_eq!(runs.load(Ordering::Relaxed), chunks, "{len}/{chunk_len}");
+            for (at, &(i, j, n)) in data.iter().enumerate() {
+                assert_eq!((i, j), (at / chunk_len, at % chunk_len), "element {at}");
+                assert_eq!(n, chunk_len.min(len - i * chunk_len), "chunk {i} length");
             }
+        }
+        // Contiguous runs: 7 chunks over 3 participants are 3 + 3 + 1,
+        // each run on one thread of its own, the first on the caller.
+        let mut owner = vec![None; 7];
+        pool.run_chunks(&mut owner, 1, 3, |_, chunk| {
+            chunk[0] = Some(std::thread::current().id());
         });
-        assert_eq!(data, vec![100, 101, 102, 103, 204, 205, 206, 207, 308, 309]);
+        let owner: Vec<_> = owner.into_iter().map(Option::unwrap).collect();
+        assert_eq!(owner[0], std::thread::current().id());
+        for run in [&owner[0..3], &owner[3..6]] {
+            assert!(run.iter().all(|&t| t == run[0]), "a run stays on one participant");
+        }
+        assert!(owner[0] != owner[3] && owner[3] != owner[6] && owner[0] != owner[6]);
+        pool.shutdown();
+    }
+
+    /// More participants than chunks, no data at all, and one
+    /// participant (inline, in order, on the calling thread).
+    #[test]
+    fn run_chunks_handles_degenerate_fan_outs() {
+        let pool = WorkerPool::new();
+        let mut data = vec![0u32; 3];
+        pool.run_chunks(&mut data, 1, 64, |i, chunk| chunk[0] = i as u32 + 1);
+        assert_eq!(data, [1, 2, 3]);
+        assert_eq!(pool.workers(), 2, "three chunks engage at most three participants");
+        pool.run_chunks(&mut data, 2, 1000, |i, chunk| {
+            chunk.iter_mut().for_each(|v| *v += i as u32)
+        });
+        assert_eq!(data, [1, 2, 4], "a runaway participant count is clamped, not refused");
+
+        let mut empty: [u8; 0] = [];
+        pool.run_chunks(&mut empty, 4, 3, |_, _| panic!("no chunk to run"));
+
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let mut data = vec![0u8; 5];
+        pool.run_chunks(&mut data, 2, 1, |i, chunk| {
+            assert_eq!(std::thread::current().id(), caller, "one participant runs inline");
+            order.lock().unwrap().push((i, chunk.len()));
+        });
+        assert_eq!(*order.lock().unwrap(), [(0, 2), (1, 2), (2, 1)]);
+        pool.shutdown();
+    }
+
+    /// A panic in `f` surfaces from `run_chunks`, on a worker or on the
+    /// caller, and the pool serves the next call.
+    #[test]
+    fn run_chunks_panics_propagate_and_pool_survives() {
+        let pool = WorkerPool::new();
+        let mut data = vec![0u8; 4];
+        for bad in [0usize, 3] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_chunks(&mut data, 1, 4, |i, _| {
+                    if i == bad {
+                        panic!("boom in chunk {i}");
+                    }
+                });
+            }));
+            assert!(caught.is_err(), "a panic in chunk {bad} must surface");
+        }
+        pool.run_chunks(&mut data, 1, 4, |i, chunk| chunk[0] = i as u8);
+        assert_eq!(data, [0, 1, 2, 3], "the pool must keep working after a panic");
         pool.shutdown();
     }
 
@@ -602,15 +688,43 @@ mod tests {
         assert_eq!(core_for(process.len()), process[0], "ids wrap around the set");
     }
 
+    /// Without SMT (each CPU its own sibling, as this rule's callers see
+    /// on most guests), the serving CPUs are all that is left out.
     #[test]
     fn cpus_beside_leaves_the_serving_cpus_free() {
-        assert_eq!(cpus_beside(&[0, 1], &[0]), (vec![1], false));
-        assert_eq!(cpus_beside(&[2, 3, 4], &[3]), (vec![2, 4], false));
-        assert_eq!(cpus_beside(&[0, 1], &[]), (vec![0, 1], false));
+        let beside = |process: &[usize], serving: &[usize]| {
+            cpus_beside_with(process, serving, |cpu| vec![cpu])
+        };
+        assert_eq!(beside(&[0, 1], &[0]), (vec![1], false));
+        assert_eq!(beside(&[2, 3, 4], &[3]), (vec![2, 4], false));
+        assert_eq!(beside(&[0, 1], &[]), (vec![0, 1], false));
         // Nothing left over: the whole process set, flagged as shared —
         // never one serving CPU alone.
-        assert_eq!(cpus_beside(&[0, 1], &[0, 1]), (vec![0, 1], true));
-        assert_eq!(cpus_beside(&[7], &[7]), (vec![7], true));
+        assert_eq!(beside(&[0, 1], &[0, 1]), (vec![0, 1], true));
+        assert_eq!(beside(&[7], &[7]), (vec![7], true));
+        // The host's own topology agrees on the answer's shape.
+        let (cpus, shared) = cpus_beside(&[0, 1], &[0, 1]);
+        assert_eq!((cpus, shared), (vec![0, 1], true));
+    }
+
+    /// With SMT the serving CPUs' twin threads are left out too, while
+    /// anything else is left.
+    #[test]
+    fn cpus_beside_leaves_the_serving_cores_siblings_free() {
+        // 2 cores × 2 threads, numbered as Linux does: core 0 = {0, 2},
+        // core 1 = {1, 3}. A shard on CPU 0 leaves core 1 whole.
+        let two_cores = |cpu: usize| vec![cpu % 2, cpu % 2 + 2];
+        assert_eq!(cpus_beside_with(&[0, 1, 2, 3], &[0], two_cores), (vec![1, 3], false));
+        // 1 core × 2 threads: the twin is all there is, so step 2 takes it.
+        let one_core = |_: usize| vec![0, 1];
+        assert_eq!(cpus_beside_with(&[0, 1], &[0], one_core), (vec![1], false));
+        // Every CPU serving: the whole set, shared.
+        assert_eq!(
+            cpus_beside_with(&[0, 1, 2, 3], &[0, 1, 2, 3], two_cores),
+            (vec![0, 1, 2, 3], true)
+        );
+        // A sibling list naming CPUs outside the process set is harmless.
+        assert_eq!(cpus_beside_with(&[2, 3], &[2], |_| vec![2, 6]), (vec![3], false));
     }
 
     /// The calling thread's allowed CPUs, as the kernel lists them.

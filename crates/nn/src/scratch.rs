@@ -12,19 +12,25 @@
 //! The arena is deliberately dumb (LIFO free list, no size classes):
 //! the compute layers use a small, fixed number of temporaries with
 //! stable shapes per call site, so best-fit machinery would buy nothing.
+//! Besides the matrices it keeps one CSR buffer warm, the staged `xᵀ` of
+//! a sparse input layer's weight gradient.
 
 use crate::matrix::Matrix;
+use crate::sparse::SparseRows;
 
-/// A LIFO pool of reusable [`Matrix`] buffers.
+/// A LIFO pool of reusable [`Matrix`] buffers, plus one [`SparseRows`].
 #[derive(Debug, Default)]
 pub struct Scratch {
     free: Vec<Matrix>,
+    /// The CSR transpose [`crate::Linear::backward_sparse_leaf`] stages;
+    /// its buffers grow to the largest input seen, then stay.
+    pub(crate) xt: SparseRows,
 }
 
 impl Scratch {
     /// An empty arena; buffers are created on first use.
     pub fn new() -> Self {
-        Scratch { free: Vec::new() }
+        Scratch::default()
     }
 
     /// Take a zero-filled `rows × cols` matrix, reusing a pooled buffer

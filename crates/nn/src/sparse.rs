@@ -5,9 +5,11 @@
 //! paper). [`SparseRows`] stores only the nonzeros of such a row stack —
 //! per row, an ascending `(index, value)` list — so the input layer's
 //! matmul gathers weight rows in O(nnz) instead of multiplying zeros
-//! (see [`crate::kernels::sparse_matmul_bias_with`]). The layout is the
-//! classic CSR triple (`indptr`/`indices`/`values`) over a logical
-//! `rows × cols` shape.
+//! (see [`crate::kernels::sparse_matmul_bias_with`]). Its weight
+//! gradient `xᵀ·g` is the same gather run on the CSR transpose
+//! ([`SparseRows::transpose_into`]). The layout is the classic CSR
+//! triple (`indptr`/`indices`/`values`) over a logical `rows × cols`
+//! shape.
 //!
 //! Invariants (enforced on construction): every index is `< cols`,
 //! indices are strictly ascending within a row, and no stored value is
@@ -170,23 +172,45 @@ impl SparseRows {
         out
     }
 
-    /// `selfᵀ` as a dense `cols × rows` matrix written into `out`
-    /// (resized in place): zero-fill, then scatter the stored nonzeros.
-    /// This stages the left operand of the transpose-then-matmul weight
-    /// gradient ([`crate::Linear::backward_sparse_leaf`]) — the same
-    /// bits a dense transpose of the densified rows would produce, in
-    /// O(rows·cols) stores + O(nnz) scattered writes and without a dense
-    /// copy of the rows ever existing.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        let rows = self.rows();
-        out.resize(self.cols, rows);
-        let data = out.data_mut();
-        for i in 0..rows {
-            let (indices, values) = self.row(i);
-            for (&j, &v) in indices.iter().zip(values) {
-                data[j as usize * rows + i] = v;
+    /// `selfᵀ` as a CSR stack written into `out` (its buffers reused):
+    /// a counting-sort transpose, O(rows + cols + nnz). Row `j` of the
+    /// result lists the rows of `self` where column `j` is nonzero, in
+    /// ascending order — so the gather kernel run on it fuses each
+    /// element of a sparse layer's weight gradient `xᵀ·g` in ascending
+    /// row order ([`crate::Linear::backward_sparse_leaf`]). The result
+    /// is canonical, like its input.
+    pub fn transpose_into(&self, out: &mut SparseRows) {
+        out.cols = self.rows();
+        out.indptr.clear();
+        out.indptr.resize(self.cols + 1, 0);
+        out.indices.resize(self.nnz(), 0);
+        out.values.resize(self.nnz(), 0.0);
+        // Plain slices, so the scatter loop keeps their bases in registers
+        // instead of re-reading each Vec after every store.
+        let (indptr, indices, values) =
+            (&mut out.indptr[..], &mut out.indices[..], &mut out.values[..]);
+        // Count column j's nonzeros into indptr[j + 1]; the prefix sum
+        // then leaves indptr[j] at column j's first slot.
+        for &j in &self.indices {
+            indptr[j as usize + 1] += 1;
+        }
+        for j in 0..self.cols {
+            indptr[j + 1] += indptr[j];
+        }
+        // Scatter in ascending source row, using indptr[j] as column j's
+        // cursor: each cursor ends on the next column's start, so one
+        // shift by a slot restores the row pointers.
+        for i in 0..self.rows() {
+            let (row_cols, row_values) = self.row(i);
+            for (&j, &v) in row_cols.iter().zip(row_values) {
+                let slot = &mut indptr[j as usize];
+                indices[*slot as usize] = i as u32;
+                values[*slot as usize] = v;
+                *slot += 1;
             }
         }
+        indptr.copy_within(0..self.cols, 1);
+        indptr[0] = 0;
     }
 
     /// Densify (tests and debugging).
@@ -252,6 +276,52 @@ mod tests {
         assert_eq!(dst.row(1), (&[1u32][..], &[6.0f32][..]));
         assert_eq!(dst.row(2), (&[][..], &[][..]));
         assert_eq!(dst.row(3), (&[0u32, 2][..], &[1.0f32, 2.0][..]));
+    }
+
+    /// The element-wise dense transpose (the reference).
+    fn transposed(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                t.set(j, i, m.get(i, j));
+            }
+        }
+        t
+    }
+
+    /// CSR `transpose_into` equals the CSR view of the dense transpose,
+    /// undoes itself, and reuses a dirty buffer — on shapes with all-zero
+    /// rows, all-zero columns, and none at all.
+    #[test]
+    fn transpose_into_matches_the_dense_transpose() {
+        let with_gaps = Matrix::from_vec(
+            4,
+            5,
+            vec![
+                0.0, 1.5, 0.0, 0.0, -2.0, // row 0
+                0.0, 0.0, 0.0, 0.0, 0.0, // an all-zero row
+                3.0, 0.25, 0.0, 0.0, 1.0, // columns 2 and 3 stay all-zero
+                0.0, -4.0, 0.0, 0.0, 0.5,
+            ],
+        );
+        let shapes = [
+            with_gaps,
+            Matrix::zeros(0, 3), // no rows
+            Matrix::zeros(3, 0), // no columns
+            Matrix::zeros(2, 4), // no nonzeros
+            Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]),
+        ];
+        // One buffer for every case, dirty from the previous one.
+        let mut t = SparseRows::from_dense(&Matrix::from_vec(3, 7, vec![9.0; 21]));
+        let mut back = SparseRows::from_dense(&Matrix::from_vec(2, 2, vec![8.0; 4]));
+        for m in &shapes {
+            let s = SparseRows::from_dense(m);
+            s.transpose_into(&mut t);
+            assert_eq!(t, SparseRows::from_dense(&transposed(m)), "{m:?}");
+            assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
+            t.transpose_into(&mut back);
+            assert_eq!(back, s, "transposing twice returns the input");
+        }
     }
 
     #[test]

@@ -1,31 +1,56 @@
-//! Property tests: the blocked/tiled product kernels must agree with a
-//! textbook naive reference on arbitrary shapes and contents — including
-//! shapes straddling every tile/register-block boundary and operands with
-//! one-hot-like sparsity — and the AVX2 and scalar dispatch paths (plus
-//! the sparse input-layer path) must be **bitwise identical**, not just
-//! close: that identity is what lets `LC_KERNEL` and heterogeneous
-//! hardware never change a trained weight or an estimate.
+//! Property tests: the blocked/tiled product kernels must equal their
+//! documented contract **bitwise** on arbitrary shapes and contents —
+//! including shapes straddling every tile/register-block boundary and
+//! operands with one-hot-like sparsity — on every dispatch tier, and the
+//! sparse gather must equal the dense kernel on the densified rows. That
+//! identity is what lets `LC_KERNEL` and heterogeneous hardware never
+//! change a trained weight or an estimate.
+//!
+//! The case count follows `PROPTEST_CASES` (256 by default); CI also runs
+//! this file at 4096 cases in a release build.
 
-use lc_nn::kernels::{
-    matmul_accumulate_with, matmul_with, sparse_matmul_bias_with, sparse_transa_accumulate_with,
-};
+use lc_nn::kernels::{matmul_accumulate_with, matmul_with, sparse_matmul_bias_with};
 use lc_nn::qmatrix::{qmatmul_dequant_bias_with, qsparse_matmul_dequant_bias_with, quantize_csr};
 use lc_nn::{avx2_available, Kernel, Matrix, QActs, QMatrix, SparseRows};
 use proptest::prelude::*;
 
-/// Naive ijk reference.
-fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
+/// The kernels' contract, one element at a time: `out[i][j]` starts at
+/// `seed[i][j]` (zero, the broadcast bias, or the prior `out`) and fuses
+/// `a[i][k] · b[k][j]` in ascending `k`, one `mul_add` per step. A
+/// mul-then-add reference rounds twice per step and drifts from the
+/// kernels by more than any fixed tolerance on long reductions, so the
+/// comparison is exact instead.
+fn fused_reference(a: &Matrix, b: &Matrix, seed: &Matrix) -> Matrix {
+    assert_eq!(seed.shape(), (a.rows(), b.cols()));
+    let mut out = seed.clone();
     for i in 0..a.rows() {
         for j in 0..b.cols() {
-            let mut acc = 0.0f32;
-            for k in 0..a.cols() {
-                acc += a.get(i, k) * b.get(k, j);
-            }
+            let acc =
+                (0..a.cols()).fold(seed.get(i, j), |acc, k| a.get(i, k).mul_add(b.get(k, j), acc));
             out.set(i, j, acc);
         }
     }
     out
+}
+
+/// `bias` broadcast over `rows` rows — the seed of a fused forward.
+fn broadcast(bias: &[f32], rows: usize) -> Matrix {
+    Matrix::from_vec(
+        rows,
+        bias.len(),
+        bias.iter().copied().cycle().take(rows * bias.len()).collect(),
+    )
+}
+
+/// The dense transpose, element by element.
+fn transposed(m: &Matrix) -> Matrix {
+    let mut t = Matrix::zeros(m.cols(), m.rows());
+    for i in 0..m.rows() {
+        for j in 0..m.cols() {
+            t.set(j, i, m.get(i, j));
+        }
+    }
+    t
 }
 
 /// Textbook int8 reference: plain `i32` dot products over the quantized
@@ -76,11 +101,9 @@ fn shapes() -> impl Strategy<Value = (usize, usize, usize)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// `matmul_into` (tiled + register-blocked) matches naive within
-    /// 1e-5 relative tolerance, on dirty output buffers of any prior
-    /// shape.
+    /// `matmul_into` (tiled + register-blocked, process-active kernel)
+    /// equals the zero-seeded fused reference bitwise, on dirty output
+    /// buffers of any prior shape.
     #[test]
     fn matmul_into_matches_naive(
         (r, k, c) in shapes(),
@@ -90,22 +113,13 @@ proptest! {
     ) {
         let a = matrix_from(r, k, &vals, &mask);
         let b = matrix_from(k, c, &vals, &[1]);
-        let expected = naive_matmul(&a, &b);
         let mut out = Matrix::from_vec(stale_rows, 3, vec![7.0; stale_rows * 3]);
         a.matmul_into(&b, &mut out);
-        prop_assert_eq!(out.shape(), (r, c));
-        for i in 0..r {
-            for j in 0..c {
-                let (got, want) = (out.get(i, j), expected.get(i, j));
-                prop_assert!(
-                    (got - want).abs() <= 1e-5 * want.abs().max(1.0),
-                    "({}, {}): got {} want {}", i, j, got, want
-                );
-            }
-        }
+        prop_assert_eq!(&out, &fused_reference(&a, &b, &Matrix::zeros(r, c)));
     }
 
-    /// The fused bias kernel equals matmul followed by a bias add.
+    /// The fused bias kernel equals the bias-seeded fused reference
+    /// bitwise.
     #[test]
     fn matmul_bias_into_matches_naive(
         (r, k, c) in shapes(),
@@ -115,21 +129,15 @@ proptest! {
         let a = matrix_from(r, k, &vals, &mask);
         let b = matrix_from(k, c, &vals, &[1]);
         let bias: Vec<f32> = (0..c).map(|j| vals[j % vals.len()] as f32 / 200.0).collect();
-        let expected = naive_matmul(&a, &b);
         let mut out = Matrix::zeros(0, 0);
         a.matmul_bias_into(&b, &bias, &mut out);
-        for i in 0..r {
-            for (j, &bias_j) in bias.iter().enumerate() {
-                let want = expected.get(i, j) + bias_j;
-                prop_assert!((out.get(i, j) - want).abs() <= 1e-4 * want.abs().max(1.0));
-            }
-        }
+        prop_assert_eq!(&out, &fused_reference(&a, &b, &broadcast(&bias, r)));
     }
 
-    /// `A·Bᵀ` (transpose + blocked matmul) matches naive, and the two
-    /// ways backward reaches it — `matmul_transb_scratch` re-staging `Bᵀ`
-    /// per call, and `matmul_into` against a cached `Bᵀ` — agree bitwise,
-    /// which is what lets `Linear` cache its weight transpose freely.
+    /// `A·Bᵀ` the one way backward computes it — `Bᵀ` staged by
+    /// `transpose_into` into a dirty buffer (or cached, as `Linear` keeps
+    /// its `Wᵀ`), then the `A·B` kernel — equals the fused reference over
+    /// the element-wise transpose, bitwise.
     #[test]
     fn matmul_transb_paths_match(
         (r, k, c) in shapes(),
@@ -138,69 +146,38 @@ proptest! {
     ) {
         let a = matrix_from(r, k, &vals, &mask);
         let b = matrix_from(c, k, &vals, &[1]); // b: [c × k], used transposed
-        let mut bt = Matrix::zeros(0, 0);
+        let mut bt = Matrix::from_vec(3, 5, vec![7.0; 15]);
         b.transpose_into(&mut bt);
-        let expected = naive_matmul(&a, &bt);
-        let mut cached = Matrix::zeros(0, 0);
-        a.matmul_into(&bt, &mut cached);
-        let mut fast = Matrix::from_vec(2, 2, vec![7.0; 4]);
-        let mut tmp = Matrix::zeros(0, 0);
-        a.matmul_transb_scratch(&b, &mut fast, &mut tmp);
-        prop_assert_eq!(
-            cached.data(), fast.data(),
-            "cached-transpose and per-call-transpose paths must agree bitwise"
-        );
-        for i in 0..r {
-            for j in 0..c {
-                let (got, want) = (fast.get(i, j), expected.get(i, j));
-                prop_assert!((got - want).abs() <= 1e-5 * want.abs().max(1.0));
-            }
-        }
+        prop_assert_eq!(&bt, &transposed(&b), "the staged operand is exactly bᵀ");
+        let mut out = Matrix::from_vec(2, 2, vec![7.0; 4]);
+        a.matmul_into(&bt, &mut out);
+        prop_assert_eq!(&out, &fused_reference(&a, &bt, &Matrix::zeros(r, c)));
     }
 
-    /// The AVX2 and scalar dispatch paths of the dense matmul kernel are
-    /// bitwise identical on arbitrary shapes and sparsity — including a
-    /// bias-seeded output (the fused forward) and dirty k-tile edges.
+    /// Both dispatch tiers of the dense matmul kernel equal the fused
+    /// reference bitwise on arbitrary shapes and sparsity, in both seed
+    /// modes: accumulating into a prior (bias-seeded) `out` — the fused
+    /// forward, and gradient accumulation — and overwriting a dirty `out`
+    /// with stale k-tile edges.
     #[test]
     fn avx2_and_scalar_matmul_are_bitwise_identical(
         (r, k, c) in shapes(),
         vals in proptest::collection::vec(-200i32..200, 8..32),
         mask in proptest::collection::vec(0u8..2, 4..16),
     ) {
-        if avx2_available() {
-            let a = matrix_from(r, k, &vals, &mask);
-            let b = matrix_from(k, c, &vals, &[1]);
-            let bias: Vec<f32> = (0..c).map(|j| vals[j % vals.len()] as f32 / 200.0).collect();
-            let seed = {
-                let mut m = Matrix::zeros(r, c);
-                for i in 0..r {
-                    m.row_mut(i).copy_from_slice(&bias);
-                }
-                m
-            };
-            let mut scalar = seed.clone();
-            let mut avx2 = seed;
-            matmul_accumulate_with(Kernel::Scalar, &a, &b, &mut scalar);
-            matmul_accumulate_with(Kernel::Avx2, &a, &b, &mut avx2);
-            prop_assert_eq!(scalar.data(), avx2.data(), "matmul dispatch paths must match bitwise");
-
-            // Seed (overwrite) mode: stale contents must be ignored and
-            // both dispatch paths must still agree bitwise — this is the
-            // mode matmul_into / matmul_transb_scratch run in production.
-            let mut scalar_s = Matrix::from_vec(r, c, vec![9.0; r * c]);
-            let mut avx2_s = Matrix::from_vec(r, c, vec![-7.0; r * c]);
-            matmul_with(Kernel::Scalar, &a, &b, &mut scalar_s, true);
-            matmul_with(Kernel::Avx2, &a, &b, &mut avx2_s, true);
-            prop_assert_eq!(
-                scalar_s.data(), avx2_s.data(),
-                "seed-mode dispatch paths must match bitwise"
-            );
-            let mut zeroed = Matrix::zeros(r, c);
-            matmul_accumulate_with(Kernel::Scalar, &a, &b, &mut zeroed);
-            prop_assert_eq!(
-                scalar_s.data(), zeroed.data(),
-                "seed mode must equal zero-fill + accumulate bitwise"
-            );
+        let a = matrix_from(r, k, &vals, &mask);
+        let b = matrix_from(k, c, &vals, &[1]);
+        let bias: Vec<f32> = (0..c).map(|j| vals[j % vals.len()] as f32 / 200.0).collect();
+        let prior = broadcast(&bias, r);
+        let accumulated = fused_reference(&a, &b, &prior);
+        let overwritten = fused_reference(&a, &b, &Matrix::zeros(r, c));
+        for kernel in dispatch_tiers() {
+            let mut out = prior.clone();
+            matmul_accumulate_with(kernel, &a, &b, &mut out);
+            prop_assert_eq!(&out, &accumulated, "{:?}: accumulate mode", kernel);
+            let mut out = Matrix::from_vec(r, c, vec![-7.0; r * c]);
+            matmul_with(kernel, &a, &b, &mut out, true);
+            prop_assert_eq!(&out, &overwritten, "{:?}: seed mode must ignore stale contents", kernel);
         }
     }
 
@@ -220,13 +197,10 @@ proptest! {
 
         for kernel in dispatch_tiers() {
             // Dense fused forward: bias-seeded accumulate.
-            let mut dense = Matrix::zeros(r, c);
-            for i in 0..r {
-                dense.row_mut(i).copy_from_slice(&bias);
-            }
+            let mut dense = broadcast(&bias, r);
             matmul_accumulate_with(kernel, &x, &w, &mut dense);
             let mut sparse = Matrix::zeros(0, 0);
-            sparse_matmul_bias_with(kernel, &sp, &w, &bias, &mut sparse);
+            sparse_matmul_bias_with(kernel, &sp, &w, Some(&bias), &mut sparse);
             prop_assert_eq!(
                 dense.data(), sparse.data(),
                 "{:?}: sparse forward must match the dense fused forward bitwise", kernel
@@ -341,44 +315,61 @@ proptest! {
         }
     }
 
-    /// The two weight-gradient strategies of a sparse input layer are the
-    /// same bits on both dispatch paths: O(nnz) gather updates
-    /// (`sparse_transa_accumulate_with`) versus `xᵀ` staged from the CSR
-    /// rows + the blocked matmul kernel — accumulating into a non-zero
-    /// `out`, as gradient buffers do across ragged segments. This is
-    /// exactly what `Linear::backward_sparse_leaf`'s density switch
-    /// relies on; naive `xᵀ·g` bounds both from the outside.
+    /// A sparse input layer's weight gradient: the gather kernel run in
+    /// accumulate mode on the CSR transpose of `x` (`seed = None`) equals,
+    /// bitwise on both dispatch tiers, `xᵀ` staged dense + the blocked
+    /// matmul kernel and the fused reference — accumulating into a
+    /// nonzero `out`, as gradient buffers do across ragged segments.
     #[test]
-    fn sparse_transa_matches_staged_transpose_matmul_bitwise(
+    fn sparse_accumulate_matches_staged_transpose_matmul_bitwise(
         (r, k, c) in shapes(),
         vals in proptest::collection::vec(-200i32..200, 8..32),
         mask in proptest::collection::vec(0u8..2, 4..16),
     ) {
         let x = matrix_from(r, k, &vals, &mask);
         let g = matrix_from(r, c, &vals, &[1]);
-        let sp = SparseRows::from_dense(&x);
-        let mut xt_dense = Matrix::zeros(0, 0);
-        x.transpose_into(&mut xt_dense);
-        let mut xt = Matrix::from_vec(3, 2, vec![5.0; 6]);
-        sp.transpose_into(&mut xt);
-        prop_assert_eq!(&xt, &xt_dense, "CSR-staged transpose must equal the dense transpose");
-        let expected = naive_matmul(&xt, &g);
+        let seed = matrix_from(k, c, &vals, &[1]);
+        check_sparse_accumulate(&x, &g, &seed)?;
+    }
+}
 
-        let seed = matrix_from(k, c, &vals, &mask);
-        for kernel in dispatch_tiers() {
-            let mut gathered = seed.clone();
-            sparse_transa_accumulate_with(kernel, &sp, &g, &mut gathered);
-            let mut staged = seed.clone();
-            matmul_accumulate_with(kernel, &xt, &g, &mut staged);
-            prop_assert_eq!(
-                gathered.data(), staged.data(),
-                "{:?}: gather and transpose-then-matmul must match bitwise", kernel
-            );
-            for i in 0..k {
-                for j in 0..c {
-                    let (got, want) = (staged.get(i, j) - seed.get(i, j), expected.get(i, j));
-                    prop_assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0));
-                }
+/// The checks of `sparse_accumulate_matches_staged_transpose_matmul_bitwise`
+/// on one `x`, output gradient `g` and prior gradient `seed`.
+fn check_sparse_accumulate(x: &Matrix, g: &Matrix, seed: &Matrix) -> Result<(), TestCaseError> {
+    let mut xt = SparseRows::from_dense(&Matrix::from_vec(2, 3, vec![1.0; 6])); // dirty
+    SparseRows::from_dense(x).transpose_into(&mut xt);
+    let xt_dense = transposed(x);
+    prop_assert_eq!(&xt, &SparseRows::from_dense(&xt_dense), "CSR transpose of x");
+    let expected = fused_reference(&xt_dense, g, seed);
+    for kernel in dispatch_tiers() {
+        let mut gathered = seed.clone();
+        sparse_matmul_bias_with(kernel, &xt, g, None, &mut gathered);
+        let mut staged = seed.clone();
+        matmul_accumulate_with(kernel, &xt_dense, g, &mut staged);
+        prop_assert_eq!(&gathered, &staged, "{:?}: gather vs staged transpose", kernel);
+        prop_assert_eq!(&gathered, &expected, "{:?}: gather vs fused reference", kernel);
+    }
+    Ok(())
+}
+
+/// The accumulate-mode gather at output widths on both sides of the
+/// AVX2 path's 8- and 64-column blocks, and on a 0-row `x` (which leaves
+/// the gradient as it was).
+#[test]
+fn sparse_accumulate_covers_every_width_class() {
+    let vals: Vec<i32> = (0..29).map(|i| i * 13 % 400 - 200).collect();
+    for c in [1, 7, 8, 9, 63, 64, 65, 72, 130] {
+        for (r, k) in [(0, 5), (1, 1), (6, 11), (40, 3)] {
+            let x = matrix_from(r, k, &vals, &[1, 0, 0, 1, 0]);
+            let g = matrix_from(r, c, &vals, &[1]);
+            let seed = matrix_from(k, c, &vals[3..], &[1]);
+            check_sparse_accumulate(&x, &g, &seed).unwrap();
+            if r == 0 {
+                let mut out = seed.clone();
+                let mut xt = SparseRows::new(0);
+                SparseRows::from_dense(&x).transpose_into(&mut xt);
+                sparse_matmul_bias_with(Kernel::Scalar, &xt, &g, None, &mut out);
+                assert_eq!(out, seed, "no rows, no gradient");
             }
         }
     }
