@@ -19,16 +19,21 @@
 //! block builder names them and stacks nothing. It stacks every other
 //! *distinct* row once and points every repeat at it, so the MLPs run
 //! once per distinct non-constant row. Training batches
-//! ([`RaggedBatch::assemble_indexed`]) stack one row per element (the
-//! identity index), which the backward pass requires. Segment-mean
-//! pooling reads element rows through the index and computes exactly the
-//! paper's masked average — the same values, summed in the same order,
-//! whichever rows are shared or constant. An empty set yields the zero
-//! vector, matching the all-masked behaviour of the reference
-//! implementation.
+//! ([`RaggedBatch::assemble_into`]) share rows the same way: the corpus
+//! records each row's first bit-identical row once per run
+//! ([`CorpusSparse::build`]), and a shard stacks each such row once. They
+//! name no constants, and the backward pass reads the forward's per-row
+//! caches through the index, so every element still gets its own
+//! gradient row. Segment-mean pooling reads element rows through the
+//! index and computes exactly the paper's masked average — the same
+//! values, summed in the same order, whichever rows are shared or
+//! constant. An empty set yields the zero vector, matching the
+//! all-masked behaviour of the reference implementation.
 
+use std::hash::Hasher;
 use std::sync::Mutex;
 
+use lc_engine::FxHasher;
 use lc_nn::{Matrix, SparseRows};
 
 use crate::featurize::FeaturizedQuery;
@@ -68,10 +73,14 @@ pub struct RaggedBatch {
     pub pred_index: Vec<u32>,
     /// Normalized targets, one per query.
     pub targets: Vec<f32>,
-    /// The block builder's distinct-row lookups (table, join, predicate),
-    /// kept warm with the batch. Join rows are constants, so the join
+    /// The distinct-row lookups (table, join, predicate), kept warm with
+    /// the batch. In a serving block join rows are constants, so the join
     /// lookup is reset but never probed.
     pub(crate) lookups: [RowLookup; 3],
+    /// Per module, the corpus row each stack row was copied from — how
+    /// training assembly confirms a lookup hit (unused by serving
+    /// blocks).
+    pub(crate) origins: [Vec<u32>; 3],
 }
 
 impl RaggedBatch {
@@ -92,12 +101,11 @@ impl RaggedBatch {
     }
 
     /// Assemble the mini-batch holding queries `idx` (in order) of a
-    /// corpus: row ranges are bulk-copied out of `corpus`, targets come
-    /// from `feats` — the per-epoch re-batching path of the trainer.
-    /// Every element gets a row of its own (the identity index), so the
-    /// batch can be trained on.
+    /// corpus into a fresh batch — [`RaggedBatch::assemble_into`] on an
+    /// empty one.
     ///
-    /// `table_dim`, `join_dim`, `pred_dim` must be the widths `corpus`
+    /// # Panics
+    /// If `table_dim`, `join_dim`, `pred_dim` are not the widths `corpus`
     /// was built with.
     pub fn assemble_indexed(
         feats: &[FeaturizedQuery],
@@ -107,33 +115,70 @@ impl RaggedBatch {
         join_dim: usize,
         pred_dim: usize,
     ) -> Self {
-        let pick = |(src, segs): &(SparseRows, Vec<(u32, u32)>), dim| {
-            let (rows, segs) = stack(dim, idx.iter().map(|&i| (src, segs[i])));
-            let index = (0..rows.rows() as u32).collect();
-            (rows, segs, index)
-        };
-        let (tables_sp, table_segs, table_index) = pick(&corpus.tables, table_dim);
-        let (joins_sp, join_segs, join_index) = pick(&corpus.joins, join_dim);
-        let (preds_sp, pred_segs, pred_index) = pick(&corpus.preds, pred_dim);
-        let targets = idx.iter().map(|&i| feats[i].target).collect();
-        RaggedBatch {
-            tables_sp,
-            table_segs,
-            table_index,
-            joins_sp,
-            join_segs,
-            join_index,
-            preds_sp,
-            pred_segs,
-            pred_index,
-            targets,
-            lookups: Default::default(),
+        let dims = (corpus.tables.rows.cols(), corpus.joins.rows.cols(), corpus.preds.rows.cols());
+        assert_eq!((table_dim, join_dim, pred_dim), dims, "widths differ from the corpus");
+        let mut batch = RaggedBatch::default();
+        batch.assemble_into(feats, corpus, idx);
+        batch
+    }
+
+    /// Rebuild this batch in place (buffer capacity carries over) as the
+    /// mini-batch holding queries `idx` (in order) of a corpus — the
+    /// trainer's per-step assembly. Each distinct row of the batch is
+    /// copied out of `corpus` once, in order of first occurrence, and
+    /// every element's index entry names its row; targets come from
+    /// `feats`. No element names a constant, so the batch can be trained
+    /// on.
+    pub fn assemble_into(
+        &mut self,
+        feats: &[FeaturizedQuery],
+        corpus: &CorpusSparse,
+        idx: &[usize],
+    ) {
+        let [tl, jl, pl] = &mut self.lookups;
+        let [to, jo, po] = &mut self.origins;
+        let modules = [
+            (
+                &corpus.tables,
+                &mut self.tables_sp,
+                &mut self.table_segs,
+                &mut self.table_index,
+                tl,
+                to,
+            ),
+            (&corpus.joins, &mut self.joins_sp, &mut self.join_segs, &mut self.join_index, jl, jo),
+            (&corpus.preds, &mut self.preds_sp, &mut self.pred_segs, &mut self.pred_index, pl, po),
+        ];
+        for (set, rows, segs, index, lookup, origins) in modules {
+            rows.clear(set.rows.cols());
+            segs.clear();
+            index.clear();
+            origins.clear();
+            lookup.reset(idx.iter().map(|&q| set.segs[q].1 as usize).sum());
+            for &q in idx {
+                let (offset, len) = set.segs[q];
+                segs.push((index.len() as u32, len));
+                for &first in &set.first[offset as usize..(offset + len) as usize] {
+                    let next = rows.rows() as u32;
+                    let mut h = FxHasher::default();
+                    h.write_u32(first);
+                    let same = |r: u32| origins[r as usize] == first;
+                    let row = lookup.find_or_reserve(h.finish(), next, same).unwrap_or_else(|| {
+                        rows.push_rows_from(&set.rows, first as usize..first as usize + 1);
+                        origins.push(first);
+                        next
+                    });
+                    index.push(row);
+                }
+            }
         }
+        self.targets.clear();
+        self.targets.extend(idx.iter().map(|&i| feats[i].target));
     }
 
     /// The identity-indexed twin of this batch: each element's row — a
     /// stack row or one of `featurizer`'s constant rows — copied out in
-    /// element order; what `assemble_indexed` builds.
+    /// element order, one row per element.
     #[cfg(test)]
     pub(crate) fn expanded(&self, featurizer: &crate::Featurizer) -> RaggedBatch {
         use crate::featurize::Set;
@@ -158,6 +203,7 @@ impl RaggedBatch {
             preds_sp,
             pred_index,
             lookups: Default::default(),
+            origins: Default::default(),
             ..self.clone()
         }
     }
@@ -220,30 +266,56 @@ impl RowLookup {
     }
 }
 
-/// The one row-stacking routine: concatenate row segments `(offset, len)`
-/// of source stacks into a fresh `dim`-wide stack (bulk slice copies, no
-/// per-entry work), returning it with each part's segment in the result.
-fn stack<'a>(
-    dim: usize,
-    parts: impl Iterator<Item = (&'a SparseRows, (u32, u32))>,
-) -> (SparseRows, Vec<(u32, u32)>) {
-    let mut rows = SparseRows::new(dim);
-    let mut segs = Vec::with_capacity(parts.size_hint().0);
-    for (src, (offset, len)) in parts {
-        segs.push((rows.rows() as u32, len));
-        rows.push_rows_from(src, offset as usize..(offset + len) as usize);
+/// One module's corpus-level CSR stack: every query's element rows, each
+/// query's row segment, and per row the first row holding exactly the
+/// same entries.
+struct CorpusSet {
+    rows: SparseRows,
+    segs: Vec<(u32, u32)>,
+    /// Per row, the first bit-identical row of `rows` (itself if it is
+    /// the first).
+    first: Vec<u32>,
+}
+
+impl CorpusSet {
+    /// Stack `stacks` into one `dim`-wide CSR (bulk slice copies) and
+    /// find each row's first bit-identical row, by hash and confirmed
+    /// entry by entry — a hash collision costs at most an unshared row.
+    fn build<'a>(dim: usize, stacks: impl Iterator<Item = &'a SparseRows>) -> Self {
+        let mut rows = SparseRows::new(dim);
+        let mut segs = Vec::with_capacity(stacks.size_hint().0);
+        for src in stacks {
+            segs.push((rows.rows() as u32, src.rows() as u32));
+            rows.push_rows_from(src, 0..src.rows());
+        }
+        let mut lookup = RowLookup::default();
+        lookup.reset(rows.rows());
+        /// A row's entries as words: indices, then value bits.
+        fn bits<'r>((indices, values): (&'r [u32], &'r [f32])) -> impl Iterator<Item = u32> + 'r {
+            indices.iter().copied().chain(values.iter().map(|v| v.to_bits()))
+        }
+        let first = (0..rows.rows() as u32)
+            .map(|r| {
+                let row = rows.row(r as usize);
+                let mut h = FxHasher::default();
+                bits(row).for_each(|word| h.write_u32(word));
+                let same = |earlier: u32| bits(rows.row(earlier as usize)).eq(bits(row));
+                lookup.find_or_reserve(h.finish(), r, same).unwrap_or(r)
+            })
+            .collect();
+        CorpusSet { rows, segs, first }
     }
-    (rows, segs)
 }
 
 /// Corpus-level CSR stacks of a featurized training set: all set-element
-/// rows of every query, stacked once, plus each query's row segment.
-/// Built once per training run; every epoch's mini-batch assembly then
-/// copies whole row ranges out of it ([`SparseRows::push_rows_from`]).
+/// rows of every query, stacked once, plus each query's row segment and
+/// each row's first bit-identical row. Built once per training run; every
+/// step's mini-batch assembly then copies each distinct row it needs out
+/// of it ([`RaggedBatch::assemble_into`]).
 pub struct CorpusSparse {
-    tables: (SparseRows, Vec<(u32, u32)>),
-    joins: (SparseRows, Vec<(u32, u32)>),
-    preds: (SparseRows, Vec<(u32, u32)>),
+    tables: CorpusSet,
+    joins: CorpusSet,
+    preds: CorpusSet,
 }
 
 impl CorpusSparse {
@@ -254,13 +326,10 @@ impl CorpusSparse {
         join_dim: usize,
         pred_dim: usize,
     ) -> Self {
-        let all = |rows_of: fn(&FeaturizedQuery) -> &SparseRows, dim| {
-            stack(dim, feats.iter().map(|q| (rows_of(q), (0, rows_of(q).rows() as u32))))
-        };
         CorpusSparse {
-            tables: all(|q| &q.tables, table_dim),
-            joins: all(|q| &q.joins, join_dim),
-            preds: all(|q| &q.preds, pred_dim),
+            tables: CorpusSet::build(table_dim, feats.iter().map(|q| &q.tables)),
+            joins: CorpusSet::build(join_dim, feats.iter().map(|q| &q.joins)),
+            preds: CorpusSet::build(pred_dim, feats.iter().map(|q| &q.preds)),
         }
     }
 }
@@ -349,11 +418,11 @@ pub fn segment_mean_into_cols(
     }
 }
 
-/// Backward of [`segment_mean_into_cols`] for an identity index (element
-/// `e` is row `e`), reading the pooled gradient from a **column window**
-/// of `grad_pooled` and writing the expanded per-element gradient into
-/// `out` (pre-sized by the caller): each element of segment `q` receives
-/// `grad_pooled[q] / len`.
+/// Backward of [`segment_mean_into_cols`], reading the pooled gradient
+/// from a **column window** of `grad_pooled` and writing the expanded
+/// gradient into `out` (pre-sized by the caller), one row per element
+/// whatever rows the elements share: each element of segment `q`
+/// receives `grad_pooled[q] / len`.
 /// Allocation-free. Each covered row is **overwritten**, so when the
 /// segments tile `out`'s rows exactly — which every [`RaggedBatch`]
 /// builder guarantees: offsets advance by each segment's length and empty
@@ -502,7 +571,14 @@ mod tests {
             preds: rows(3, &[]),
             target: 0.75,
         };
-        let feats = [q1, q2];
+        // Query 1's table row again, bit for bit, under another predicate.
+        let q3 = FeaturizedQuery {
+            tables: rows(2, &[&[1.0, 0.0]]),
+            joins: rows(1, &[]),
+            preds: rows(3, &[&[0.0, 0.5, 0.5]]),
+            target: 0.5,
+        };
+        let feats = [q1, q2, q3];
         let corpus = CorpusSparse::build(&feats, 2, 1, 3);
         let b = RaggedBatch::assemble_indexed(&feats, &corpus, &[0, 1], 2, 1, 3);
         assert_eq!(b.len(), 2);
@@ -519,14 +595,26 @@ mod tests {
         assert_eq!(b.preds_sp, rows(3, &[&[0.5, 0.5, 0.0]]));
         assert_eq!(b.preds_sp.nnz(), 2, "the explicit 0.0 entry must be dropped");
 
-        // Any index order (and repetition) re-stacks rows and segments.
-        let swapped = RaggedBatch::assemble_indexed(&feats, &corpus, &[1, 0, 1], 2, 1, 3);
+        // Any index order (and repetition) re-stacks segments over the
+        // elements; a repeated row is stacked once, in order of first
+        // occurrence, and its elements point at it.
+        let mut swapped = RaggedBatch::empty();
+        swapped.assemble_into(&feats, &corpus, &[1, 0, 1]);
         assert_eq!(swapped.table_segs, vec![(0, 2), (2, 1), (3, 2)]);
         assert_eq!(swapped.join_segs, vec![(0, 1), (1, 0), (1, 1)]);
         assert_eq!(swapped.targets, vec![0.75, 0.25, 0.75]);
-        assert_eq!(
-            swapped.tables_sp.to_dense().data(),
-            &[0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-        );
+        assert_eq!(swapped.table_index, vec![0, 1, 2, 0, 1]);
+        assert_eq!(swapped.tables_sp.to_dense().data(), &[0.0, 1.0, 1.0, 1.0, 1.0, 0.0]);
+        assert_eq!((&swapped.join_index[..], swapped.joins_sp.rows()), (&[0, 0][..], 1));
+
+        // Rows of different queries are shared too, and a reused batch
+        // keeps nothing of its last assembly.
+        swapped.assemble_into(&feats, &corpus, &[2, 0]);
+        assert_eq!(swapped.table_index, vec![0, 0]);
+        assert_eq!(swapped.tables_sp, rows(2, &[&[1.0, 0.0]]));
+        assert_eq!(swapped.pred_index, vec![0, 1]);
+        assert_eq!(swapped.preds_sp, rows(3, &[&[0.0, 0.5, 0.5], &[0.5, 0.5, 0.0]]));
+        assert_eq!((swapped.join_index.len(), swapped.joins_sp.rows()), (0, 0));
+        assert_eq!(swapped.targets, vec![0.5, 0.25]);
     }
 }

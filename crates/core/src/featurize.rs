@@ -483,9 +483,9 @@ impl Featurizer {
     /// stacked nor looked up. Each module's stack holds every other
     /// distinct row once, in order of first occurrence; a repeated row is
     /// compared against its earlier copy instead of being pushed, and its
-    /// element points at that copy. The batch is for the forward pass
-    /// only: `MscnModel::backward_scratch` needs one row per element
-    /// ([`RaggedBatch::assemble_indexed`]).
+    /// element points at that copy. The batch names constants, so it is
+    /// for the forward pass only: `MscnModel::backward_scratch` trains on
+    /// batches that name none ([`RaggedBatch::assemble_into`]).
     ///
     /// # Panics
     /// If a query was annotated against more than `sample_size` samples.
@@ -502,6 +502,7 @@ impl Featurizer {
             pred_index,
             targets,
             lookups: [table_lookup, join_lookup, pred_lookup],
+            origins: _,
         } = out;
         let mut modules = [
             (Set::Tables, self.table_dim(), tables_sp, table_segs, table_index, table_lookup),
@@ -695,10 +696,11 @@ mod tests {
     /// The two consumers of the emitters — per-query [`Featurizer::featurize`]
     /// stacked by `CorpusSparse` + `assemble_indexed` (training), and the
     /// block builder [`Featurizer::featurize_into_sparse_batch`] (serving)
-    /// — must describe exactly the same elements: the builder's rows read
-    /// through its index (stack rows, or constant rows for tagged
-    /// elements) are the assembled CSR rows, with the same segments and
-    /// targets, while its stacks hold each distinct non-constant row once.
+    /// — must describe exactly the same elements: each batch's rows read
+    /// through its index (stack rows, or constant rows for the builder's
+    /// tagged elements) are the same rows, with the same segments and
+    /// targets, while the builder's stacks hold each distinct
+    /// non-constant row once.
     #[test]
     fn sparse_batch_builder_matches_assemble_indexed() {
         let (db, samples) = fixture();
@@ -732,10 +734,10 @@ mod tests {
             let mut reused = RaggedBatch::empty();
             f.featurize_into_sparse_batch(&labeled[..5], &mut reused);
             f.featurize_into_sparse_batch(&labeled, &mut reused);
-            let elementwise = reused.expanded(&f);
-            assert_eq!(elementwise.tables_sp, via_assemble.tables_sp, "{mode:?}: CSR tables");
-            assert_eq!(elementwise.joins_sp, via_assemble.joins_sp, "{mode:?}: CSR joins");
-            assert_eq!(elementwise.preds_sp, via_assemble.preds_sp, "{mode:?}: CSR preds");
+            let (elementwise, want) = (reused.expanded(&f), via_assemble.expanded(&f));
+            assert_eq!(elementwise.tables_sp, want.tables_sp, "{mode:?}: CSR tables");
+            assert_eq!(elementwise.joins_sp, want.joins_sp, "{mode:?}: CSR joins");
+            assert_eq!(elementwise.preds_sp, want.preds_sp, "{mode:?}: CSR preds");
             assert_eq!(reused.table_segs, via_assemble.table_segs, "{mode:?}: table segs");
             assert_eq!(reused.join_segs, via_assemble.join_segs, "{mode:?}: join segs");
             assert_eq!(reused.pred_segs, via_assemble.pred_segs, "{mode:?}: pred segs");

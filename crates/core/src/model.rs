@@ -24,13 +24,15 @@ use lc_nn::{FinalActivation, Matrix, Mlp, MlpCache, MlpGrads, Scratch, SparseRow
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::batch::{segment_mean_backward_from_cols, segment_mean_into_cols, RaggedBatch};
+use crate::batch::{
+    segment_mean_backward_from_cols, segment_mean_into_cols, RaggedBatch, CONSTANT,
+};
 use crate::featurize::{Featurizer, Set};
 
 /// External gradient buffers for all four MLPs, in canonical order. Each
 /// data-parallel shard accumulates into its own `MscnGrads`; the trainer
-/// then reduces them shard-by-shard in fixed order, which is what keeps
-/// training bitwise reproducible at any thread count.
+/// then sums them in fixed shard order ([`MscnGrads::sum_in_order`]),
+/// which is what keeps training bitwise reproducible at any thread count.
 #[derive(Clone, Debug)]
 pub struct MscnGrads {
     /// Table set-module gradients.
@@ -52,13 +54,43 @@ impl MscnGrads {
         self.out.zero();
     }
 
-    /// Element-wise `self += other` — one step of the deterministic
-    /// fixed-order shard reduction.
-    pub fn add_assign(&mut self, other: &MscnGrads) {
-        self.table.add_assign(&other.table);
-        self.join.add_assign(&other.join);
-        self.pred.add_assign(&other.pred);
-        self.out.add_assign(&other.out);
+    /// Overwrite every gradient with the element-wise sum of `shards` —
+    /// per element `((0 + g₀) + g₁) + …`, in the order `shards` yields
+    /// them: the deterministic shard reduction, in one pass that reads
+    /// each shard and writes `self` once, block by cache-sized block.
+    ///
+    /// # Panics
+    /// If a shard's shapes differ from `self`'s.
+    pub fn sum_in_order<'a>(&mut self, shards: impl Iterator<Item = &'a MscnGrads> + Clone) {
+        /// Elements per block: a block of `self` stays in L1 while every
+        /// shard adds into it.
+        const BLOCK: usize = 512;
+        for (t, total) in self.tensors_mut().enumerate() {
+            let same_shape = shards.clone().all(|shard| shard.tensor(t).len() == total.len());
+            assert!(same_shape, "sum_in_order: a shard's gradient shapes differ");
+            for (b, block) in total.chunks_mut(BLOCK).enumerate() {
+                block.fill(0.0);
+                for shard in shards.clone() {
+                    for (o, &g) in block.iter_mut().zip(&shard.tensor(t)[b * BLOCK..]) {
+                        *o += g;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Gradient tensor `t` in canonical order (module, layer, then
+    /// weights before bias) — the order of [`MscnGrads::tensors_mut`].
+    fn tensor(&self, t: usize) -> &[f32] {
+        self.mlps()[t / 4].layers()[t / 2 % 2].tensors()[t % 2]
+    }
+
+    /// Every gradient tensor, mutable, in canonical order.
+    fn tensors_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        [&mut self.table, &mut self.join, &mut self.pred, &mut self.out]
+            .into_iter()
+            .flat_map(|m| [&mut m.l1, &mut m.l2])
+            .flat_map(|l| [l.w.data_mut(), &mut l.b[..]])
     }
 
     /// The four module gradients in canonical (table, join, predicate,
@@ -227,12 +259,17 @@ impl MscnModel {
     /// set-module input gradients (which nothing consumes) are never
     /// computed.
     ///
+    /// Elements may share rows ([`RaggedBatch::assemble_into`] stacks
+    /// each distinct row once): the set modules' backward reads the
+    /// forward's per-row caches through the element index, so every
+    /// gradient is bitwise the one the same queries' batch with one row
+    /// per element gets.
+    ///
     /// # Panics
-    /// If `s.grad_pred.len() != batch.len()`, or if some set element does
-    /// not own its row (a serving block from
-    /// `Featurizer::featurize_into_sparse_batch`, which shares rows and
-    /// names constants, is forward-only; train on
-    /// [`RaggedBatch::assemble_indexed`] batches).
+    /// If `s.grad_pred.len() != batch.len()`, or if an element names a
+    /// model constant (a serving block from
+    /// `Featurizer::featurize_into_sparse_batch` is forward-only: a
+    /// constant's outputs are derived, not computed in this pass).
     pub fn backward_scratch(
         &self,
         batch: &RaggedBatch,
@@ -242,10 +279,8 @@ impl MscnModel {
         let n = batch.len();
         assert_eq!(s.grad_pred.len(), n, "grad_pred must match the batch");
         assert!(
-            self.sets(batch).iter().all(|(_, x, _, index)| {
-                index.len() == x.rows() && index.iter().enumerate().all(|(e, &r)| r as usize == e)
-            }),
-            "backward_scratch: this batch shares rows or names constants, so it is forward-only"
+            self.sets(batch).iter().all(|(.., index)| index.iter().all(|&e| e & CONSTANT == 0)),
+            "backward_scratch: this batch names model constants, so it is forward-only"
         );
         let d = self.hidden;
         s.grad_out.resize_for_overwrite(n, 1);
@@ -259,17 +294,21 @@ impl MscnModel {
             Some(&mut s.grad_concat),
         );
         // Expand each module's slice of the concatenated gradient straight
-        // back to element rows (no per-module pooled temporaries), then
-        // backprop through the set MLP in sparse leaf mode: the first
-        // layer's weight gradient is the forward's O(nnz) gather run on
-        // the CSR transpose of the input. Batch segments tile the element
-        // rows exactly, so the expansion overwrites every row and the
-        // reshape can skip its zero-fill.
+        // back to one row per element (no per-module pooled temporaries),
+        // then backprop through the set MLP in sparse leaf mode, reading
+        // each element's cached row through the index: the first layer's
+        // weight gradient is the forward's O(nnz) gather run on the CSR
+        // transpose of the input over the elements. Batch segments tile
+        // the elements exactly, so the expansion overwrites every row and
+        // the reshape can skip its zero-fill.
         let set_grads = [&mut grads.table, &mut grads.join, &mut grads.pred];
-        for (m, ((mlp, x, segs, _), g)) in self.sets(batch).into_iter().zip(set_grads).enumerate() {
-            s.g_elems.resize_for_overwrite(x.rows(), d);
+        for (m, ((mlp, x, segs, index), g)) in
+            self.sets(batch).into_iter().zip(set_grads).enumerate()
+        {
+            s.g_elems.resize_for_overwrite(index.len(), d);
             segment_mean_backward_from_cols(&s.grad_concat, m * d, d, segs, &mut s.g_elems);
-            mlp.backward_sparse_scratch(x, &s.set_caches[m], &mut s.g_elems, g, &mut s.arena);
+            let cache = &s.set_caches[m];
+            mlp.backward_sparse_scratch(x, Some(index), cache, &mut s.g_elems, g, &mut s.arena);
         }
     }
 
@@ -300,7 +339,7 @@ impl MscnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{CorpusSparse, CONSTANT};
+    use crate::batch::CorpusSparse;
     use crate::featurize::FeaturizedQuery;
     use lc_nn::LossKind;
     use rand::seq::SliceRandom;
@@ -566,19 +605,18 @@ mod tests {
         model.forward_scratch(&block, &mut s);
     }
 
-    /// A block that shares rows between elements cannot be trained on:
-    /// the backward pass would need one gradient row per element.
+    /// A batch that names a model constant cannot be trained on: its
+    /// outputs are derived, not computed by the pass being differentiated.
     #[test]
     #[should_panic(expected = "forward-only")]
-    fn backward_rejects_a_batch_that_shares_rows() {
+    fn backward_rejects_a_batch_that_names_constants() {
         let dims = (8, 4, 6);
         let mut rng = SmallRng::seed_from_u64(8);
         let q = random_query(&mut rng, dims, 0.5);
         let mut batch = batch_of(&[q.clone(), q], dims);
-        // Point the second query's table elements at the first query's.
-        let shared = batch.table_segs[0].1 as usize;
-        batch.table_index.copy_within(..shared, shared);
-        let model = MscnModel::new(dims.0, dims.1, dims.2, 8, 9);
+        let mut model = MscnModel::new(dims.0, dims.1, dims.2, 8, 9);
+        model.constants[0] = Matrix::zeros(1, 8);
+        batch.table_index[0] = CONSTANT;
         let mut s = MscnScratch::new();
         model.forward_scratch(&batch, &mut s);
         s.grad_pred = vec![0.1; batch.len()];

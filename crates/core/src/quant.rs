@@ -533,7 +533,7 @@ mod tests {
 
     /// The int8 model derives its constants with its own forward when it
     /// is quantized or decoded, so served answers (blocks name constants)
-    /// are bitwise those of the one-row-per-element batch (which names
+    /// are bitwise those of the assembled training batch (which names
     /// none), for the original, a clone and a decoded copy alike.
     #[test]
     fn derived_constants_follow_every_quantized_estimator() {

@@ -19,16 +19,18 @@
 //! [`RuntimeConfig`](lc_nn::RuntimeConfig) steers default-config runs)
 //! only decide *which* worker computes which shard.
 //!
-//! All shard scratches and gradient buffers are allocated once per
-//! training run and resized in place, and each epoch's ragged batches are
-//! assembled up front — in steady state the compute of a step (forward,
-//! loss, backward, reduce, Adam) performs **zero heap allocations and
-//! zero thread spawns** (asserted by the counting-allocator test in
+//! All shard batches, scratches and gradient buffers are allocated once
+//! per training run and rebuilt in place: each shard assembles its own
+//! queries into its warm batch as the step runs
+//! ([`RaggedBatch::assemble_into`], which stacks each distinct row of the
+//! shard once, so the set MLPs forward it once), then runs forward, loss
+//! and backward. In steady state a whole step (assembly, forward, loss,
+//! backward, reduction, Adam) performs **zero heap allocations and zero
+//! thread spawns** (asserted by the counting-allocator test in
 //! `tests/alloc.rs`). Multi-worker steps dispatch onto the process-wide
 //! persistent [`WorkerPool`] — long-lived pinned workers parked on a
-//! condvar — instead of spawning `thread::scope` threads per step; the
-//! same pool serves block-parallel batch inference and, through it,
-//! `lc_serve`'s micro-batched flushes.
+//! condvar; the same pool serves block-parallel batch inference and,
+//! through it, `lc_serve`'s micro-batched flushes.
 
 use std::time::Instant;
 
@@ -50,18 +52,19 @@ use crate::model::{MscnGrads, MscnModel, MscnScratch};
 const MAX_SHARDS: usize = 8;
 
 /// Smallest shard worth the per-shard bookkeeping (queries). Each shard
-/// pays fixed costs per backward — gradient-buffer zero/reduce passes
-/// and the transpose staging of every weight gradient (a dense `xᵀ` per
-/// hidden layer, a CSR `xᵀ` per set-module input layer) — and
+/// pays fixed costs per step — zeroing and reducing a whole gradient
+/// buffer, and the CSR `xᵀ` each set-module input layer's weight
+/// gradient stages — while rows shared within it are forwarded once, and
 /// sub-32-query shards also leave the SIMD kernels under-fed (row-pair
 /// blocking wants tall operands). 32 keeps the paper's batch 256 at its
 /// full 8-way shard fan-out while stopping small batches from shredding
 /// themselves into overhead.
 const MIN_SHARD: usize = 32;
 
-/// Below this many queries a step runs its shards serially even when
-/// workers are configured — spawning threads would cost more than the
-/// compute. Purely a scheduling decision; results are identical.
+/// Below this many queries a step runs its shards inline even when
+/// workers are configured — waking the pool's parked workers would cost
+/// more than the compute. Purely a scheduling decision; results are
+/// identical.
 const PARALLEL_STEP_MIN: usize = 64;
 
 /// Queries per inference block. Blocks are the unit of inference
@@ -288,26 +291,19 @@ pub struct TrainedModel {
     pub report: TrainReport,
 }
 
-/// One mini-batch, pre-partitioned into its fixed gradient shards.
-struct StepBatch {
-    shards: Vec<RaggedBatch>,
-    n: usize,
-}
-
 /// Everything a training run reuses across steps: the optimizer, one
-/// scratch + gradient buffer per shard, and the reduction target.
-/// Allocated once; every buffer is resized in place thereafter.
+/// batch + scratch + gradient buffer per shard, and the reduction target.
+/// Allocated once; every buffer is rebuilt in place thereafter.
 struct Trainer {
     adam: Adam,
     slots: Vec<usize>,
-    /// Shard `i`'s scratch and gradients, handed out together.
-    shard_buffers: Vec<(MscnScratch, MscnGrads)>,
+    /// Shard `i`'s batch, scratch and gradients, handed out together.
+    shard_buffers: Vec<(RaggedBatch, MscnScratch, MscnGrads)>,
     total: MscnGrads,
     threads: usize,
     loss: LossKind,
     scale: f32,
     batch_size: usize,
-    dims: (usize, usize, usize),
 }
 
 impl Trainer {
@@ -325,45 +321,30 @@ impl Trainer {
             adam,
             slots,
             shard_buffers: (0..MAX_SHARDS)
-                .map(|_| (MscnScratch::new(), model.new_grads()))
+                .map(|_| (RaggedBatch::empty(), MscnScratch::new(), model.new_grads()))
                 .collect(),
             total: model.new_grads(),
             threads: config.effective_threads(),
             loss: config.loss,
             scale,
             batch_size: config.batch_size.max(1),
-            dims: model.input_dims(),
         }
     }
 
-    /// Assemble one epoch's mini-batches (already sharded) up front, so
-    /// the steps themselves never build query views or touch the
-    /// allocator: CSR row ranges are bulk-copied out of the corpus-level
-    /// [`CorpusSparse`] (no per-epoch rescans or per-entry validation).
-    fn assemble_epoch(
-        &self,
+    /// One optimizer step over the mini-batch of corpus queries `chunk`;
+    /// returns its mean training loss. Each fixed shard assembles its
+    /// queries into its warm batch and runs forward, loss and backward,
+    /// inline or on the persistent worker pool — same bytes either way
+    /// (fixed partition, fixed-order reduction).
+    fn run_step(
+        &mut self,
+        model: &mut MscnModel,
         feats: &[FeaturizedQuery],
         corpus: &CorpusSparse,
-        order: &[usize],
-    ) -> Vec<StepBatch> {
-        let (td, jd, pd) = self.dims;
-        order
-            .chunks(self.batch_size)
-            .map(|chunk| StepBatch {
-                shards: shard_ranges(chunk.len())
-                    .map(|r| RaggedBatch::assemble_indexed(feats, corpus, &chunk[r], td, jd, pd))
-                    .collect(),
-                n: chunk.len(),
-            })
-            .collect()
-    }
-
-    /// One optimizer step over a sharded mini-batch; returns its mean
-    /// training loss. Shards run inline or on the persistent worker pool
-    /// — same bytes either way (fixed partition, fixed-order reduction).
-    fn run_step(&mut self, model: &mut MscnModel, step: &StepBatch) -> f64 {
-        let num_shards = step.shards.len();
-        let (loss, scale, n) = (self.loss, self.scale, step.n);
+        chunk: &[usize],
+    ) -> f64 {
+        let (loss, scale, n) = (self.loss, self.scale, chunk.len());
+        let num_shards = shard_ranges(n).count();
         let model_ref: &MscnModel = model;
         let workers = if n >= PARALLEL_STEP_MIN { self.threads } else { 1 };
         let buffers = &mut self.shard_buffers[..num_shards];
@@ -371,7 +352,9 @@ impl Trainer {
             // Per-shard wall time: the histogram's spread (p50 vs max) is
             // the shard-imbalance signal.
             let _span = SpanTimer::start(&metrics::TRAIN_SHARD_NS);
-            let (batch, (scr, g)) = (&step.shards[i], &mut slot[0]);
+            let (batch, scr, g) = &mut slot[0];
+            let queries = shard_ranges(n).nth(i).expect("one range per shard");
+            batch.assemble_into(feats, corpus, &chunk[queries]);
             g.zero();
             model_ref.forward_scratch(batch, scr);
             scr.grad_pred.clear();
@@ -381,10 +364,8 @@ impl Trainer {
             model_ref.backward_scratch(batch, scr, g);
         });
         // Deterministic fixed-order reduction, then one serial Adam step.
-        self.total.zero();
-        for (_, g) in &self.shard_buffers[..num_shards] {
-            self.total.add_assign(g);
-        }
+        let shards = &self.shard_buffers[..num_shards];
+        self.total.sum_in_order(shards.iter().map(|(_, _, g)| g));
         self.adam.begin_step();
         let Trainer { adam, slots, total, .. } = self;
         let mut slot_iter = slots.iter();
@@ -401,11 +382,11 @@ impl Trainer {
         for mlp in model.mlps_mut() {
             mlp.refresh_transpose_cache();
         }
-        self.shard_buffers[..num_shards].iter().map(|(scr, _)| scr.loss).sum::<f64>()
-            / step.n as f64
+        self.shard_buffers[..num_shards].iter().map(|(_, scr, _)| scr.loss).sum::<f64>() / n as f64
     }
 
-    /// One pass over `order`; returns the mean per-batch training loss.
+    /// One pass over `order`, a mini-batch of `batch_size` queries per
+    /// step; returns the mean per-batch training loss.
     fn run_epoch(
         &mut self,
         model: &mut MscnModel,
@@ -415,12 +396,11 @@ impl Trainer {
     ) -> f64 {
         metrics::TRAIN_EPOCHS.inc();
         let _span = SpanTimer::start(&metrics::TRAIN_EPOCH_NS);
-        let steps = self.assemble_epoch(feats, corpus, order);
         let mut epoch_loss = 0.0f64;
-        for step in &steps {
-            epoch_loss += self.run_step(model, step);
+        for chunk in order.chunks(self.batch_size) {
+            epoch_loss += self.run_step(model, feats, corpus, chunk);
         }
-        epoch_loss / steps.len().max(1) as f64
+        epoch_loss / order.len().div_ceil(self.batch_size).max(1) as f64
     }
 }
 
@@ -459,8 +439,8 @@ fn fit_frozen(
 ) -> MscnEstimator {
     let feats: Vec<FeaturizedQuery> = data.iter().map(|q| featurizer.featurize(q)).collect();
     let (td, jd, pd) = model.input_dims();
-    // The corpus is stacked once; every epoch's batch assembly then
-    // bulk-copies row ranges out of it.
+    // The corpus is stacked once; every step's batch assembly then
+    // copies the distinct rows it needs out of it.
     let corpus = CorpusSparse::build(&feats, td, jd, pd);
     let mut trainer = Trainer::new(&mut model, config, featurizer.label_norm().scale());
     let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -550,7 +530,7 @@ pub fn train(
     let val_truth: Vec<f64> = val_idx.iter().map(|&i| data[i].cardinality as f64).collect();
 
     let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
-    // Scanned once; every epoch's batch assembly bulk-copies out of it.
+    // Scanned once; every step's batch assembly copies rows out of it.
     let corpus = CorpusSparse::build(&feats, td, jd, pd);
     let mut model = MscnModel::new(td, jd, pd, config.hidden, config.seed ^ 0x5eed);
     let mut trainer = Trainer::new(&mut model, &config, scale);
@@ -576,7 +556,7 @@ pub fn train(
         // Validation mean q-error in cardinality space (Fig. 6's metric),
         // via the warm scratch of shard slot 0 — no per-epoch allocation.
         let label = featurizer.label_norm();
-        let scratch = &mut trainer.shard_buffers[0].0;
+        let scratch = &mut trainer.shard_buffers[0].1;
         let mut q_sum = 0.0f64;
         let mut vi = 0usize;
         for batch in &val_batches {
@@ -905,7 +885,7 @@ mod tests {
     /// An estimator's derived constants are rebuilt wherever it is built
     /// or loaded — training, cloning, decoding, incremental training and
     /// distillation — so its served answers (blocks name constants) stay
-    /// bitwise those of the one-row-per-element batch (which names none),
+    /// bitwise those of the assembled training batch (which names none),
     /// and a clone or a decoded copy answers exactly like the original.
     #[test]
     fn derived_constants_follow_every_estimator() {

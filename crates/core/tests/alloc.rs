@@ -1,18 +1,19 @@
 //! The zero-allocation guarantee of the scratch compute surface, asserted
-//! with a counting global allocator: after one warm-up pass, the
-//! steady-state training step — forward, loss, backward, fixed-order
-//! gradient reduction, Adam — the arena-backed inference forward, and a
-//! serving block (the featurizer's block builder with its shared-row
-//! lookup, then the f32 and int8 forwards) must never touch the
-//! allocator. The pooled phases additionally assert
-//! **zero thread spawns**: once the persistent worker pool is warm, a
-//! multi-worker step is one condvar dispatch, not a `thread::scope`
-//! spawn+join (the last per-step allocation source PR 3 documented).
+//! with a counting global allocator: after one warm-up pass, a whole
+//! steady-state training step — each shard's in-place assembly out of
+//! the corpus (with its shared-row lookup), forward, loss, backward, the
+//! fixed-order gradient reduction, Adam — the arena-backed inference
+//! forward, and a serving block (the featurizer's block builder with its
+//! shared-row lookup, then the f32 and int8 forwards) must never touch
+//! the allocator. The training step is run inline and on the persistent
+//! worker pool, and the pooled phases additionally assert **zero thread
+//! spawns**: once the pool is warm, a multi-worker step is one condvar
+//! dispatch, not a `thread::scope` spawn+join.
 //!
 //! Since the `lc_obs` instrumentation landed, every measured window also
 //! exercises the metrics layer — counter increments, histogram records,
 //! and `SpanTimer` guards run *inside* the zero-allocation assertions
-//! (and the pooled phases go through `WorkerPool::run_chunks`, the same
+//! (and the steps go through `WorkerPool::run_chunks`, the same
 //! instrumented dispatch `lc_core::train` and batch inference use),
 //! proving that observability rides along for free.
 //!
@@ -69,83 +70,99 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A small synthetic ragged batch (no database machinery — this test is
-/// about the compute core only).
-fn synthetic_batch(queries: usize, dims: (usize, usize, usize), salt: f32) -> RaggedBatch {
+/// A small synthetic corpus (no database machinery — this test is about
+/// the compute core only). Queries `q` and `q + 5` hold the same rows, so
+/// mini-batches share rows between elements.
+fn synthetic_feats(queries: usize, dims: (usize, usize, usize), salt: f32) -> Vec<FeaturizedQuery> {
     let (td, jd, pd) = dims;
-    let mut feats = Vec::new();
-    for q in 0..queries {
-        let set = |d: usize, rows: usize, step: f32| {
-            let mut out = SparseRows::new(d);
-            for r in 0..rows {
-                let lo = r as f32 * step;
-                out.push_row((0..d).map(|i| (i as u32, lo + salt * (i + q) as f32 % 1.0)));
+    (0..queries)
+        .map(|q| {
+            let v = q % 5;
+            let set = |d: usize, rows: usize, step: f32| {
+                let mut out = SparseRows::new(d);
+                for r in 0..rows {
+                    let lo = r as f32 * step;
+                    out.push_row((0..d).map(|i| (i as u32, lo + salt * (i + v) as f32 % 1.0)));
+                }
+                out
+            };
+            FeaturizedQuery {
+                tables: set(td, 1 + v % 3, 0.1),
+                joins: set(jd, v % 2, 0.2),
+                preds: set(pd, v % 4, 0.3),
+                target: (q as f32 * 0.37 + salt) % 1.0,
             }
-            out
-        };
-        feats.push(FeaturizedQuery {
-            tables: set(td, 1 + q % 3, 0.1),
-            joins: set(jd, q % 2, 0.2),
-            preds: set(pd, q % 4, 0.3),
-            target: (q as f32 * 0.37 + salt) % 1.0,
-        });
-    }
-    let corpus = CorpusSparse::build(&feats, td, jd, pd);
+        })
+        .collect()
+}
+
+/// The mini-batch of `queries` queries of `feats`, from its corpus.
+fn synthetic_batch(queries: usize, dims: (usize, usize, usize), salt: f32) -> RaggedBatch {
+    let feats = synthetic_feats(queries, dims, salt);
+    let corpus = CorpusSparse::build(&feats, dims.0, dims.1, dims.2);
     let all: Vec<usize> = (0..queries).collect();
-    RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd)
+    RaggedBatch::assemble_indexed(&feats, &corpus, &all, dims.0, dims.1, dims.2)
 }
 
-/// One shard's scratch and gradient buffers, as `lc_core::train` keeps
-/// them.
-type ShardBuffers = (lc_core::MscnScratch, lc_core::MscnGrads);
+/// One shard's batch, scratch and gradient buffers, as `lc_core::train`
+/// keeps them.
+type ShardBuffers = (RaggedBatch, lc_core::MscnScratch, lc_core::MscnGrads);
 
-/// One shard's forward, loss gradient and backward into its buffers.
-fn shard_pass(model: &MscnModel, batch: &RaggedBatch, batch_n: usize, buffers: &mut ShardBuffers) {
-    let (scratch, grads) = buffers;
-    grads.zero();
-    model.forward_scratch(batch, scratch);
-    scratch.grad_pred.clear();
-    scratch.grad_pred.resize(scratch.preds.len(), 0.0);
-    LossKind::MeanQError.loss_and_grad_scaled(
-        &scratch.preds,
-        &batch.targets,
-        3.0,
-        batch_n,
-        &mut scratch.grad_pred,
-    );
-    model.backward_scratch(batch, scratch, grads);
+/// Everything one training run reuses across steps.
+struct Step<'a> {
+    feats: &'a [FeaturizedQuery],
+    corpus: &'a CorpusSparse,
+    shard_buffers: Vec<ShardBuffers>,
+    total: lc_core::MscnGrads,
+    adam: Adam,
+    slots: Vec<usize>,
 }
 
-/// One full training step on pre-assembled shards with warm buffers:
-/// forward, loss gradient, backward, shard reduction, Adam.
-fn train_step(
-    model: &mut MscnModel,
-    shards: &[RaggedBatch],
-    batch_n: usize,
-    shard_buffers: &mut [ShardBuffers],
-    total: &mut lc_core::MscnGrads,
-    adam: &mut Adam,
-    slots: &[usize],
-) {
-    // The same instrumentation `lc_core::train`'s epoch loop runs; it
-    // sits inside the measured window, so a single heap allocation in
-    // the metrics layer would fail the assertions below.
-    metrics::TRAIN_EPOCHS.inc();
-    let _span = SpanTimer::start(&metrics::TRAIN_EPOCH_NS);
-    for (batch, buffers) in shards.iter().zip(shard_buffers.iter_mut()) {
-        shard_pass(model, batch, batch_n, buffers);
-    }
-    total.zero();
-    for (_, grads) in shard_buffers.iter() {
-        total.add_assign(grads);
-    }
-    adam.begin_step();
-    let mut slot_iter = slots.iter();
-    for (mlp, mlp_grads) in model.mlps_mut().into_iter().zip(total.mlps()) {
-        for (layer, layer_grads) in mlp.layers_mut().into_iter().zip(mlp_grads.layers()) {
-            for (params, grads) in layer.params_mut().into_iter().zip(layer_grads.tensors()) {
-                adam.step_slot(*slot_iter.next().unwrap(), params, grads);
+impl Step<'_> {
+    /// One full training step over the mini-batch whose shards are
+    /// `shards` (corpus query indices), as `lc_core::train` runs it: on
+    /// `workers` participants of the persistent pool (1 = inline), each
+    /// shard assembles its queries into its warm batch and runs forward,
+    /// loss gradient and backward; then the fixed-order reduction and
+    /// Adam.
+    fn run(&mut self, model: &mut MscnModel, shards: &[&[usize]], workers: usize) {
+        // The same instrumentation `lc_core::train`'s epoch loop runs; it
+        // sits inside the measured window, so a single heap allocation in
+        // the metrics layer would fail the assertions below.
+        metrics::TRAIN_EPOCHS.inc();
+        let _span = SpanTimer::start(&metrics::TRAIN_EPOCH_NS);
+        let n = shards.iter().map(|s| s.len()).sum();
+        let (feats, corpus, model_ref) = (self.feats, self.corpus, &*model);
+        let buffers = &mut self.shard_buffers[..shards.len()];
+        WorkerPool::global().run_chunks(buffers, 1, workers, |i, slot| {
+            let _span = SpanTimer::start(&metrics::TRAIN_SHARD_NS);
+            let (batch, scratch, grads) = &mut slot[0];
+            batch.assemble_into(feats, corpus, shards[i]);
+            grads.zero();
+            model_ref.forward_scratch(batch, scratch);
+            scratch.grad_pred.clear();
+            scratch.grad_pred.resize(scratch.preds.len(), 0.0);
+            LossKind::MeanQError.loss_and_grad_scaled(
+                &scratch.preds,
+                &batch.targets,
+                3.0,
+                n,
+                &mut scratch.grad_pred,
+            );
+            model_ref.backward_scratch(batch, scratch, grads);
+        });
+        self.total.sum_in_order(self.shard_buffers[..shards.len()].iter().map(|(.., g)| g));
+        self.adam.begin_step();
+        let mut slot_iter = self.slots.iter();
+        for (mlp, mlp_grads) in model.mlps_mut().into_iter().zip(self.total.mlps()) {
+            for (layer, layer_grads) in mlp.layers_mut().into_iter().zip(mlp_grads.layers()) {
+                for (params, grads) in layer.params_mut().into_iter().zip(layer_grads.tensors()) {
+                    self.adam.step_slot(*slot_iter.next().unwrap(), params, grads);
+                }
             }
+        }
+        for mlp in model.mlps_mut() {
+            mlp.refresh_transpose_cache();
         }
     }
 }
@@ -160,10 +177,13 @@ fn steady_state_compute_paths_do_not_allocate() {
 
     let dims = (9, 4, 7);
     let mut model = MscnModel::new(dims.0, dims.1, dims.2, 16, 42);
-    // Two differently-shaped mini-batches (each pre-sharded in two), so
-    // "steady state" covers alternating shapes, not just one.
-    let shards_a = [synthetic_batch(16, dims, 0.11), synthetic_batch(16, dims, 0.23)];
-    let shards_b = [synthetic_batch(9, dims, 0.31), synthetic_batch(9, dims, 0.47)];
+    let feats = synthetic_feats(40, dims, 0.11);
+    let corpus = CorpusSparse::build(&feats, dims.0, dims.1, dims.2);
+    // Two differently-shaped mini-batches, each in two shards, so
+    // "steady state" covers alternating shapes, not just one. Every
+    // shard holds more than five queries, so it shares rows.
+    let order: Vec<usize> = (0..40).map(|i| i * 7 % 40).collect();
+    let steps: [[&[usize]; 2]; 2] = [[&order[..16], &order[16..32]], [&order[32..], &order[..7]]];
 
     let mut adam = Adam::new(1e-3);
     let mut slots = Vec::new();
@@ -174,31 +194,50 @@ fn steady_state_compute_paths_do_not_allocate() {
             }
         }
     }
-    let mut shard_buffers: [ShardBuffers; 2] =
-        std::array::from_fn(|_| (lc_core::MscnScratch::new(), model.new_grads()));
-    let mut total = model.new_grads();
+    let mut step = Step {
+        feats: &feats,
+        corpus: &corpus,
+        shard_buffers: (0..2)
+            .map(|_| (RaggedBatch::empty(), lc_core::MscnScratch::new(), model.new_grads()))
+            .collect(),
+        total: model.new_grads(),
+        adam,
+        slots,
+    };
 
-    // Warm-up: grow every scratch buffer to its steady-state capacity.
-    for _ in 0..3 {
-        for shards in [&shards_a, &shards_b] {
-            train_step(&mut model, shards, 32, &mut shard_buffers, &mut total, &mut adam, &slots);
+    // Phases one and two: the step inline, then on the pool. Warm-up
+    // grows every buffer to its steady-state capacity (and, pooled,
+    // spawns the pool worker).
+    let pool = WorkerPool::global();
+    for (workers, what) in [(1, "inline"), (2, "pooled")] {
+        for _ in 0..3 {
+            for shards in &steps {
+                step.run(&mut model, shards, workers);
+            }
         }
-    }
-
-    let before = allocation_count();
-    for _ in 0..5 {
-        for shards in [&shards_a, &shards_b] {
-            train_step(&mut model, shards, 32, &mut shard_buffers, &mut total, &mut adam, &slots);
+        let shares_rows = |(b, ..): &ShardBuffers| b.tables_sp.rows() < b.table_index.len();
+        assert!(step.shard_buffers.iter().all(shares_rows), "the shards must share rows");
+        let spawned_before = lc_nn::threads_spawned();
+        let before = allocation_count();
+        for _ in 0..5 {
+            for shards in &steps {
+                step.run(&mut model, shards, workers);
+            }
         }
+        assert_eq!(
+            allocation_count() - before,
+            0,
+            "the {what} steady-state training step must perform zero heap allocations"
+        );
+        assert_eq!(
+            lc_nn::threads_spawned() - spawned_before,
+            0,
+            "the {what} steady-state training step must spawn zero threads"
+        );
     }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "the steady-state training step must perform zero heap allocations"
-    );
+    assert!(pool.workers() >= 1, "the pooled step must actually have engaged the pool");
 
-    // Phase two: the arena-backed inference forward on a warm scratch.
+    // Phase three: the arena-backed inference forward on a warm scratch.
     let batch = synthetic_batch(24, dims, 0.19);
     let mut scratch = lc_core::MscnScratch::new();
     for _ in 0..3 {
@@ -218,43 +257,7 @@ fn steady_state_compute_paths_do_not_allocate() {
         0,
         "the steady-state inference forward pass must perform zero heap allocations"
     );
-
-    // Phase three: the POOLED data-parallel step — two participants of
-    // the persistent pool each own one shard's buffers (scratch +
-    // gradients), exactly the `run_chunks` dispatch `lc_core::train`
-    // runs. After the pool has grown once, a steady-state step must
-    // touch neither the allocator nor the spawn path.
-    let pool = WorkerPool::global();
     let model_ref: &MscnModel = &model;
-    let pooled_step = |shards: &[RaggedBatch], shard_buffers: &mut [ShardBuffers]| {
-        pool.run_chunks(shard_buffers, 1, shards.len(), |i, buffers| {
-            shard_pass(model_ref, &shards[i], 32, &mut buffers[0]);
-        });
-    };
-    // Warm-up: spawns the pool worker and grows per-worker buffers.
-    for _ in 0..3 {
-        for shards in [&shards_a, &shards_b] {
-            pooled_step(shards, &mut shard_buffers);
-        }
-    }
-    let spawned_before = lc_nn::threads_spawned();
-    let before = allocation_count();
-    for _ in 0..5 {
-        for shards in [&shards_a, &shards_b] {
-            pooled_step(shards, &mut shard_buffers);
-        }
-    }
-    assert_eq!(
-        allocation_count() - before,
-        0,
-        "the pooled steady-state training step must perform zero heap allocations"
-    );
-    assert_eq!(
-        lc_nn::threads_spawned() - spawned_before,
-        0,
-        "the pooled steady-state training step must spawn zero threads"
-    );
-    assert!(pool.workers() >= 1, "the pooled step must actually have engaged the pool");
 
     // Phase four: pooled batch inference — two warm scratches, one
     // forward block per participant, the shape of `estimate_all`'s

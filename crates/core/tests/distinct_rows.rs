@@ -1,28 +1,34 @@
-//! Differential test of the serving block builder's shared rows and
-//! model constants: [`Featurizer::featurize_into_sparse_batch`] records a
+//! Differential test of shared rows: the serving block builder and the
+//! training assembly stack each distinct row once and point every
+//! repeat at it, and none of that may change anything a caller can see.
+//!
+//! Serving ([`Featurizer::featurize_into_sparse_batch`]) also records a
 //! constant element (every join, every table whose samples all qualify)
-//! as a model constant, stacks every other distinct row once and points
-//! every repeat at it, and none of that may change anything a caller can
-//! see.
+//! as a model constant.
 //!
 //! * Estimates: a block's f32 and int8 answers, and each query's answer
 //!   estimated alone, equal bit for bit what `forward_scratch` gives on
-//!   the `RaggedBatch::assemble_indexed` batch of the same queries — one
-//!   row per element, nothing shared, no constants.
+//!   the same queries' batch with one row per element — nothing shared,
+//!   no constants — stacked from per-query featurization.
 //! * Inputs: the builder's index read through its stacks and, for tagged
-//!   elements, through `Featurizer::constant_rows` is exactly the
-//!   one-row-per-element CSR that `assemble_indexed` stacks from per-query
-//!   featurization, with the same segments and targets; so every tagged
-//!   element's emitted row is its constant row. No row is stacked twice,
-//!   and no constant row is stacked at all.
+//!   elements, through `Featurizer::constant_rows` is exactly that batch's
+//!   CSR, with the same segments and targets; so every tagged element's
+//!   emitted row is its constant row. No row is stacked twice, and no
+//!   constant row is stacked at all.
 //!
-//! Blocks are drawn with replacement from a small pool, so they repeat
-//! whole queries. The pool holds base tables without predicates — one of
-//! them smaller than the sample, so its row is not constant — a predicate
-//! every sample passes, whose table row is constant, and the same
-//! predicate on different queries. Block sizes straddle the 256-query
-//! inference block and, at 600, the parallel-inference fan-out. All four
-//! feature modes are covered. CI runs this file at `PROPTEST_CASES=4096`.
+//! Training (`RaggedBatch::assemble_into` over a `CorpusSparse`) names no
+//! constant. A shard read through its index is the one-row-per-element
+//! batch, each distinct row is stacked once, and its predictions and
+//! every gradient tensor equal that batch's bit for bit.
+//!
+//! Blocks and shards are drawn with replacement from a small pool, so
+//! they repeat whole queries. The pool holds base tables without
+//! predicates — one of them smaller than the sample, so its row is not
+//! constant — a predicate every sample passes, whose table row is
+//! constant, and the same predicate on different queries. Block sizes
+//! straddle the 256-query inference block and, at 600, the
+//! parallel-inference fan-out. All four feature modes are covered. CI
+//! runs this file at `PROPTEST_CASES=4096`.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -35,15 +41,18 @@ use rand::SeedableRng;
 use lc_core::batch::{CorpusSparse, CONSTANT};
 use lc_core::featurize::{FeaturizedQuery, Set};
 use lc_core::{
-    train, FeatureMode, MscnEstimator, MscnScratch, QuantScratch, QuantizedMscn, RaggedBatch,
-    TrainConfig,
+    train, FeatureMode, MscnEstimator, MscnGrads, MscnScratch, QuantScratch, QuantizedMscn,
+    RaggedBatch, TrainConfig,
 };
 use lc_engine::{CmpOp, Database, Predicate, SampleSet, TableId};
 use lc_imdb::{generate, ImdbConfig};
-use lc_nn::SparseRows;
+use lc_nn::{LossKind, SparseRows};
 use lc_query::{workloads, GeneratorConfig, LabeledQuery, Query, QueryGenerator};
 
 const BLOCK_SIZES: [usize; 6] = [1, 2, 63, 256, 257, 600];
+/// Training shard sizes: one query, the trainer's smallest and largest
+/// shards at batch 256, and a whole small batch.
+const SHARD_SIZES: [usize; 4] = [1, 32, 33, 64];
 const MODES: [FeatureMode; 4] = [
     FeatureMode::NoSamples,
     FeatureMode::SampleCounts,
@@ -55,13 +64,15 @@ const MODES: [FeatureMode; 4] = [
 const SAMPLE_SIZE: usize = 84;
 const SMALL_TABLE: TableId = TableId(4);
 
-/// One feature mode's models and each pool query's answers from the
-/// one-row-per-element batch.
+/// One feature mode's models, each pool query's answers from the
+/// one-row-per-element batch, and the pool as a training corpus.
 struct Served {
     f32: MscnEstimator,
     int8: QuantizedMscn,
     want_f32: Vec<u32>,
     want_int8: Vec<u32>,
+    feats: Vec<FeaturizedQuery>,
+    corpus: CorpusSparse,
 }
 
 struct Fixture {
@@ -102,14 +113,33 @@ fn pool(db: &Database, samples: &SampleSet) -> Vec<LabeledQuery> {
     queries.into_iter().map(|q| LabeledQuery::compute(db, samples, q)).collect()
 }
 
-/// The one-row-per-element training batch of `queries`.
-fn assembled(est: &MscnEstimator, queries: &[LabeledQuery]) -> RaggedBatch {
-    let featurizer = est.featurizer();
-    let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
-    let feats: Vec<FeaturizedQuery> = queries.iter().map(|q| featurizer.featurize(q)).collect();
-    let corpus = CorpusSparse::build(&feats, td, jd, pd);
-    let all: Vec<usize> = (0..queries.len()).collect();
-    RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd)
+/// The batch of featurized queries `feats` with one row per element —
+/// each query's own rows, stacked in order, nothing shared.
+fn one_row_per_element(feats: &[&FeaturizedQuery]) -> RaggedBatch {
+    let mut batch = RaggedBatch::empty();
+    let Some(first) = feats.first() else { return batch };
+    let stack = |rows_of: fn(&FeaturizedQuery) -> &SparseRows| {
+        let mut rows = SparseRows::new(rows_of(first).cols());
+        let mut segs = Vec::new();
+        for q in feats {
+            segs.push((rows.rows() as u32, rows_of(q).rows() as u32));
+            rows.push_rows_from(rows_of(q), 0..rows_of(q).rows());
+        }
+        let index = (0..rows.rows() as u32).collect();
+        (rows, segs, index)
+    };
+    (batch.tables_sp, batch.table_segs, batch.table_index) = stack(|q| &q.tables);
+    (batch.joins_sp, batch.join_segs, batch.join_index) = stack(|q| &q.joins);
+    (batch.preds_sp, batch.pred_segs, batch.pred_index) = stack(|q| &q.preds);
+    batch.targets = feats.iter().map(|q| q.target).collect();
+    batch
+}
+
+/// The one-row-per-element batch of `queries`, featurized one by one.
+fn featurized(est: &MscnEstimator, queries: &[LabeledQuery]) -> RaggedBatch {
+    let feats: Vec<FeaturizedQuery> =
+        queries.iter().map(|q| est.featurizer().featurize(q)).collect();
+    one_row_per_element(&feats.iter().collect::<Vec<_>>())
 }
 
 fn fixture() -> &'static Fixture {
@@ -133,13 +163,22 @@ fn fixture() -> &'static Fixture {
                 };
                 let f32 = train(&db, SAMPLE_SIZE, &data, config).estimator;
                 let int8 = QuantizedMscn::quantize(&f32);
-                let batch = assembled(&f32, &pool);
+                let batch = featurized(&f32, &pool);
                 let mut s = MscnScratch::new();
                 f32.model().forward_scratch(&batch, &mut s);
                 let mut q = QuantScratch::new();
                 int8.qmodel().forward_scratch(&batch, &mut q);
-                let served =
-                    Served { want_f32: bits(&s.preds), want_int8: bits(&q.preds), f32, int8 };
+                let f = f32.featurizer();
+                let feats: Vec<FeaturizedQuery> = pool.iter().map(|q| f.featurize(q)).collect();
+                let corpus = CorpusSparse::build(&feats, f.table_dim(), f.join_dim(), f.pred_dim());
+                let served = Served {
+                    want_f32: bits(&s.preds),
+                    want_int8: bits(&q.preds),
+                    f32,
+                    int8,
+                    feats,
+                    corpus,
+                };
                 for (i, query) in pool.iter().enumerate() {
                     let alone = std::slice::from_ref(query);
                     assert_eq!(bits(&served.f32.estimate_normalized(alone))[0], served.want_f32[i]);
@@ -191,7 +230,7 @@ fn check_block(mode: usize, picks: &[usize]) -> Result<(), TestCaseError> {
     }
 
     let featurizer = served.f32.featurizer();
-    let want = assembled(&served.f32, &block);
+    let want = featurized(&served.f32, &block);
     // A differently shaped block first: stale buffers must not leak.
     let mut built = RaggedBatch::empty();
     featurizer.featurize_into_sparse_batch(&fx.pool, &mut built);
@@ -222,10 +261,80 @@ fn check_block(mode: usize, picks: &[usize]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every gradient tensor's bits, in canonical order.
+fn grad_bits(grads: &MscnGrads) -> Vec<u32> {
+    let tensors = grads.mlps().into_iter().flat_map(|m| m.layers()).flat_map(|l| l.tensors());
+    tensors.flat_map(bits).collect()
+}
+
+/// One training shard of pool queries `picks` in feature mode `mode`:
+/// assembled out of the pool's corpus, against its one-row-per-element
+/// twin.
+fn check_shard(mode: usize, picks: &[usize]) -> Result<(), TestCaseError> {
+    let served = &fixture().served[mode];
+    let model = served.f32.model();
+    let want = one_row_per_element(&picks.iter().map(|&i| &served.feats[i]).collect::<Vec<_>>());
+    // A differently shaped shard first: stale buffers must not leak.
+    let mut shard = RaggedBatch::empty();
+    let all: Vec<usize> = (0..served.feats.len()).collect();
+    shard.assemble_into(&served.feats, &served.corpus, &all);
+    shard.assemble_into(&served.feats, &served.corpus, picks);
+    prop_assert_eq!(&shard.targets, &want.targets);
+    let modules = [
+        (
+            &shard.tables_sp,
+            &shard.table_index,
+            &shard.table_segs,
+            &want.tables_sp,
+            &want.table_segs,
+        ),
+        (&shard.joins_sp, &shard.join_index, &shard.join_segs, &want.joins_sp, &want.join_segs),
+        (&shard.preds_sp, &shard.pred_index, &shard.pred_segs, &want.preds_sp, &want.pred_segs),
+    ];
+    for ((rows, index, segs, want_rows, want_segs), set) in modules.into_iter().zip(Set::ALL) {
+        prop_assert_eq!(segs, want_segs, "{:?} segments", set);
+        let none = SparseRows::new(rows.cols());
+        prop_assert_eq!(&expand(rows, &none, index), want_rows, "{:?} rows per element", set);
+        let mut seen = HashSet::new();
+        for r in 0..rows.rows() {
+            prop_assert!(seen.insert(key(rows.row(r))), "{:?} stacks row {} twice", set, r);
+        }
+    }
+    let run = |batch: &RaggedBatch| {
+        let (mut s, mut grads) = (MscnScratch::new(), model.new_grads());
+        model.forward_scratch(batch, &mut s);
+        s.grad_pred.resize(s.preds.len(), 0.0);
+        let n = batch.len();
+        LossKind::MeanQError.loss_and_grad_scaled(
+            &s.preds,
+            &batch.targets,
+            3.0,
+            n,
+            &mut s.grad_pred,
+        );
+        model.backward_scratch(batch, &mut s, &mut grads);
+        (bits(&s.preds), grad_bits(&grads))
+    };
+    let (got, expected) = (run(&shard), run(&want));
+    prop_assert_eq!(got.0, expected.0, "predictions");
+    prop_assert!(got.1 == expected.1, "a gradient bit moved ({} picks)", picks.len());
+    Ok(())
+}
+
+fn shard_strategy() -> impl Strategy<Value = (usize, Vec<usize>)> {
+    (0..MODES.len(), 0..SHARD_SIZES.len())
+        .prop_flat_map(|(mode, size)| (Just(mode), vec(0..fixture().pool.len(), SHARD_SIZES[size])))
+}
+
 proptest! {
     #[test]
     fn shared_rows_change_no_estimate_and_no_element((mode, picks) in case_strategy()) {
         check_block(mode, &picks)?;
+    }
+
+    #[test]
+    fn shared_rows_change_no_training_bit((mode, picks) in shard_strategy()) {
+        check_shard(mode, &picks)?;
     }
 }
 

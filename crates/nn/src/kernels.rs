@@ -24,7 +24,11 @@
 //!    sum to re-associate, and any vector width (1, 8, or a future 16)
 //!    produces the same bits. Products whose natural SIMD layout *would*
 //!    split the reduction (the `A·Bᵀ` row-dot) instead stage the
-//!    transposed operand and run the `A·B` kernel.
+//!    transposed right operand (`Linear`'s cached `Wᵀ`) and run the `A·B`
+//!    kernel. A transposed *left* operand costs nothing to read in place:
+//!    the kernel broadcasts one `A` element per step wherever it lies, so
+//!    `Aᵀ·B` runs on an [`Operand`] view (strides, optionally an element
+//!    index over the stored rows) instead of a staged copy.
 //! 2. **Both implementations fuse identically.** The AVX2 path uses
 //!    `vfmadd` (one rounding per step); the scalar path uses
 //!    `f32::mul_add`, which is the same correctly-rounded operation on
@@ -130,12 +134,91 @@ pub fn kernel_name() -> &'static str {
 // A · B accumulate (the seam every dense forward/backward product uses)
 // ---------------------------------------------------------------------
 
+/// The left operand `A` of the dense kernel, read where it lies: element
+/// `(i, k)` is `data[i · row_stride + col(k) · col_stride]`, where
+/// `col(k)` is `k`, or `index[k]` when the view picks a stored matrix's
+/// rows through an element index. Three views exist: a matrix as stored
+/// ([`Operand::plain`], also `From<&Matrix>`); its transpose
+/// ([`Operand::transposed`]), how a layer's weight gradient `∂W += xᵀ·g`
+/// reads `x` without staging `xᵀ`; and the transpose of a matrix's rows
+/// picked through an index ([`Operand::transposed_rows`]), how a set
+/// module whose elements share rows reads its cached activations once
+/// per element. The constructors check that every position a view names
+/// lies inside the matrix, so the kernels load without further checks.
+#[derive(Clone, Copy, Debug)]
+pub struct Operand<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    col_stride: usize,
+    index: Option<&'a [u32]>,
+}
+
+impl<'a> Operand<'a> {
+    /// `m` as stored.
+    pub fn plain(m: &'a Matrix) -> Self {
+        let (rows, cols) = m.shape();
+        Operand { data: m.data(), rows, cols, row_stride: cols, col_stride: 1, index: None }
+    }
+
+    /// `mᵀ`, read in place.
+    pub fn transposed(m: &'a Matrix) -> Self {
+        let (rows, cols) = m.shape();
+        Operand {
+            data: m.data(),
+            rows: cols,
+            cols: rows,
+            row_stride: 1,
+            col_stride: cols,
+            index: None,
+        }
+    }
+
+    /// `[m[index[0]], m[index[1]], …]ᵀ`, read in place: column `k` of the
+    /// view is row `index[k]` of `m`. Indices may repeat and come in any
+    /// order.
+    ///
+    /// # Panics
+    /// If an index is not a row of `m`.
+    pub fn transposed_rows(m: &'a Matrix, index: &'a [u32]) -> Self {
+        assert!(
+            index.iter().all(|&r| (r as usize) < m.rows()),
+            "operand row index out of range ({} rows)",
+            m.rows()
+        );
+        Operand { cols: index.len(), index: Some(index), ..Operand::transposed(m) }
+    }
+
+    /// Rows of the view.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the view (the reduction length of `A·B`).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Element `(i, k)`, for `i < rows` and `k < cols`.
+    #[inline]
+    fn get(&self, i: usize, k: usize) -> f32 {
+        debug_assert!(i < self.rows && k < self.cols, "operand position out of range");
+        self.data[i * self.row_stride + self.index.map_or(k, |ix| ix[k] as usize) * self.col_stride]
+    }
+}
+
+impl<'a> From<&'a Matrix> for Operand<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        Operand::plain(m)
+    }
+}
+
 /// Accumulate `a · b` into a pre-initialized `out` (zeros, or the
 /// broadcast bias for the fused forward kernel) with the process-active
-/// kernel. Shapes are the caller's responsibility (`matmul_*_into`
-/// assert them).
-pub(crate) fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    matmul_accumulate_with(active(), a, b, out);
+/// kernel.
+pub(crate) fn matmul_accumulate(a: Operand<'_>, b: &Matrix, out: &mut Matrix) {
+    matmul_with(active(), a, b, out, false);
 }
 
 /// `out = a · b`, ignoring (and fully overwriting) `out`'s prior
@@ -144,7 +227,7 @@ pub(crate) fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// and the first tile's loads. Per output element the chain still runs
 /// `0, fma(k=0), fma(k=1), …` — bitwise-identical to zeroing first and
 /// accumulating.
-pub(crate) fn matmul_overwrite(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub(crate) fn matmul_overwrite(a: Operand<'_>, b: &Matrix, out: &mut Matrix) {
     matmul_with(active(), a, b, out, true);
 }
 
@@ -153,21 +236,36 @@ pub(crate) fn matmul_overwrite(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 ///
 /// # Panics
 /// As [`matmul_with`].
-pub fn matmul_accumulate_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_accumulate_with<'a>(
+    kernel: Kernel,
+    a: impl Into<Operand<'a>>,
+    b: &Matrix,
+    out: &mut Matrix,
+) {
     matmul_with(kernel, a, b, out, false);
 }
 
-/// The full dispatch surface: explicit kernel AND seed mode
-/// (`seed_zero = true` overwrites `out`, `false` accumulates into it).
-/// The cross-kernel property tests drive both modes through this hook —
-/// every production path (`matmul_into`, `matmul_bias_into`) is one of
-/// these four combinations.
+/// The full dispatch surface: explicit kernel, any [`Operand`] view of
+/// the left operand, AND seed mode (`seed_zero = true` overwrites `out`,
+/// `false` accumulates into it). The cross-kernel property tests drive
+/// every combination through this hook; every production product is one
+/// of them.
 ///
 /// # Panics
-/// If `Kernel::Avx2` is requested on hardware without AVX2+FMA and `b`
+/// If `a.cols() != b.rows()` or `out` is not `a.rows() × b.cols()`, or
+/// if `Kernel::Avx2` is requested on hardware without AVX2+FMA and `b`
 /// is at least 8 columns wide. Narrower outputs take the shared
 /// `mul_add` path whichever kernel is named, so they never panic.
-pub fn matmul_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
+pub fn matmul_with<'a>(
+    kernel: Kernel,
+    a: impl Into<Operand<'a>>,
+    b: &Matrix,
+    out: &mut Matrix,
+    seed_zero: bool,
+) {
+    let a = a.into();
+    assert_eq!(a.cols, b.rows(), "matmul shape mismatch");
+    assert_eq!(out.shape(), (a.rows, b.cols()), "matmul output shape");
     if b.cols() < 8 {
         // Narrow outputs (the 1-wide sigmoid head) are latency-bound,
         // not throughput-bound: one shared mul_add path beats either
@@ -178,9 +276,25 @@ pub fn matmul_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix, see
         Kernel::Avx2 => {
             assert!(avx2_available(), "AVX2 kernel requested on non-AVX2 hardware");
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2+FMA presence checked above.
-            unsafe {
-                matmul_avx2(a, b, out, seed_zero);
+            {
+                let (stride, index) = (a.col_stride, a.index);
+                // One instance per column walk, so the hot loop carries no
+                // per-step branch on the view kind.
+                // SAFETY: AVX2+FMA presence checked above; shapes checked
+                // above; an index only names rows of the matrix (checked by
+                // `Operand::transposed_rows`) and `k < a.cols == index.len()`.
+                unsafe {
+                    match index {
+                        None => matmul_avx2(a, |k| k * stride, b, out, seed_zero),
+                        Some(ix) => matmul_avx2(
+                            a,
+                            |k| *ix.get_unchecked(k) as usize * stride,
+                            b,
+                            out,
+                            seed_zero,
+                        ),
+                    }
+                }
             }
         }
         Kernel::Scalar => matmul_scalar(a, b, out, seed_zero),
@@ -192,8 +306,8 @@ pub fn matmul_with(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix, see
 /// [`f32::mul_add`] supplying the same single-rounding fuse — the lanes
 /// of the AVX2 kernel are output columns, so element chains match this
 /// code exactly.
-fn matmul_scalar(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
-    let k_dim = a.cols();
+fn matmul_scalar(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
+    let k_dim = a.cols;
     let c = b.cols();
     let full_end = c - c % JB;
     for k0 in (0..k_dim.max(1)).step_by(TILE_K) {
@@ -203,14 +317,14 @@ fn matmul_scalar(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
         // array, so the inner loop compiles to straight-line FMAs with no
         // spills.
         for j0 in (0..full_end).step_by(JB) {
-            for i in 0..a.rows() {
-                let a_row = &a.row(i)[k0..k_end];
+            for i in 0..a.rows {
                 let out_seg: &mut [f32; JB] =
                     (&mut out.row_mut(i)[j0..j0 + JB]).try_into().expect("JB-wide segment");
                 let mut acc: [f32; JB] = if seed { [0.0; JB] } else { *out_seg };
-                for (kk, &av) in a_row.iter().enumerate() {
+                for k in k0..k_end {
+                    let av = a.get(i, k);
                     let b_seg: &[f32; JB] =
-                        (&b.row(k0 + kk)[j0..j0 + JB]).try_into().expect("JB-wide segment");
+                        (&b.row(k)[j0..j0 + JB]).try_into().expect("JB-wide segment");
                     for j in 0..JB {
                         acc[j] = av.mul_add(b_seg[j], acc[j]);
                     }
@@ -219,20 +333,18 @@ fn matmul_scalar(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
             }
         }
         // Remainder columns (< JB): fixed-capacity accumulator, dynamic
-        // width. Covers the 1-wide MSCN sigmoid head and tail blocks of
-        // non-multiple-of-JB widths.
+        // width. Covers tail blocks of non-multiple-of-JB widths.
         if full_end < c {
             let jw = c - full_end;
-            for i in 0..a.rows() {
-                let a_row = &a.row(i)[k0..k_end];
+            for i in 0..a.rows {
                 let out_seg = &mut out.row_mut(i)[full_end..c];
                 let mut acc = [0.0f32; JB];
                 if !seed {
                     acc[..jw].copy_from_slice(out_seg);
                 }
-                for (kk, &av) in a_row.iter().enumerate() {
-                    let b_seg = &b.row(k0 + kk)[full_end..c];
-                    for (x, &bv) in acc[..jw].iter_mut().zip(b_seg) {
+                for k in k0..k_end {
+                    let av = a.get(i, k);
+                    for (x, &bv) in acc[..jw].iter_mut().zip(&b.row(k)[full_end..c]) {
                         *x = av.mul_add(bv, *x);
                     }
                 }
@@ -251,21 +363,41 @@ fn matmul_scalar(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
 /// data-dependent branch — the sparse input path exists precisely so the
 /// dense kernel never needs one.
 ///
+/// `a` is read in place: `a[i][k]` sits at `i · row_stride + col(k)` of
+/// its buffer, so a transposed operand costs strided scalar broadcasts
+/// instead of a staged copy.
+///
 /// Determinism: lanes are output columns, so per output element the
 /// products fuse in ascending-`k` order — the same chain as the scalar
 /// path — and `f32` stores between k-tiles round exactly like register
 /// copies. The result depends only on the operand shapes.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA; `a.cols == b.rows()`, `out` is
+/// `a.rows × b.cols()`, and `col(k)` is the in-bounds offset of column
+/// `k < a.cols` — the checks [`matmul_with`] and the [`Operand`]
+/// constructors make.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[target_feature(enable = "fma")]
-unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
+unsafe fn matmul_avx2(
+    a: Operand<'_>,
+    col: impl Fn(usize) -> usize,
+    b: &Matrix,
+    out: &mut Matrix,
+    seed_zero: bool,
+) {
     use std::arch::x86_64::*;
-    let k_dim = a.cols();
+    let k_dim = a.cols;
     let c = b.cols();
     let full_end = c - c % JB;
     // Raw base pointers: the k loop walks `b` by a constant row stride
-    // instead of re-slicing `b.row(..)` per step — the bounds checks and
-    // address recomputation otherwise dominate these short inner loops.
+    // and `a` by its view's column offsets instead of re-slicing per
+    // step — the bounds checks and address recomputation otherwise
+    // dominate these short inner loops. An `a` row's base is formed with
+    // `wrapping_add`: with no columns (k = 0) it may lie past an empty
+    // buffer, and it is never read then.
+    let a_base = a.data.as_ptr();
     let b_base = b.data().as_ptr();
     // `k_dim.max(1)`: a zero-width reduction must still run one "tile" in
     // seed mode so the output is overwritten with zeros.
@@ -280,14 +412,15 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
             // accumulation chain, so any pairing is bitwise-identical to
             // the scalar path.
             let mut i = 0;
-            while i + 2 <= a.rows() {
-                let a0 = &a.row(i)[k0..k_end];
-                let a1 = &a.row(i + 1)[k0..k_end];
+            while i + 2 <= a.rows {
                 // SAFETY: j0 + JB <= full_end <= c keeps all 8-lane
-                // loads/stores inside rows i/i+1's [j0, j0+32) windows,
-                // and the b walk visits rows k0..k_end at offset j0, all
-                // in bounds (kk < k_end <= b.rows()).
+                // loads/stores inside rows i/i+1's [j0, j0+32) windows;
+                // the b walk visits rows k0..k_end at offset j0, all in
+                // bounds (k < k_end <= b.rows()); a's rows i, i+1 at
+                // columns k < a.cols are in bounds by the caller's checks.
                 unsafe {
+                    let ap0 = a_base.wrapping_add(i * a.row_stride);
+                    let ap1 = a_base.wrapping_add((i + 1) * a.row_stride);
                     // Both row pointers derive from ONE &mut borrow of
                     // the buffer: a second `row_mut` reborrow would end
                     // the first pointer's provenance (Stacked Borrows)
@@ -304,14 +437,15 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
                     let mut r1c1 = if seed { z } else { _mm256_loadu_ps(op1.add(8)) };
                     let mut r1c2 = if seed { z } else { _mm256_loadu_ps(op1.add(16)) };
                     let mut r1c3 = if seed { z } else { _mm256_loadu_ps(op1.add(24)) };
-                    let mut bp = b_base.add(k0 * c + j0);
-                    for (&av0, &av1) in a0.iter().zip(a1) {
+                    let mut bp = b_base.wrapping_add(k0 * c + j0);
+                    for k in k0..k_end {
+                        let off = col(k);
                         let b0 = _mm256_loadu_ps(bp);
                         let b1 = _mm256_loadu_ps(bp.add(8));
                         let b2 = _mm256_loadu_ps(bp.add(16));
                         let b3 = _mm256_loadu_ps(bp.add(24));
-                        let v0 = _mm256_set1_ps(av0);
-                        let v1 = _mm256_set1_ps(av1);
+                        let v0 = _mm256_set1_ps(*ap0.add(off));
+                        let v1 = _mm256_set1_ps(*ap1.add(off));
                         r0c0 = _mm256_fmadd_ps(v0, b0, r0c0);
                         r0c1 = _mm256_fmadd_ps(v0, b1, r0c1);
                         r0c2 = _mm256_fmadd_ps(v0, b2, r0c2);
@@ -333,19 +467,19 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
                 }
                 i += 2;
             }
-            if i < a.rows() {
-                let a_row = &a.row(i)[k0..k_end];
+            if i < a.rows {
                 // SAFETY: same bounds as the pair path, single row.
                 unsafe {
+                    let ap = a_base.wrapping_add(i * a.row_stride);
                     let op = out.row_mut(i).as_mut_ptr().add(j0);
                     let z = _mm256_setzero_ps();
                     let mut acc0 = if seed { z } else { _mm256_loadu_ps(op) };
                     let mut acc1 = if seed { z } else { _mm256_loadu_ps(op.add(8)) };
                     let mut acc2 = if seed { z } else { _mm256_loadu_ps(op.add(16)) };
                     let mut acc3 = if seed { z } else { _mm256_loadu_ps(op.add(24)) };
-                    let mut bp = b_base.add(k0 * c + j0);
-                    for &av in a_row {
-                        let avv = _mm256_set1_ps(av);
+                    let mut bp = b_base.wrapping_add(k0 * c + j0);
+                    for k in k0..k_end {
+                        let avv = _mm256_set1_ps(*ap.add(col(k)));
                         acc0 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(bp), acc0);
                         acc1 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(bp.add(8)), acc1);
                         acc2 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(bp.add(16)), acc2);
@@ -362,8 +496,8 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
         // Remainder columns: 8-wide vectors while they fit, then a scalar
         // mul_add tail. Still one ascending-k chain per output element.
         if full_end < c {
-            for i in 0..a.rows() {
-                let a_row = &a.row(i)[k0..k_end];
+            for i in 0..a.rows {
+                let ap = a_base.wrapping_add(i * a.row_stride);
                 let mut j = full_end;
                 while j + 8 <= c {
                     // SAFETY: j + 8 <= c keeps the 8-lane load/store in
@@ -371,9 +505,10 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
                     unsafe {
                         let op = out.row_mut(i).as_mut_ptr().add(j);
                         let mut acc = if seed { _mm256_setzero_ps() } else { _mm256_loadu_ps(op) };
-                        let mut bp = b_base.add(k0 * c + j);
-                        for &av in a_row {
-                            acc = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bp), acc);
+                        let mut bp = b_base.wrapping_add(k0 * c + j);
+                        for k in k0..k_end {
+                            let av = _mm256_set1_ps(*ap.add(col(k)));
+                            acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp), acc);
                             bp = bp.add(c);
                         }
                         _mm256_storeu_ps(op, acc);
@@ -387,9 +522,11 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
                     if !seed {
                         acc[..jw].copy_from_slice(out_seg);
                     }
-                    for (kk, &av) in a_row.iter().enumerate() {
-                        let b_seg = &b.row(k0 + kk)[j..c];
-                        for (x, &bv) in acc[..jw].iter_mut().zip(b_seg) {
+                    for k in k0..k_end {
+                        // SAFETY: row i < a.rows at column k < a.cols is in
+                        // bounds by the caller's checks.
+                        let av = unsafe { *ap.add(col(k)) };
+                        for (x, &bv) in acc[..jw].iter_mut().zip(&b.row(k)[j..c]) {
                             *x = av.mul_add(bv, *x);
                         }
                     }
@@ -401,19 +538,19 @@ unsafe fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool)
 }
 
 /// Narrow-output fast path: `c < 8` (dominantly the MSCN 1-wide sigmoid
-/// head, `[n×h] · [h×1]`). Each output element is a sequential fused
-/// chain over k whose ~5-cycle FMA latency nothing hides at width 1 —
-/// so FOUR rows' independent chains are interleaved, sharing each
-/// `b[k]` load. Interleaving across rows never touches a single
-/// element's chain, so this is bitwise-identical to the plain loop (and
-/// to the scalar path). Used by both dispatch paths: it is pure
-/// `mul_add` code, vector-unit-free, identical everywhere.
-fn matmul_narrow(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
-    let k_dim = a.cols();
+/// head, `[n×h] · [h×1]`, and its weight gradient `hᵀ·g`). Each output
+/// element is a sequential fused chain over k whose ~5-cycle FMA latency
+/// nothing hides at width 1 — so FOUR rows' independent chains are
+/// interleaved, sharing each `b[k]` load. Interleaving across rows never
+/// touches a single element's chain, so this is bitwise-identical to the
+/// plain loop (and to the scalar path). Used by both dispatch paths: it
+/// is pure `mul_add` code, vector-unit-free, identical everywhere.
+fn matmul_narrow(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
+    let k_dim = a.cols;
     let c = b.cols();
     debug_assert!(c < 8);
     let mut i = 0;
-    while i + 4 <= a.rows() {
+    while i + 4 <= a.rows {
         let mut acc = [[0.0f32; 8]; 4];
         if !seed_zero {
             for (r, acc_r) in acc.iter_mut().enumerate() {
@@ -434,13 +571,13 @@ fn matmul_narrow(a: &Matrix, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
         }
         i += 4;
     }
-    while i < a.rows() {
-        let a_row = a.row(i);
+    while i < a.rows {
         let mut acc = [0.0f32; 8];
         if !seed_zero {
             acc[..c].copy_from_slice(out.row(i));
         }
-        for (k, &av) in a_row.iter().enumerate() {
+        for k in 0..k_dim {
+            let av = a.get(i, k);
             for (x, &bv) in acc[..c].iter_mut().zip(b.row(k)) {
                 *x = av.mul_add(bv, *x);
             }

@@ -5,13 +5,15 @@
 //! pieces MSCN needs, from scratch, with hand-derived gradients:
 //!
 //! * [`Matrix`] — row-major `f32` matrices with the products backprop
-//!   needs — `A·B`, fused `A·B + bias`, and `A·Bᵀ` / `Aᵀ·B` as a staged
+//!   needs — `A·B`, fused `A·B + bias`, and `A·Bᵀ` as a staged
 //!   transpose + `A·B` — cache-blocked/tiled and always writing into
 //!   caller-provided buffers;
 //! * [`kernels`] — the explicit SIMD micro-kernels behind every
 //!   product, one dense `A·B` kernel and one sparse gather: AVX2+FMA
 //!   inner loops with runtime dispatch (steered by [`RuntimeConfig`])
-//!   and a bitwise-identical `f32::mul_add` scalar fallback;
+//!   and a bitwise-identical `f32::mul_add` scalar fallback. The dense
+//!   kernel reads its left operand through a view
+//!   ([`kernels::Operand`]), so `Aᵀ·B` reads `A` in place;
 //! * [`qmatrix`] — the int8 post-training-quantization path:
 //!   per-output-channel symmetric weight scales, per-row dynamic u8
 //!   activation quantization (row-local, so batching stays transparent),

@@ -8,12 +8,13 @@
 //! the kernels are cache-blocked: the reduction dimension is processed in
 //! tiles sized so the tile of the right-hand operand stays resident in L1
 //! while a block of output rows streams past it. There is one dense
-//! kernel shape, `A·B`: `A·Bᵀ` and `Aᵀ·B` stage the transposed operand
-//! ([`Matrix::transpose_into`]) and run the same kernel — backward's
-//! input gradient `g·Wᵀ` against `Linear`'s cached or freshly staged
-//! `Wᵀ`, a dense layer's weight gradient `xᵀ·g` against a staged `xᵀ`.
-//! A sparse input's `xᵀ·g` stages a CSR transpose
-//! ([`crate::SparseRows::transpose_into`]) and runs the sparse gather.
+//! kernel shape, `A·B`. `A·Bᵀ` stages the transposed right operand
+//! ([`Matrix::transpose_into`]) — backward's input gradient `g·Wᵀ`
+//! against `Linear`'s cached or freshly staged `Wᵀ` — while `Aᵀ·B`, a
+//! dense layer's weight gradient `xᵀ·g`, reads `x` in place through a
+//! transposed [`crate::kernels::Operand`] view. A sparse input's `xᵀ·g`
+//! stages a CSR transpose ([`crate::SparseRows::transpose_into`]) and
+//! runs the sparse gather.
 //!
 //! Neither tiling nor vectorization reorders the per-element
 //! accumulation sequence: vector lanes span output columns, so for each
@@ -141,7 +142,7 @@ impl Matrix {
     pub fn matmul_into(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, b.rows, "matmul shape mismatch");
         out.resize_for_overwrite(self.rows, b.cols);
-        kernels::matmul_overwrite(self, b, out);
+        kernels::matmul_overwrite(self.into(), b, out);
     }
 
     /// `self · b + bias` (bias broadcast over rows) written into `out` —
@@ -158,7 +159,7 @@ impl Matrix {
         for i in 0..self.rows {
             out.row_mut(i).copy_from_slice(bias);
         }
-        kernels::matmul_accumulate(self, b, out);
+        kernels::matmul_accumulate(self.into(), b, out);
     }
 
     /// `selfᵀ` written into `out` (resized in place), in `TB × TB` cache

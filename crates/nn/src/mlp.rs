@@ -54,12 +54,6 @@ impl MlpGrads {
         self.l2.zero();
     }
 
-    /// Element-wise `self += other` (deterministic reduction step).
-    pub fn add_assign(&mut self, other: &MlpGrads) {
-        self.l1.add_assign(&other.l1);
-        self.l2.add_assign(&other.l2);
-    }
-
     /// Layer gradients in canonical order (first, second) — mirrors
     /// [`Mlp::layers_mut`] for the optimizer loop.
     pub fn layers(&self) -> [&LinearGrads; 2] {
@@ -151,8 +145,8 @@ impl Mlp {
         scratch: &mut Scratch,
         grad_in: Option<&mut Matrix>,
     ) {
-        let grad_hidden = self.backward_to_hidden(cache, grad_out, &mut grads.l2, scratch);
-        self.l1.backward_scratch(x, &grad_hidden, &mut grads.l1, grad_in, scratch);
+        let grad_hidden = self.backward_to_hidden(cache, None, grad_out, &mut grads.l2, scratch);
+        self.l1.backward_scratch(x, None, &grad_hidden, &mut grads.l1, grad_in, scratch);
         scratch.put(grad_hidden);
     }
 
@@ -161,45 +155,57 @@ impl Mlp {
     /// layer's weight gradient runs the forward's O(nnz) gather on the
     /// CSR transpose of `x` (see [`Linear::backward_sparse_leaf`]) — the
     /// same bits as the dense backward on the densified input.
+    ///
+    /// With `rows`, `x` and `cache` hold the distinct rows of a batch
+    /// whose elements share them, and `grad_out` has one row per element:
+    /// element `e`'s input, activations and ReLU masks are row `rows[e]`
+    /// of `x` and `cache`. Every gradient is the one the batch with one
+    /// row per element gets, bit for bit: each element keeps its own
+    /// gradient row, and every weight-gradient element fuses in ascending
+    /// element order.
+    ///
+    /// # Panics
+    /// If an entry of `rows` is not a row of `x`, or on a shape mismatch.
     pub fn backward_sparse_scratch(
         &self,
         x: &SparseRows,
+        rows: Option<&[u32]>,
         cache: &MlpCache,
         grad_out: &mut Matrix,
         grads: &mut MlpGrads,
         scratch: &mut Scratch,
     ) {
-        let grad_hidden = self.backward_to_hidden(cache, grad_out, &mut grads.l2, scratch);
-        self.l1.backward_sparse_leaf(x, &grad_hidden, &mut grads.l1, scratch);
+        let grad_hidden = self.backward_to_hidden(cache, rows, grad_out, &mut grads.l2, scratch);
+        self.l1.backward_sparse_leaf(x, rows, &grad_hidden, &mut grads.l1, scratch);
         scratch.put(grad_hidden);
     }
 
     /// Backprop from `∂L/∂output` down to the first layer's
-    /// pre-activations: accumulates the second layer's gradients and
-    /// returns `∂L/∂(x·W₁ + b₁)` in a buffer taken from `scratch` (the
-    /// caller puts it back).
+    /// pre-activations, reading `cache` row `rows[e]` for gradient row
+    /// `e`: accumulates the second layer's gradients and returns
+    /// `∂L/∂(x·W₁ + b₁)` in a buffer taken from `scratch` (the caller
+    /// puts it back).
     fn backward_to_hidden(
         &self,
         cache: &MlpCache,
+        rows: Option<&[u32]>,
         grad_out: &mut Matrix,
         l2_grads: &mut LinearGrads,
         scratch: &mut Scratch,
     ) -> Matrix {
-        match self.final_act {
-            FinalActivation::Relu => relu_backward_inplace(grad_out, &cache.output),
-            FinalActivation::Sigmoid => sigmoid_backward_inplace(grad_out, &cache.output),
-        }
+        activation_backward(self.final_act, grad_out, &cache.output, rows);
         // For-overwrite: the l2 backward's input-gradient product fully
         // overwrites this buffer before anything reads it.
         let mut grad_hidden = scratch.take_for_overwrite(grad_out.rows(), self.l1.output_dim());
         self.l2.backward_scratch(
             &cache.hidden,
+            rows,
             grad_out,
             l2_grads,
             Some(&mut grad_hidden),
             scratch,
         );
-        relu_backward_inplace(&mut grad_hidden, &cache.hidden);
+        activation_backward(FinalActivation::Relu, &mut grad_hidden, &cache.hidden, rows);
         grad_hidden
     }
 
@@ -225,6 +231,35 @@ impl Mlp {
     /// Read-only layer access, first → second.
     pub fn layers(&self) -> [&Linear; 2] {
         [&self.l1, &self.l2]
+    }
+}
+
+/// Backprop through `act` in place, given its post-activation values:
+/// gradient row `e` is gated by row `rows[e]` of `post` (row `e` without
+/// an index).
+fn activation_backward(
+    act: FinalActivation,
+    grad: &mut Matrix,
+    post: &Matrix,
+    rows: Option<&[u32]>,
+) {
+    let Some(rows) = rows else {
+        return match act {
+            FinalActivation::Relu => relu_backward_inplace(grad, post),
+            FinalActivation::Sigmoid => sigmoid_backward_inplace(grad, post),
+        };
+    };
+    debug_assert_eq!(grad.rows(), rows.len());
+    for (e, &r) in rows.iter().enumerate() {
+        let (g_row, p_row) = (grad.row_mut(e), post.row(r as usize));
+        match act {
+            FinalActivation::Relu => {
+                g_row.iter_mut().zip(p_row).filter(|(_, &p)| p <= 0.0).for_each(|(g, _)| *g = 0.0)
+            }
+            FinalActivation::Sigmoid => {
+                g_row.iter_mut().zip(p_row).for_each(|(g, &p)| *g *= p * (1.0 - p))
+            }
+        }
     }
 }
 
@@ -316,7 +351,7 @@ mod tests {
                 mlp.forward_sparse_into(x, &mut cache);
                 let (mut grads, mut scratch) = (mlp.new_grads(), Scratch::new());
                 let mut ones = Matrix::from_vec(n, 2, vec![1.0; n * 2]);
-                mlp.backward_sparse_scratch(x, &cache, &mut ones, &mut grads, &mut scratch);
+                mlp.backward_sparse_scratch(x, None, &cache, &mut ones, &mut grads, &mut scratch);
 
                 let eps = 1e-2f32;
                 let perturb = |at: usize, delta: f32| {
@@ -359,6 +394,31 @@ mod tests {
                     assert_eq!(flat(&dense_grads), flat(&grads), "{act:?}: grads must match");
                 }
             }
+        }
+    }
+
+    /// Elements that share rows: forwarding the distinct rows once and
+    /// backpropagating through the element index gives, bit for bit, the
+    /// gradients of the stack with one row per element.
+    #[test]
+    fn backward_through_rows_matches_the_expanded_stack() {
+        let dense = (0..24).map(|i| if i % 3 == 0 { 0.0 } else { i as f32 * 0.1 - 1.1 });
+        let distinct = SparseRows::from_dense(&Matrix::from_vec(3, 8, dense.collect()));
+        let rows = [2u32, 0, 2, 1, 1, 0, 2];
+        let mut expanded = SparseRows::new(8);
+        rows.iter().for_each(|&r| expanded.push_rows_from(&distinct, r as usize..r as usize + 1));
+        for act in [FinalActivation::Relu, FinalActivation::Sigmoid] {
+            let mlp = Mlp::new(8, 6, 9, act, &mut SmallRng::seed_from_u64(11));
+            let grads_of = |x: &SparseRows, rows: Option<&[u32]>| {
+                let mut cache = MlpCache::new();
+                mlp.forward_sparse_into(x, &mut cache);
+                let mut g =
+                    Matrix::from_vec(7, 9, (0..63).map(|i| (i as f32 * 0.37).sin()).collect());
+                let (mut grads, mut scratch) = (mlp.new_grads(), Scratch::new());
+                mlp.backward_sparse_scratch(x, rows, &cache, &mut g, &mut grads, &mut scratch);
+                flat(&grads).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(grads_of(&distinct, Some(&rows)), grads_of(&expanded, None), "{act:?}");
         }
     }
 

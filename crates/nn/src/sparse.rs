@@ -173,38 +173,53 @@ impl SparseRows {
     }
 
     /// `selfᵀ` as a CSR stack written into `out` (its buffers reused):
-    /// a counting-sort transpose, O(rows + cols + nnz). Row `j` of the
-    /// result lists the rows of `self` where column `j` is nonzero, in
-    /// ascending order — so the gather kernel run on it fuses each
-    /// element of a sparse layer's weight gradient `xᵀ·g` in ascending
-    /// row order ([`crate::Linear::backward_sparse_leaf`]). The result
-    /// is canonical, like its input.
-    pub fn transpose_into(&self, out: &mut SparseRows) {
-        out.cols = self.rows();
+    /// a counting-sort transpose, O(rows + cols + nnz). With `rows`, the
+    /// transpose is taken over the stack `[self[rows[0]], self[rows[1]],
+    /// …]` — one row per element of a batch whose elements share rows —
+    /// without building it. Row `j` of the result lists the elements
+    /// (rows without an index) where column `j` is nonzero, in ascending
+    /// order — so the gather kernel run on it fuses each element of a
+    /// sparse layer's weight gradient `xᵀ·g` in ascending element order
+    /// ([`crate::Linear::backward_sparse_leaf`]). The result is
+    /// canonical, like its input.
+    ///
+    /// # Panics
+    /// If an entry of `rows` is not a row of `self`.
+    pub fn transpose_into(&self, rows: Option<&[u32]>, out: &mut SparseRows) {
+        let elements = rows.map_or(self.rows(), <[u32]>::len);
+        let row_of = |e: usize| rows.map_or(e, |rows| rows[e] as usize);
+        out.cols = elements;
         out.indptr.clear();
         out.indptr.resize(self.cols + 1, 0);
-        out.indices.resize(self.nnz(), 0);
-        out.values.resize(self.nnz(), 0.0);
+        // Count column j's nonzeros into indptr[j + 1]; the prefix sum
+        // then leaves indptr[j] at column j's first slot.
+        let counts = &mut out.indptr[..];
+        match rows {
+            None => self.indices.iter().for_each(|&j| counts[j as usize + 1] += 1),
+            Some(rows) => {
+                for &r in rows {
+                    self.row(r as usize).0.iter().for_each(|&j| counts[j as usize + 1] += 1);
+                }
+            }
+        }
+        for j in 0..self.cols {
+            counts[j + 1] += counts[j];
+        }
+        let nnz = counts[self.cols] as usize;
+        out.indices.resize(nnz, 0);
+        out.values.resize(nnz, 0.0);
         // Plain slices, so the scatter loop keeps their bases in registers
         // instead of re-reading each Vec after every store.
         let (indptr, indices, values) =
             (&mut out.indptr[..], &mut out.indices[..], &mut out.values[..]);
-        // Count column j's nonzeros into indptr[j + 1]; the prefix sum
-        // then leaves indptr[j] at column j's first slot.
-        for &j in &self.indices {
-            indptr[j as usize + 1] += 1;
-        }
-        for j in 0..self.cols {
-            indptr[j + 1] += indptr[j];
-        }
-        // Scatter in ascending source row, using indptr[j] as column j's
+        // Scatter in ascending element, using indptr[j] as column j's
         // cursor: each cursor ends on the next column's start, so one
         // shift by a slot restores the row pointers.
-        for i in 0..self.rows() {
-            let (row_cols, row_values) = self.row(i);
+        for e in 0..elements {
+            let (row_cols, row_values) = self.row(row_of(e));
             for (&j, &v) in row_cols.iter().zip(row_values) {
                 let slot = &mut indptr[j as usize];
-                indices[*slot as usize] = i as u32;
+                indices[*slot as usize] = e as u32;
                 values[*slot as usize] = v;
                 *slot += 1;
             }
@@ -316,11 +331,33 @@ mod tests {
         let mut back = SparseRows::from_dense(&Matrix::from_vec(2, 2, vec![8.0; 4]));
         for m in &shapes {
             let s = SparseRows::from_dense(m);
-            s.transpose_into(&mut t);
+            s.transpose_into(None, &mut t);
             assert_eq!(t, SparseRows::from_dense(&transposed(m)), "{m:?}");
             assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
-            t.transpose_into(&mut back);
+            t.transpose_into(None, &mut back);
             assert_eq!(back, s, "transposing twice returns the input");
+        }
+    }
+
+    /// Through an element index — repeated and unsorted rows, an empty
+    /// row, no elements at all — the transpose is that of the stack with
+    /// one row per element.
+    #[test]
+    fn transpose_through_rows_matches_the_expanded_stack() {
+        let m = Matrix::from_vec(
+            3,
+            4,
+            vec![0.0, 1.5, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.25, 0.0, 1.0],
+        );
+        let s = SparseRows::from_dense(&m);
+        let mut t = SparseRows::from_dense(&Matrix::from_vec(2, 2, vec![9.0; 4])); // dirty
+        for rows in [&[2u32, 0, 2, 1, 0][..], &[1], &[]] {
+            let mut expanded = SparseRows::new(4);
+            rows.iter().for_each(|&r| expanded.push_rows_from(&s, r as usize..r as usize + 1));
+            s.transpose_into(Some(rows), &mut t);
+            let mut want = SparseRows::new(0);
+            expanded.transpose_into(None, &mut want);
+            assert_eq!(t, want, "{rows:?}");
         }
     }
 

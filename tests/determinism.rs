@@ -75,6 +75,23 @@ fn kernel_fingerprint() -> Vec<u8> {
     bytes
 }
 
+/// The fingerprint's FNV-1a-64, pinned: every test leg (thread count ×
+/// kernel) fails on any moved training or estimate bit, not only on the
+/// two kernel paths disagreeing. A declared fingerprint change re-pins
+/// this value. Pinned where it was computed (x86-64 Linux), since `libm`
+/// and the vector tiers differ elsewhere.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn training_fingerprint_is_pinned() {
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let hash = fnv1a(&kernel_fingerprint());
+    assert_eq!(hash, 0xcd74_dab7_cf6d_8743, "the trained bytes moved: FNV-1a {hash:#018x}");
+}
+
 /// Subprocess arm of the cross-kernel test: inert in a normal run; with
 /// `LC_FINGERPRINT_OUT` set it writes [`kernel_fingerprint`] to that
 /// path (the parent sets `LC_KERNEL` per spawn — dispatch is resolved
