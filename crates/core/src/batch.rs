@@ -154,23 +154,35 @@ impl RaggedBatch {
             segs.clear();
             index.clear();
             origins.clear();
-            lookup.reset(idx.iter().map(|&q| set.segs[q].1 as usize).sum());
+            let elements = idx.iter().map(|&q| set.segs[q].1 as usize).sum();
+            lookup.reset(elements);
+            segs.reserve(idx.len());
+            index.reserve(elements);
+            origins.reserve(elements);
+            // New rows are copied in runs of consecutive corpus rows: a
+            // query's rows that no earlier element holds are one copy.
+            let mut run = 0..0;
             for &q in idx {
                 let (offset, len) = set.segs[q];
                 segs.push((index.len() as u32, len));
                 for &first in &set.first[offset as usize..(offset + len) as usize] {
-                    let next = rows.rows() as u32;
+                    let next = origins.len() as u32;
                     let mut h = FxHasher::default();
                     h.write_u32(first);
                     let same = |r: u32| origins[r as usize] == first;
                     let row = lookup.find_or_reserve(h.finish(), next, same).unwrap_or_else(|| {
-                        rows.push_rows_from(&set.rows, first as usize..first as usize + 1);
+                        if run.end != first as usize {
+                            rows.push_rows_from(&set.rows, run.clone());
+                            run = first as usize..first as usize;
+                        }
+                        run.end += 1;
                         origins.push(first);
                         next
                     });
                     index.push(row);
                 }
             }
+            rows.push_rows_from(&set.rows, run);
         }
         self.targets.clear();
         self.targets.extend(idx.iter().map(|&i| feats[i].target));

@@ -96,7 +96,8 @@ fn synthetic_feats(queries: usize, dims: (usize, usize, usize), salt: f32) -> Ve
         .collect()
 }
 
-/// The mini-batch of `queries` queries of `feats`, from its corpus.
+/// A mini-batch of `queries` synthetic queries, assembled from their
+/// corpus.
 fn synthetic_batch(queries: usize, dims: (usize, usize, usize), salt: f32) -> RaggedBatch {
     let feats = synthetic_feats(queries, dims, salt);
     let corpus = CorpusSparse::build(&feats, dims.0, dims.1, dims.2);

@@ -200,12 +200,36 @@ impl<'a> Operand<'a> {
         self.cols
     }
 
-    /// Element `(i, k)`, for `i < rows` and `k < cols`.
-    #[inline]
-    fn get(&self, i: usize, k: usize) -> f32 {
-        debug_assert!(i < self.rows && k < self.cols, "operand position out of range");
-        self.data[i * self.row_stride + self.index.map_or(k, |ix| ix[k] as usize) * self.col_stride]
+    /// Element `(i, k)`, where `col` is the view's column-offset function
+    /// (bound by `with_columns!`).
+    #[inline(always)]
+    fn at(&self, i: usize, k: usize, col: impl Fn(usize) -> usize) -> f32 {
+        self.data[i * self.row_stride + col(k)]
     }
+}
+
+/// Evaluate `$body` with `$col` bound to the column-offset function of
+/// the view `$a` — `k ↦ k`, `k ↦ k · col_stride` or
+/// `k ↦ index[k] · col_stride` — one instance per view kind, so a hot
+/// loop carries no per-step branch on the view, and a plain view walks
+/// its rows exactly like a slice.
+macro_rules! with_columns {
+    ($a:expr, |$col:ident| $body:expr) => {
+        match ($a.index, $a.col_stride) {
+            (None, 1) => {
+                let $col = |k: usize| k;
+                $body
+            }
+            (None, stride) => {
+                let $col = move |k: usize| k * stride;
+                $body
+            }
+            (Some(index), stride) => {
+                let $col = move |k: usize| index[k] as usize * stride;
+                $body
+            }
+        }
+    };
 }
 
 impl<'a> From<&'a Matrix> for Operand<'a> {
@@ -270,34 +294,20 @@ pub fn matmul_with<'a>(
         // Narrow outputs (the 1-wide sigmoid head) are latency-bound,
         // not throughput-bound: one shared mul_add path beats either
         // vector kernel there and is identical on both by construction.
-        return matmul_narrow(a, b, out, seed_zero);
+        return with_columns!(a, |col| matmul_narrow(a, col, b, out, seed_zero));
     }
     match kernel {
         Kernel::Avx2 => {
             assert!(avx2_available(), "AVX2 kernel requested on non-AVX2 hardware");
             #[cfg(target_arch = "x86_64")]
-            {
-                let (stride, index) = (a.col_stride, a.index);
-                // One instance per column walk, so the hot loop carries no
-                // per-step branch on the view kind.
-                // SAFETY: AVX2+FMA presence checked above; shapes checked
-                // above; an index only names rows of the matrix (checked by
-                // `Operand::transposed_rows`) and `k < a.cols == index.len()`.
-                unsafe {
-                    match index {
-                        None => matmul_avx2(a, |k| k * stride, b, out, seed_zero),
-                        Some(ix) => matmul_avx2(
-                            a,
-                            |k| *ix.get_unchecked(k) as usize * stride,
-                            b,
-                            out,
-                            seed_zero,
-                        ),
-                    }
-                }
+            // SAFETY: AVX2+FMA presence and the shapes are checked above;
+            // every column offset of a view is in bounds by its
+            // constructor.
+            unsafe {
+                with_columns!(a, |col| matmul_avx2(a, col, b, out, seed_zero))
             }
         }
-        Kernel::Scalar => matmul_scalar(a, b, out, seed_zero),
+        Kernel::Scalar => with_columns!(a, |col| matmul_scalar(a, col, b, out, seed_zero)),
     }
 }
 
@@ -306,7 +316,13 @@ pub fn matmul_with<'a>(
 /// [`f32::mul_add`] supplying the same single-rounding fuse — the lanes
 /// of the AVX2 kernel are output columns, so element chains match this
 /// code exactly.
-fn matmul_scalar(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
+fn matmul_scalar(
+    a: Operand<'_>,
+    col: impl Fn(usize) -> usize,
+    b: &Matrix,
+    out: &mut Matrix,
+    seed_zero: bool,
+) {
     let k_dim = a.cols;
     let c = b.cols();
     let full_end = c - c % JB;
@@ -322,7 +338,7 @@ fn matmul_scalar(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) 
                     (&mut out.row_mut(i)[j0..j0 + JB]).try_into().expect("JB-wide segment");
                 let mut acc: [f32; JB] = if seed { [0.0; JB] } else { *out_seg };
                 for k in k0..k_end {
-                    let av = a.get(i, k);
+                    let av = a.at(i, k, &col);
                     let b_seg: &[f32; JB] =
                         (&b.row(k)[j0..j0 + JB]).try_into().expect("JB-wide segment");
                     for j in 0..JB {
@@ -343,7 +359,7 @@ fn matmul_scalar(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) 
                     acc[..jw].copy_from_slice(out_seg);
                 }
                 for k in k0..k_end {
-                    let av = a.get(i, k);
+                    let av = a.at(i, k, &col);
                     for (x, &bv) in acc[..jw].iter_mut().zip(&b.row(k)[full_end..c]) {
                         *x = av.mul_add(bv, *x);
                     }
@@ -545,7 +561,13 @@ unsafe fn matmul_avx2(
 /// touches a single element's chain, so this is bitwise-identical to the
 /// plain loop (and to the scalar path). Used by both dispatch paths: it
 /// is pure `mul_add` code, vector-unit-free, identical everywhere.
-fn matmul_narrow(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) {
+fn matmul_narrow(
+    a: Operand<'_>,
+    col: impl Fn(usize) -> usize,
+    b: &Matrix,
+    out: &mut Matrix,
+    seed_zero: bool,
+) {
     let k_dim = a.cols;
     let c = b.cols();
     debug_assert!(c < 8);
@@ -560,7 +582,7 @@ fn matmul_narrow(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) 
         for k in 0..k_dim {
             let b_row = b.row(k);
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = a.get(i + r, k);
+                let av = a.at(i + r, k, &col);
                 for (x, &bv) in acc_r[..c].iter_mut().zip(b_row) {
                     *x = av.mul_add(bv, *x);
                 }
@@ -577,7 +599,7 @@ fn matmul_narrow(a: Operand<'_>, b: &Matrix, out: &mut Matrix, seed_zero: bool) 
             acc[..c].copy_from_slice(out.row(i));
         }
         for k in 0..k_dim {
-            let av = a.get(i, k);
+            let av = a.at(i, k, &col);
             for (x, &bv) in acc[..c].iter_mut().zip(b.row(k)) {
                 *x = av.mul_add(bv, *x);
             }
