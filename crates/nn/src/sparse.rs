@@ -194,13 +194,8 @@ impl SparseRows {
         // Count column j's nonzeros into indptr[j + 1]; the prefix sum
         // then leaves indptr[j] at column j's first slot.
         let counts = &mut out.indptr[..];
-        match rows {
-            None => self.indices.iter().for_each(|&j| counts[j as usize + 1] += 1),
-            Some(rows) => {
-                for &r in rows {
-                    self.row(r as usize).0.iter().for_each(|&j| counts[j as usize + 1] += 1);
-                }
-            }
+        for e in 0..elements {
+            self.row(row_of(e)).0.iter().for_each(|&j| counts[j as usize + 1] += 1);
         }
         for j in 0..self.cols {
             counts[j + 1] += counts[j];
