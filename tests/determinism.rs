@@ -117,13 +117,20 @@ fn weights_and_estimates_are_bitwise_identical_across_kernel_paths() {
         .map(|kernel| {
             let out =
                 std::env::temp_dir().join(format!("lc_kernel_fp_{}_{kernel}", std::process::id()));
-            let status = std::process::Command::new(&exe)
+            // `output()`, not `status()`: the child's libtest report is
+            // captured, so it never interleaves with this run's own lines.
+            let child = std::process::Command::new(&exe)
                 .args(["subprocess_kernel_fingerprint_helper", "--exact", "--test-threads", "1"])
                 .env("LC_KERNEL", kernel)
                 .env("LC_FINGERPRINT_OUT", &out)
-                .status()
+                .output()
                 .expect("spawn fingerprint subprocess");
-            assert!(status.success(), "LC_KERNEL={kernel} subprocess failed");
+            assert!(
+                child.status.success(),
+                "LC_KERNEL={kernel} subprocess failed:\n{}{}",
+                String::from_utf8_lossy(&child.stdout),
+                String::from_utf8_lossy(&child.stderr)
+            );
             let bytes = std::fs::read(&out).expect("read fingerprint");
             let _ = std::fs::remove_file(&out);
             assert!(!bytes.is_empty());
