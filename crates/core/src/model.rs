@@ -48,10 +48,7 @@ pub struct MscnGrads {
 impl MscnGrads {
     /// Reset every gradient to zero, keeping the allocations.
     pub fn zero(&mut self) {
-        self.table.zero();
-        self.join.zero();
-        self.pred.zero();
-        self.out.zero();
+        self.mlps_mut().into_iter().for_each(MlpGrads::zero);
     }
 
     /// Overwrite every gradient with the element-wise sum of `shards` —
@@ -65,38 +62,35 @@ impl MscnGrads {
         /// Elements per block: a block of `self` stays in L1 while every
         /// shard adds into it.
         const BLOCK: usize = 512;
-        for (t, total) in self.tensors_mut().enumerate() {
-            let same_shape = shards.clone().all(|shard| shard.tensor(t).len() == total.len());
-            assert!(same_shape, "sum_in_order: a shard's gradient shapes differ");
-            for (b, block) in total.chunks_mut(BLOCK).enumerate() {
-                block.fill(0.0);
-                for shard in shards.clone() {
-                    for (o, &g) in block.iter_mut().zip(&shard.tensor(t)[b * BLOCK..]) {
-                        *o += g;
+        for (m, mlp) in self.mlps_mut().into_iter().enumerate() {
+            for (l, layer) in mlp.layers_mut().into_iter().enumerate() {
+                for (k, total) in layer.tensors_mut().into_iter().enumerate() {
+                    let parts = shards.clone().map(|s| s.mlps()[m].layers()[l].tensors()[k]);
+                    let same_shape = parts.clone().all(|part| part.len() == total.len());
+                    assert!(same_shape, "sum_in_order: a shard's gradient shapes differ");
+                    for (b, block) in total.chunks_mut(BLOCK).enumerate() {
+                        block.fill(0.0);
+                        for part in parts.clone() {
+                            for (o, &g) in block.iter_mut().zip(&part[b * BLOCK..]) {
+                                *o += g;
+                            }
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Gradient tensor `t` in canonical order (module, layer, then
-    /// weights before bias) — the order of [`MscnGrads::tensors_mut`].
-    fn tensor(&self, t: usize) -> &[f32] {
-        self.mlps()[t / 4].layers()[t / 2 % 2].tensors()[t % 2]
-    }
-
-    /// Every gradient tensor, mutable, in canonical order.
-    fn tensors_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
-        [&mut self.table, &mut self.join, &mut self.pred, &mut self.out]
-            .into_iter()
-            .flat_map(|m| [&mut m.l1, &mut m.l2])
-            .flat_map(|l| [l.w.data_mut(), &mut l.b[..]])
-    }
-
     /// The four module gradients in canonical (table, join, predicate,
     /// output) order — mirrors [`MscnModel::mlps_mut`] for the optimizer.
     pub fn mlps(&self) -> [&MlpGrads; 4] {
         [&self.table, &self.join, &self.pred, &self.out]
+    }
+
+    /// The four module gradients, mutable, in the order of
+    /// [`MscnGrads::mlps`].
+    fn mlps_mut(&mut self) -> [&mut MlpGrads; 4] {
+        [&mut self.table, &mut self.join, &mut self.pred, &mut self.out]
     }
 }
 

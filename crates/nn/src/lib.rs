@@ -88,14 +88,14 @@ pub fn relu_inplace(x: &mut Matrix) {
 }
 
 /// Backprop through ReLU given the *post-activation* values:
-/// `grad[i] = 0 where post[i] == 0`.
-pub fn relu_backward_inplace(grad: &mut Matrix, post: &Matrix) {
-    debug_assert_eq!(grad.shape(), post.shape());
-    for (g, &p) in grad.data_mut().iter_mut().zip(post.data()) {
+/// `grad[i] = 0 where post[i] == 0`. Gradient row `e` is gated by row
+/// `rows[e]` of `post` (row `e` without an index).
+pub fn relu_backward_inplace(grad: &mut Matrix, post: &Matrix, rows: Option<&[u32]>) {
+    gate_rows(grad, post, rows, |g, p| {
         if p <= 0.0 {
             *g = 0.0;
         }
-    }
+    });
 }
 
 /// Numerically stable logistic sigmoid.
@@ -117,11 +117,20 @@ pub fn sigmoid_inplace(x: &mut Matrix) {
 }
 
 /// Backprop through sigmoid given the post-activation values:
-/// `grad *= post * (1 - post)`.
-pub fn sigmoid_backward_inplace(grad: &mut Matrix, post: &Matrix) {
-    debug_assert_eq!(grad.shape(), post.shape());
-    for (g, &p) in grad.data_mut().iter_mut().zip(post.data()) {
-        *g *= p * (1.0 - p);
+/// `grad *= post * (1 - post)`, reading `post` through `rows` like
+/// [`relu_backward_inplace`].
+pub fn sigmoid_backward_inplace(grad: &mut Matrix, post: &Matrix, rows: Option<&[u32]>) {
+    gate_rows(grad, post, rows, |g, p| *g *= p * (1.0 - p));
+}
+
+/// Apply `gate(grad, post)` element-wise, gradient row `e` against row
+/// `rows[e]` of `post` (row `e` without an index).
+fn gate_rows(grad: &mut Matrix, post: &Matrix, rows: Option<&[u32]>, gate: impl Fn(&mut f32, f32)) {
+    assert_eq!(grad.cols(), post.cols(), "gradient and activation widths differ");
+    assert_eq!(grad.rows(), rows.map_or(post.rows(), <[u32]>::len), "one gradient row per element");
+    for e in 0..grad.rows() {
+        let r = rows.map_or(e, |rows| rows[e] as usize);
+        grad.row_mut(e).iter_mut().zip(post.row(r)).for_each(|(g, &p)| gate(g, p));
     }
 }
 
@@ -140,8 +149,20 @@ mod tests {
     fn relu_backward_masks_by_post() {
         let post = Matrix::from_vec(1, 3, vec![0.0, 1.0, 3.0]);
         let mut g = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
-        relu_backward_inplace(&mut g, &post);
+        relu_backward_inplace(&mut g, &post, None);
         assert_eq!(g.data(), &[0.0, 5.0, 5.0]);
+    }
+
+    #[test]
+    fn backward_gates_read_post_through_rows() {
+        let post = Matrix::from_vec(2, 2, vec![0.0, 0.25, 0.5, 0.0]);
+        let rows = [1, 0, 1];
+        let mut g = Matrix::from_vec(3, 2, vec![2.0; 6]);
+        relu_backward_inplace(&mut g, &post, Some(&rows));
+        assert_eq!(g.data(), &[2.0, 0.0, 0.0, 2.0, 2.0, 0.0]);
+        let mut g = Matrix::from_vec(3, 2, vec![2.0; 6]);
+        sigmoid_backward_inplace(&mut g, &post, Some(&rows));
+        assert_eq!(g.data(), &[0.5, 0.0, 0.0, 0.375, 0.5, 0.0]);
     }
 
     #[test]
@@ -159,7 +180,7 @@ mod tests {
         let s = sigmoid(x);
         let post = Matrix::from_vec(1, 1, vec![s]);
         let mut g = Matrix::from_vec(1, 1, vec![1.0]);
-        sigmoid_backward_inplace(&mut g, &post);
+        sigmoid_backward_inplace(&mut g, &post, None);
         let eps = 1e-3;
         let numeric = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
         assert!((g.data()[0] - numeric).abs() < 1e-4);

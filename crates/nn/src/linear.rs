@@ -34,6 +34,12 @@ impl LinearGrads {
     pub fn tensors(&self) -> [&[f32]; 2] {
         [self.w.data(), &self.b]
     }
+
+    /// The two gradient tensors, mutable, in the order of
+    /// [`LinearGrads::tensors`].
+    pub fn tensors_mut(&mut self) -> [&mut [f32]; 2] {
+        [self.w.data_mut(), &mut self.b]
+    }
 }
 
 /// A dense layer `y = x·W + b` with `W: [in × out]`.

@@ -59,6 +59,11 @@ impl MlpGrads {
     pub fn layers(&self) -> [&LinearGrads; 2] {
         [&self.l1, &self.l2]
     }
+
+    /// Layer gradients, mutable, in the order of [`MlpGrads::layers`].
+    pub fn layers_mut(&mut self) -> [&mut LinearGrads; 2] {
+        [&mut self.l1, &mut self.l2]
+    }
 }
 
 /// Two fully-connected layers with ReLU in between.
@@ -193,7 +198,10 @@ impl Mlp {
         l2_grads: &mut LinearGrads,
         scratch: &mut Scratch,
     ) -> Matrix {
-        activation_backward(self.final_act, grad_out, &cache.output, rows);
+        match self.final_act {
+            FinalActivation::Relu => relu_backward_inplace(grad_out, &cache.output, rows),
+            FinalActivation::Sigmoid => sigmoid_backward_inplace(grad_out, &cache.output, rows),
+        }
         // For-overwrite: the l2 backward's input-gradient product fully
         // overwrites this buffer before anything reads it.
         let mut grad_hidden = scratch.take_for_overwrite(grad_out.rows(), self.l1.output_dim());
@@ -205,7 +213,7 @@ impl Mlp {
             Some(&mut grad_hidden),
             scratch,
         );
-        activation_backward(FinalActivation::Relu, &mut grad_hidden, &cache.hidden, rows);
+        relu_backward_inplace(&mut grad_hidden, &cache.hidden, rows);
         grad_hidden
     }
 
@@ -231,35 +239,6 @@ impl Mlp {
     /// Read-only layer access, first → second.
     pub fn layers(&self) -> [&Linear; 2] {
         [&self.l1, &self.l2]
-    }
-}
-
-/// Backprop through `act` in place, given its post-activation values:
-/// gradient row `e` is gated by row `rows[e]` of `post` (row `e` without
-/// an index).
-fn activation_backward(
-    act: FinalActivation,
-    grad: &mut Matrix,
-    post: &Matrix,
-    rows: Option<&[u32]>,
-) {
-    let Some(rows) = rows else {
-        return match act {
-            FinalActivation::Relu => relu_backward_inplace(grad, post),
-            FinalActivation::Sigmoid => sigmoid_backward_inplace(grad, post),
-        };
-    };
-    debug_assert_eq!(grad.rows(), rows.len());
-    for (e, &r) in rows.iter().enumerate() {
-        let (g_row, p_row) = (grad.row_mut(e), post.row(r as usize));
-        match act {
-            FinalActivation::Relu => {
-                g_row.iter_mut().zip(p_row).filter(|(_, &p)| p <= 0.0).for_each(|(g, _)| *g = 0.0)
-            }
-            FinalActivation::Sigmoid => {
-                g_row.iter_mut().zip(p_row).for_each(|(g, &p)| *g *= p * (1.0 - p))
-            }
-        }
     }
 }
 

@@ -79,7 +79,11 @@ fn kernel_fingerprint() -> Vec<u8> {
 /// kernel) fails on any moved training or estimate bit, not only on the
 /// two kernel paths disagreeing. A declared fingerprint change re-pins
 /// this value. Pinned where it was computed (x86-64 Linux), since `libm`
-/// and the vector tiers differ elsewhere.
+/// and the vector tiers differ elsewhere. The value also depends on the
+/// host C library: `f32::exp` (sigmoid, q-error loss) and the label
+/// normalizer's `f64` `ln`/`exp` call it, and a libm that rounds one of
+/// them differently moves the hash. On such a host, re-pin the value
+/// that host's test run prints; never loosen the check.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn training_fingerprint_is_pinned() {
