@@ -22,12 +22,12 @@
 //! ([`RaggedBatch::assemble_into`]) share rows the same way: the corpus
 //! records each row's first bit-identical row once per run
 //! ([`CorpusSparse::build`]), and a shard stacks each such row once. They
-//! name no constants, and the backward pass reads the forward's per-row
-//! caches through the index, so every element still gets its own
-//! gradient row. Segment-mean pooling reads element rows through the
+//! name no constants. Segment-mean pooling reads element rows through the
 //! index and computes exactly the paper's masked average — the same
 //! values, summed in the same order, whichever rows are shared or
-//! constant. An empty set yields the zero vector, matching the
+//! constant. Its backward ([`segment_mean_backward_into_rows`]) sums the
+//! gradients of each row's elements, so the set MLPs' backward runs once
+//! per stacked row too. An empty set yields the zero vector, matching the
 //! all-masked behaviour of the reference implementation.
 
 use std::hash::Hasher;
@@ -430,42 +430,56 @@ pub fn segment_mean_into_cols(
     }
 }
 
-/// Backward of [`segment_mean_into_cols`], reading the pooled gradient
-/// from a **column window** of `grad_pooled` and writing the expanded
-/// gradient into `out` (pre-sized by the caller), one row per element
-/// whatever rows the elements share: each element of segment `q`
-/// receives `grad_pooled[q] / len`.
-/// Allocation-free. Each covered row is **overwritten**, so when the
-/// segments tile `out`'s rows exactly — which every [`RaggedBatch`]
-/// builder guarantees: offsets advance by each segment's length and empty
-/// segments own no elements — the caller may pre-size `out` with
-/// [`Matrix::resize_for_overwrite`]. Rows outside every segment keep
-/// their prior contents; zero them beforehand if they are meaningful.
+/// Backward of [`segment_mean_into_cols`] for a batch whose elements
+/// name stack rows: reads the pooled gradient from a **column window** of
+/// `grad_pooled` and writes one gradient row per stack row into `out`
+/// (pre-sized by the caller to the stack's rows × `d`). Each element of
+/// segment `q` adds `grad_pooled[q] / len_q` into `out[index[e]]`, in
+/// ascending element order: a row's first element copies and each later
+/// element adds. A set MLP's parameters see its elements only through
+/// this sum, so the backward then runs once per stack row.
+///
+/// The index must name the stack rows in order of first occurrence, as
+/// every [`RaggedBatch`] builder stacks them: each row then has a first
+/// element, so every row of `out` is **overwritten** and the caller may
+/// pre-size it with [`Matrix::resize_for_overwrite`]. Where no row
+/// repeats, each element's row is its own `g_q / len_q`.
+/// Allocation-free.
 ///
 /// # Panics
-/// If the window exceeds `grad_pooled`'s width or `out`'s width is not
-/// exactly `d`.
-pub fn segment_mean_backward_from_cols(
+/// If the window exceeds `grad_pooled`'s width, `out`'s width is not
+/// exactly `d`, or the index does not name `out`'s rows in order of
+/// first occurrence (a [`CONSTANT`] entry included).
+pub fn segment_mean_backward_into_rows(
     grad_pooled: &Matrix,
     col0: usize,
     d: usize,
     segs: &[(u32, u32)],
+    index: &[u32],
     out: &mut Matrix,
 ) {
     assert!(col0 + d <= grad_pooled.cols(), "segment_mean_backward window out of range");
     assert_eq!(out.cols(), d, "segment_mean_backward output width");
+    let mut rows = 0;
     for (qi, &(offset, len)) in segs.iter().enumerate() {
         if len == 0 {
             continue;
         }
         let inv = 1.0 / len as f32;
         let g_row = &grad_pooled.row(qi)[col0..col0 + d];
-        for e in offset..offset + len {
-            for (o, &g) in out.row_mut(e as usize).iter_mut().zip(g_row) {
-                *o = g * inv;
+        for &r in &index[offset as usize..(offset + len) as usize] {
+            let r = r as usize;
+            let out_row = out.row_mut(r);
+            if r == rows {
+                out_row.iter_mut().zip(g_row).for_each(|(o, &g)| *o = g * inv);
+                rows += 1;
+            } else {
+                assert!(r < rows, "segment_mean_backward: rows not in first-occurrence order");
+                out_row.iter_mut().zip(g_row).for_each(|(o, &g)| *o += g * inv);
             }
         }
     }
+    assert_eq!(rows, out.rows(), "segment_mean_backward: a row no element names");
 }
 
 #[cfg(test)]
@@ -480,8 +494,9 @@ mod tests {
     }
 
     fn segment_mean_backward(grad: &Matrix, segs: &[(u32, u32)], num_elems: usize) -> Matrix {
+        let identity: Vec<u32> = (0..num_elems as u32).collect();
         let mut out = Matrix::zeros(num_elems, grad.cols());
-        segment_mean_backward_from_cols(grad, 0, grad.cols(), segs, &mut out);
+        segment_mean_backward_into_rows(grad, 0, grad.cols(), segs, &identity, &mut out);
         out
     }
 
@@ -540,6 +555,44 @@ mod tests {
         assert_eq!(g.row(0), &[2.0, 4.0]);
         assert_eq!(g.row(1), &[2.0, 4.0]);
         assert_eq!(g.row(2), &[5.0, 6.0]);
+    }
+
+    /// Elements that repeat a row, in any order, sum their shares into
+    /// it in ascending element order — the first copies, the rest add —
+    /// from a column window, over a dirty buffer.
+    #[test]
+    fn segment_mean_backward_sums_each_rows_elements() {
+        // Query 0: rows 0, 1, 0; query 1: rows 2, 1; query 2: empty;
+        // query 3: row 0.
+        let segs = [(0u32, 3u32), (3, 2), (5, 0), (5, 1)];
+        let index = [0u32, 1, 0, 2, 1, 0];
+        let grad = Matrix::from_vec(
+            4,
+            3,
+            vec![0.0, 3.0, -6.0, 0.0, 4.0, 8.0, 0.0, 7.0, 7.0, 0.0, 0.5, 0.25],
+        );
+        let mut out = Matrix::from_vec(3, 2, vec![99.0; 6]);
+        segment_mean_backward_into_rows(&grad, 1, 2, &segs, &index, &mut out);
+        let (third, half) = (1.0f32 / 3.0, 0.5f32);
+        let want = [
+            (3.0 * third + 3.0 * third) + 0.5,
+            (-6.0 * third + -6.0 * third) + 0.25,
+            3.0 * third + 4.0 * half,
+            -6.0 * third + 8.0 * half,
+            4.0 * half,
+            8.0 * half,
+        ];
+        assert_eq!(out.data(), &want);
+    }
+
+    /// An index out of first-occurrence order would leave a row
+    /// unwritten: it is an error.
+    #[test]
+    #[should_panic(expected = "first-occurrence order")]
+    fn segment_mean_backward_rejects_rows_out_of_order() {
+        let grad = Matrix::from_vec(1, 1, vec![1.0]);
+        let mut out = Matrix::zeros(2, 1);
+        segment_mean_backward_into_rows(&grad, 0, 1, &[(0, 2)], &[1, 0], &mut out);
     }
 
     #[test]

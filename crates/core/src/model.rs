@@ -25,7 +25,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::batch::{
-    segment_mean_backward_from_cols, segment_mean_into_cols, RaggedBatch, CONSTANT,
+    segment_mean_backward_into_rows, segment_mean_into_cols, RaggedBatch, CONSTANT,
 };
 use crate::featurize::{Featurizer, Set};
 
@@ -110,7 +110,8 @@ pub struct MscnScratch {
     out_cache: MlpCache,
     grad_out: Matrix,
     grad_concat: Matrix,
-    g_elems: Matrix,
+    /// One set module's gradient per stacked row.
+    g_rows: Matrix,
     arena: Scratch,
     /// Predictions of the last [`MscnModel::forward_scratch`] call.
     pub preds: Vec<f32>,
@@ -254,10 +255,13 @@ impl MscnModel {
     /// computed.
     ///
     /// Elements may share rows ([`RaggedBatch::assemble_into`] stacks
-    /// each distinct row once): the set modules' backward reads the
-    /// forward's per-row caches through the element index, so every
-    /// gradient is bitwise the one the same queries' batch with one row
-    /// per element gets.
+    /// each distinct row once). A set MLP's parameters see a row's
+    /// elements only through the sum of their pooled gradients, so that
+    /// sum is taken first ([`segment_mean_backward_into_rows`]) and each
+    /// set MLP's backward runs once per stacked row. In real arithmetic
+    /// that is the gradient of the batch with one row per element; in
+    /// `f32` it rounds differently where a row repeats, and is bitwise
+    /// the same where none does.
     ///
     /// # Panics
     /// If `s.grad_pred.len() != batch.len()`, or if an element names a
@@ -287,22 +291,20 @@ impl MscnModel {
             &mut s.arena,
             Some(&mut s.grad_concat),
         );
-        // Expand each module's slice of the concatenated gradient straight
-        // back to one row per element (no per-module pooled temporaries),
-        // then backprop through the set MLP in sparse leaf mode, reading
-        // each element's cached row through the index: the first layer's
-        // weight gradient is the forward's O(nnz) gather run on the CSR
-        // transpose of the input over the elements. Batch segments tile
-        // the elements exactly, so the expansion overwrites every row and
-        // the reshape can skip its zero-fill.
+        // Sum each module's slice of the concatenated gradient straight
+        // into one row per stacked row (no per-module pooled temporaries),
+        // then backprop through the set MLP in sparse leaf mode: the first
+        // layer's weight gradient is the forward's O(nnz) gather run on
+        // the CSR transpose of the input. Every stacked row has a first
+        // element, so the sum overwrites every row and the reshape can
+        // skip its zero-fill.
         let set_grads = [&mut grads.table, &mut grads.join, &mut grads.pred];
         for (m, ((mlp, x, segs, index), g)) in
             self.sets(batch).into_iter().zip(set_grads).enumerate()
         {
-            s.g_elems.resize_for_overwrite(index.len(), d);
-            segment_mean_backward_from_cols(&s.grad_concat, m * d, d, segs, &mut s.g_elems);
-            let cache = &s.set_caches[m];
-            mlp.backward_sparse_scratch(x, Some(index), cache, &mut s.g_elems, g, &mut s.arena);
+            s.g_rows.resize_for_overwrite(x.rows(), d);
+            segment_mean_backward_into_rows(&s.grad_concat, m * d, d, segs, index, &mut s.g_rows);
+            mlp.backward_sparse_scratch(x, &s.set_caches[m], &mut s.g_rows, g, &mut s.arena);
         }
     }
 
@@ -500,10 +502,11 @@ mod tests {
     /// rows and names constants, yet every element must see what it sees
     /// in the trainer's own batch: bitwise the same set-MLP output per
     /// element (read through the index, from the stack or the model's
-    /// derived constants), the same predictions, and — once expanded to
-    /// one row per element — the same `MscnGrads`, as the
-    /// `assemble_indexed` batch of the same queries; also on a scratch
-    /// left dirty by a differently shaped batch.
+    /// derived constants) and the same predictions as the
+    /// `assemble_indexed` batch of the same queries. Expanded to one row
+    /// per element, the two batches are the same batch, so they get the
+    /// same `MscnGrads` bit for bit; also on a scratch left dirty by a
+    /// differently shaped batch.
     #[test]
     fn sparse_batch_builder_yields_the_same_grads_bitwise() {
         use crate::featurize::{FeatureMode, Featurizer};
@@ -552,10 +555,14 @@ mod tests {
         let corpus = CorpusSparse::build(&feats, td, jd, pd);
         let all: Vec<usize> = (0..feats.len()).collect();
         let assembled = RaggedBatch::assemble_indexed(&feats, &corpus, &all, td, jd, pd);
+        assert!(assembled.tables_sp.rows() < assembled.table_index.len(), "shared rows");
         let mut fresh = MscnScratch::new();
-        let expected = run(&assembled, &mut fresh);
-        assert!(expected.1.iter().any(|&g| g != 0.0));
+        let expected_preds = run(&assembled, &mut fresh).0;
         let expected_elements = per_element(&assembled, &fresh);
+        let assembled = assembled.expanded(&f);
+        let expected = run(&assembled, &mut fresh);
+        assert_eq!(expected.0, expected_preds);
+        assert!(expected.1.iter().any(|&g| g != 0.0));
 
         let mut built = RaggedBatch::empty();
         let mut dirty = MscnScratch::new();
@@ -565,9 +572,12 @@ mod tests {
         assert!(built.tables_sp.rows() < built.table_index.len(), "the block must share rows");
         assert!(built.join_index.iter().all(|&e| e & CONSTANT != 0), "joins are constants");
         model.forward_scratch(&built, &mut dirty);
-        assert_eq!(dirty.preds, expected.0);
+        assert_eq!(dirty.preds, expected_preds);
         assert_eq!(per_element(&built, &dirty), expected_elements);
-        assert_eq!(run(&built.expanded(&f), &mut dirty), expected);
+        let built = built.expanded(&f);
+        let stacks = |b: &RaggedBatch| [&b.tables_sp, &b.joins_sp, &b.preds_sp].map(Clone::clone);
+        assert_eq!(stacks(&built), stacks(&assembled));
+        assert_eq!(run(&built, &mut dirty), expected);
     }
 
     /// Mutable access drops the derived constants, so a forward over a

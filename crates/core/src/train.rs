@@ -23,10 +23,12 @@
 //! per training run and rebuilt in place: each shard assembles its own
 //! queries into its warm batch as the step runs
 //! ([`RaggedBatch::assemble_into`], which stacks each distinct row of the
-//! shard once, so the set MLPs forward it once), then runs forward, loss
-//! and backward. In steady state a whole step (assembly, forward, loss,
-//! backward, reduction, Adam) performs **zero heap allocations and zero
-//! thread spawns** (asserted by the counting-allocator test in
+//! shard once), then runs forward, loss and backward. The set MLPs run
+//! once per stacked row in both directions: the backward sums the pooled
+//! gradients of a row's elements before it enters the row's MLP. In
+//! steady state a whole step (assembly, forward, loss, backward,
+//! reduction, Adam) performs **zero heap allocations and zero thread
+//! spawns** (asserted by the counting-allocator test in
 //! `tests/alloc.rs`). Multi-worker steps dispatch onto the process-wide
 //! persistent [`WorkerPool`] — long-lived pinned workers parked on a
 //! condvar; the same pool serves block-parallel batch inference and,
@@ -48,17 +50,21 @@ use crate::model::{MscnGrads, MscnModel, MscnScratch};
 
 /// Upper bound on gradient shards per mini-batch. The shard partition is
 /// a pure function of the batch size, so this also caps how many worker
-/// threads can be productive inside one step.
-const MAX_SHARDS: usize = 8;
+/// threads can be productive inside one step — as many as
+/// [`auto_threads`] ever picks. Fewer, taller shards share more rows
+/// (each distinct row runs through the set MLPs once per shard, in both
+/// directions) and pay the per-shard fixed costs less often: batch 256
+/// runs as 4 shards of 64.
+const MAX_SHARDS: usize = 4;
 
 /// Smallest shard worth the per-shard bookkeeping (queries). Each shard
 /// pays fixed costs per step — zeroing and reducing a whole gradient
 /// buffer, and the CSR `xᵀ` each set-module input layer's weight
-/// gradient stages — while rows shared within it are forwarded once, and
-/// sub-32-query shards also leave the SIMD kernels under-fed (row-pair
-/// blocking wants tall operands). 32 keeps the paper's batch 256 at its
-/// full 8-way shard fan-out while stopping small batches from shredding
-/// themselves into overhead.
+/// gradient stages — while rows shared within it run through the set
+/// MLPs once, and sub-32-query shards also leave the SIMD kernels
+/// under-fed (row-pair blocking wants tall operands). 32 keeps batch 128
+/// at the full 4-way shard fan-out while stopping small batches from
+/// shredding themselves into overhead.
 const MIN_SHARD: usize = 32;
 
 /// Below this many queries a step runs its shards inline even when
@@ -153,7 +159,7 @@ pub struct TrainConfig {
     /// wins over the process runtime config; `0` (the default) defers to
     /// [`RuntimeConfig::train_threads`](lc_nn::RuntimeConfig) (which
     /// `from_env` fills from `LC_TRAIN_THREADS`), else a hardware-derived
-    /// count; everything is capped at the per-batch shard limit (8). Any
+    /// count; everything is capped at the per-batch shard limit (4). Any
     /// value produces bitwise-identical training results — see the
     /// module docs.
     pub threads: usize,
@@ -180,7 +186,7 @@ impl TrainConfig {
     /// [`TrainConfig::threads`] wins; the default (`0`) resolves to the
     /// process [`RuntimeConfig::train_threads`](lc_nn::RuntimeConfig) if
     /// positive, else a hardware-derived count. Either way the result is
-    /// capped at the shard limit (8) — more workers than shards can
+    /// capped at the shard limit (4) — more workers than shards can
     /// never be productive. Never affects results, only wall-clock time.
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads, lc_nn::RuntimeConfig::global().train_threads).min(MAX_SHARDS)

@@ -27,8 +27,7 @@
 //!    transposed right operand (`Linear`'s cached `Wᵀ`) and run the `A·B`
 //!    kernel. A transposed *left* operand costs nothing to read in place:
 //!    the kernel broadcasts one `A` element per step wherever it lies, so
-//!    `Aᵀ·B` runs on an [`Operand`] view (strides, optionally an element
-//!    index over the stored rows) instead of a staged copy.
+//!    `Aᵀ·B` runs on a strided [`Operand`] view instead of a staged copy.
 //! 2. **Both implementations fuse identically.** The AVX2 path uses
 //!    `vfmadd` (one rounding per step); the scalar path uses
 //!    `f32::mul_add`, which is the same correctly-rounded operation on
@@ -135,16 +134,11 @@ pub fn kernel_name() -> &'static str {
 // ---------------------------------------------------------------------
 
 /// The left operand `A` of the dense kernel, read where it lies: element
-/// `(i, k)` is `data[i · row_stride + col(k) · col_stride]`, where
-/// `col(k)` is `k`, or `index[k]` when the view picks a stored matrix's
-/// rows through an element index. Three views exist: a matrix as stored
-/// ([`Operand::plain`], also `From<&Matrix>`); its transpose
-/// ([`Operand::transposed`]), how a layer's weight gradient `∂W += xᵀ·g`
-/// reads `x` without staging `xᵀ`; and the transpose of a matrix's rows
-/// picked through an index ([`Operand::transposed_rows`]), how a set
-/// module whose elements share rows reads its cached activations once
-/// per element. The constructors check that every position a view names
-/// lies inside the matrix, so the kernels load without further checks.
+/// `(i, k)` is `data[i · row_stride + k · col_stride]`. Two views exist:
+/// a matrix as stored ([`Operand::plain`], also `From<&Matrix>`), and its
+/// transpose ([`Operand::transposed`]), how a layer's weight gradient
+/// `∂W += xᵀ·g` reads `x` without staging `xᵀ`. Both name exactly the
+/// positions of the matrix, so the kernels load without further checks.
 #[derive(Clone, Copy, Debug)]
 pub struct Operand<'a> {
     data: &'a [f32],
@@ -152,42 +146,19 @@ pub struct Operand<'a> {
     cols: usize,
     row_stride: usize,
     col_stride: usize,
-    index: Option<&'a [u32]>,
 }
 
 impl<'a> Operand<'a> {
     /// `m` as stored.
     pub fn plain(m: &'a Matrix) -> Self {
         let (rows, cols) = m.shape();
-        Operand { data: m.data(), rows, cols, row_stride: cols, col_stride: 1, index: None }
+        Operand { data: m.data(), rows, cols, row_stride: cols, col_stride: 1 }
     }
 
     /// `mᵀ`, read in place.
     pub fn transposed(m: &'a Matrix) -> Self {
         let (rows, cols) = m.shape();
-        Operand {
-            data: m.data(),
-            rows: cols,
-            cols: rows,
-            row_stride: 1,
-            col_stride: cols,
-            index: None,
-        }
-    }
-
-    /// `[m[index[0]], m[index[1]], …]ᵀ`, read in place: column `k` of the
-    /// view is row `index[k]` of `m`. Indices may repeat and come in any
-    /// order.
-    ///
-    /// # Panics
-    /// If an index is not a row of `m`.
-    pub fn transposed_rows(m: &'a Matrix, index: &'a [u32]) -> Self {
-        assert!(
-            index.iter().all(|&r| (r as usize) < m.rows()),
-            "operand row index out of range ({} rows)",
-            m.rows()
-        );
-        Operand { cols: index.len(), index: Some(index), ..Operand::transposed(m) }
+        Operand { data: m.data(), rows: cols, cols: rows, row_stride: 1, col_stride: cols }
     }
 
     /// Rows of the view.
@@ -209,23 +180,18 @@ impl<'a> Operand<'a> {
 }
 
 /// Evaluate `$body` with `$col` bound to the column-offset function of
-/// the view `$a` — `k ↦ k`, `k ↦ k · col_stride` or
-/// `k ↦ index[k] · col_stride` — one instance per view kind, so a hot
-/// loop carries no per-step branch on the view, and a plain view walks
-/// its rows exactly like a slice.
+/// the view `$a` — `k ↦ k` or `k ↦ k · col_stride` — one instance per
+/// view kind, so a hot loop carries no per-step branch on the view, and a
+/// plain view walks its rows exactly like a slice.
 macro_rules! with_columns {
     ($a:expr, |$col:ident| $body:expr) => {
-        match ($a.index, $a.col_stride) {
-            (None, 1) => {
+        match $a.col_stride {
+            1 => {
                 let $col = |k: usize| k;
                 $body
             }
-            (None, stride) => {
+            stride => {
                 let $col = move |k: usize| k * stride;
-                $body
-            }
-            (Some(index), stride) => {
-                let $col = move |k: usize| index[k] as usize * stride;
                 $body
             }
         }
@@ -301,8 +267,7 @@ pub fn matmul_with<'a>(
             assert!(avx2_available(), "AVX2 kernel requested on non-AVX2 hardware");
             #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2+FMA presence and the shapes are checked above;
-            // every column offset of a view is in bounds by its
-            // constructor.
+            // every position a view names lies inside its matrix.
             unsafe {
                 with_columns!(a, |col| matmul_avx2(a, col, b, out, seed_zero))
             }

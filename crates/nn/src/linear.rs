@@ -49,10 +49,7 @@ impl LinearGrads {
 /// data-parallel shards run concurrently against shared weights (and one
 /// set module can process several ragged segments per mini-batch) without
 /// touching the allocator: [`Linear::backward_scratch`] for dense inputs,
-/// [`Linear::backward_sparse_leaf`] for the CSR feature rows. Both take an
-/// optional element index `rows`: gradient row `e` then belongs to input
-/// row `rows[e]`, so elements that share an input row are forwarded once
-/// and still get one gradient row each.
+/// [`Linear::backward_sparse_leaf`] for the CSR feature rows.
 #[derive(Clone, Debug)]
 pub struct Linear {
     w: Matrix,
@@ -133,30 +130,27 @@ impl Linear {
     }
 
     /// Leaf-mode backward for a CSR input `x`: accumulates
-    /// `∂L/∂W = xᵀ·∂L/∂y` and `∂L/∂b` into `grads`, where row `e` of
-    /// `grad_out` belongs to row `rows[e]` of `x` (row `e` without an
-    /// index). No input gradient — the sparse featurized inputs are
-    /// always leaves.
+    /// `∂L/∂W = xᵀ·∂L/∂y` and `∂L/∂b` into `grads`. No input gradient —
+    /// the sparse featurized inputs are always leaves.
     ///
     /// The weight gradient is the forward's gather kernel run backwards:
-    /// `xᵀ` over the elements is staged as CSR
+    /// `xᵀ` is staged as CSR
     /// ([`crate::SparseRows::transpose_into`], into a buffer `scratch`
     /// keeps warm) and gathers rows of `∂L/∂y` into `grads.w`, seeded from
-    /// its current contents. Per element that is one ascending-element
-    /// fused chain over the elements where the input column is nonzero,
+    /// its current contents. Per element that is one ascending-row fused
+    /// chain over the rows where the input column is nonzero,
     /// O(nnz · out) whatever the density.
     ///
     /// # Panics
-    /// If an entry of `rows` is not a row of `x`, or on a shape mismatch.
+    /// On a shape mismatch.
     pub fn backward_sparse_leaf(
         &self,
         x: &crate::sparse::SparseRows,
-        rows: Option<&[u32]>,
         grad_out: &Matrix,
         grads: &mut LinearGrads,
         scratch: &mut crate::scratch::Scratch,
     ) {
-        x.transpose_into(rows, &mut scratch.xt);
+        x.transpose_into(&mut scratch.xt);
         crate::kernels::sparse_matmul_accumulate(&scratch.xt, grad_out, &mut grads.w);
         accumulate_bias_grads(grad_out, grads);
     }
@@ -166,8 +160,7 @@ impl Linear {
     /// `∂L/∂x` per row of `grad_out` (using a `scratch` buffer for the
     /// transposed weights unless the `Wᵀ` cache is fresh). Pass `None`
     /// when nobody consumes the input gradient — that skips an entire
-    /// matmul. Row `e` of `grad_out` belongs to row `rows[e]` of `x` (row
-    /// `e` without an index).
+    /// matmul.
     ///
     /// The weight gradient runs the blocked kernel on `x` read in place
     /// as a transposed [`Operand`] view — no staged `xᵀ` — accumulating
@@ -175,21 +168,16 @@ impl Linear {
     /// at kernel throughput instead of read-modify-write speed.
     ///
     /// # Panics
-    /// If an entry of `rows` is not a row of `x`, or on a shape mismatch.
+    /// On a shape mismatch.
     pub fn backward_scratch(
         &self,
         x: &Matrix,
-        rows: Option<&[u32]>,
         grad_out: &Matrix,
         grads: &mut LinearGrads,
         grad_in: Option<&mut Matrix>,
         scratch: &mut crate::scratch::Scratch,
     ) {
-        let xt = match rows {
-            None => Operand::transposed(x),
-            Some(rows) => Operand::transposed_rows(x, rows),
-        };
-        crate::kernels::matmul_accumulate(xt, grad_out, &mut grads.w);
+        crate::kernels::matmul_accumulate(Operand::transposed(x), grad_out, &mut grads.w);
         accumulate_bias_grads(grad_out, grads);
         if let Some(grad_in) = grad_in {
             if self.wt_valid {
@@ -312,7 +300,7 @@ mod tests {
             // Analytic gradients with dL/dy = 1.
             let ones = Matrix::from_vec(n, 3, vec![1.0; n * 3]);
             let mut grads = layer.new_grads();
-            layer.backward_sparse_leaf(&x, None, &ones, &mut grads, &mut scratch);
+            layer.backward_sparse_leaf(&x, &ones, &mut grads, &mut scratch);
 
             let eps = 1e-2f32;
             for (i, j) in [(0usize, 0usize), (1, 2), (3, 1), (6, 0)] {
@@ -334,16 +322,9 @@ mod tests {
             let x_dense = x.to_dense();
             let mut full = layer.new_grads();
             let mut grad_x = Matrix::zeros(0, 0);
-            layer.backward_scratch(
-                &x_dense,
-                None,
-                &ones,
-                &mut full,
-                Some(&mut grad_x),
-                &mut scratch,
-            );
+            layer.backward_scratch(&x_dense, &ones, &mut full, Some(&mut grad_x), &mut scratch);
             let mut no_input_grad = layer.new_grads();
-            layer.backward_scratch(&x_dense, None, &ones, &mut no_input_grad, None, &mut scratch);
+            layer.backward_scratch(&x_dense, &ones, &mut no_input_grad, None, &mut scratch);
             for g in [&full, &no_input_grad] {
                 assert_eq!(g.w.data(), grads.w.data(), "weight grads must match bitwise");
                 assert_eq!(g.b, grads.b);
@@ -372,28 +353,14 @@ mod tests {
         assert!(!layer.wt_valid, "fresh layers start uncached");
         let mut cold = layer.new_grads();
         let mut grad_in_cold = Matrix::zeros(0, 0);
-        layer.backward_scratch(
-            &x,
-            None,
-            &grad_out,
-            &mut cold,
-            Some(&mut grad_in_cold),
-            &mut scratch,
-        );
+        layer.backward_scratch(&x, &grad_out, &mut cold, Some(&mut grad_in_cold), &mut scratch);
 
         // Cached path: same bits, without staging `Wᵀ` in the scratch.
         layer.refresh_transpose_cache();
         assert!(layer.wt_valid);
         let mut warm = layer.new_grads();
         let mut grad_in_warm = Matrix::zeros(0, 0);
-        layer.backward_scratch(
-            &x,
-            None,
-            &grad_out,
-            &mut warm,
-            Some(&mut grad_in_warm),
-            &mut scratch,
-        );
+        layer.backward_scratch(&x, &grad_out, &mut warm, Some(&mut grad_in_warm), &mut scratch);
         assert_eq!(grad_in_warm.data(), grad_in_cold.data(), "input grads must match bitwise");
         assert_eq!(warm.w.data(), cold.w.data());
         assert_eq!(warm.b, cold.b);
@@ -413,14 +380,7 @@ mod tests {
         layer.params_mut()[0][0] += 1.0;
         let mut after = layer.new_grads();
         let mut grad_in_after = Matrix::zeros(0, 0);
-        layer.backward_scratch(
-            &x,
-            None,
-            &grad_out,
-            &mut after,
-            Some(&mut grad_in_after),
-            &mut scratch,
-        );
+        layer.backward_scratch(&x, &grad_out, &mut after, Some(&mut grad_in_after), &mut scratch);
         let (mut expect, mut wt) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         layer.weights().transpose_into(&mut wt);
         grad_out.matmul_into(&wt, &mut expect);
@@ -436,9 +396,9 @@ mod tests {
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut scratch = Scratch::new();
         let mut grads = l.new_grads();
-        l.backward_scratch(&x, None, &g, &mut grads, None, &mut scratch);
+        l.backward_scratch(&x, &g, &mut grads, None, &mut scratch);
         let once = grads.w.get(1, 0);
-        l.backward_scratch(&x, None, &g, &mut grads, None, &mut scratch);
+        l.backward_scratch(&x, &g, &mut grads, None, &mut scratch);
         assert!((grads.w.get(1, 0) - 2.0 * once).abs() < 1e-6);
         grads.zero();
         assert_eq!(grads.w.get(1, 0), 0.0);

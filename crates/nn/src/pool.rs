@@ -53,7 +53,7 @@ use lc_obs::{metrics, SpanTimer};
 /// Upper bound on participants per dispatch: [`WorkerPool::run`] refuses
 /// more, [`WorkerPool::run_chunks`] clamps to it, so a runaway
 /// `LC_*_THREADS` value is harmless. Far above any productive count for
-/// this workload (training caps at 8 shards).
+/// this workload (training caps at 4 shards).
 pub const MAX_PARTICIPANTS: usize = 64;
 
 /// Process-wide count of threads ever spawned by pools in this process —

@@ -6,9 +6,8 @@
 //! identity is what lets `LC_KERNEL` and heterogeneous hardware never
 //! change a trained weight or an estimate.
 //!
-//! The dense kernel reads its left operand through a view — as stored,
-//! transposed, or transposed over rows picked through an element index —
-//! and every view must equal the fused reference on the matrix it reads
+//! The dense kernel reads its left operand through a view — as stored or
+//! transposed — and every view must equal the fused reference on the matrix it reads
 //! as, on both tiers and in both seed modes.
 //!
 //! The case count follows `PROPTEST_CASES` (256 by default); CI also runs
@@ -88,12 +87,6 @@ fn matrix_from(rows: usize, cols: usize, vals: &[i32], zero_mask: &[u8]) -> Matr
         })
         .collect();
     Matrix::from_vec(rows, cols, data)
-}
-
-/// `m`'s rows picked through `index`: row `e` is `m[index[e]]`.
-fn picked(m: &Matrix, index: &[u32]) -> Matrix {
-    let data = index.iter().flat_map(|&r| m.row(r as usize)).copied().collect();
-    Matrix::from_vec(index.len(), m.cols(), data)
 }
 
 /// Output widths on both sides of the AVX2 kernel's 8-lane vectors, its
@@ -223,17 +216,13 @@ proptest! {
         }
     }
 
-    /// The dense kernel's three operand views — `x` as stored, `xᵀ`, and
-    /// `xᵀ` over rows picked through a repeating, unsorted element index
-    /// (how a weight gradient reads cached activations of shared rows) —
+    /// The dense kernel's two operand views — `x` as stored and `xᵀ` —
     /// equal the fused reference on the matrix each reads as, bitwise, on
     /// both tiers and in both seed modes; at output widths and reduction
     /// lengths on both sides of every block edge, and for a 0-row `x`.
     #[test]
     fn operand_views_match_the_fused_reference(
         (w, kk, r) in (0..WIDTHS.len(), 0..REDUCTIONS.len(), 0usize..10),
-        distinct in 1usize..9,
-        picks in proptest::collection::vec(0u32..1000, 1..40),
         vals in proptest::collection::vec(-200i32..200, 8..32),
         mask in proptest::collection::vec(0u8..2, 4..16),
     ) {
@@ -245,11 +234,6 @@ proptest! {
         check_view(Operand::plain(&plain), &plain, &b, &prior, "plain")?;
         let x = matrix_from(k, r, &vals, &mask);
         check_view(Operand::transposed(&x), &transposed(&x), &b, &prior, "transposed")?;
-        // Transposed over `distinct` rows picked k times.
-        let rows = matrix_from(distinct, r, &vals[2..], &mask);
-        let index: Vec<u32> = (0..k).map(|e| picks[e % picks.len()] % distinct as u32).collect();
-        let view = Operand::transposed_rows(&rows, &index);
-        check_view(view, &transposed(&picked(&rows, &index)), &b, &prior, "transposed rows")?;
     }
 
     /// The sparse input-layer forward matches the dense fused forward
@@ -408,7 +392,7 @@ proptest! {
 /// on one `x`, output gradient `g` and prior gradient `seed`.
 fn check_sparse_accumulate(x: &Matrix, g: &Matrix, seed: &Matrix) -> Result<(), TestCaseError> {
     let mut xt = SparseRows::from_dense(&Matrix::from_vec(2, 3, vec![1.0; 6])); // dirty
-    SparseRows::from_dense(x).transpose_into(None, &mut xt);
+    SparseRows::from_dense(x).transpose_into(&mut xt);
     let xt_dense = transposed(x);
     prop_assert_eq!(&xt, &SparseRows::from_dense(&xt_dense), "CSR transpose of x");
     let expected = fused_reference(&xt_dense, g, seed);
@@ -438,7 +422,7 @@ fn sparse_accumulate_covers_every_width_class() {
             if r == 0 {
                 let mut out = seed.clone();
                 let mut xt = SparseRows::new(0);
-                SparseRows::from_dense(&x).transpose_into(None, &mut xt);
+                SparseRows::from_dense(&x).transpose_into(&mut xt);
                 sparse_matmul_bias_with(Kernel::Scalar, &xt, &g, None, &mut out);
                 assert_eq!(out, seed, "no rows, no gradient");
             }
