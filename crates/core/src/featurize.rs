@@ -329,12 +329,16 @@ impl Featurizer {
         );
     }
 
-    /// Normalize a literal by its column's min/max (§3.1).
+    /// Normalize a literal by its column's min/max (§3.1). The literal
+    /// may be any i64 a client sends, so the differences are taken in
+    /// i128; converting the exact difference to f64 rounds it the same
+    /// way the i64 difference did wherever that one did not overflow.
     fn normalize_value(&self, global_col: usize, v: i64) -> f32 {
         let (min, max) = self.value_range[global_col];
         if max <= min {
             return 0.0;
         }
+        let (v, min, max) = (i128::from(v), i128::from(min), i128::from(max));
         (((v - min) as f64 / (max - min) as f64).clamp(0.0, 1.0)) as f32
     }
 
@@ -662,6 +666,16 @@ mod tests {
         assert_eq!(idx, &[1, 10 + 2, 13]);
         assert_eq!(&vals[..2], &[1.0, 1.0]);
         assert!((0.3..0.7).contains(&vals[2]), "normalized mid-value {}", vals[2]);
+        // Literals from the wire span all of i64: the extremes clamp to
+        // the ends of the column's range instead of wrapping around.
+        for (value, slot) in [(i64::MIN, 0.0), (i64::MAX, 1.0)] {
+            let predicate = Predicate { table: TableId(0), column: year_col, op: CmpOp::Gt, value };
+            let q = Query::new(vec![TableId(0)], vec![], vec![predicate]);
+            let fq = f.featurize(&LabeledQuery::compute(&db, &samples, q));
+            let (idx, vals) = fq.preds.row(0);
+            let literal = if idx.last() == Some(&13) { vals[vals.len() - 1] } else { 0.0 };
+            assert_eq!(literal, slot, "literal {value}");
+        }
         // Bitmap bits mirror the labeled bitmaps: every entry past the
         // one-hot is a set sample bit.
         let (idx, vals) = fq.tables.row(0);

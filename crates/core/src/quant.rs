@@ -23,17 +23,18 @@
 //! on the f32 path: the int8 model derives the outputs of the
 //! featurizer's constant rows with its own forward
 //! ([`QuantizedMscnModel::derive_constants`]) when [`QuantizedMscn`] is
-//! quantized or decoded. Per-row activation scales make each derived row
-//! exactly what a stacked copy would give; the outputs are never
-//! serialized.
+//! quantized. Per-row activation scales make each derived row
+//! exactly what a stacked copy would give.
 //!
-//! Serialization follows the hardened `MSCN` format discipline: magic +
-//! version, the *identical* featurizer section, and an exact-size check
-//! computed before any allocation.
+//! The int8 model is never loaded from disk: `serve --model` loads the
+//! f32 `MSCN` format and the registry quantizes at publish.
+//! [`QuantizedMscn::to_bytes`] writes the int8 weights out as one byte
+//! string, which the cross-kernel determinism fingerprint hashes; no
+//! reader exists.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use lc_nn::qmatrix::quantize_csr;
-use lc_nn::{FinalActivation, Matrix, QActs, QLinear, QMatrix, QMlp, QMlpCache};
+use lc_nn::{Matrix, QActs, QMlp, QMlpCache};
 use lc_query::LabeledQuery;
 
 use crate::batch::{segment_mean_into_cols, RaggedBatch, WarmPool};
@@ -41,7 +42,7 @@ use crate::ensemble::UncertainEstimate;
 use crate::estimator::Estimator;
 use crate::featurize::{Featurizer, Set};
 use crate::model::MscnModel;
-use crate::serialize::{need, read_featurizer, write_featurizer, DecodeError};
+use crate::serialize::write_featurizer;
 use crate::train::{predict_blocks, MscnEstimator};
 
 const QMAGIC: u32 = 0x4D53_4351; // "MSCQ"
@@ -81,7 +82,7 @@ pub struct QuantizedMscnModel {
     out_mlp: QMlp,
     hidden: usize,
     /// Per set module, the int8 set-MLP outputs of the featurizer's
-    /// constant rows (derived, never serialized; empty until derived).
+    /// constant rows (empty until derived).
     constants: [Matrix; 3],
 }
 
@@ -128,37 +129,6 @@ impl QuantizedMscnModel {
         }
     }
 
-    /// Reassemble from deserialized modules (canonical order).
-    ///
-    /// # Panics
-    /// If the modules' widths don't form a valid MSCN architecture.
-    pub fn from_parts(
-        mut table_mlp: QMlp,
-        mut join_mlp: QMlp,
-        mut pred_mlp: QMlp,
-        out_mlp: QMlp,
-    ) -> Self {
-        let hidden = table_mlp.output_dim();
-        assert_eq!(join_mlp.output_dim(), hidden, "set modules must share the hidden width");
-        assert_eq!(pred_mlp.output_dim(), hidden, "set modules must share the hidden width");
-        assert_eq!(out_mlp.input_dim(), 3 * hidden, "output module must read the concatenation");
-        assert_eq!(out_mlp.output_dim(), 1, "output module must end in the scalar head");
-        // The sparse fast-path companion is derived data, not part of
-        // the serialized format — rebuild it on every reassembly so a
-        // deserialized model serves as fast as a freshly quantized one.
-        table_mlp.mark_sparse_input();
-        join_mlp.mark_sparse_input();
-        pred_mlp.mark_sparse_input();
-        QuantizedMscnModel {
-            table_mlp,
-            join_mlp,
-            pred_mlp,
-            out_mlp,
-            hidden,
-            constants: Default::default(),
-        }
-    }
-
     /// Hidden width `d`.
     pub fn hidden(&self) -> usize {
         self.hidden
@@ -169,7 +139,7 @@ impl QuantizedMscnModel {
         (self.table_mlp.input_dim(), self.join_mlp.input_dim(), self.pred_mlp.input_dim())
     }
 
-    /// All modules in canonical order (the serializer's order).
+    /// All modules in canonical order (table, join, predicate, output).
     pub fn mlps(&self) -> [&QMlp; 4] {
         [&self.table_mlp, &self.join_mlp, &self.pred_mlp, &self.out_mlp]
     }
@@ -179,13 +149,6 @@ impl QuantizedMscnModel {
     /// companions) — the footprint that must fit in L2.
     pub fn resident_bytes(&self) -> usize {
         self.mlps().iter().map(|m| m.resident_bytes()).sum()
-    }
-
-    /// Bytes of the persisted parameters — what [`Self::to_bytes`]
-    /// writes per tensor, excluding the derived companions that are
-    /// rebuilt after deserialization.
-    pub fn persisted_bytes(&self) -> usize {
-        self.mlps().iter().map(|m| m.persisted_bytes()).sum()
     }
 
     /// Allocation-free quantized forward pass, mirroring
@@ -281,10 +244,10 @@ impl QuantizedMscn {
         })
     }
 
-    /// Serialize to a self-contained byte buffer: `MSCQ` magic +
-    /// version, the featurizer section (byte-identical to the f32
-    /// format's), then per module per layer the per-channel scales, f32
-    /// bias, and int8 weights.
+    /// The model as one byte string: `MSCQ` magic + version, the
+    /// featurizer section (byte-identical to the f32 format's), then per
+    /// module per layer the per-channel scales, f32 bias, and int8
+    /// weights. Written for fingerprinting; nothing reads it back.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.resident_bytes() + 1024);
         buf.put_u32_le(QMAGIC);
@@ -303,100 +266,13 @@ impl QuantizedMscn {
                 }
                 for &w in layer.weight().weights() {
                     // The vendored `bytes` stand-in has no i8 accessors;
-                    // the cast is bit-preserving both ways.
+                    // the cast is bit-preserving.
                     buf.put_u8(w as u8);
                 }
             }
         }
         buf
     }
-
-    /// Deserialize a buffer written by [`QuantizedMscn::to_bytes`].
-    ///
-    /// Same hardening contract as [`MscnEstimator::from_bytes`]: the
-    /// architecture is fully determined by the featurizer dims and
-    /// `hidden`, so the exact network byte length is checked — rejecting
-    /// truncation and trailing garbage in one comparison — *before* any
-    /// weight buffer is allocated, with u128 arithmetic so adversarial
-    /// dimension products cannot wrap.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, DecodeError> {
-        need(data, 8)?;
-        if data.get_u32_le() != QMAGIC {
-            return Err(DecodeError("bad magic".into()));
-        }
-        let version = data.get_u32_le();
-        if version != QVERSION {
-            return Err(DecodeError(format!("unsupported version {version}")));
-        }
-        let featurizer = read_featurizer(&mut data)?;
-
-        need(data, 4)?;
-        let hidden = data.get_u32_le() as usize;
-        // Per layer: u32 input + u32 output, f32 scales (out), f32 bias
-        // (out), i8 weights (in×out).
-        fn qlayer_bytes(input: u128, output: u128) -> u128 {
-            8 + 4 * output + 4 * output + input * output
-        }
-        fn qmlp_bytes(input: usize, hidden: usize, output: usize) -> u128 {
-            let (i, h, o) = (input as u128, hidden as u128, output as u128);
-            qlayer_bytes(i, h) + qlayer_bytes(h, o)
-        }
-        let (td, jd, pd) = (featurizer.table_dim(), featurizer.join_dim(), featurizer.pred_dim());
-        let expected = qmlp_bytes(td, hidden, hidden)
-            + qmlp_bytes(jd, hidden, hidden)
-            + qmlp_bytes(pd, hidden, hidden)
-            + qmlp_bytes(3 * hidden, hidden, 1);
-        if data.remaining() as u128 != expected {
-            return Err(DecodeError(format!(
-                "quantized payload size mismatch: expected {expected} bytes for dims \
-                 ({td},{jd},{pd})×{hidden}, found {}",
-                data.remaining()
-            )));
-        }
-        // Module shapes and final activations in canonical order — the
-        // same architecture `MscnModel::new` would build.
-        let shapes: [(usize, usize, usize, FinalActivation); 4] = [
-            (td, hidden, hidden, FinalActivation::Relu),
-            (jd, hidden, hidden, FinalActivation::Relu),
-            (pd, hidden, hidden, FinalActivation::Relu),
-            (3 * hidden, hidden, 1, FinalActivation::Sigmoid),
-        ];
-        let mut modules = Vec::with_capacity(4);
-        for &(i, h, o, act) in &shapes {
-            let l1 = read_qlinear(&mut data, i, h)?;
-            let l2 = read_qlinear(&mut data, h, o)?;
-            modules.push(QMlp::from_parts(l1, l2, act));
-        }
-        let out_mlp = modules.pop().expect("4 modules read");
-        let pred_mlp = modules.pop().expect("4 modules read");
-        let join_mlp = modules.pop().expect("4 modules read");
-        let table_mlp = modules.pop().expect("4 modules read");
-        let qmodel = QuantizedMscnModel::from_parts(table_mlp, join_mlp, pred_mlp, out_mlp);
-        Ok(Self::new(qmodel, featurizer))
-    }
-
-    /// Size in bytes of the serialized artifact.
-    pub fn serialized_size(&self) -> usize {
-        self.to_bytes().len()
-    }
-}
-
-/// Decode one quantized layer, verifying its dims against the expected
-/// architecture before reading the tensors.
-fn read_qlinear(data: &mut &[u8], input: usize, output: usize) -> Result<QLinear, DecodeError> {
-    need(data, 8)?;
-    let file_in = data.get_u32_le() as usize;
-    let file_out = data.get_u32_le() as usize;
-    if file_in != input || file_out != output {
-        return Err(DecodeError(format!(
-            "layer shape mismatch: file {file_in}x{file_out}, expected {input}x{output}"
-        )));
-    }
-    need(data, 4 * output + 4 * output + input * output)?;
-    let scales: Vec<f32> = (0..output).map(|_| data.get_f32_le()).collect();
-    let bias: Vec<f32> = (0..output).map(|_| data.get_f32_le()).collect();
-    let weights: Vec<i8> = (0..input * output).map(|_| data.get_u8() as i8).collect();
-    Ok(QLinear::from_parts(QMatrix::from_parts(input, output, weights, scales), bias))
 }
 
 impl Estimator for QuantizedMscn {
@@ -451,11 +327,15 @@ mod tests {
     use rand::SeedableRng;
 
     fn teacher() -> (MscnEstimator, Vec<LabeledQuery>) {
+        teacher_of_width(32)
+    }
+
+    fn teacher_of_width(hidden: usize) -> (MscnEstimator, Vec<LabeledQuery>) {
         let db = generate(&ImdbConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(51);
         let samples = SampleSet::draw(&db, 24, &mut rng);
         let data = workloads::synthetic(&db, &samples, 400, 2, 53).queries;
-        let cfg = TrainConfig { epochs: 6, hidden: 32, batch_size: 64, ..TrainConfig::default() };
+        let cfg = TrainConfig { epochs: 6, hidden, batch_size: 64, ..TrainConfig::default() };
         (train(&db, 24, &data, cfg).estimator, data)
     }
 
@@ -499,42 +379,20 @@ mod tests {
         assert!(median < 1.2, "median f32-vs-int8 drift too large: {median}");
     }
 
+    /// The resident footprint — int8 weights, f32 scales and biases,
+    /// and the pair-interleaved sparse companions of the first layers —
+    /// is at most a third of the f32 weights at the served width 64,
+    /// where the output module dominates. (At width 32 the per-channel
+    /// scales and the companions weigh more, and it is not.)
     #[test]
     fn quantized_model_is_at_most_a_third_of_f32() {
-        let (est, _) = teacher();
+        let (est, _) = teacher_of_width(64);
         let q = QuantizedMscn::quantize(&est);
         let f32_bytes = est.model().num_params() * 4;
-        // The persisted format (int8 weights + f32 scales/biases, no
-        // derived companions) carries the ≤1/3 guarantee at any model
-        // size. The *resident* footprint adds the pair-interleaved
-        // sparse companions — roughly one extra copy of the (small)
-        // first layers — and meets the 1/3 bound at served widths,
-        // where the output module dominates; `examples/compact_models`
-        // gates exactly that at the hidden-64 operating point. On this
-        // deliberately tiny fixture the per-channel f32 scales weigh
-        // disproportionately, so resident gets the looser bound.
-        let persisted = q.qmodel().persisted_bytes();
-        assert!(persisted * 3 <= f32_bytes, "persisted {persisted} bytes vs f32 {f32_bytes}");
-        assert!(
-            q.resident_bytes() * 2 <= f32_bytes,
-            "resident {} bytes vs f32 {f32_bytes}",
-            q.resident_bytes()
-        );
+        let resident = q.resident_bytes();
+        assert!(resident * 3 <= f32_bytes, "resident {resident} bytes vs f32 {f32_bytes}");
     }
 
-    #[test]
-    fn roundtrip_preserves_predictions_bitwise() {
-        let (est, data) = teacher();
-        let q = QuantizedMscn::quantize(&est);
-        let restored = QuantizedMscn::from_bytes(&q.to_bytes()).expect("decode");
-        assert_eq!(q.estimate_cards(&data[..32]), restored.estimate_cards(&data[..32]));
-        assert_eq!(q.resident_bytes(), restored.resident_bytes());
-    }
-
-    /// The int8 model derives its constants with its own forward when it
-    /// is quantized or decoded, so served answers (blocks name constants)
-    /// are bitwise those of the assembled training batch (which names
-    /// none), for the original, a clone and a decoded copy alike.
     #[test]
     fn derived_constants_follow_every_quantized_estimator() {
         use crate::batch::CorpusSparse;
@@ -552,8 +410,7 @@ mod tests {
         q.qmodel().forward_scratch(&batch, &mut s);
         let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         let want = bits(&s.preds);
-        let decoded = QuantizedMscn::from_bytes(&q.to_bytes()).expect("decode");
-        for (name, served) in [("quantized", &q), ("clone", &q.clone()), ("decoded", &decoded)] {
+        for (name, served) in [("quantized", &q), ("clone", &q.clone())] {
             assert_eq!(bits(&served.estimate_normalized(&data)), want, "{name}");
         }
     }
@@ -572,43 +429,6 @@ mod tests {
             assert_eq!(*p, u.estimate);
             assert_eq!(u.log_std, 0.0);
             assert_eq!(dyn_est.estimate(&data[i]), *p);
-        }
-    }
-
-    #[test]
-    fn rejects_corrupt_and_truncated_buffers() {
-        let (est, _) = teacher();
-        let q = QuantizedMscn::quantize(&est);
-        let bytes = q.to_bytes();
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(QuantizedMscn::from_bytes(&bad).is_err());
-        // The f32 format must not decode as quantized.
-        assert!(QuantizedMscn::from_bytes(&est.to_bytes()).is_err());
-        // Trailing byte.
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        let err = QuantizedMscn::from_bytes(&trailing).unwrap_err();
-        assert!(err.0.contains("size mismatch"), "unexpected error: {err}");
-        // Every truncation errors cleanly: exhaustive over the metadata
-        // region, strided through the weight region.
-        let cuts = (0..256.min(bytes.len()))
-            .chain((256..bytes.len()).step_by(97))
-            .chain(bytes.len().saturating_sub(8)..bytes.len());
-        for cut in cuts {
-            assert!(
-                QuantizedMscn::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut}/{} decoded successfully",
-                bytes.len()
-            );
-        }
-        // Corrupt metadata counts error instead of allocating.
-        for word in 0..5 {
-            let at = 9 + 4 * word;
-            let mut corrupt = bytes.clone();
-            corrupt[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(QuantizedMscn::from_bytes(&corrupt).is_err(), "corrupt word {word} accepted");
         }
     }
 

@@ -199,16 +199,6 @@ impl ColumnStats {
             self.null_count as f64 / self.row_count as f64
         }
     }
-
-    /// Normalize `v` into `[0,1]` by this column's min/max (the paper's
-    /// literal encoding). Degenerate ranges map to 0.
-    pub fn normalize(&self, v: i64) -> f64 {
-        if self.max <= self.min {
-            return 0.0;
-        }
-        let x = (v - self.min) as f64 / (self.max - self.min) as f64;
-        x.clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -300,17 +290,5 @@ mod tests {
         assert_eq!((s.min, s.max, s.ndv), (0, 0, 0));
         let s = Column::from_nullable(vec![None, None]).stats();
         assert_eq!((s.min, s.max, s.ndv, s.null_count), (0, 0, 0, 2));
-    }
-
-    #[test]
-    fn normalization_clamps_and_inverts_range() {
-        let s = ColumnStats { min: 10, max: 20, ndv: 11, null_count: 0, row_count: 11 };
-        assert_eq!(s.normalize(10), 0.0);
-        assert_eq!(s.normalize(20), 1.0);
-        assert_eq!(s.normalize(15), 0.5);
-        assert_eq!(s.normalize(0), 0.0);
-        assert_eq!(s.normalize(100), 1.0);
-        let degenerate = ColumnStats { min: 5, max: 5, ndv: 1, null_count: 0, row_count: 1 };
-        assert_eq!(degenerate.normalize(5), 0.0);
     }
 }

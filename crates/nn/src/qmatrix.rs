@@ -131,16 +131,6 @@ impl QMatrix {
         QMatrix { input, output, data, scales, pair_major: Vec::new() }
     }
 
-    /// Reassemble from serialized parts.
-    ///
-    /// # Panics
-    /// If the buffer lengths disagree with the dimensions.
-    pub fn from_parts(input: usize, output: usize, data: Vec<i8>, scales: Vec<f32>) -> Self {
-        assert_eq!(data.len(), input * output, "weight buffer must be input*output");
-        assert_eq!(scales.len(), output, "one scale per output channel");
-        QMatrix { input, output, data, scales, pair_major: Vec::new() }
-    }
-
     /// Build the pair-interleaved companion layout the AVX2 sparse
     /// kernel broadcasts against (see the `pair_major` field). Costs one
     /// extra copy of the weights in memory — worth it exactly for layers
@@ -188,7 +178,7 @@ impl QMatrix {
         &self.scales
     }
 
-    /// The full `[out × in]` row-major int8 buffer (serialization).
+    /// The full `[out × in]` row-major int8 buffer.
     pub fn weights(&self) -> &[i8] {
         &self.data
     }
@@ -209,13 +199,6 @@ impl QMatrix {
     /// pair-interleaved companion, when built).
     pub fn resident_bytes(&self) -> usize {
         self.data.len() + self.pair_major.len() + 4 * self.scales.len()
-    }
-
-    /// Bytes of the persisted form (weights + scales) — what the
-    /// serializers write. Excludes derived fast-path companions, which
-    /// are rebuilt after deserialization rather than stored.
-    pub fn persisted_bytes(&self) -> usize {
-        self.data.len() + 4 * self.scales.len()
     }
 }
 
@@ -913,15 +896,6 @@ impl QLinear {
         QLinear { w: QMatrix::quantize(layer.weights()), bias: layer.bias().to_vec() }
     }
 
-    /// Reassemble from serialized parts.
-    ///
-    /// # Panics
-    /// If `bias` does not have one entry per output channel.
-    pub fn from_parts(w: QMatrix, bias: Vec<f32>) -> Self {
-        assert_eq!(bias.len(), w.output_dim(), "one bias per output channel");
-        QLinear { w, bias }
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.w.input_dim()
@@ -961,11 +935,6 @@ impl QLinear {
     /// Resident bytes (weights + scales + bias).
     pub fn resident_bytes(&self) -> usize {
         self.w.resident_bytes() + 4 * self.bias.len()
-    }
-
-    /// Persisted bytes (weights + scales + bias, no derived companions).
-    pub fn persisted_bytes(&self) -> usize {
-        self.w.persisted_bytes() + 4 * self.bias.len()
     }
 }
 
@@ -1014,15 +983,6 @@ impl QMlp {
         }
     }
 
-    /// Reassemble from serialized parts.
-    ///
-    /// # Panics
-    /// If the layers' shared hidden width disagrees.
-    pub fn from_parts(l1: QLinear, l2: QLinear, final_act: FinalActivation) -> Self {
-        assert_eq!(l1.output_dim(), l2.input_dim(), "layer widths must chain");
-        QMlp { l1, l2, final_act }
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.l1.input_dim()
@@ -1038,15 +998,14 @@ impl QMlp {
         self.final_act
     }
 
-    /// Both layers, first → second (serializer order).
+    /// Both layers, first → second.
     pub fn layers(&self) -> [&QLinear; 2] {
         [&self.l1, &self.l2]
     }
 
     /// Declare the first layer CSR-consumed: build the pair-interleaved
     /// companion the AVX2 sparse kernel streams (one extra in-memory
-    /// weight copy — see [`QMatrix::build_pair_major`]; never
-    /// serialized, so callers re-mark after deserialization). Even very
+    /// weight copy — see [`QMatrix::build_pair_major`]). Even very
     /// narrow layers win: without the companion every stored nonzero is
     /// walked once *per output channel*, so a 5-wide join layer costs
     /// `64 × nnz` branchy pair steps per row versus `nnz` broadcast
@@ -1100,11 +1059,6 @@ impl QMlp {
     /// Resident bytes of both quantized layers.
     pub fn resident_bytes(&self) -> usize {
         self.l1.resident_bytes() + self.l2.resident_bytes()
-    }
-
-    /// Persisted bytes of both quantized layers (no derived companions).
-    pub fn persisted_bytes(&self) -> usize {
-        self.l1.persisted_bytes() + self.l2.persisted_bytes()
     }
 }
 

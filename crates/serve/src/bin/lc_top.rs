@@ -28,11 +28,10 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::process::exit;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lc_obs::{HistogramSnapshot, MetricKind, BUCKETS, CATALOG};
 use lc_serve::flags::get;
-use lc_serve::loadgen::connect_with_retry;
 use lc_serve::wire::{
     read_message, write_message, Message, CAPABILITIES, CAP_METRICS, PROTOCOL_VERSION,
 };
@@ -82,6 +81,19 @@ impl Sample {
 
     fn histogram(&self, name: &str) -> HistogramSnapshot {
         self.histograms.get(&id_of(name)).copied().unwrap_or_else(HistogramSnapshot::empty)
+    }
+}
+
+/// Connect with retries until `timeout` elapses — the server may still be
+/// training its bootstrap model when `lc-top` starts.
+fn connect_with_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(stream),
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
     }
 }
 
@@ -468,5 +480,12 @@ mod tests {
                 id_of(&format!("serve.shard{i}.{field}"));
             }
         }
+    }
+
+    #[test]
+    fn connect_with_retry_times_out_cleanly() {
+        // Port 1 on localhost is essentially never listening.
+        let err = connect_with_retry("127.0.0.1:1", Duration::from_millis(120));
+        assert!(err.is_err());
     }
 }

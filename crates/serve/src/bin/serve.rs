@@ -9,11 +9,11 @@
 //! to size. Protocol v2 clients can stream execution feedback back;
 //! the drift monitor watches per-join-template rolling q-error and
 //! retrains + republishes the model in the background when a template
-//! drifts. Drive it with the sibling `loadgen` binary:
+//! drifts. Watch it with the sibling `lc-top` binary:
 //!
 //! ```text
 //! cargo run --release -p lc-serve --bin serve -- --addr 127.0.0.1:7878 &
-//! cargo run --release -p lc-serve --bin loadgen -- --addr 127.0.0.1:7878 --shift
+//! cargo run --release -p lc-serve --bin lc-top -- --addr 127.0.0.1:7878
 //! ```
 //!
 //! Flags (all optional):
@@ -41,7 +41,7 @@
 //!   (default 96)
 //! * `--retrain-epochs N`  epochs per incremental retrain  (default 12)
 //! * `--tiered`            serve through the uncertainty-routed
-//!   [`TieredEstimator`](lc_serve::TieredEstimator) pipeline: deep-ensemble
+//!   [`tiered_pipeline`](lc_serve::tiered_pipeline): deep-ensemble
 //!   MSCN primary, gradient-boosted-stumps middle tier, index-based
 //!   join-sampling fallback. Clients that negotiate the tier capability
 //!   get per-answer tier attribution on the wire.
@@ -50,8 +50,9 @@
 //!   1 = single model, saturation-only trust; ignored with `--model`)
 //! * `--tier-gbm-rounds N` GBM boosting rounds, 0 disables the middle
 //!   tier                                   (default 200)
-//! * `--quantized`         serve int8 post-training-quantized weights:
-//!   the registry's pipeline builder quantizes the trained base model at
+//! * `--quantized`         serve int8 post-training-quantized weights
+//!   ([`compact_pipeline`](lc_serve::compact_pipeline)): the registry's
+//!   pipeline builder quantizes the trained base model at
 //!   startup and again on every self-healing republish, so the resident
 //!   footprint stays ~4x smaller across retrains. Incompatible with
 //!   `--tiered` (the tiered pipeline routes through f32 ensemble
@@ -69,23 +70,20 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use lc_baselines::{FullJoinSizes, GbmConfig, GbmEstimator, OwnedIbjsEstimator};
-use lc_core::{
-    distill, train, DeepEnsemble, Estimator, FeatureMode, MscnEstimator, QuantizedMscn, TrainConfig,
-};
-use lc_engine::{JoinIndexes, SampleSet};
+use lc_core::{train, DeepEnsemble, FeatureMode, MscnEstimator, TrainConfig};
+use lc_engine::SampleSet;
 use lc_imdb::ImdbConfig;
 use lc_query::workloads;
 use lc_serve::flags::get;
 use lc_serve::{
-    serve, BatcherConfig, CacheConfig, DriftConfig, EstimationService, FrontConfig, ModelRegistry,
-    ServeConfig, TierConfig, TieredEstimator,
+    compact_pipeline, serve, tiered_pipeline, BatcherConfig, CacheConfig, DriftConfig,
+    EstimationService, FrontConfig, ModelRegistry, ServeConfig, TierConfig,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Sample size every served model must be trained with (the loadgen and
-/// the bootstrap trainer agree on it).
+/// Sample size every served model must be trained with: the server
+/// annotates every query with samples of this size.
 const SAMPLE_SIZE: usize = 64;
 
 const FLAGS: &[&str] = &[
@@ -230,78 +228,29 @@ fn run() -> Result<(), String> {
     let params = estimator.model().num_params();
 
     let registry = if tiered {
-        let gbm = (tier.gbm_rounds > 0).then(|| {
-            eprintln!("serve: training GBM middle tier ({} rounds) ...", tier.gbm_rounds);
-            Arc::new(GbmEstimator::train(
-                &db,
-                &data,
-                GbmConfig { rounds: tier.gbm_rounds, ..GbmConfig::default() },
-            ))
-        });
-        eprintln!("serve: building sampling fallback tier (join indexes + subset sizes) ...");
-        let fallback = Arc::new(OwnedIbjsEstimator::new(
-            Arc::new(db.clone()),
-            Arc::new(samples.clone()),
-            Arc::new(JoinIndexes::build(&db)),
-            Arc::new(FullJoinSizes::build(&db)),
-        ));
-        let max_log_std = tier.max_log_std;
-        Arc::new(ModelRegistry::with_pipeline(
-            estimator,
-            Box::new(move |base| {
-                let primary: Arc<dyn Estimator + Send + Sync> = if extra_members.is_empty() {
-                    Arc::new(base.clone())
-                } else {
-                    // A retrain refreshes member 0 (the registry base);
-                    // the bootstrap-trained members keep providing the
-                    // disagreement signal.
-                    let mut members = vec![base.clone()];
-                    members.extend(extra_members.iter().cloned());
-                    Arc::new(DeepEnsemble::new(members))
-                };
-                let mut pipeline = TieredEstimator::new(primary, max_log_std)
-                    .with_fallback(Arc::clone(&fallback) as _);
-                if let Some(gbm) = &gbm {
-                    pipeline = pipeline.with_gbm(Arc::clone(gbm) as _);
-                }
-                Arc::new(pipeline)
-            }),
-        ))
+        eprintln!(
+            "serve: building the GBM middle tier ({} rounds) and the sampling fallback ...",
+            tier.gbm_rounds
+        );
+        let pipeline = tiered_pipeline(&db, &samples, &data, extra_members, &tier);
+        Arc::new(ModelRegistry::with_pipeline(estimator, pipeline))
     } else if quantized || student_width > 0 {
-        // The compaction pipeline runs inside the registry's builder so
-        // every publish — the bootstrap model now and each drift-driven
-        // retrain later — goes through the same distill/quantize steps
-        // before it serves traffic.
         if student_width > 0 {
             eprintln!("serve: distilling {student_width}-wide student ...");
         }
         if quantized {
             eprintln!("serve: quantizing weights to int8 ...");
         }
-        let distill_corpus = data.clone();
-        let distill_cfg = TrainConfig {
-            epochs: epochs.max(6),
-            hidden: student_width,
-            mode: FeatureMode::Bitmaps,
-            ..TrainConfig::default()
-        };
-        Arc::new(ModelRegistry::with_pipeline(
-            estimator,
-            Box::new(move |base| {
-                let student;
-                let model = if student_width > 0 {
-                    student = distill(base, &distill_corpus, distill_cfg);
-                    &student
-                } else {
-                    base
-                };
-                if quantized {
-                    Arc::new(QuantizedMscn::quantize(model)) as Arc<dyn Estimator + Send + Sync>
-                } else {
-                    Arc::new(model.clone())
-                }
-            }),
-        ))
+        let student = (student_width > 0).then(|| {
+            let config = TrainConfig {
+                epochs: epochs.max(6),
+                hidden: student_width,
+                mode: FeatureMode::Bitmaps,
+                ..TrainConfig::default()
+            };
+            (data, config)
+        });
+        Arc::new(ModelRegistry::with_pipeline(estimator, compact_pipeline(student, quantized)))
     } else {
         Arc::new(ModelRegistry::new(estimator))
     };

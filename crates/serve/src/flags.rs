@@ -1,5 +1,5 @@
 //! Minimal `--flag value` command-line parsing shared by the `serve` and
-//! `loadgen` binaries (no external CLI crate — the workspace is
+//! `lc-top` binaries (no external CLI crate — the workspace is
 //! offline). Unknown flags are an error, not a silent no-op, so a typo
 //! like `--max-conn` for `--max-conns`, or a flag a later version
 //! dropped, cannot quietly run with defaults.
@@ -7,13 +7,8 @@
 use std::collections::HashMap;
 
 /// Parse `--name value` pairs from the process arguments, validating
-/// every flag name against `allowed`.
-pub fn parse(allowed: &[&str]) -> Result<HashMap<String, String>, String> {
-    parse_from(std::env::args().skip(1), allowed, &[])
-}
-
-/// Like [`parse`], but the names in `switches` are valueless booleans
-/// (`--shift`): present means `"true"`.
+/// every flag name against `allowed`; the names in `switches` are
+/// valueless booleans (`--once`): present means `"true"`.
 pub fn parse_with_switches(
     allowed: &[&str],
     switches: &[&str],

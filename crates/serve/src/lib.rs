@@ -74,9 +74,13 @@
 //!   micro-batch flush at the end of every readiness pass. Admission
 //!   control ([`config::FrontConfig`]) sheds over-budget requests with
 //!   v2 `Busy`/retry frames instead of queueing them.
-//! * [`loadgen`] — a load-generator binary with closed-loop (latency
-//!   histogram + QPS report) and open-loop (`--open-loop`, fixed-rate
-//!   against thousands of mostly-idle connections) modes.
+//!
+//! Two pipelines ship with the crate, the ones the `serve` binary
+//! installs: [`tiered_pipeline`] (`--tiered`) and [`compact_pipeline`]
+//! (`--student-width`, `--quantized`). Clients speak [`wire`] directly:
+//! the tests and the `serving` example write frames with
+//! [`wire::write_message`] and read them with [`wire::read_message`], and
+//! the `lc-top` binary polls a live server's metrics the same way.
 //!
 //! ## Quickstart
 //!
@@ -111,7 +115,6 @@ pub mod cache;
 pub mod config;
 pub mod drift;
 pub mod flags;
-pub mod loadgen;
 pub mod registry;
 pub mod server;
 pub mod service;
@@ -122,9 +125,10 @@ pub use batcher::{BatchStats, BatcherConfig, Estimate, MicroBatcher};
 pub use cache::{CacheConfig, CacheStats, CachedEstimate, EstimateCache};
 pub use config::{DriftConfig, FrontConfig, ServeConfig, TierConfig};
 pub use drift::{DriftDecision, DriftMonitor};
-pub use loadgen::{LoadReport, LoadgenConfig, ShiftReport};
-pub use registry::{ModelRegistry, ModelSnapshot, PipelineBuilder, RegistryError};
+pub use registry::{
+    compact_pipeline, ModelRegistry, ModelSnapshot, PipelineBuilder, RegistryError,
+};
 pub use server::{serve, ServerHandle};
 pub use service::{EstimationService, PendingEstimate, ServeError};
-pub use tier::{TieredEstimator, TIER_FALLBACK, TIER_GBM, TIER_PRIMARY};
+pub use tier::{tiered_pipeline, TieredEstimator, TIER_FALLBACK, TIER_GBM, TIER_PRIMARY};
 pub use wire::{HistogramMetric, Message, ScalarMetric, TemplateDrift, TemplateStat, WireError};

@@ -26,13 +26,35 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use lc_core::serialize::DecodeError;
-use lc_core::{Estimator, MscnEstimator};
+use lc_core::{distill, Estimator, MscnEstimator, QuantizedMscn, TrainConfig};
 use lc_obs::metrics;
+use lc_query::LabeledQuery;
 
 /// Builds the serving pipeline around a trained base model. Re-invoked
 /// on every publish/register so retrained weights get the same wrapping.
 pub type PipelineBuilder =
     Box<dyn Fn(&MscnEstimator) -> Arc<dyn Estimator + Send + Sync> + Send + Sync>;
+
+/// The compaction pipeline `serve --student-width` / `--quantized`
+/// serves: each published base model is distilled into a student trained
+/// with `config` on the teacher's answers over `corpus` (when `student`
+/// is given), and the result is quantized to int8 (when `quantized`).
+/// The steps run inside the builder, so every drift retrain is compacted
+/// the same way before it serves.
+pub fn compact_pipeline(
+    student: Option<(Vec<LabeledQuery>, TrainConfig)>,
+    quantized: bool,
+) -> PipelineBuilder {
+    Box::new(move |base| {
+        let student = student.as_ref().map(|(corpus, config)| distill(base, corpus, *config));
+        let model = student.as_ref().unwrap_or(base);
+        if quantized {
+            Arc::new(QuantizedMscn::quantize(model))
+        } else {
+            Arc::new(model.clone())
+        }
+    })
+}
 
 /// An immutable, versioned trained-model snapshot.
 pub struct ModelSnapshot {
@@ -378,10 +400,7 @@ mod tests {
         let (a, b, data) = fixture();
         let f32_bytes = a.model_bytes();
         assert!(f32_bytes > 0);
-        let reg = ModelRegistry::with_pipeline(
-            a,
-            Box::new(|base| Arc::new(lc_core::QuantizedMscn::quantize(base))),
-        );
+        let reg = ModelRegistry::with_pipeline(a, compact_pipeline(None, true));
         let snap = reg.current();
         assert!(snap.estimator.is_quantized());
         let v1_bytes = reg.resident_bytes();

@@ -915,11 +915,11 @@ mod tests {
         tiny_service_with(ServeConfig::default())
     }
 
-    /// A service whose registry serves a full three-tier pipeline:
-    /// MSCN primary, GBM middle tier, Postgres-style fallback.
+    /// A service whose registry serves the `serve --tiered` pipeline
+    /// around a single-model primary: MSCN, GBM middle tier, IBJS
+    /// fallback.
     fn tiered_service(max_log_std: f64) -> (Arc<EstimationService>, Vec<lc_query::LabeledQuery>) {
-        use crate::tier::TieredEstimator;
-        use lc_baselines::{GbmConfig, GbmEstimator, OwnedPostgresEstimator};
+        use crate::config::TierConfig;
 
         let db = generate(&ImdbConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(13);
@@ -927,18 +927,9 @@ mod tests {
         let data = workloads::synthetic(&db, &samples, 120, 2, 91).queries;
         let cfg = TrainConfig { epochs: 2, hidden: 16, ..TrainConfig::default() };
         let est = train(&db, 24, &data, cfg).estimator;
-        let gbm = Arc::new(GbmEstimator::train(&db, &data, GbmConfig::default()));
-        let fallback = Arc::new(OwnedPostgresEstimator::new(Arc::new(db.clone())));
-        let registry = Arc::new(ModelRegistry::with_pipeline(
-            est,
-            Box::new(move |base| {
-                Arc::new(
-                    TieredEstimator::new(Arc::new(base.clone()), max_log_std)
-                        .with_gbm(Arc::clone(&gbm) as _)
-                        .with_fallback(Arc::clone(&fallback) as _),
-                )
-            }),
-        ));
+        let tier = TierConfig { max_log_std, ..TierConfig::default() };
+        let pipeline = crate::tier::tiered_pipeline(&db, &samples, &data, Vec::new(), &tier);
+        let registry = Arc::new(ModelRegistry::with_pipeline(est, pipeline));
         let service = EstimationService::new(db, samples, registry, ServeConfig::default());
         (Arc::new(service), data)
     }

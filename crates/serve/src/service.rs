@@ -830,7 +830,7 @@ pub(crate) mod tests {
         let expect_v2 = lc_core::QuantizedMscn::quantize(&b).estimate(&data[3]);
         let registry = Arc::new(ModelRegistry::with_pipeline(
             a,
-            Box::new(|base| Arc::new(lc_core::QuantizedMscn::quantize(base))),
+            crate::registry::compact_pipeline(None, true),
         ));
         let svc =
             EstimationService::new(db, samples, Arc::clone(&registry), ServeConfig::default());
@@ -867,6 +867,26 @@ pub(crate) mod tests {
         let cache = svc.cache_stats();
         assert_eq!((cache.hits, cache.misses), (0, 0), "refused after the cache probe");
         assert_eq!(svc.estimate(&data[0].query).unwrap().cardinality, est.estimate(&data[0]));
+        svc.shutdown();
+    }
+
+    /// A literal is any i64 the wire can carry; the extremes must not
+    /// wrap the featurizer's range arithmetic into a bogus estimate.
+    #[test]
+    fn extreme_literals_estimate_finite_and_at_least_one() {
+        let (svc, _, data) = service();
+        let columns = &svc.db.schema().table(TableId(0)).columns;
+        let column =
+            columns.iter().position(|c| c.role == ColumnRole::Data).expect("a data column");
+        for value in [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX - 1, i64::MAX] {
+            for op in [CmpOp::Lt, CmpOp::Eq, CmpOp::Gt] {
+                let predicate = Predicate { table: TableId(0), column, op, value };
+                let query = Query::new(vec![TableId(0)], vec![], vec![predicate]);
+                let estimate = svc.estimate(&query).unwrap().cardinality;
+                assert!(estimate.is_finite() && estimate >= 1.0, "{query}: {estimate}");
+            }
+        }
+        assert!(svc.estimate(&data[0].query).is_ok(), "the service keeps serving");
         svc.shutdown();
     }
 

@@ -33,9 +33,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lc_core::{Estimator, RoutedEstimate, UncertainEstimate};
+use lc_baselines::{FullJoinSizes, GbmConfig, GbmEstimator, OwnedIbjsEstimator};
+use lc_core::{DeepEnsemble, Estimator, MscnEstimator, RoutedEstimate, UncertainEstimate};
+use lc_engine::{Database, JoinIndexes, SampleSet};
 use lc_obs::metrics;
 use lc_query::LabeledQuery;
+
+use crate::config::TierConfig;
+use crate::registry::PipelineBuilder;
 
 /// Tier id: the primary learned model (MSCN or a deep ensemble).
 pub const TIER_PRIMARY: u8 = 0;
@@ -44,10 +49,51 @@ pub const TIER_GBM: u8 = 1;
 /// Tier id: the sampling/classical fallback (IBJS or Postgres-style).
 pub const TIER_FALLBACK: u8 = 2;
 
+/// The pipeline `serve --tiered` serves: each published base model and
+/// the bootstrap-trained ensemble `members` as a deep-ensemble primary
+/// (the base alone when `members` is empty), gradient-boosted stumps
+/// trained on `corpus` as the middle tier (none when
+/// [`TierConfig::gbm_rounds`] is 0), and index-based join sampling over
+/// `db` and `samples` as the fallback. A retrain refreshes the base,
+/// member 0; the other members keep providing the disagreement signal.
+pub fn tiered_pipeline(
+    db: &Database,
+    samples: &SampleSet,
+    corpus: &[LabeledQuery],
+    members: Vec<MscnEstimator>,
+    tier: &TierConfig,
+) -> PipelineBuilder {
+    let gbm = (tier.gbm_rounds > 0).then(|| {
+        let config = GbmConfig { rounds: tier.gbm_rounds, ..GbmConfig::default() };
+        Arc::new(GbmEstimator::train(db, corpus, config))
+    });
+    let fallback = Arc::new(OwnedIbjsEstimator::new(
+        Arc::new(db.clone()),
+        Arc::new(samples.clone()),
+        Arc::new(JoinIndexes::build(db)),
+        Arc::new(FullJoinSizes::build(db)),
+    ));
+    let max_log_std = tier.max_log_std;
+    Box::new(move |base| {
+        let primary: Arc<dyn Estimator + Send + Sync> = if members.is_empty() {
+            Arc::new(base.clone())
+        } else {
+            let ensemble = std::iter::once(base).chain(&members).cloned().collect();
+            Arc::new(DeepEnsemble::new(ensemble))
+        };
+        let mut pipeline =
+            TieredEstimator::new(primary, max_log_std).with_fallback(Arc::clone(&fallback) as _);
+        if let Some(gbm) = &gbm {
+            pipeline = pipeline.with_gbm(Arc::clone(gbm) as _);
+        }
+        Arc::new(pipeline)
+    })
+}
+
 /// A composite [`Estimator`] that routes each query across up to three
 /// tiers by the primary tier's uncertainty (see the module docs for the
-/// policy). Built by the serving bootstrap and installed in the
-/// [`ModelRegistry`](crate::ModelRegistry) through
+/// policy). [`tiered_pipeline`] builds the one `serve --tiered` installs
+/// in the [`ModelRegistry`](crate::ModelRegistry) through
 /// [`ModelRegistry::with_pipeline`](crate::ModelRegistry::with_pipeline).
 pub struct TieredEstimator {
     primary: Arc<dyn Estimator + Send + Sync>,
@@ -179,6 +225,13 @@ impl Estimator for TieredEstimator {
     fn estimate_routed(&self, queries: &[LabeledQuery]) -> Vec<RoutedEstimate> {
         self.route_batch(queries).1
     }
+
+    /// The tiers' resident bytes together: the registry's `model.bytes`
+    /// of a tiered pipeline is its learned tiers' footprint, not 0.
+    fn model_bytes(&self) -> usize {
+        let classical = self.gbm.iter().chain(&self.fallback).map(|t| t.model_bytes());
+        self.primary.model_bytes() + classical.sum::<usize>()
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +294,26 @@ mod tests {
         TieredEstimator::new(Arc::new(ScriptedPrimary { estimate: 100.0, signals }), 0.75)
             .with_gbm(Arc::new(Flat(200.0)))
             .with_fallback(Arc::new(Flat(300.0)))
+    }
+
+    #[test]
+    fn model_bytes_sum_the_tiers() {
+        struct Sized(usize);
+        impl Estimator for Sized {
+            fn name(&self) -> &str {
+                "sized"
+            }
+            fn estimate_with_uncertainty(&self, q: &[LabeledQuery]) -> Vec<UncertainEstimate> {
+                Flat(1.0).estimate_with_uncertainty(q)
+            }
+            fn model_bytes(&self) -> usize {
+                self.0
+            }
+        }
+        let est = TieredEstimator::new(Arc::new(Sized(1000)), 0.75)
+            .with_gbm(Arc::new(Sized(20)))
+            .with_fallback(Arc::new(Flat(1.0)));
+        assert_eq!(est.model_bytes(), 1020);
     }
 
     #[test]

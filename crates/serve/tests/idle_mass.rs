@@ -6,7 +6,7 @@
 //! budget of the old thread-per-connection front.
 //!
 //! Ignored by default: it opens tens of thousands of file descriptors
-//! and takes seconds. The CI `overload-smoke` job (and anyone debugging
+//! and takes seconds. The CI `serve-smoke` job (and anyone debugging
 //! connection memory) runs it explicitly:
 //!
 //! ```text
