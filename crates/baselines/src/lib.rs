@@ -15,21 +15,16 @@
 //!   per-level budget; shares Random Sampling's fallback when the starting
 //!   sample is empty (§4, "IB Join Samp.").
 //!
-//! Beyond the paper's three, [`GbmEstimator`] adds a gradient-boosted
-//! regression-stumps estimator over hand-crafted query features — the
-//! classical-ML middle tier of `lc_serve`'s uncertainty-routed pipeline.
-//!
 //! All estimators implement the unified, object-safe
 //! [`lc_core::Estimator`] trait, so the evaluation harness and the
 //! serving registry treat them interchangeably with MSCN. The baselines
 //! are deterministic formulas: their uncertainty channel reports zero
 //! spread and no saturation. The borrowing variants
 //! (`PostgresEstimator<'a>`, `IbjsEstimator<'a>`) suit the evaluation
-//! harness; [`OwnedPostgresEstimator`] / [`OwnedIbjsEstimator`] hold the
-//! snapshot by `Arc` so they can live behind `Arc<dyn Estimator>` in the
-//! model registry without leaking lifetimes.
+//! harness; [`OwnedIbjsEstimator`] holds the snapshot by `Arc` so IBJS
+//! can live behind `Arc<dyn Estimator>` in the model registry, as the
+//! fallback of `lc_serve`'s tiered pipeline, without leaking lifetimes.
 
-mod gbm;
 mod ibjs;
 mod joinsizes;
 mod owned;
@@ -37,10 +32,9 @@ mod postgres;
 mod rs;
 pub mod stats;
 
-pub use gbm::{GbmConfig, GbmEstimator, NUM_FEATURES};
 pub use ibjs::IbjsEstimator;
 pub use joinsizes::FullJoinSizes;
-pub use owned::{OwnedIbjsEstimator, OwnedPostgresEstimator};
+pub use owned::OwnedIbjsEstimator;
 pub use postgres::PostgresEstimator;
 pub use rs::RandomSamplingEstimator;
 pub use stats::{ColumnDistribution, DbStatistics, TableStatistics};

@@ -1,15 +1,13 @@
-//! Lifetime-free baseline estimators for the serving registry.
+//! A lifetime-free IBJS estimator for the serving registry.
 //!
-//! [`PostgresEstimator`](crate::PostgresEstimator) and
-//! [`IbjsEstimator`](crate::IbjsEstimator) borrow the engine snapshot,
+//! [`IbjsEstimator`](crate::IbjsEstimator) borrows the engine snapshot,
 //! which is the right shape for the evaluation harness but cannot live
 //! behind `Arc<dyn Estimator>` in `lc_serve`'s model registry — a
-//! borrowed lifetime would leak into the whole serve API. These owned
-//! variants hold `Arc`s to the shared snapshot artifacts instead, so
-//! every tier of a composite pipeline implements
-//! [`Estimator`](lc_core::Estimator) without lifetimes. Estimates are
-//! identical to the borrowing variants by construction: both run the
-//! same shared formula / walk code.
+//! borrowed lifetime would leak into the whole serve API. The owned
+//! variant holds `Arc`s to the shared snapshot artifacts instead, so the
+//! tiered pipeline's fallback implements [`Estimator`](lc_core::Estimator)
+//! without lifetimes. Its estimates are identical to the borrowing
+//! variant's by construction: both run the same walk code.
 
 use std::sync::Arc;
 
@@ -19,44 +17,6 @@ use lc_query::LabeledQuery;
 
 use crate::ibjs::{IbjsEstimator, DEFAULT_BUDGET};
 use crate::joinsizes::FullJoinSizes;
-use crate::postgres::estimate_rows;
-use crate::stats::{DbStatistics, DEFAULT_BUCKETS, DEFAULT_MCVS};
-
-/// Owned (registry-friendly) variant of
-/// [`PostgresEstimator`](crate::PostgresEstimator): holds the snapshot by
-/// `Arc` and its statistics by value.
-pub struct OwnedPostgresEstimator {
-    db: Arc<Database>,
-    stats: DbStatistics,
-}
-
-impl OwnedPostgresEstimator {
-    /// "ANALYZE" the snapshot with default targets.
-    pub fn new(db: Arc<Database>) -> Self {
-        let stats = DbStatistics::build(&db, DEFAULT_MCVS, DEFAULT_BUCKETS);
-        OwnedPostgresEstimator { db, stats }
-    }
-}
-
-impl Estimator for OwnedPostgresEstimator {
-    fn name(&self) -> &str {
-        "PostgreSQL"
-    }
-
-    fn estimate_with_uncertainty(&self, qs: &[LabeledQuery]) -> Vec<UncertainEstimate> {
-        qs.iter()
-            .map(|q| UncertainEstimate {
-                estimate: estimate_rows(&self.db, &self.stats, q),
-                log_std: 0.0,
-                saturated: false,
-            })
-            .collect()
-    }
-
-    fn estimate(&self, q: &LabeledQuery) -> f64 {
-        estimate_rows(&self.db, &self.stats, q)
-    }
-}
 
 /// Owned (registry-friendly) variant of
 /// [`IbjsEstimator`](crate::IbjsEstimator): holds the snapshot artifacts
@@ -128,8 +88,8 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// The owned variants are drop-in: identical answers to the borrowing
-    /// estimators on every query, with no lifetime in their type.
+    /// The owned variant is drop-in: identical answers to the borrowing
+    /// estimator on every query, with no lifetime in its type.
     #[test]
     fn owned_variants_match_borrowing_estimators() {
         let db = Arc::new(generate(&ImdbConfig::tiny()));
@@ -139,8 +99,6 @@ mod tests {
         let join_sizes = Arc::new(FullJoinSizes::build(&db));
         let data = workloads::synthetic(&db, &samples, 60, 2, 72).queries;
 
-        let pg_owned = OwnedPostgresEstimator::new(Arc::clone(&db));
-        let pg = crate::PostgresEstimator::new(&db);
         let ibjs_owned = OwnedIbjsEstimator::new(
             Arc::clone(&db),
             Arc::clone(&samples),
@@ -149,14 +107,11 @@ mod tests {
         );
         let ibjs = IbjsEstimator::new(&db, &samples, &indexes, &join_sizes);
 
-        assert_eq!(pg_owned.name(), pg.name());
         assert_eq!(ibjs_owned.name(), ibjs.name());
-        assert_eq!(pg_owned.estimate_all(&data), pg.estimate_all(&data));
         assert_eq!(ibjs_owned.estimate_all(&data), ibjs.estimate_all(&data));
 
-        // And they satisfy the registry's object bound.
+        // And it satisfies the registry's object bound.
         fn registry_ready(_: Arc<dyn Estimator + Send + Sync>) {}
-        registry_ready(Arc::new(pg_owned));
         registry_ready(Arc::new(ibjs_owned));
     }
 }

@@ -23,11 +23,6 @@ impl<'a> PostgresEstimator<'a> {
     pub fn new(db: &'a Database) -> Self {
         PostgresEstimator { db, stats: DbStatistics::build(db, DEFAULT_MCVS, DEFAULT_BUCKETS) }
     }
-
-    /// Build with explicit MCV / histogram resolution.
-    pub fn with_targets(db: &'a Database, mcv_k: usize, buckets: usize) -> Self {
-        PostgresEstimator { db, stats: DbStatistics::build(db, mcv_k, buckets) }
-    }
 }
 
 /// Combined selectivity of the query's predicates on table `t` under
@@ -41,8 +36,8 @@ fn table_selectivity(stats: &DbStatistics, q: &LabeledQuery, t: TableId) -> f64 
         .product()
 }
 
-/// The full planner formula, shared by the borrowing and owned estimators.
-pub(crate) fn estimate_rows(db: &Database, stats: &DbStatistics, q: &LabeledQuery) -> f64 {
+/// The full planner formula.
+fn estimate_rows(db: &Database, stats: &DbStatistics, q: &LabeledQuery) -> f64 {
     // Base cardinalities × selectivities, independence everywhere.
     let mut rows = 1.0f64;
     for &t in q.query.tables() {

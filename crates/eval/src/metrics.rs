@@ -1,7 +1,7 @@
 //! The q-error metric [Moerkotte et al., PVLDB 2009] and percentile
 //! summaries, exactly as the paper reports them.
 
-use lc_core::{Estimator, RoutedEstimate, UncertainEstimate};
+use lc_core::{Estimator, RoutedEstimate};
 use lc_query::LabeledQuery;
 
 /// The q-error: the factor between estimate and truth, `≥ 1`.
@@ -99,21 +99,6 @@ pub fn evaluate_signed(estimator: &dyn Estimator, queries: &[LabeledQuery]) -> V
         .into_iter()
         .zip(queries)
         .map(|(e, q)| signed_error(e, q.cardinality as f64))
-        .collect()
-}
-
-/// Run a unified [`Estimator`] over a workload and return each query's
-/// q-error alongside the estimator's own trust metadata — the row the
-/// §5-style "is the model still right, and does it know?" analyses plot.
-pub fn evaluate_with_uncertainty(
-    estimator: &dyn Estimator,
-    queries: &[LabeledQuery],
-) -> Vec<(f64, UncertainEstimate)> {
-    estimator
-        .estimate_with_uncertainty(queries)
-        .into_iter()
-        .zip(queries)
-        .map(|(u, q)| (qerror(u.estimate, q.cardinality as f64), u))
         .collect()
 }
 
@@ -229,6 +214,7 @@ impl TierBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lc_core::UncertainEstimate;
 
     #[test]
     fn qerror_is_symmetric_and_one_for_exact() {

@@ -503,6 +503,7 @@ define_catalog! {
         CACHE_HITS => "cache.hits",
         CACHE_MISSES => "cache.misses",
         TIER_PRIMARY_HITS => "tier.primary.hits",
+        // Retired with tier id 1: records nothing, kept so no wire id moves.
         TIER_GBM_HITS => "tier.gbm.hits",
         TIER_FALLBACK_HITS => "tier.fallback.hits",
         DRIFT_TRIPS => "drift.trips",
@@ -530,9 +531,11 @@ define_catalog! {
         BATCH_QUEUE_WAIT_NS => "batcher.queue_wait_ns",
         BATCH_FORWARD_NS => "batcher.forward_ns",
         BATCH_SIZE => "batcher.batch_size",
+        // Retired with tier id 1: records nothing, kept so no wire id moves.
         TIER_GBM_NS => "tier.gbm.estimate_ns",
         TIER_FALLBACK_NS => "tier.fallback.estimate_ns",
         TIER_PRIMARY_QERROR_X100 => "tier.primary.qerror_x100",
+        // Retired with tier id 1: records nothing, kept so no wire id moves.
         TIER_GBM_QERROR_X100 => "tier.gbm.qerror_x100",
         TIER_FALLBACK_QERROR_X100 => "tier.fallback.qerror_x100",
         RETRAIN_NS => "retrain.duration_ns",

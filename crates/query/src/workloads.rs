@@ -44,11 +44,6 @@ impl Workload {
         }
         (counts, self.queries.len())
     }
-
-    /// The queries with exactly `j` joins.
-    pub fn with_joins(&self, j: usize) -> Vec<&LabeledQuery> {
-        self.queries.iter().filter(|q| q.query.num_joins() == j).collect()
-    }
 }
 
 /// Generate `n` unique, non-empty labeled queries with 0–`max_joins` joins

@@ -43,7 +43,7 @@ use lc_obs::{metrics, SpanTimer};
 use lc_query::LabeledQuery;
 
 use crate::registry::ModelRegistry;
-use crate::tier::{TIER_FALLBACK, TIER_GBM};
+use crate::tier::TIER_FALLBACK;
 
 /// Sizing of a [`MicroBatcher`].
 #[derive(Clone, Copy, Debug)]
@@ -178,7 +178,6 @@ impl<T> MicroBatcher<T> {
             // Tier hit counters live here, not in the pipeline, so every
             // answered request is counted exactly once at inference time.
             match routed.tier {
-                TIER_GBM => metrics::TIER_GBM_HITS.inc(),
                 TIER_FALLBACK => metrics::TIER_FALLBACK_HITS.inc(),
                 _ => metrics::TIER_PRIMARY_HITS.inc(),
             }

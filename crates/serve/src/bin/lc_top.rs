@@ -306,11 +306,7 @@ fn render(
     // Tiered-pipeline routing: which tier answered, and the q-error each
     // tier's answers earned from feedback. Zero everywhere on a
     // non-tiered server, so only render once any tier counter moved.
-    let tiers: [u64; 3] = [
-        sample.scalar("tier.primary.hits"),
-        sample.scalar("tier.gbm.hits"),
-        sample.scalar("tier.fallback.hits"),
-    ];
+    let tiers = [sample.scalar("tier.primary.hits"), sample.scalar("tier.fallback.hits")];
     let answered: u64 = tiers.iter().sum();
     if answered > 0 {
         let qerr = |name: &str| {
@@ -323,13 +319,11 @@ fn render(
         };
         writeln!(
             out,
-            "tiers    primary {} ({:.1}%)   gbm {}   fallback {}   q-err p95 {} / {} / {}",
+            "tiers    primary {} ({:.1}%)   fallback {}   q-err p95 {} / {}",
             tiers[0],
             percent(tiers[0], answered),
             tiers[1],
-            tiers[2],
             qerr("tier.primary.qerror_x100"),
-            qerr("tier.gbm.qerror_x100"),
             qerr("tier.fallback.qerror_x100"),
         )?;
     }
@@ -465,10 +459,8 @@ mod tests {
             "model.resident_count",
             "model.quantized",
             "tier.primary.hits",
-            "tier.gbm.hits",
             "tier.fallback.hits",
             "tier.primary.qerror_x100",
-            "tier.gbm.qerror_x100",
             "tier.fallback.qerror_x100",
         ] {
             id_of(name);

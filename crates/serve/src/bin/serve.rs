@@ -40,23 +40,17 @@
 //! * `--drift-min-corpus N` feedback corpus size before retraining
 //!   (default 96)
 //! * `--retrain-epochs N`  epochs per incremental retrain  (default 12)
-//! * `--tiered`            serve through the uncertainty-routed
-//!   [`tiered_pipeline`](lc_serve::tiered_pipeline): deep-ensemble
-//!   MSCN primary, gradient-boosted-stumps middle tier, index-based
-//!   join-sampling fallback. Clients that negotiate the tier capability
-//!   get per-answer tier attribution on the wire.
-//! * `--tier-max-log-std X` primary trust threshold        (default 0.75)
-//! * `--tier-ensemble N`   ensemble members for the primary (default 3;
-//!   1 = single model, saturation-only trust; ignored with `--model`)
-//! * `--tier-gbm-rounds N` GBM boosting rounds, 0 disables the middle
-//!   tier                                   (default 200)
+//! * `--tiered`            serve through the
+//!   [`tiered_pipeline`](lc_serve::tiered_pipeline): the MSCN model
+//!   answers unless its estimate is saturated, and index-based join
+//!   sampling answers the saturated queries. Clients that negotiate the
+//!   tier capability get per-answer tier attribution on the wire.
 //! * `--quantized`         serve int8 post-training-quantized weights
 //!   ([`compact_pipeline`](lc_serve::compact_pipeline)): the registry's
 //!   pipeline builder quantizes the trained base model at
 //!   startup and again on every self-healing republish, so the resident
 //!   footprint stays ~4x smaller across retrains. Incompatible with
-//!   `--tiered` (the tiered pipeline routes through f32 ensemble
-//!   members).
+//!   `--tiered` (the tiered pipeline wraps the f32 model).
 //! * `--student-width N`   distill the bootstrap/loaded teacher into an
 //!   N-wide student before serving (0 = off). Combined with
 //!   `--quantized` this is the full compaction path: distill, then
@@ -70,14 +64,14 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use lc_core::{train, DeepEnsemble, FeatureMode, MscnEstimator, TrainConfig};
+use lc_core::{train, FeatureMode, MscnEstimator, TrainConfig};
 use lc_engine::SampleSet;
 use lc_imdb::ImdbConfig;
 use lc_query::workloads;
 use lc_serve::flags::get;
 use lc_serve::{
     compact_pipeline, serve, tiered_pipeline, BatcherConfig, CacheConfig, DriftConfig,
-    EstimationService, FrontConfig, ModelRegistry, ServeConfig, TierConfig,
+    EstimationService, FrontConfig, ModelRegistry, ServeConfig,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -103,9 +97,6 @@ const FLAGS: &[&str] = &[
     "drift-threshold",
     "drift-min-corpus",
     "retrain-epochs",
-    "tier-max-log-std",
-    "tier-ensemble",
-    "tier-gbm-rounds",
     "student-width",
 ];
 
@@ -147,17 +138,11 @@ fn run() -> Result<(), String> {
     let quantized = get(&flags, "quantized", false)?;
     let student_width: usize = get(&flags, "student-width", 0)?;
     if tiered && (quantized || student_width > 0) {
-        // The tiered pipeline routes through f32 deep-ensemble members
-        // and per-query uncertainty; mixing precisions inside it would
-        // silently serve two different numerics behind one flag.
+        // The tiered pipeline wraps the f32 model and reads its
+        // saturation flag; mixing precisions inside it would silently
+        // serve two different numerics behind one flag.
         return Err("--quantized/--student-width cannot be combined with --tiered".into());
     }
-    let tier_defaults = TierConfig::default();
-    let tier = TierConfig {
-        max_log_std: get(&flags, "tier-max-log-std", tier_defaults.max_log_std)?,
-        ensemble: get(&flags, "tier-ensemble", tier_defaults.ensemble)?,
-        gbm_rounds: get(&flags, "tier-gbm-rounds", tier_defaults.gbm_rounds)?,
-    };
     if max_batch == 0 {
         return Err("--max-batch must be at least 1".into());
     }
@@ -167,20 +152,18 @@ fn run() -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(1);
     let samples = SampleSet::draw(&db, SAMPLE_SIZE, &mut rng);
 
-    // The synthetic bootstrap corpus trains the primary (unless --model
-    // supplied the weights) and, when tiered, the GBM middle tier.
-    // Distillation also needs the corpus: the student learns from the
-    // teacher's soft labels over these queries (including when the
-    // teacher itself came from --model).
-    let need_corpus =
-        !flags.contains_key("model") || (tiered && tier.gbm_rounds > 0) || student_width > 0;
+    // The synthetic bootstrap corpus trains the model (unless --model
+    // supplied the weights). Distillation also needs the corpus: the
+    // student learns from the teacher's soft labels over these queries
+    // (including when the teacher itself came from --model).
+    let need_corpus = !flags.contains_key("model") || student_width > 0;
     let data = if need_corpus {
         workloads::synthetic(&db, &samples, queries, 2, 7).queries
     } else {
         Vec::new()
     };
 
-    let (estimator, extra_members) = match flags.get("model") {
+    let estimator = match flags.get("model") {
         Some(path) => {
             eprintln!("serve: loading model from {path} ...");
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -195,9 +178,7 @@ fn run() -> Result<(), String> {
                      annotates queries with sample size {SAMPLE_SIZE}"
                 ));
             }
-            // A loaded model has no ensemble siblings: the tiered
-            // primary runs single-model (saturation-only trust).
-            (est, Vec::new())
+            est
         }
         None => {
             let cfg = TrainConfig {
@@ -206,34 +187,15 @@ fn run() -> Result<(), String> {
                 mode: FeatureMode::Bitmaps,
                 ..TrainConfig::default()
             };
-            if tiered && tier.ensemble > 1 {
-                eprintln!(
-                    "serve: training bootstrap ensemble ({} members, {queries} queries, \
-                     {epochs} epochs) ...",
-                    tier.ensemble
-                );
-                let (ensemble, _) =
-                    DeepEnsemble::train(&db, SAMPLE_SIZE, &data, cfg, tier.ensemble);
-                let mut members = ensemble.members().to_vec();
-                let base = members.remove(0);
-                (base, members)
-            } else {
-                eprintln!(
-                    "serve: training bootstrap model ({queries} queries, {epochs} epochs) ..."
-                );
-                (train(&db, SAMPLE_SIZE, &data, cfg).estimator, Vec::new())
-            }
+            eprintln!("serve: training bootstrap model ({queries} queries, {epochs} epochs) ...");
+            train(&db, SAMPLE_SIZE, &data, cfg).estimator
         }
     };
     let params = estimator.model().num_params();
 
     let registry = if tiered {
-        eprintln!(
-            "serve: building the GBM middle tier ({} rounds) and the sampling fallback ...",
-            tier.gbm_rounds
-        );
-        let pipeline = tiered_pipeline(&db, &samples, &data, extra_members, &tier);
-        Arc::new(ModelRegistry::with_pipeline(estimator, pipeline))
+        eprintln!("serve: building the sampling fallback ...");
+        Arc::new(ModelRegistry::with_pipeline(estimator, tiered_pipeline(&db, &samples)))
     } else if quantized || student_width > 0 {
         if student_width > 0 {
             eprintln!("serve: distilling {student_width}-wide student ...");
@@ -266,7 +228,6 @@ fn run() -> Result<(), String> {
             ..drift_defaults
         },
         front: FrontConfig { shards, max_connections: max_conns, inflight_budget, retry_after_ms },
-        tier,
     };
     let service = Arc::new(EstimationService::new(db, samples, Arc::clone(&registry), config));
     let handle = serve(Arc::clone(&service), addr.as_str())
@@ -284,7 +245,7 @@ fn run() -> Result<(), String> {
          threshold {} over {}-obs windows)",
         handle.local_addr(),
         if tiered {
-            format!("tiered model (max log-std {})", tier.max_log_std)
+            "tiered model".to_string()
         } else {
             let mut desc = String::new();
             if student_width > 0 {

@@ -1,11 +1,10 @@
-//! Typed serving configuration: cache, batcher, and drift thresholds in
-//! one place.
+//! Typed serving configuration: cache, batcher, drift thresholds and
+//! the TCP front in one place.
 //!
-//! [`ServeConfig`] replaces the old two-field `ServiceConfig` and adds
-//! the drift/retraining knobs ([`DriftConfig`]) the self-healing loop
-//! runs on. Everything has a sensible default, so
-//! `ServeConfig::default()` is a working production configuration; the
-//! `serve` binary maps its flags onto these fields.
+//! Everything has a sensible default, so `ServeConfig::default()` is a
+//! working production configuration; the `serve` binary maps its flags
+//! onto these fields. The tiered pipeline has no knobs here: it routes
+//! on the model's own saturation flag (see [`crate::tier`]).
 
 use lc_core::TrainConfig;
 
@@ -24,44 +23,6 @@ pub struct ServeConfig {
     /// Event-driven TCP front: shard count, connection cap, admission
     /// budget.
     pub front: FrontConfig,
-    /// Uncertainty-routed estimator tiering (trust threshold and
-    /// bootstrap sizing of the non-primary tiers).
-    pub tier: TierConfig,
-}
-
-/// Policy of the uncertainty-routed estimator pipeline
-/// ([`TieredEstimator`](crate::TieredEstimator)).
-///
-/// The primary tier (MSCN or a deep ensemble) answers a query only when
-/// its own trust signal qualifies the answer:
-/// `!saturated && log_std <= max_log_std` (see
-/// `lc_core::UncertainEstimate::is_trustworthy`). A high-spread query
-/// falls back to the gradient-boosted-stumps middle tier; a *saturated*
-/// query — outside the trained cardinality range entirely — skips
-/// straight to the sampling fallback, whose formulas stay sane out of
-/// range. The `ensemble` / `gbm_rounds` fields size the non-primary
-/// tiers at bootstrap (the `serve` binary's `--tier-*` flags map here);
-/// the service itself only reads `max_log_std`.
-#[derive(Clone, Copy, Debug)]
-pub struct TierConfig {
-    /// Largest ensemble log-std the primary tier may carry and still
-    /// answer. Smaller = stricter = more traffic routed to the
-    /// classical tiers.
-    pub max_log_std: f64,
-    /// Deep-ensemble members trained for the primary tier at bootstrap
-    /// (≤ 1 = a single MSCN model, whose only trust signal is
-    /// saturation).
-    pub ensemble: usize,
-    /// Boosting rounds for the gradient-boosted-stumps middle tier
-    /// (0 disables the middle tier; high-spread queries then go to the
-    /// sampling fallback).
-    pub gbm_rounds: usize,
-}
-
-impl Default for TierConfig {
-    fn default() -> Self {
-        TierConfig { max_log_std: 0.75, ensemble: 3, gbm_rounds: 200 }
-    }
 }
 
 /// Sizing and admission policy of the shard-per-core TCP front.

@@ -41,13 +41,11 @@
 //!   time. A snapshot serves through an object-safe
 //!   `Arc<dyn Estimator>` pipeline built by a registered closure, so
 //!   retrains re-derive composite pipelines automatically.
-//! * [`tier`] — the [`TieredEstimator`] pipeline: the primary learned
-//!   model answers when its own uncertainty qualifies the answer
-//!   (`log_std` within [`config::TierConfig::max_log_std`], not
-//!   saturated); high-spread queries fall back to gradient-boosted
-//!   stumps, out-of-range queries to a sampling/classical fallback.
-//!   Per-tier hit counts, latency, and observed q-error land in the
-//!   `tier.*` metrics.
+//! * [`tier`] — the [`TieredEstimator`] pipeline: the learned model
+//!   answers unless its own estimate is saturated (at or beyond the edge
+//!   of the trained label range); those queries go to index-based join
+//!   sampling. Per-tier hit counts, latency, and observed q-error land
+//!   in the `tier.*` metrics.
 //! * [`drift`] — per-join-template rolling q-error windows fed by
 //!   feedback frames, plus the accrued retraining corpus. When a window
 //!   trips, the service schedules `lc_core::train_incremental` in the
@@ -123,12 +121,12 @@ pub mod wire;
 
 pub use batcher::{BatchStats, BatcherConfig, Estimate, MicroBatcher};
 pub use cache::{CacheConfig, CacheStats, CachedEstimate, EstimateCache};
-pub use config::{DriftConfig, FrontConfig, ServeConfig, TierConfig};
+pub use config::{DriftConfig, FrontConfig, ServeConfig};
 pub use drift::{DriftDecision, DriftMonitor};
 pub use registry::{
     compact_pipeline, ModelRegistry, ModelSnapshot, PipelineBuilder, RegistryError,
 };
 pub use server::{serve, ServerHandle};
 pub use service::{EstimationService, PendingEstimate, ServeError};
-pub use tier::{tiered_pipeline, TieredEstimator, TIER_FALLBACK, TIER_GBM, TIER_PRIMARY};
+pub use tier::{tiered_pipeline, TieredEstimator, TIER_FALLBACK, TIER_PRIMARY};
 pub use wire::{HistogramMetric, Message, ScalarMetric, TemplateDrift, TemplateStat, WireError};

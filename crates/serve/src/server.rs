@@ -915,20 +915,16 @@ mod tests {
         tiny_service_with(ServeConfig::default())
     }
 
-    /// A service whose registry serves the `serve --tiered` pipeline
-    /// around a single-model primary: MSCN, GBM middle tier, IBJS
-    /// fallback.
-    fn tiered_service(max_log_std: f64) -> (Arc<EstimationService>, Vec<lc_query::LabeledQuery>) {
-        use crate::config::TierConfig;
-
+    /// A service whose registry serves the `serve --tiered` pipeline:
+    /// MSCN, with IBJS answering its saturated queries.
+    fn tiered_service() -> (Arc<EstimationService>, Vec<lc_query::LabeledQuery>) {
         let db = generate(&ImdbConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(13);
         let samples = SampleSet::draw(&db, 24, &mut rng);
         let data = workloads::synthetic(&db, &samples, 120, 2, 91).queries;
         let cfg = TrainConfig { epochs: 2, hidden: 16, ..TrainConfig::default() };
         let est = train(&db, 24, &data, cfg).estimator;
-        let tier = TierConfig { max_log_std, ..TierConfig::default() };
-        let pipeline = crate::tier::tiered_pipeline(&db, &samples, &data, Vec::new(), &tier);
+        let pipeline = crate::tier::tiered_pipeline(&db, &samples);
         let registry = Arc::new(ModelRegistry::with_pipeline(est, pipeline));
         let service = EstimationService::new(db, samples, registry, ServeConfig::default());
         (Arc::new(service), data)
@@ -939,7 +935,7 @@ mod tests {
     /// repeats — instead of the classic EstimateResponse.
     #[test]
     fn cap_tier_clients_receive_estimate_detail_frames() {
-        let (service, data) = tiered_service(0.75);
+        let (service, data) = tiered_service();
         let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(handle.local_addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -1009,8 +1005,7 @@ mod tests {
     /// connections.
     #[test]
     fn v1_client_against_tiered_server_stays_compatible() {
-        // A strict threshold so routing genuinely engages.
-        let (service, data) = tiered_service(0.05);
+        let (service, data) = tiered_service();
         let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(handle.local_addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -58,7 +58,7 @@ use crate::cache::{CacheStats, CachedEstimate, EstimateCache};
 use crate::config::{FrontConfig, ServeConfig};
 use crate::drift::{DriftDecision, DriftMonitor};
 use crate::registry::ModelRegistry;
-use crate::tier::{TIER_FALLBACK, TIER_GBM};
+use crate::tier::TIER_FALLBACK;
 
 /// Error returned by [`EstimationService::estimate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -396,7 +396,6 @@ impl EstimationService {
             let actual = actual_card as f64;
             let qerror = (estimated / actual).max(actual / estimated);
             let hist = match tier {
-                TIER_GBM => &metrics::TIER_GBM_QERROR_X100,
                 TIER_FALLBACK => &metrics::TIER_FALLBACK_QERROR_X100,
                 _ => &metrics::TIER_PRIMARY_QERROR_X100,
             };

@@ -1,156 +1,79 @@
-//! Uncertainty-routed estimator tiering.
+//! Saturation-routed estimator tiering: one learned model, one fallback.
 //!
 //! A learned estimator is only cheap *and* accurate inside its trained
 //! distribution; under workload shift its errors explode silently. The
 //! paper's remedy (§5 "Updates") is retraining — slow, minutes behind
 //! the shift. [`TieredEstimator`] adds the fast half of the answer:
-//! route each query by the primary model's **own trust signal** so the
-//! common case keeps MSCN's speed and accuracy while the suspect tail
-//! falls back to classical estimators whose formulas cannot be
-//! out-of-distribution.
+//! route each query by the primary model's **own saturation flag** so
+//! the common case keeps MSCN's speed and accuracy while the queries it
+//! is extrapolating on fall back to a classical estimator whose formulas
+//! cannot be out-of-distribution.
 //!
 //! Routing policy, per query, from the primary's
-//! [`UncertainEstimate`](lc_core::UncertainEstimate):
+//! [`UncertainEstimate`]:
 //!
-//! * **trustworthy** (`!saturated && log_std <= max_log_std`) — the
-//!   primary answers ([`TIER_PRIMARY`]).
+//! * **not saturated** — the primary answers ([`TIER_PRIMARY`]).
 //! * **saturated** — the query's cardinality sits at or beyond the edge
-//!   of the trained label range, where *every* learned tier is
-//!   extrapolating; skip straight to the sampling fallback
-//!   ([`TIER_FALLBACK`]).
-//! * **high spread** (disagreeing ensemble members, not saturated) — the
-//!   query is inside the trained range but the model family is unsure;
-//!   the gradient-boosted-stumps middle tier ([`TIER_GBM`]) answers from
-//!   coarse per-query features.
+//!   of the trained label range, where the model is extrapolating; the
+//!   sampling fallback answers ([`TIER_FALLBACK`]).
 //!
-//! A missing tier falls through (saturated → GBM → primary; high-spread
-//! → fallback → primary), so a partially configured pipeline degrades
-//! gracefully. Non-primary tiers run as sub-batches — one batched call
-//! per tier per flush — and their per-call latency lands in the
-//! `tier.*.estimate_ns` histograms; hit counters are the batcher's job
-//! (it sees cache hits too).
+//! The primary's `log_std` does not route: measured on this repository's
+//! workloads, ensemble spread flagged in-distribution queries more often
+//! than out-of-distribution ones, and the tier it fed did not pay for
+//! itself (ROADMAP item 15). Tier id 1 belonged to that retired middle
+//! tier and is not reused. Saturated queries are re-answered as one
+//! sub-batch per flush, whose latency lands in
+//! `tier.fallback.estimate_ns`; hit counters are the batcher's job (it
+//! sees cache hits too).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use lc_baselines::{FullJoinSizes, GbmConfig, GbmEstimator, OwnedIbjsEstimator};
-use lc_core::{DeepEnsemble, Estimator, MscnEstimator, RoutedEstimate, UncertainEstimate};
+use lc_baselines::{FullJoinSizes, OwnedIbjsEstimator};
+use lc_core::{Estimator, RoutedEstimate, UncertainEstimate};
 use lc_engine::{Database, JoinIndexes, SampleSet};
 use lc_obs::metrics;
 use lc_query::LabeledQuery;
 
-use crate::config::TierConfig;
 use crate::registry::PipelineBuilder;
 
-/// Tier id: the primary learned model (MSCN or a deep ensemble).
+/// Tier id: the primary learned model.
 pub const TIER_PRIMARY: u8 = 0;
-/// Tier id: the gradient-boosted-stumps middle tier.
-pub const TIER_GBM: u8 = 1;
-/// Tier id: the sampling/classical fallback (IBJS or Postgres-style).
+/// Tier id: the sampling fallback (IBJS).
 pub const TIER_FALLBACK: u8 = 2;
 
-/// The pipeline `serve --tiered` serves: each published base model and
-/// the bootstrap-trained ensemble `members` as a deep-ensemble primary
-/// (the base alone when `members` is empty), gradient-boosted stumps
-/// trained on `corpus` as the middle tier (none when
-/// [`TierConfig::gbm_rounds`] is 0), and index-based join sampling over
-/// `db` and `samples` as the fallback. A retrain refreshes the base,
-/// member 0; the other members keep providing the disagreement signal.
-pub fn tiered_pipeline(
-    db: &Database,
-    samples: &SampleSet,
-    corpus: &[LabeledQuery],
-    members: Vec<MscnEstimator>,
-    tier: &TierConfig,
-) -> PipelineBuilder {
-    let gbm = (tier.gbm_rounds > 0).then(|| {
-        let config = GbmConfig { rounds: tier.gbm_rounds, ..GbmConfig::default() };
-        Arc::new(GbmEstimator::train(db, corpus, config))
-    });
-    let fallback = Arc::new(OwnedIbjsEstimator::new(
+/// The pipeline `serve --tiered` serves: each published base model as
+/// the primary, and index-based join sampling over `db` and `samples`
+/// as the fallback for the queries the model saturates on.
+pub fn tiered_pipeline(db: &Database, samples: &SampleSet) -> PipelineBuilder {
+    let fallback: Arc<dyn Estimator + Send + Sync> = Arc::new(OwnedIbjsEstimator::new(
         Arc::new(db.clone()),
         Arc::new(samples.clone()),
         Arc::new(JoinIndexes::build(db)),
         Arc::new(FullJoinSizes::build(db)),
     ));
-    let max_log_std = tier.max_log_std;
     Box::new(move |base| {
-        let primary: Arc<dyn Estimator + Send + Sync> = if members.is_empty() {
-            Arc::new(base.clone())
-        } else {
-            let ensemble = std::iter::once(base).chain(&members).cloned().collect();
-            Arc::new(DeepEnsemble::new(ensemble))
-        };
-        let mut pipeline =
-            TieredEstimator::new(primary, max_log_std).with_fallback(Arc::clone(&fallback) as _);
-        if let Some(gbm) = &gbm {
-            pipeline = pipeline.with_gbm(Arc::clone(gbm) as _);
-        }
-        Arc::new(pipeline)
+        Arc::new(TieredEstimator::new(Arc::new(base.clone()), Arc::clone(&fallback)))
     })
 }
 
-/// A composite [`Estimator`] that routes each query across up to three
-/// tiers by the primary tier's uncertainty (see the module docs for the
-/// policy). [`tiered_pipeline`] builds the one `serve --tiered` installs
+/// A composite [`Estimator`] that sends each query to the fallback
+/// exactly when the primary's own estimate is saturated (see the module
+/// docs). [`tiered_pipeline`] builds the one `serve --tiered` installs
 /// in the [`ModelRegistry`](crate::ModelRegistry) through
 /// [`ModelRegistry::with_pipeline`](crate::ModelRegistry::with_pipeline).
 pub struct TieredEstimator {
     primary: Arc<dyn Estimator + Send + Sync>,
-    gbm: Option<Arc<dyn Estimator + Send + Sync>>,
-    fallback: Option<Arc<dyn Estimator + Send + Sync>>,
-    max_log_std: f64,
+    fallback: Arc<dyn Estimator + Send + Sync>,
 }
 
 impl TieredEstimator {
-    /// A pipeline with only a primary tier: every query is answered by
-    /// `primary`, but saturation/spread still show up in the routing
-    /// metadata. Add tiers with [`TieredEstimator::with_gbm`] and
-    /// [`TieredEstimator::with_fallback`].
-    pub fn new(primary: Arc<dyn Estimator + Send + Sync>, max_log_std: f64) -> Self {
-        TieredEstimator { primary, gbm: None, fallback: None, max_log_std }
-    }
-
-    /// Install the middle tier for high-spread (but in-range) queries.
-    pub fn with_gbm(mut self, gbm: Arc<dyn Estimator + Send + Sync>) -> Self {
-        self.gbm = Some(gbm);
-        self
-    }
-
-    /// Install the fallback tier for saturated (out-of-range) queries.
-    pub fn with_fallback(mut self, fallback: Arc<dyn Estimator + Send + Sync>) -> Self {
-        self.fallback = Some(fallback);
-        self
-    }
-
-    /// The trust threshold this pipeline routes on.
-    pub fn max_log_std(&self) -> f64 {
-        self.max_log_std
-    }
-
-    /// Which tier answers a query with this trust signal, after
-    /// missing-tier fallthrough.
-    fn route(&self, u: &UncertainEstimate) -> u8 {
-        if u.is_trustworthy(self.max_log_std) {
-            TIER_PRIMARY
-        } else if u.saturated {
-            // Out of trained range: prefer the sampling fallback, whose
-            // formulas stay sane out of range; GBM at least saw the raw
-            // features, the primary is pure extrapolation.
-            if self.fallback.is_some() {
-                TIER_FALLBACK
-            } else if self.gbm.is_some() {
-                TIER_GBM
-            } else {
-                TIER_PRIMARY
-            }
-        } else if self.gbm.is_some() {
-            TIER_GBM
-        } else if self.fallback.is_some() {
-            TIER_FALLBACK
-        } else {
-            TIER_PRIMARY
-        }
+    /// Route saturated queries of `primary` to `fallback`.
+    pub fn new(
+        primary: Arc<dyn Estimator + Send + Sync>,
+        fallback: Arc<dyn Estimator + Send + Sync>,
+    ) -> Self {
+        TieredEstimator { primary, fallback }
     }
 
     /// Primary uncertainties plus the routed answers derived from them.
@@ -163,27 +86,18 @@ impl TieredEstimator {
             .iter()
             .map(|u| RoutedEstimate {
                 estimate: u.estimate,
-                tier: self.route(u),
+                tier: if u.saturated { TIER_FALLBACK } else { TIER_PRIMARY },
                 log_std: u.log_std,
             })
             .collect();
-        // Re-answer each rerouted subset with one batched call per tier.
-        for (tier, est) in [(TIER_GBM, &self.gbm), (TIER_FALLBACK, &self.fallback)] {
-            let Some(est) = est else { continue };
-            let idx: Vec<usize> = (0..routed.len()).filter(|&i| routed[i].tier == tier).collect();
-            if idx.is_empty() {
-                continue;
-            }
+        // Re-answer the saturated subset with one batched call.
+        let idx: Vec<usize> = (0..routed.len()).filter(|&i| uncertain[i].saturated).collect();
+        if !idx.is_empty() {
             let sub: Vec<LabeledQuery> = idx.iter().map(|&i| queries[i].clone()).collect();
             let started = lc_obs::enabled().then(Instant::now);
-            let answers = est.estimate_all(&sub);
+            let answers = self.fallback.estimate_all(&sub);
             if let Some(started) = started {
-                let hist = if tier == TIER_GBM {
-                    &metrics::TIER_GBM_NS
-                } else {
-                    &metrics::TIER_FALLBACK_NS
-                };
-                hist.record_duration(started.elapsed());
+                metrics::TIER_FALLBACK_NS.record_duration(started.elapsed());
             }
             for (&i, answer) in idx.iter().zip(answers) {
                 routed[i].estimate = answer.max(1.0);
@@ -197,9 +111,7 @@ impl std::fmt::Debug for TieredEstimator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TieredEstimator")
             .field("primary", &self.primary.name())
-            .field("gbm", &self.gbm.as_ref().map(|e| e.name()))
-            .field("fallback", &self.fallback.as_ref().map(|e| e.name()))
-            .field("max_log_std", &self.max_log_std)
+            .field("fallback", &self.fallback.name())
             .finish()
     }
 }
@@ -226,11 +138,10 @@ impl Estimator for TieredEstimator {
         self.route_batch(queries).1
     }
 
-    /// The tiers' resident bytes together: the registry's `model.bytes`
-    /// of a tiered pipeline is its learned tiers' footprint, not 0.
+    /// Both tiers' resident bytes: the registry's `model.bytes` of a
+    /// tiered pipeline is its footprint, not 0.
     fn model_bytes(&self) -> usize {
-        let classical = self.gbm.iter().chain(&self.fallback).map(|t| t.model_bytes());
-        self.primary.model_bytes() + classical.sum::<usize>()
+        self.primary.model_bytes() + self.fallback.model_bytes()
     }
 }
 
@@ -291,9 +202,10 @@ mod tests {
     }
 
     fn tiered(signals: Vec<(f64, bool)>) -> TieredEstimator {
-        TieredEstimator::new(Arc::new(ScriptedPrimary { estimate: 100.0, signals }), 0.75)
-            .with_gbm(Arc::new(Flat(200.0)))
-            .with_fallback(Arc::new(Flat(300.0)))
+        TieredEstimator::new(
+            Arc::new(ScriptedPrimary { estimate: 100.0, signals }),
+            Arc::new(Flat(300.0)),
+        )
     }
 
     #[test]
@@ -310,9 +222,7 @@ mod tests {
                 self.0
             }
         }
-        let est = TieredEstimator::new(Arc::new(Sized(1000)), 0.75)
-            .with_gbm(Arc::new(Sized(20)))
-            .with_fallback(Arc::new(Flat(1.0)));
+        let est = TieredEstimator::new(Arc::new(Sized(1000)), Arc::new(Sized(20)));
         assert_eq!(est.model_bytes(), 1020);
     }
 
@@ -324,61 +234,44 @@ mod tests {
             assert_eq!(r.tier, TIER_PRIMARY);
             assert_eq!(r.estimate, 100.0);
         }
-        // The threshold is inclusive; the trust signal is passed through.
+        // The trust signal is passed through.
         assert_eq!(routed[1].log_std, 0.75);
     }
 
+    /// Spread alone never reroutes: an unsaturated query with a large
+    /// `log_std` is the primary's, however much its members disagree.
     #[test]
-    fn disagreement_routes_to_gbm_and_saturation_to_fallback() {
-        let est = tiered(vec![
-            (0.2, false), // trustworthy         → primary
-            (1.5, false), // high spread         → GBM
-            (0.1, true),  // saturated, low std  → fallback (saturation wins)
-            (2.0, true),  // saturated           → fallback
-        ]);
-        let routed = est.estimate_routed(&queries(4));
+    fn unsaturated_spread_stays_on_the_primary() {
+        let est = tiered(vec![(1.5, false), (f64::INFINITY, false)]);
+        let routed = est.estimate_routed(&queries(2));
+        assert!(routed.iter().all(|r| r.tier == TIER_PRIMARY && r.estimate == 100.0));
+        assert_eq!(routed[0].log_std, 1.5);
+    }
+
+    /// A saturated query is the fallback's, whatever its spread, and its
+    /// answer is clamped to at least one row like every estimate.
+    #[test]
+    fn saturation_routes_to_the_fallback_clamped_to_one() {
+        let signals = vec![(0.2, false), (0.1, true), (2.0, true)];
+        let est = tiered(signals.clone());
+        let routed = est.estimate_routed(&queries(3));
         assert_eq!(
             routed.iter().map(|r| r.tier).collect::<Vec<_>>(),
-            vec![TIER_PRIMARY, TIER_GBM, TIER_FALLBACK, TIER_FALLBACK]
+            vec![TIER_PRIMARY, TIER_FALLBACK, TIER_FALLBACK]
         );
         assert_eq!(
             routed.iter().map(|r| r.estimate).collect::<Vec<_>>(),
-            vec![100.0, 200.0, 300.0, 300.0]
+            vec![100.0, 300.0, 300.0]
         );
         // log_std always reports the primary's spread, whoever answered.
-        assert_eq!(routed[1].log_std, 1.5);
-        assert_eq!(routed[3].log_std, 2.0);
-    }
+        assert_eq!(routed[2].log_std, 2.0);
 
-    #[test]
-    fn missing_tiers_fall_through() {
-        let signals = vec![(1.5, false), (0.0, true)];
-        // No fallback: saturated queries fall through to GBM.
-        let no_fallback = TieredEstimator::new(
-            Arc::new(ScriptedPrimary { estimate: 100.0, signals: signals.clone() }),
-            0.75,
-        )
-        .with_gbm(Arc::new(Flat(200.0)));
-        let routed = no_fallback.estimate_routed(&queries(2));
-        assert_eq!(routed.iter().map(|r| r.tier).collect::<Vec<_>>(), vec![TIER_GBM, TIER_GBM]);
-
-        // No GBM: high-spread queries fall through to the fallback.
-        let no_gbm = TieredEstimator::new(
-            Arc::new(ScriptedPrimary { estimate: 100.0, signals: signals.clone() }),
-            0.75,
-        )
-        .with_fallback(Arc::new(Flat(300.0)));
-        let routed = no_gbm.estimate_routed(&queries(2));
-        assert_eq!(
-            routed.iter().map(|r| r.tier).collect::<Vec<_>>(),
-            vec![TIER_FALLBACK, TIER_FALLBACK]
+        let empty_fallback = TieredEstimator::new(
+            Arc::new(ScriptedPrimary { estimate: 100.0, signals }),
+            Arc::new(Flat(0.25)),
         );
-
-        // Primary only: everything stays tier 0 even when untrusted.
-        let solo =
-            TieredEstimator::new(Arc::new(ScriptedPrimary { estimate: 100.0, signals }), 0.75);
-        let routed = solo.estimate_routed(&queries(2));
-        assert!(routed.iter().all(|r| r.tier == TIER_PRIMARY && r.estimate == 100.0));
+        let estimates = empty_fallback.estimate_all(&queries(3));
+        assert_eq!(estimates, vec![100.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -394,7 +287,7 @@ mod tests {
         }
         // ...and the primary's saturation flag survives rerouting.
         assert!(uncertain[2].saturated);
-        assert_eq!(est.estimate_all(&qs), vec![100.0, 200.0, 300.0]);
+        assert_eq!(est.estimate_all(&qs), vec![100.0, 100.0, 300.0]);
         // The default single-query entry point routes too (its own
         // 1-query batch, hence a 1-signal fixture).
         let solo = tiered(vec![(0.3, true)]);

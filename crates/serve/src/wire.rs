@@ -657,8 +657,8 @@ messages! {
             micro_batch: u32,
             /// True if the estimate came from the cache.
             cache_hit: bool,
-            /// The pipeline tier that answered (0 = primary MSCN/ensemble,
-            /// 1 = GBM stumps, 2 = sampling fallback).
+            /// The pipeline tier that answered (0 = primary MSCN,
+            /// 2 = sampling fallback; 1 is retired and never sent).
             tier: u8,
             /// The primary model's log-standard-deviation trust signal for
             /// this query (0 when the primary has no uncertainty channel).

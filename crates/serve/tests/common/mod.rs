@@ -73,7 +73,8 @@ pub struct Run {
     pub errors: u64,
     /// Requests shed with a `Busy` frame.
     pub shed: u64,
-    /// Answers per tier: primary, GBM, fallback.
+    /// Answers per tier id: primary, the retired tier 1 (never sent),
+    /// fallback.
     pub tier_hits: [u64; 3],
     /// Feedback acks whose model version went backwards.
     pub regressions: u64,

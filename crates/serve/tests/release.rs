@@ -17,12 +17,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use common::{bootstrap_config, closed_loop, open_loop, substrate, Run, Shift, SAMPLE_SIZE};
-use lc_core::{train, DeepEnsemble};
+use lc_core::train;
 use lc_engine::Database;
 use lc_obs::metrics;
 use lc_serve::{
     serve, tiered_pipeline, CacheConfig, DriftConfig, EstimationService, FrontConfig,
-    ModelRegistry, ServeConfig, TierConfig,
+    ModelRegistry, ServeConfig,
 };
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -79,16 +79,11 @@ fn shift_server(
     shards: usize,
 ) -> (Arc<EstimationService>, Arc<ModelRegistry>, Database) {
     let (db, samples, data) = substrate(800);
-    let cfg = bootstrap_config(10, 32);
-    let tier = TierConfig::default();
+    let model = train(&db, SAMPLE_SIZE, &data, bootstrap_config(10, 32)).estimator;
     let registry = if tiered {
-        let (ensemble, _) = DeepEnsemble::train(&db, SAMPLE_SIZE, &data, cfg, tier.ensemble);
-        let mut members = ensemble.members().to_vec();
-        let base = members.remove(0);
-        let pipeline = tiered_pipeline(&db, &samples, &data, members, &tier);
-        ModelRegistry::with_pipeline(base, pipeline)
+        ModelRegistry::with_pipeline(model, tiered_pipeline(&db, &samples))
     } else {
-        ModelRegistry::new(train(&db, SAMPLE_SIZE, &data, cfg).estimator)
+        ModelRegistry::new(model)
     };
     let config = ServeConfig {
         drift: DriftConfig {
@@ -99,7 +94,6 @@ fn shift_server(
             ..DriftConfig::default()
         },
         front: FrontConfig { shards, ..FrontConfig::default() },
-        tier,
         ..ServeConfig::default()
     };
     let registry = Arc::new(registry);
@@ -159,8 +153,8 @@ fn shifted_traffic_heals_on_one_shard() {
 }
 
 /// The same shifted traffic against the plain MSCN pipeline (the
-/// control) and the `--tiered` one (deep-ensemble primary, GBM, IBJS,
-/// routed by ensemble disagreement and saturation). Both heal. Under the
+/// control) and the `--tiered` one (the same MSCN model, with IBJS
+/// answering the queries it saturates on). Both heal. Under the
 /// 3-join shift the tiered run must actually route — fallback hits
 /// above all, since the shift saturates the trained label range — while
 /// the control never leaves the primary, and the server's tier counters
@@ -172,6 +166,8 @@ fn shifted_traffic_heals_on_one_shard() {
 #[ignore = "release-speed contract; run with --release -- --ignored (see module docs)"]
 fn tiered_pipeline_reroutes_the_shift_and_keeps_the_tail() {
     let _turn = serial();
+    // Slot 1 is the retired tier id: no server records it, so both legs
+    // must read 0 there.
     let server_counts = || {
         let hits =
             [&metrics::TIER_PRIMARY_HITS, &metrics::TIER_GBM_HITS, &metrics::TIER_FALLBACK_HITS];

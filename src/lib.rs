@@ -65,7 +65,7 @@ pub mod prelude {
     pub use lc_query::{annotate_query, workloads, LabeledQuery, Query};
     pub use lc_serve::{
         BatcherConfig, CacheConfig, DriftConfig, DriftMonitor, Estimate, EstimationService,
-        ModelRegistry, ServeConfig, TierConfig, TieredEstimator,
+        ModelRegistry, ServeConfig, TieredEstimator,
     };
     pub use rand::rngs::SmallRng;
     pub use rand::SeedableRng;
