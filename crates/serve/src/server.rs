@@ -888,9 +888,11 @@ mod tests {
     use crate::config::ServeConfig;
     use crate::registry::ModelRegistry;
     use crate::service::tests::out_of_schema_queries;
+    use crate::tier::{TIER_FALLBACK, TIER_PRIMARY};
     use crate::wire::{read_message, write_message, CAP_FEEDBACK, PROTOCOL_V1};
-    use lc_core::{train, TrainConfig};
-    use lc_engine::SampleSet;
+    use lc_baselines::{FullJoinSizes, OwnedIbjsEstimator};
+    use lc_core::{train, Estimator, TrainConfig};
+    use lc_engine::{JoinIndexes, SampleSet};
     use lc_imdb::{generate, ImdbConfig};
     use lc_query::workloads;
     use rand::rngs::SmallRng;
@@ -928,6 +930,55 @@ mod tests {
         let registry = Arc::new(ModelRegistry::with_pipeline(est, pipeline));
         let service = EstimationService::new(db, samples, registry, ServeConfig::default());
         (Arc::new(service), data)
+    }
+
+    /// Answers as the model it wraps, but flags every query of three or
+    /// more joins saturated. The tiny model's estimates never saturate
+    /// (its normalized outputs stay well inside the trust band), and a
+    /// test that needs fallback answers on the wire needs some.
+    struct SaturatesWide(lc_core::MscnEstimator);
+
+    impl Estimator for SaturatesWide {
+        fn name(&self) -> &str {
+            "saturates-wide"
+        }
+        fn estimate_with_uncertainty(
+            &self,
+            queries: &[lc_query::LabeledQuery],
+        ) -> Vec<lc_core::UncertainEstimate> {
+            let mut out = self.0.estimate_with_uncertainty(queries);
+            for (u, l) in out.iter_mut().zip(queries) {
+                u.saturated = l.query.num_joins() >= 3;
+            }
+            out
+        }
+    }
+
+    /// `tiered_service` with [`SaturatesWide`] as the primary, so its
+    /// 3-4 join queries are answered by the IBJS fallback. Also returns
+    /// one such query.
+    fn wide_fallback_service() -> (Arc<EstimationService>, Vec<lc_query::LabeledQuery>, Query) {
+        let db = generate(&ImdbConfig::tiny());
+        let mut rng = SmallRng::seed_from_u64(13);
+        let samples = SampleSet::draw(&db, 24, &mut rng);
+        let data = workloads::synthetic(&db, &samples, 120, 2, 91).queries;
+        let cfg = TrainConfig { epochs: 2, hidden: 16, ..TrainConfig::default() };
+        let est = train(&db, 24, &data, cfg).estimator;
+        let wide = workloads::scale(&db, &samples, 1, 17).queries.pop().unwrap().query;
+        assert!(wide.num_joins() >= 3, "the scale workload ends on its widest bucket");
+        let fallback: Arc<dyn Estimator + Send + Sync> = Arc::new(OwnedIbjsEstimator::new(
+            Arc::new(db.clone()),
+            Arc::new(samples.clone()),
+            Arc::new(JoinIndexes::build(&db)),
+            Arc::new(FullJoinSizes::build(&db)),
+        ));
+        let pipeline: crate::registry::PipelineBuilder = Box::new(move |base| {
+            let primary = Arc::new(SaturatesWide(base.clone()));
+            Arc::new(crate::tier::TieredEstimator::new(primary, Arc::clone(&fallback)))
+        });
+        let registry = Arc::new(ModelRegistry::with_pipeline(est, pipeline));
+        let service = EstimationService::new(db, samples, registry, ServeConfig::default());
+        (Arc::new(service), data, wide)
     }
 
     /// A client that negotiates CAP_TIER gets the v2 EstimateDetail
@@ -971,7 +1022,10 @@ mod tests {
                     assert_eq!(id, 7);
                     assert!(estimate >= 1.0);
                     assert_eq!(cache_hit, expect_hit);
-                    assert!(tier <= 2, "unknown tier id {tier}");
+                    assert!(
+                        tier == TIER_PRIMARY || tier == TIER_FALLBACK,
+                        "unknown tier id {tier}"
+                    );
                     assert!(log_std.is_finite());
                     if expect_hit {
                         assert_eq!(tier, first_tier, "cache hit changed the attribution");
@@ -1002,29 +1056,53 @@ mod tests {
     /// A v1 client (no hello, decodes strictly at v1) served by a fully
     /// tiered server must still receive plain EstimateResponse frames it
     /// can decode — tiering may never leak onto un-negotiated
-    /// connections.
+    /// connections, fallback answers included.
     #[test]
     fn v1_client_against_tiered_server_stays_compatible() {
-        let (service, data) = tiered_service();
+        let (service, data, saturated) = wide_fallback_service();
         let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(handle.local_addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
 
-        for (i, l) in data.iter().take(6).enumerate() {
-            write_message(
-                &mut writer,
-                &Message::EstimateRequest { id: i as u64, query: l.query.clone() },
-            )
-            .unwrap();
+        let queries = data.iter().take(6).map(|l| l.query.clone()).chain([saturated.clone()]);
+        let mut last = 0.0;
+        for (i, query) in queries.enumerate() {
+            write_message(&mut writer, &Message::EstimateRequest { id: i as u64, query }).unwrap();
             writer.flush().unwrap();
             match read_message(&mut reader, PROTOCOL_V1).unwrap() {
                 Some(Message::EstimateResponse { id, estimate, .. }) => {
                     assert_eq!(id, i as u64);
                     assert!(estimate >= 1.0);
+                    last = estimate;
                 }
                 other => panic!("v1 client against tiered server got {other:?}"),
             }
+        }
+
+        // The last answer came from the fallback: a CAP_TIER client asking
+        // the same query hits the cache entry that answer filled.
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        write_message(
+            &mut writer,
+            &Message::Hello { id: 0, version: PROTOCOL_VERSION, capabilities: CAPABILITIES },
+        )
+        .unwrap();
+        write_message(&mut writer, &Message::EstimateRequest { id: 9, query: saturated }).unwrap();
+        writer.flush().unwrap();
+        assert!(matches!(
+            read_message(&mut reader, PROTOCOL_VERSION).unwrap(),
+            Some(Message::HelloAck { .. })
+        ));
+        match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
+            Some(Message::EstimateDetail { id: 9, estimate, cache_hit, tier, .. }) => {
+                assert!(cache_hit, "the probe must read the v1 client's cache entry");
+                assert_eq!(tier, TIER_FALLBACK, "the saturated query stayed on the primary");
+                assert_eq!(estimate, last, "the v1 client saw a different answer");
+            }
+            other => panic!("CAP_TIER probe got {other:?}"),
         }
 
         handle.shutdown();

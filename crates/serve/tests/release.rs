@@ -200,4 +200,6 @@ fn tiered_pipeline_reroutes_the_shift_and_keeps_the_tail() {
     assert!(tiered_server[0] > 0, "tiered server counted no primary hits");
     assert!(tiered_server[1] + tiered_server[2] > 0, "tiered server counted no rerouted hits");
     assert!(tiered_qerrors > 0, "tier.primary.qerror_x100 saw no feedback");
+    assert_eq!(tiered.tier_hits[1], 0, "a tiered client saw the retired tier id");
+    assert_eq!(tiered_server[1], 0, "tiered server counted hits on the retired tier id");
 }

@@ -34,9 +34,11 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(8);
     let samples = SampleSet::draw(&db, 64, &mut rng);
 
-    // Train the model on 0-2 join queries only.
+    // Train the model on 0-2 join queries only. 60 epochs is the budget
+    // a three-member ensemble of 20-epoch models would take; spent on
+    // one model, it buys a lower tail at a third of the inference cost.
     let training = workloads::synthetic(&db, &samples, 2_000, 2, 12).queries;
-    let cfg = TrainConfig { epochs: 20, hidden: 48, batch_size: 128, ..TrainConfig::default() };
+    let cfg = TrainConfig { epochs: 60, hidden: 48, batch_size: 128, ..TrainConfig::default() };
     let model = train(&db, 64, &training, cfg).estimator;
     let pipeline = tiered_pipeline(&db, &samples)(&model);
 
