@@ -16,25 +16,18 @@
 //!   sample is empty (§4, "IB Join Samp.").
 //!
 //! All estimators implement the unified, object-safe
-//! [`lc_core::Estimator`] trait, so the evaluation harness and the
-//! serving registry treat them interchangeably with MSCN. The baselines
-//! are deterministic formulas: their uncertainty channel reports zero
-//! spread and no saturation. The borrowing variants
-//! (`PostgresEstimator<'a>`, `IbjsEstimator<'a>`) suit the evaluation
-//! harness; [`OwnedIbjsEstimator`] holds the snapshot by `Arc` so IBJS
-//! can live behind `Arc<dyn Estimator>` in the model registry, as the
-//! fallback of `lc_serve`'s tiered pipeline, without leaking lifetimes.
+//! [`lc_core::Estimator`] trait, so the evaluation harness treats them
+//! interchangeably with MSCN. The baselines are deterministic formulas:
+//! their uncertainty channel reports zero spread and no saturation.
 
 mod ibjs;
 mod joinsizes;
-mod owned;
 mod postgres;
 mod rs;
 pub mod stats;
 
 pub use ibjs::IbjsEstimator;
 pub use joinsizes::FullJoinSizes;
-pub use owned::OwnedIbjsEstimator;
 pub use postgres::PostgresEstimator;
 pub use rs::RandomSamplingEstimator;
 pub use stats::{ColumnDistribution, DbStatistics, TableStatistics};

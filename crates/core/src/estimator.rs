@@ -2,12 +2,11 @@
 //! estimator kind.
 //!
 //! A registry holding `Arc<dyn Estimator>` needs *one* entry point that
-//! names the estimator, answers point queries, answers batches,
-//! qualifies its own trust, and says which component of a composite
-//! pipeline produced each answer. [`Estimator`] is that one seam: the
-//! batched uncertainty channel is the required method, and the
-//! point/batch/routed entry points are default methods derived from it,
-//! so a new estimator implements exactly two functions (`name` and
+//! names the estimator, answers point queries, answers batches and
+//! qualifies its own trust. [`Estimator`] is that one seam: the batched
+//! uncertainty channel is the required method, and the point and batch
+//! entry points are default methods derived from it, so a new estimator
+//! implements exactly two functions (`name` and
 //! `estimate_with_uncertainty`) and gets the whole surface.
 //!
 //! The trait is object-safe — no generic methods — so
@@ -19,26 +18,8 @@ use lc_query::LabeledQuery;
 use crate::ensemble::{DeepEnsemble, UncertainEstimate};
 use crate::train::MscnEstimator;
 
-/// An estimate attributed to the pipeline component that produced it.
-///
-/// Monolithic estimators answer everything themselves (tier 0); routed
-/// pipelines (e.g. `lc_serve`'s `TieredEstimator`) override
-/// [`Estimator::estimate_routed`] to report which tier answered and the
-/// trust signal that drove the decision.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RoutedEstimate {
-    /// Estimated cardinality (rows, ≥ 1).
-    pub estimate: f64,
-    /// Identifier of the component that answered (0 = the estimator
-    /// itself / the primary tier).
-    pub tier: u8,
-    /// The primary model's log-standard-deviation trust signal for this
-    /// query (0 for estimators with no uncertainty channel).
-    pub log_std: f64,
-}
-
-/// A cardinality estimator: named, batched, uncertainty-aware, and
-/// routable — the single estimation entry point of the workspace.
+/// A cardinality estimator: named, batched and uncertainty-aware — the
+/// single estimation entry point of the workspace.
 ///
 /// # Contract
 ///
@@ -47,10 +28,11 @@ pub struct RoutedEstimate {
 /// * Implementations must **not** read [`LabeledQuery::cardinality`] —
 ///   at serving time it is 0 (see `lc_query::annotate_query`); the
 ///   label exists for training and evaluation only.
-/// * The default `estimate` / `estimate_all` / `estimate_routed`
-///   methods all derive from [`Estimator::estimate_with_uncertainty`];
-///   overrides may change *how* the numbers are computed (e.g. a
-///   vectorized batch path) but never *what* they are.
+/// * The default `estimate` / `estimate_all` methods both derive from
+///   [`Estimator::estimate_with_uncertainty`]; overrides may change
+///   *how* the numbers are computed (e.g. a vectorized batch path) but
+///   never *what* they are — the serving batcher reads `estimate_all`,
+///   bitwise the `.estimate` of the uncertainty channel.
 pub trait Estimator {
     /// Short human-readable name (used in reports and dashboards).
     fn name(&self) -> &str;
@@ -68,16 +50,6 @@ pub trait Estimator {
     /// Batched point estimates (default: drop the uncertainty).
     fn estimate_all(&self, queries: &[LabeledQuery]) -> Vec<f64> {
         self.estimate_with_uncertainty(queries).into_iter().map(|u| u.estimate).collect()
-    }
-
-    /// Batched estimates attributed to the pipeline component that
-    /// produced them. Monolithic estimators answer everything as tier 0;
-    /// composite pipelines override this to expose their routing.
-    fn estimate_routed(&self, queries: &[LabeledQuery]) -> Vec<RoutedEstimate> {
-        self.estimate_with_uncertainty(queries)
-            .into_iter()
-            .map(|u| RoutedEstimate { estimate: u.estimate, tier: 0, log_std: u.log_std })
-            .collect()
     }
 
     /// Resident parameter bytes of the served model — what the registry
@@ -210,24 +182,27 @@ mod tests {
         }
     }
 
-    /// Monolithic estimators route everything to tier 0 with the
-    /// uncertainty channel's log-std — the default every non-composite
-    /// implementor inherits.
+    /// Every estimator a serving pipeline publishes — the f32 model and
+    /// its int8 mirror — answers `estimate_all` with exactly the
+    /// `.estimate` bits of its uncertainty channel: the batcher reads the
+    /// former, and what the uncertainty channel promises must be what a
+    /// client receives.
     #[test]
-    fn default_routing_is_tier_zero_with_matching_estimates() {
+    fn estimate_all_is_bitwise_the_uncertainty_estimate() {
         let db = generate(&ImdbConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(35);
         let samples = SampleSet::draw(&db, 24, &mut rng);
         let data = workloads::synthetic(&db, &samples, 200, 2, 36).queries;
         let cfg = TrainConfig { epochs: 2, hidden: 16, batch_size: 64, ..TrainConfig::default() };
-        let (ensemble, _) = DeepEnsemble::train(&db, 24, &data, cfg, 2);
-        let est: &dyn Estimator = &ensemble;
-        let routed = est.estimate_routed(&data[..8]);
-        let uncertain = est.estimate_with_uncertainty(&data[..8]);
-        for (r, u) in routed.iter().zip(&uncertain) {
-            assert_eq!(r.tier, 0);
-            assert_eq!(r.estimate, u.estimate);
-            assert_eq!(r.log_std, u.log_std);
+        let single = train(&db, 24, &data, cfg).estimator;
+        let quantized = crate::quant::QuantizedMscn::quantize(&single);
+        for est in [&single as &dyn Estimator, &quantized] {
+            let points = est.estimate_all(&data);
+            let uncertain = est.estimate_with_uncertainty(&data);
+            assert_eq!(points.len(), uncertain.len());
+            for (p, u) in points.iter().zip(&uncertain) {
+                assert_eq!(p.to_bits(), u.estimate.to_bits(), "{}", est.name());
+            }
         }
     }
 }

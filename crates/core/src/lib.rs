@@ -23,8 +23,8 @@
 //!   (mathematically identical to the paper's zero-padding + masking, but
 //!   without wasted FLOPs);
 //! * [`estimator`] — the unified, object-safe [`Estimator`] trait: named
-//!   point/batch estimates, uncertainty-qualified batches, and
-//!   tier-attributed routing ([`RoutedEstimate`]) behind one seam;
+//!   point/batch estimates and uncertainty-qualified batches behind one
+//!   seam;
 //! * [`model`] — the MSCN network with hand-derived backprop;
 //! * [`quant`] — the int8 post-training-quantized mirror of the network
 //!   ([`QuantizedMscn`]): quantize-once at publish, cache-resident
@@ -46,7 +46,7 @@ pub mod train;
 
 pub use batch::RaggedBatch;
 pub use ensemble::{DeepEnsemble, UncertainEstimate};
-pub use estimator::{Estimator, RoutedEstimate};
+pub use estimator::Estimator;
 pub use featurize::{FeatureMode, Featurizer, LabelNorm};
 pub use model::{MscnGrads, MscnModel, MscnScratch};
 pub use quant::{QuantScratch, QuantizedMscn, QuantizedMscnModel};

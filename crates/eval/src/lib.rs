@@ -28,4 +28,4 @@ pub mod report;
 
 pub use compact::{CompactPoint, CompactionFrontier};
 pub use harness::{ExperimentConfig, Harness};
-pub use metrics::{qerror, signed_error, QErrorStats, TierBreakdown, TierStats};
+pub use metrics::{qerror, signed_error, QErrorStats};

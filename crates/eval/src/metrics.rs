@@ -1,7 +1,7 @@
 //! The q-error metric [Moerkotte et al., PVLDB 2009] and percentile
 //! summaries, exactly as the paper reports them.
 
-use lc_core::{Estimator, RoutedEstimate};
+use lc_core::Estimator;
 use lc_query::LabeledQuery;
 
 /// The q-error: the factor between estimate and truth, `≥ 1`.
@@ -102,119 +102,9 @@ pub fn evaluate_signed(estimator: &dyn Estimator, queries: &[LabeledQuery]) -> V
         .collect()
 }
 
-/// Run a (possibly composite) estimator over a workload through its
-/// routed channel, pairing each tier-attributed estimate with its
-/// q-error. Monolithic estimators attribute everything to tier 0;
-/// `lc_serve`'s `TieredEstimator` reports the tier that actually
-/// answered.
-pub fn evaluate_routed(
-    estimator: &dyn Estimator,
-    queries: &[LabeledQuery],
-) -> Vec<(RoutedEstimate, f64)> {
-    estimator
-        .estimate_routed(queries)
-        .into_iter()
-        .zip(queries)
-        .map(|(r, q)| (r, qerror(r.estimate, q.cardinality as f64)))
-        .collect()
-}
-
-/// Q-error summary for one tier of a routed pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct TierStats {
-    /// The tier id (0 = primary).
-    pub tier: u8,
-    /// Number of queries this tier answered.
-    pub hits: usize,
-    /// Q-error percentiles over the queries this tier answered.
-    pub stats: QErrorStats,
-}
-
-/// Per-tier attribution of a workload's q-errors — measures *routing*
-/// quality, not just aggregate accuracy: a healthy pipeline shows the
-/// primary tier with low error on the bulk and the fallback tiers
-/// absorbing the shapes the primary cannot answer.
-#[derive(Clone, Debug)]
-pub struct TierBreakdown {
-    /// One entry per tier that answered ≥ 1 query, ascending by tier id.
-    pub tiers: Vec<TierStats>,
-    /// Q-error percentiles over the whole workload.
-    pub overall: QErrorStats,
-    /// Total queries evaluated.
-    pub total: usize,
-}
-
-impl TierBreakdown {
-    /// Attribute each query's q-error to the tier that answered it.
-    ///
-    /// # Panics
-    /// If `queries` is empty.
-    pub fn measure(estimator: &dyn Estimator, queries: &[LabeledQuery]) -> Self {
-        let routed = evaluate_routed(estimator, queries);
-        let all: Vec<f64> = routed.iter().map(|(_, q)| *q).collect();
-        let mut by_tier: Vec<(u8, Vec<f64>)> = Vec::new();
-        for (r, q) in &routed {
-            match by_tier.iter_mut().find(|(t, _)| *t == r.tier) {
-                Some((_, v)) => v.push(*q),
-                None => by_tier.push((r.tier, vec![*q])),
-            }
-        }
-        by_tier.sort_by_key(|(t, _)| *t);
-        let tiers = by_tier
-            .into_iter()
-            .map(|(tier, qs)| TierStats {
-                tier,
-                hits: qs.len(),
-                stats: QErrorStats::from_qerrors(&qs),
-            })
-            .collect();
-        TierBreakdown { tiers, overall: QErrorStats::from_qerrors(&all), total: routed.len() }
-    }
-
-    /// Fraction of queries answered by `tier` (0 if it never answered).
-    pub fn hit_rate(&self, tier: u8) -> f64 {
-        self.tiers
-            .iter()
-            .find(|t| t.tier == tier)
-            .map(|t| t.hits as f64 / self.total as f64)
-            .unwrap_or(0.0)
-    }
-
-    /// Serialize as a JSON object (no external dependencies), suitable
-    /// for a checked-in artifact like `TIER_baseline.json`.
-    pub fn to_json(&self) -> String {
-        fn stats_json(s: &QErrorStats) -> String {
-            format!(
-                "{{\"median\":{},\"p90\":{},\"p95\":{},\"p99\":{},\"max\":{},\"mean\":{}}}",
-                s.median, s.p90, s.p95, s.p99, s.max, s.mean
-            )
-        }
-        let tiers: Vec<String> = self
-            .tiers
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tier\":{},\"hits\":{},\"hit_rate\":{},\"qerror\":{}}}",
-                    t.tier,
-                    t.hits,
-                    t.hits as f64 / self.total as f64,
-                    stats_json(&t.stats)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"total\":{},\"overall\":{},\"tiers\":[{}]}}",
-            self.total,
-            stats_json(&self.overall),
-            tiers.join(",")
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lc_core::UncertainEstimate;
 
     #[test]
     fn qerror_is_symmetric_and_one_for_exact() {
@@ -258,64 +148,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_percentile_panics() {
         percentile(&[], 50.0);
-    }
-
-    /// A stub pipeline that alternates tiers deterministically: even
-    /// queries answered by tier 0 exactly, odd queries by tier 2 with a
-    /// 10× overestimate.
-    struct Alternating;
-
-    impl Estimator for Alternating {
-        fn name(&self) -> &str {
-            "alternating"
-        }
-        fn estimate_with_uncertainty(&self, qs: &[LabeledQuery]) -> Vec<UncertainEstimate> {
-            qs.iter()
-                .map(|_| UncertainEstimate { estimate: 10.0, log_std: 0.0, saturated: false })
-                .collect()
-        }
-        fn estimate_routed(&self, qs: &[LabeledQuery]) -> Vec<RoutedEstimate> {
-            qs.iter()
-                .enumerate()
-                .map(|(i, _)| RoutedEstimate {
-                    estimate: if i % 2 == 0 { 10.0 } else { 100.0 },
-                    tier: if i % 2 == 0 { 0 } else { 2 },
-                    log_std: 0.5,
-                })
-                .collect()
-        }
-    }
-
-    fn ten_row_queries(n: usize) -> Vec<LabeledQuery> {
-        (0..n)
-            .map(|_| LabeledQuery {
-                query: lc_query::Query::new(vec![], vec![], vec![]),
-                cardinality: 10,
-                sample_counts: vec![],
-                bitmaps: vec![],
-                pred_bitmaps: vec![],
-            })
-            .collect()
-    }
-
-    #[test]
-    fn tier_breakdown_attributes_qerrors_to_the_answering_tier() {
-        let qs = ten_row_queries(6);
-        let b = TierBreakdown::measure(&Alternating, &qs);
-        assert_eq!(b.total, 6);
-        assert_eq!(b.tiers.len(), 2);
-        assert_eq!((b.tiers[0].tier, b.tiers[0].hits), (0, 3));
-        assert_eq!((b.tiers[1].tier, b.tiers[1].hits), (2, 3));
-        // Tier 0 answered exactly; tier 2 overestimated by 10×.
-        assert_eq!(b.tiers[0].stats.median, 1.0);
-        assert_eq!(b.tiers[1].stats.median, 10.0);
-        assert_eq!(b.hit_rate(0), 0.5);
-        assert_eq!(b.hit_rate(2), 0.5);
-        assert_eq!(b.hit_rate(1), 0.0);
-        assert_eq!(b.overall.max, 10.0);
-        let json = b.to_json();
-        assert!(json.contains("\"tier\":2"), "{json}");
-        assert!(json.contains("\"hit_rate\":0.5"), "{json}");
-        assert!(json.contains("\"total\":6"), "{json}");
     }
 }

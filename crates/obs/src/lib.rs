@@ -502,9 +502,13 @@ define_catalog! {
         SERVE_METRICS_REQUESTS => "serve.metrics_requests",
         CACHE_HITS => "cache.hits",
         CACHE_MISSES => "cache.misses",
+        // Retired with the tiered pipeline: records nothing, kept so no
+        // wire id moves.
         TIER_PRIMARY_HITS => "tier.primary.hits",
         // Retired with tier id 1: records nothing, kept so no wire id moves.
         TIER_GBM_HITS => "tier.gbm.hits",
+        // Retired with the tiered pipeline: records nothing, kept so no
+        // wire id moves.
         TIER_FALLBACK_HITS => "tier.fallback.hits",
         DRIFT_TRIPS => "drift.trips",
         RETRAIN_SUCCESS => "retrain.success",
@@ -533,10 +537,16 @@ define_catalog! {
         BATCH_SIZE => "batcher.batch_size",
         // Retired with tier id 1: records nothing, kept so no wire id moves.
         TIER_GBM_NS => "tier.gbm.estimate_ns",
+        // Retired with the tiered pipeline: records nothing, kept so no
+        // wire id moves.
         TIER_FALLBACK_NS => "tier.fallback.estimate_ns",
+        // The served model's online q-error (×100) over every feedback
+        // frame; the name dates from the tiered pipeline's primary tier.
         TIER_PRIMARY_QERROR_X100 => "tier.primary.qerror_x100",
         // Retired with tier id 1: records nothing, kept so no wire id moves.
         TIER_GBM_QERROR_X100 => "tier.gbm.qerror_x100",
+        // Retired with the tiered pipeline: records nothing, kept so no
+        // wire id moves.
         TIER_FALLBACK_QERROR_X100 => "tier.fallback.qerror_x100",
         RETRAIN_NS => "retrain.duration_ns",
         TRAIN_EPOCH_NS => "train.epoch_ns",

@@ -9,9 +9,7 @@
 //! sample-annotated queries, each riding with a caller-chosen token, and
 //! [`MicroBatcher::flush`] runs up to [`BatcherConfig::max_batch`] of
 //! them as one [`RaggedBatch`](lc_core::RaggedBatch) forward pass via
-//! `lc_core::Estimator::estimate_routed` (so a tiered pipeline's
-//! per-query routing rides the same flush, and each answer comes back
-//! attributed to the tier that produced it), handing every token its
+//! `lc_core::Estimator::estimate_all`, handing every token its
 //! [`Estimate`] in push order.
 //!
 //! There is no thread, lock or timer in here: whoever owns the batcher
@@ -43,7 +41,6 @@ use lc_obs::{metrics, SpanTimer};
 use lc_query::LabeledQuery;
 
 use crate::registry::ModelRegistry;
-use crate::tier::TIER_FALLBACK;
 
 /// Sizing of a [`MicroBatcher`].
 #[derive(Clone, Copy, Debug)]
@@ -77,12 +74,6 @@ pub struct Estimate {
     pub cache_hit: bool,
     /// Requests coalesced into the same forward pass (0 for cache hits).
     pub micro_batch: u32,
-    /// Pipeline tier that produced (or originally produced, for cache
-    /// hits) the estimate — 0 for monolithic estimators, see
-    /// `crate::tier` for the routed ids.
-    pub tier: u8,
-    /// The primary model's log-std trust signal for this query.
-    pub log_std: f64,
 }
 
 /// Aggregate flush counters, see
@@ -170,26 +161,18 @@ impl<T> MicroBatcher<T> {
         // affects the *next* batch, never a running one.
         let snapshot = self.registry.current();
         let forward_span = SpanTimer::start(&metrics::BATCH_FORWARD_NS);
-        let estimates = snapshot.estimator.estimate_routed(&self.queries.make_contiguous()[..n]);
+        let estimates = snapshot.estimator.estimate_all(&self.queries.make_contiguous()[..n]);
         drop(forward_span);
         self.queries.drain(..n);
         metrics::BATCH_QUEUE_DEPTH.set(self.queries.len() as u64);
-        for ((token, _), routed) in self.tokens.drain(..n).zip(estimates) {
-            // Tier hit counters live here, not in the pipeline, so every
-            // answered request is counted exactly once at inference time.
-            match routed.tier {
-                TIER_FALLBACK => metrics::TIER_FALLBACK_HITS.inc(),
-                _ => metrics::TIER_PRIMARY_HITS.inc(),
-            }
+        for ((token, _), cardinality) in self.tokens.drain(..n).zip(estimates) {
             deliver(
                 token,
                 Estimate {
-                    cardinality: routed.estimate,
+                    cardinality,
                     model_version: snapshot.version,
                     cache_hit: false,
                     micro_batch: n as u32,
-                    tier: routed.tier,
-                    log_std: routed.log_std,
                 },
             );
         }

@@ -303,35 +303,20 @@ fn render(
         }
     }
     writeln!(out)?;
-    // Tiered-pipeline routing: which tier answered, and the q-error each
-    // tier's answers earned from feedback. Zero everywhere on a
-    // non-tiered server, so only render once any tier counter moved.
-    let tiers = [sample.scalar("tier.primary.hits"), sample.scalar("tier.fallback.hits")];
-    let answered: u64 = tiers.iter().sum();
-    if answered > 0 {
-        let qerr = |name: &str| {
-            let h = sample.histogram(name);
-            if h.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", h.quantile(0.95) as f64 / 100.0)
-            }
-        };
-        writeln!(
-            out,
-            "tiers    primary {} ({:.1}%)   fallback {}   q-err p95 {} / {}",
-            tiers[0],
-            percent(tiers[0], answered),
-            tiers[1],
-            qerr("tier.primary.qerror_x100"),
-            qerr("tier.fallback.qerror_x100"),
-        )?;
-    }
+    // The served model's online accuracy: the q-error of every estimate
+    // a client reported the true cardinality for.
+    let feedback_qerror = sample.histogram("tier.primary.qerror_x100");
+    let feedback_p95 = if feedback_qerror.is_empty() {
+        "-".to_string()
+    } else {
+        format!("{:.1}", feedback_qerror.quantile(0.95) as f64 / 100.0)
+    };
     writeln!(
         out,
-        "feedback {}   drift trips {} ({} template{} tripped)   retrains {} ok / {} panicked / \
-         {} on a serving core   publishes {}   retrain in flight: {}",
+        "feedback {} (q-err p95 {})   drift trips {} ({} template{} tripped)   retrains {} ok / \
+         {} panicked / {} on a serving core   publishes {}   retrain in flight: {}",
         sample.scalar("serve.feedback"),
+        feedback_p95,
         sample.scalar("drift.trips"),
         sample.tripped_templates,
         if sample.tripped_templates == 1 { "" } else { "s" },
@@ -458,10 +443,7 @@ mod tests {
             "model.bytes",
             "model.resident_count",
             "model.quantized",
-            "tier.primary.hits",
-            "tier.fallback.hits",
             "tier.primary.qerror_x100",
-            "tier.fallback.qerror_x100",
         ] {
             id_of(name);
         }
@@ -472,6 +454,34 @@ mod tests {
                 id_of(&format!("serve.shard{i}.{field}"));
             }
         }
+    }
+
+    /// The feedback row carries the served model's online q-error p95,
+    /// and a plain server with cache misses renders no tiers row.
+    #[test]
+    fn feedback_row_shows_the_online_qerror_and_no_tiers_row() {
+        let qerrors = lc_obs::Histogram::new();
+        for _ in 0..40 {
+            qerrors.record(300); // q-error 3.0, ×100
+        }
+        let sample = Sample {
+            uptime_ns: 1_000_000_000,
+            scalars: HashMap::from([
+                (id_of("serve.feedback"), 40),
+                (id_of("cache.misses"), 40),
+                (id_of("tier.primary.hits"), 40),
+            ]),
+            histograms: HashMap::from([(id_of("tier.primary.qerror_x100"), qerrors.snapshot())]),
+            retrain_in_flight: false,
+            tripped_templates: 0,
+        };
+        let mut out = Vec::new();
+        render(&mut out, "127.0.0.1:7878", &sample, None).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let feedback = text.lines().find(|l| l.starts_with("feedback ")).expect("feedback row");
+        let p95 = sample.histogram("tier.primary.qerror_x100").quantile(0.95) as f64 / 100.0;
+        assert!(feedback.starts_with(&format!("feedback 40 (q-err p95 {p95:.1})")), "{feedback}");
+        assert!(!text.lines().any(|l| l.starts_with("tiers")), "{text}");
     }
 
     #[test]

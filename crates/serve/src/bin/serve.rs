@@ -40,17 +40,11 @@
 //! * `--drift-min-corpus N` feedback corpus size before retraining
 //!   (default 96)
 //! * `--retrain-epochs N`  epochs per incremental retrain  (default 12)
-//! * `--tiered`            serve through the
-//!   [`tiered_pipeline`](lc_serve::tiered_pipeline): the MSCN model
-//!   answers unless its estimate is saturated, and index-based join
-//!   sampling answers the saturated queries. Clients that negotiate the
-//!   tier capability get per-answer tier attribution on the wire.
 //! * `--quantized`         serve int8 post-training-quantized weights
 //!   ([`compact_pipeline`](lc_serve::compact_pipeline)): the registry's
 //!   pipeline builder quantizes the trained base model at
 //!   startup and again on every self-healing republish, so the resident
-//!   footprint stays ~4x smaller across retrains. Incompatible with
-//!   `--tiered` (the tiered pipeline wraps the f32 model).
+//!   footprint stays ~4x smaller across retrains.
 //! * `--student-width N`   distill the bootstrap/loaded teacher into an
 //!   N-wide student before serving (0 = off). Combined with
 //!   `--quantized` this is the full compaction path: distill, then
@@ -70,8 +64,8 @@ use lc_imdb::ImdbConfig;
 use lc_query::workloads;
 use lc_serve::flags::get;
 use lc_serve::{
-    compact_pipeline, serve, tiered_pipeline, BatcherConfig, CacheConfig, DriftConfig,
-    EstimationService, FrontConfig, ModelRegistry, ServeConfig,
+    compact_pipeline, serve, BatcherConfig, CacheConfig, DriftConfig, EstimationService,
+    FrontConfig, ModelRegistry, ServeConfig,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -100,7 +94,7 @@ const FLAGS: &[&str] = &[
     "student-width",
 ];
 
-const SWITCHES: &[&str] = &["tiered", "quantized"];
+const SWITCHES: &[&str] = &["quantized"];
 
 fn main() {
     if let Err(message) = run() {
@@ -134,15 +128,8 @@ fn run() -> Result<(), String> {
     let drift_threshold: f64 = get(&flags, "drift-threshold", drift_defaults.qerror_threshold)?;
     let drift_min_corpus: usize = get(&flags, "drift-min-corpus", drift_defaults.min_corpus)?;
     let retrain_epochs: usize = get(&flags, "retrain-epochs", drift_defaults.retrain.epochs)?;
-    let tiered = get(&flags, "tiered", false)?;
     let quantized = get(&flags, "quantized", false)?;
     let student_width: usize = get(&flags, "student-width", 0)?;
-    if tiered && (quantized || student_width > 0) {
-        // The tiered pipeline wraps the f32 model and reads its
-        // saturation flag; mixing precisions inside it would silently
-        // serve two different numerics behind one flag.
-        return Err("--quantized/--student-width cannot be combined with --tiered".into());
-    }
     if max_batch == 0 {
         return Err("--max-batch must be at least 1".into());
     }
@@ -193,10 +180,7 @@ fn run() -> Result<(), String> {
     };
     let params = estimator.model().num_params();
 
-    let registry = if tiered {
-        eprintln!("serve: building the sampling fallback ...");
-        Arc::new(ModelRegistry::with_pipeline(estimator, tiered_pipeline(&db, &samples)))
-    } else if quantized || student_width > 0 {
+    let registry = if quantized || student_width > 0 {
         if student_width > 0 {
             eprintln!("serve: distilling {student_width}-wide student ...");
         }
@@ -239,21 +223,17 @@ fn run() -> Result<(), String> {
     // preempt a shard (it shares a CPU only when the shard CPUs are all
     // of the process's).
     let shard_cpus = service.serving_cpus();
+    let mut model = String::new();
+    if student_width > 0 {
+        model.push_str(&format!("{student_width}-wide student "));
+    }
+    model.push_str(if quantized { "int8 model" } else { "model" });
     println!(
         "lc-serve listening on {} ({} v{}, {} params, {} resident bytes, {} kernels, {} shard{}, \
          shard CPUs {}, retrainer CPUs {:?}, cache {}, max batch {}, inflight budget {}, drift \
          threshold {} over {}-obs windows)",
         handle.local_addr(),
-        if tiered {
-            "tiered model".to_string()
-        } else {
-            let mut desc = String::new();
-            if student_width > 0 {
-                desc.push_str(&format!("{student_width}-wide student "));
-            }
-            desc.push_str(if quantized { "int8 model" } else { "model" });
-            desc
-        },
+        model,
         registry.active_version(),
         params,
         registry.resident_bytes(),

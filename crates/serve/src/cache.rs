@@ -61,17 +61,20 @@ impl CacheStats {
     }
 }
 
-/// What a cache hit yields: the estimate plus the routing attribution it
-/// was produced with, so repeated probes of the same subquery keep their
-/// tier/uncertainty provenance (wire `EstimateDetail` frames and per-tier
-/// feedback metrics stay truthful on hits).
+/// What a cache hit yields: the estimate.
+///
+/// `tier` and `log_std` are vestiges of the retired tiered pipeline: the
+/// service writes `0` / `0.0` and reads neither. They stay only because
+/// the frozen benchmark package (`crates/bench/src/bin/benchmark`) names
+/// them in a struct literal; ROADMAP lists them for the next
+/// `[benchmark]` PR to drop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CachedEstimate {
     /// Estimated cardinality (≥ 1).
     pub cardinality: f64,
-    /// Tier that produced the estimate (see `crate::tier`).
+    /// Always 0; see the type docs.
     pub tier: u8,
-    /// Ensemble log-std the estimate carried at inference time.
+    /// Always 0.0; see the type docs.
     pub log_std: f64,
 }
 
@@ -175,7 +178,7 @@ impl Shard {
 }
 
 /// A sharded, thread-safe LRU cache from canonical query bytes to
-/// estimated cardinalities (with their tier attribution).
+/// estimated cardinalities.
 pub struct EstimateCache {
     shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
@@ -298,13 +301,10 @@ mod tests {
         let cache = EstimateCache::new(CacheConfig { capacity: 2, shards: 1 });
         cache.insert(key(1), val(1.0));
         cache.insert(key(2), val(2.0));
-        // Refresh: 1 becomes MRU and its attribution is replaced too.
-        cache.insert(key(1), CachedEstimate { cardinality: 100.0, tier: 2, log_std: 1.5 });
+        // Refresh: 1 becomes MRU and its value is replaced too.
+        cache.insert(key(1), val(100.0));
         cache.insert(key(3), val(3.0)); // evicts 2
-        assert_eq!(
-            cache.get(&key(1)),
-            Some(CachedEstimate { cardinality: 100.0, tier: 2, log_std: 1.5 })
-        );
+        assert_eq!(cache.get(&key(1)), Some(val(100.0)));
         assert_eq!(cache.get(&key(2)), None);
         assert_eq!(cache.len(), 2);
     }

@@ -3,8 +3,7 @@
 //!
 //! Everything has a sensible default, so `ServeConfig::default()` is a
 //! working production configuration; the `serve` binary maps its flags
-//! onto these fields. The tiered pipeline has no knobs here: it routes
-//! on the model's own saturation flag (see [`crate::tier`]).
+//! onto these fields.
 
 use lc_core::TrainConfig;
 

@@ -30,22 +30,16 @@
 //!   client opens with a hello carrying its protocol version and a
 //!   capability byte; the server acks with the negotiated (min version,
 //!   capability intersection) pair. v1 clients skip the hello and keep
-//!   working unchanged. v2 adds feedback, stats, drift-status, and —
-//!   behind the negotiated `CAP_TIER` bit — tier-attributed estimate
-//!   detail frames. One table declares every kind's fields in wire order;
-//!   encoding, strict panic-free decoding and the version gate derive
-//!   from it.
+//!   working unchanged. v2 adds feedback, stats, drift-status, metrics
+//!   and busy/retry frames. One table declares every kind's fields in
+//!   wire order; encoding, strict panic-free decoding and the version
+//!   gate derive from it.
 //! * [`registry`] — versioned model snapshots with **atomic hot-swap**:
 //!   publishing a new model never pauses in-flight requests; each
 //!   micro-batch runs against the `Arc` snapshot it grabbed at flush
 //!   time. A snapshot serves through an object-safe
 //!   `Arc<dyn Estimator>` pipeline built by a registered closure, so
-//!   retrains re-derive composite pipelines automatically.
-//! * [`tier`] — the [`TieredEstimator`] pipeline: the learned model
-//!   answers unless its own estimate is saturated (at or beyond the edge
-//!   of the trained label range); those queries go to index-based join
-//!   sampling. Per-tier hit counts, latency, and observed q-error land
-//!   in the `tier.*` metrics.
+//!   retrains re-derive compact pipelines automatically.
 //! * [`drift`] — per-join-template rolling q-error windows fed by
 //!   feedback frames, plus the accrued retraining corpus. When a window
 //!   trips, the service schedules `lc_core::train_incremental` in the
@@ -73,9 +67,9 @@
 //!   control ([`config::FrontConfig`]) sheds over-budget requests with
 //!   v2 `Busy`/retry frames instead of queueing them.
 //!
-//! Two pipelines ship with the crate, the ones the `serve` binary
-//! installs: [`tiered_pipeline`] (`--tiered`) and [`compact_pipeline`]
-//! (`--student-width`, `--quantized`). Clients speak [`wire`] directly:
+//! One pipeline ships with the crate, the one the `serve` binary
+//! installs: [`compact_pipeline`] (`--student-width`, `--quantized`).
+//! Clients speak [`wire`] directly:
 //! the tests and the `serving` example write frames with
 //! [`wire::write_message`] and read them with [`wire::read_message`], and
 //! the `lc-top` binary polls a live server's metrics the same way.
@@ -116,7 +110,6 @@ pub mod flags;
 pub mod registry;
 pub mod server;
 pub mod service;
-pub mod tier;
 pub mod wire;
 
 pub use batcher::{BatchStats, BatcherConfig, Estimate, MicroBatcher};
@@ -128,5 +121,4 @@ pub use registry::{
 };
 pub use server::{serve, ServerHandle};
 pub use service::{EstimationService, PendingEstimate, ServeError};
-pub use tier::{tiered_pipeline, TieredEstimator, TIER_FALLBACK, TIER_PRIMARY};
 pub use wire::{HistogramMetric, Message, ScalarMetric, TemplateDrift, TemplateStat, WireError};

@@ -13,14 +13,13 @@
 //! `Arc<dyn Estimator + Send + Sync>` **pipeline**, not a concrete
 //! estimator type: the default pipeline is the trained
 //! [`MscnEstimator`](lc_core::MscnEstimator) itself, but
-//! [`ModelRegistry::with_pipeline`] accepts a builder closure that wraps
-//! each trained base model in an arbitrary composite (e.g. `lc_serve`'s
-//! uncertainty-routed [`TieredEstimator`](crate::TieredEstimator)). The
-//! builder runs again on every [`ModelRegistry::publish`], so a
-//! background retrain re-derives the whole pipeline around the new base
-//! weights — the retrainer itself keeps warm-starting from
-//! [`ModelSnapshot::base`], the raw MSCN weights, untouched by the
-//! wrapping.
+//! [`ModelRegistry::with_pipeline`] accepts a builder closure that
+//! derives the served estimator from each trained base model (e.g. the
+//! distilled or int8 model of [`compact_pipeline`]). The builder runs
+//! again on every [`ModelRegistry::publish`], so a background retrain
+//! re-derives the whole pipeline around the new base weights — the
+//! retrainer itself keeps warm-starting from [`ModelSnapshot::base`], the
+//! raw MSCN weights, untouched by the wrapping.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};

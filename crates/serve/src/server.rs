@@ -61,9 +61,9 @@
 //! [`Message::Hello`] and the connection then decodes at the negotiated
 //! version with the negotiated capabilities; a v1 client sends no hello
 //! and stays in the pre-hello state, where the server decodes at its own
-//! maximum version with every capability except the two that change a
-//! reply frame ([`CAP_RETRY`], [`CAP_TIER`]) — v1 traffic (kinds 1–5)
-//! works byte-identically.
+//! maximum version with every capability except the one that changes a
+//! reply frame ([`CAP_RETRY`]) — v1 traffic (kinds 1–5) works
+//! byte-identically.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -80,7 +80,7 @@ use crate::config::FrontConfig;
 use crate::service::{EstimationService, Ticket};
 use crate::wire::{
     negotiate, HistogramMetric, Message, ScalarMetric, CAPABILITIES, CAP_DRIFT, CAP_FEEDBACK,
-    CAP_METRICS, CAP_RETRY, CAP_STATS, CAP_TIER, PROTOCOL_VERSION,
+    CAP_METRICS, CAP_RETRY, CAP_STATS, PROTOCOL_VERSION,
 };
 
 /// Cap on outgoing error messages, so an Error reply echoing
@@ -274,9 +274,9 @@ pub fn serve(
 }
 
 /// Capabilities of a connection that sent no Hello: everything a v1
-/// client can use without knowing it, and none of the bits that would
-/// answer it with a frame it cannot decode (`Busy`, `EstimateDetail`).
-const PRE_HELLO_CAPS: u8 = CAPABILITIES & !(CAP_RETRY | CAP_TIER);
+/// client can use without knowing it, and not the bit that would answer
+/// it with a frame it cannot decode (`Busy`).
+const PRE_HELLO_CAPS: u8 = CAPABILITIES & !CAP_RETRY;
 
 /// One connection owned by a shard. An idle connection keeps both
 /// buffers empty — its footprint is this struct plus the socket.
@@ -666,29 +666,6 @@ impl Shard {
         self.slots[slot].conn.as_ref().map_or(0, |c| c.caps)
     }
 
-    /// The estimate reply for `slot`: a connection that negotiated
-    /// [`CAP_TIER`] gets the v2 [`Message::EstimateDetail`] frame with
-    /// tier attribution; everyone else (v1, hello-less, or opted out)
-    /// gets the classic [`Message::EstimateResponse`], byte-identical to
-    /// what pre-tiering servers sent.
-    fn estimate_reply(&self, slot: usize, id: u64, est: &Estimate) -> Message {
-        let Estimate { model_version, micro_batch, cache_hit, tier, log_std, .. } = *est;
-        let estimate = est.cardinality;
-        if self.conn_caps(slot) & CAP_TIER != 0 {
-            Message::EstimateDetail {
-                id,
-                estimate,
-                model_version,
-                micro_batch,
-                cache_hit,
-                tier,
-                log_std,
-            }
-        } else {
-            Message::EstimateResponse { id, estimate, model_version, micro_batch, cache_hit }
-        }
-    }
-
     /// Refuse one request under overload. Clients that negotiated
     /// [`CAP_RETRY`] get the typed Busy frame; everyone else (v1,
     /// hello-less, or opted out) gets a plain error they can already
@@ -772,14 +749,21 @@ impl Shard {
         let response = match req.feedback {
             Some((query, actual_card)) => {
                 let _span = SpanTimer::start(&metrics::SERVE_FEEDBACK_NS);
-                self.service.record_feedback(&query, est.cardinality, est.tier, actual_card);
+                self.service.record_feedback(&query, est.cardinality, actual_card);
                 Message::FeedbackAck { id: req.id, model_version: est.model_version }
             }
             None => {
                 if let Some(started) = req.started {
                     metrics::SERVE_ESTIMATE_NS.record_duration(started.elapsed());
                 }
-                self.estimate_reply(req.slot, req.id, &est)
+                let Estimate { cardinality: estimate, model_version, micro_batch, cache_hit } = est;
+                Message::EstimateResponse {
+                    id: req.id,
+                    estimate,
+                    model_version,
+                    micro_batch,
+                    cache_hit,
+                }
             }
         };
         self.respond(req.slot, response);
@@ -888,11 +872,9 @@ mod tests {
     use crate::config::ServeConfig;
     use crate::registry::ModelRegistry;
     use crate::service::tests::out_of_schema_queries;
-    use crate::tier::{TIER_FALLBACK, TIER_PRIMARY};
     use crate::wire::{read_message, write_message, CAP_FEEDBACK, PROTOCOL_V1};
-    use lc_baselines::{FullJoinSizes, OwnedIbjsEstimator};
-    use lc_core::{train, Estimator, TrainConfig};
-    use lc_engine::{JoinIndexes, SampleSet};
+    use lc_core::{train, TrainConfig};
+    use lc_engine::SampleSet;
     use lc_imdb::{generate, ImdbConfig};
     use lc_query::workloads;
     use rand::rngs::SmallRng;
@@ -917,193 +899,79 @@ mod tests {
         tiny_service_with(ServeConfig::default())
     }
 
-    /// A service whose registry serves the `serve --tiered` pipeline:
-    /// MSCN, with IBJS answering its saturated queries.
-    fn tiered_service() -> (Arc<EstimationService>, Vec<lc_query::LabeledQuery>) {
-        let db = generate(&ImdbConfig::tiny());
-        let mut rng = SmallRng::seed_from_u64(13);
-        let samples = SampleSet::draw(&db, 24, &mut rng);
-        let data = workloads::synthetic(&db, &samples, 120, 2, 91).queries;
-        let cfg = TrainConfig { epochs: 2, hidden: 16, ..TrainConfig::default() };
-        let est = train(&db, 24, &data, cfg).estimator;
-        let pipeline = crate::tier::tiered_pipeline(&db, &samples);
-        let registry = Arc::new(ModelRegistry::with_pipeline(est, pipeline));
-        let service = EstimationService::new(db, samples, registry, ServeConfig::default());
-        (Arc::new(service), data)
-    }
-
-    /// Answers as the model it wraps, but flags every query of three or
-    /// more joins saturated. The tiny model's estimates never saturate
-    /// (its normalized outputs stay well inside the trust band), and a
-    /// test that needs fallback answers on the wire needs some.
-    struct SaturatesWide(lc_core::MscnEstimator);
-
-    impl Estimator for SaturatesWide {
-        fn name(&self) -> &str {
-            "saturates-wide"
-        }
-        fn estimate_with_uncertainty(
-            &self,
-            queries: &[lc_query::LabeledQuery],
-        ) -> Vec<lc_core::UncertainEstimate> {
-            let mut out = self.0.estimate_with_uncertainty(queries);
-            for (u, l) in out.iter_mut().zip(queries) {
-                u.saturated = l.query.num_joins() >= 3;
-            }
-            out
-        }
-    }
-
-    /// `tiered_service` with [`SaturatesWide`] as the primary, so its
-    /// 3-4 join queries are answered by the IBJS fallback. Also returns
-    /// one such query.
-    fn wide_fallback_service() -> (Arc<EstimationService>, Vec<lc_query::LabeledQuery>, Query) {
-        let db = generate(&ImdbConfig::tiny());
-        let mut rng = SmallRng::seed_from_u64(13);
-        let samples = SampleSet::draw(&db, 24, &mut rng);
-        let data = workloads::synthetic(&db, &samples, 120, 2, 91).queries;
-        let cfg = TrainConfig { epochs: 2, hidden: 16, ..TrainConfig::default() };
-        let est = train(&db, 24, &data, cfg).estimator;
-        let wide = workloads::scale(&db, &samples, 1, 17).queries.pop().unwrap().query;
-        assert!(wide.num_joins() >= 3, "the scale workload ends on its widest bucket");
-        let fallback: Arc<dyn Estimator + Send + Sync> = Arc::new(OwnedIbjsEstimator::new(
-            Arc::new(db.clone()),
-            Arc::new(samples.clone()),
-            Arc::new(JoinIndexes::build(&db)),
-            Arc::new(FullJoinSizes::build(&db)),
-        ));
-        let pipeline: crate::registry::PipelineBuilder = Box::new(move |base| {
-            let primary = Arc::new(SaturatesWide(base.clone()));
-            Arc::new(crate::tier::TieredEstimator::new(primary, Arc::clone(&fallback)))
-        });
-        let registry = Arc::new(ModelRegistry::with_pipeline(est, pipeline));
-        let service = EstimationService::new(db, samples, registry, ServeConfig::default());
-        (Arc::new(service), data, wide)
-    }
-
-    /// A client that negotiates CAP_TIER gets the v2 EstimateDetail
-    /// frame — with a valid tier id and the cache-hit flag tracking
-    /// repeats — instead of the classic EstimateResponse.
+    /// Bit 5 and kind 17 belonged to the retired tier-attributed estimate
+    /// frame and are never reused. A v2 client that still asks for the
+    /// bit is acked without it and gets plain `EstimateResponse` frames;
+    /// a client that sends a kind-17 frame gets an `Error` frame and is
+    /// closed, while the shard keeps serving its other connections.
     #[test]
-    fn cap_tier_clients_receive_estimate_detail_frames() {
-        let (service, data) = tiered_service();
+    fn retired_tier_bit_and_kind_are_refused() {
+        let one_shard = ServeConfig {
+            front: FrontConfig { shards: 1, ..FrontConfig::default() },
+            ..ServeConfig::default()
+        };
+        let (service, data) = tiny_service_with(one_shard);
         let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
+        let connect = || {
+            let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+            (BufReader::new(stream.try_clone().unwrap()), BufWriter::new(stream))
+        };
+        let estimate = |reader: &mut BufReader<TcpStream>,
+                        writer: &mut BufWriter<TcpStream>,
+                        id: u64,
+                        query: &Query| {
+            write_message(writer, &Message::EstimateRequest { id, query: query.clone() }).unwrap();
+            writer.flush().unwrap();
+            match read_message(reader, PROTOCOL_VERSION).unwrap() {
+                Some(Message::EstimateResponse { id: rid, estimate, cache_hit, .. })
+                    if rid == id && estimate >= 1.0 =>
+                {
+                    cache_hit
+                }
+                other => panic!("expected EstimateResponse {id}, got {other:?}"),
+            }
+        };
 
-        write_message(
-            &mut writer,
-            &Message::Hello { id: 0, version: PROTOCOL_VERSION, capabilities: CAPABILITIES },
-        )
-        .unwrap();
+        let (mut reader, mut writer) = connect();
+        let hello = Message::Hello {
+            id: 0,
+            version: PROTOCOL_VERSION,
+            capabilities: CAPABILITIES | 1 << 5,
+        };
+        write_message(&mut writer, &hello).unwrap();
         writer.flush().unwrap();
         match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
             Some(Message::HelloAck { capabilities, .. }) => {
-                assert_ne!(capabilities & CAP_TIER, 0, "server must offer CAP_TIER");
+                assert_eq!(capabilities & 1 << 5, 0, "the retired bit 5 was granted");
+                assert_eq!(capabilities, CAPABILITIES);
             }
             other => panic!("expected HelloAck, got {other:?}"),
         }
+        // A fresh inference, then a cache hit: both plain responses.
+        assert!(!estimate(&mut reader, &mut writer, 7, &data[0].query));
+        assert!(estimate(&mut reader, &mut writer, 7, &data[0].query));
 
-        // Same query twice: a fresh inference, then a cache hit — both
-        // must arrive as detail frames carrying the same attribution.
-        let mut first_tier = 0u8;
-        for expect_hit in [false, true] {
-            write_message(
-                &mut writer,
-                &Message::EstimateRequest { id: 7, query: data[0].query.clone() },
-            )
-            .unwrap();
-            writer.flush().unwrap();
-            match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
-                Some(Message::EstimateDetail {
-                    id, estimate, cache_hit, tier, log_std, ..
-                }) => {
-                    assert_eq!(id, 7);
-                    assert!(estimate >= 1.0);
-                    assert_eq!(cache_hit, expect_hit);
-                    assert!(
-                        tier == TIER_PRIMARY || tier == TIER_FALLBACK,
-                        "unknown tier id {tier}"
-                    );
-                    assert!(log_std.is_finite());
-                    if expect_hit {
-                        assert_eq!(tier, first_tier, "cache hit changed the attribution");
-                    } else {
-                        first_tier = tier;
-                    }
-                }
-                other => panic!("CAP_TIER client got {other:?}"),
+        // The exact bytes kind 17 was pinned to before it retired.
+        let (mut rogue_reader, mut rogue_writer) = connect();
+        let mut frame = vec![0x23, 0, 0, 0, 17];
+        frame.extend_from_slice(&u64::MAX.to_le_bytes());
+        frame.extend_from_slice(&1.0f64.to_le_bytes());
+        frame.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 8, 0, 0, 0, 0, 2]);
+        frame.extend_from_slice(&(-0.0f64).to_le_bytes());
+        rogue_writer.write_all(&frame).unwrap();
+        rogue_writer.flush().unwrap();
+        match read_message(&mut rogue_reader, PROTOCOL_VERSION).unwrap() {
+            Some(Message::Error { id: 0, message }) => {
+                assert!(message.contains("unknown frame kind 17"), "got: {message}");
             }
+            other => panic!("expected Error frame, got {other:?}"),
         }
+        assert_eq!(read_message(&mut rogue_reader, PROTOCOL_VERSION).unwrap(), None);
 
-        // Feedback on a tiered connection still acks normally.
-        write_message(
-            &mut writer,
-            &Message::Feedback { id: 8, query: data[1].query.clone(), actual_card: 10 },
-        )
-        .unwrap();
-        writer.flush().unwrap();
-        assert!(matches!(
-            read_message(&mut reader, PROTOCOL_VERSION).unwrap(),
-            Some(Message::FeedbackAck { id: 8, .. })
-        ));
-
-        handle.shutdown();
-        service.shutdown();
-    }
-
-    /// A v1 client (no hello, decodes strictly at v1) served by a fully
-    /// tiered server must still receive plain EstimateResponse frames it
-    /// can decode — tiering may never leak onto un-negotiated
-    /// connections, fallback answers included.
-    #[test]
-    fn v1_client_against_tiered_server_stays_compatible() {
-        let (service, data, saturated) = wide_fallback_service();
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-
-        let queries = data.iter().take(6).map(|l| l.query.clone()).chain([saturated.clone()]);
-        let mut last = 0.0;
-        for (i, query) in queries.enumerate() {
-            write_message(&mut writer, &Message::EstimateRequest { id: i as u64, query }).unwrap();
-            writer.flush().unwrap();
-            match read_message(&mut reader, PROTOCOL_V1).unwrap() {
-                Some(Message::EstimateResponse { id, estimate, .. }) => {
-                    assert_eq!(id, i as u64);
-                    assert!(estimate >= 1.0);
-                    last = estimate;
-                }
-                other => panic!("v1 client against tiered server got {other:?}"),
-            }
-        }
-
-        // The last answer came from the fallback: a CAP_TIER client asking
-        // the same query hits the cache entry that answer filled.
-        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        write_message(
-            &mut writer,
-            &Message::Hello { id: 0, version: PROTOCOL_VERSION, capabilities: CAPABILITIES },
-        )
-        .unwrap();
-        write_message(&mut writer, &Message::EstimateRequest { id: 9, query: saturated }).unwrap();
-        writer.flush().unwrap();
-        assert!(matches!(
-            read_message(&mut reader, PROTOCOL_VERSION).unwrap(),
-            Some(Message::HelloAck { .. })
-        ));
-        match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
-            Some(Message::EstimateDetail { id: 9, estimate, cache_hit, tier, .. }) => {
-                assert!(cache_hit, "the probe must read the v1 client's cache entry");
-                assert_eq!(tier, TIER_FALLBACK, "the saturated query stayed on the primary");
-                assert_eq!(estimate, last, "the v1 client saw a different answer");
-            }
-            other => panic!("CAP_TIER probe got {other:?}"),
-        }
+        // The shard still serves the open connection and a new one.
+        assert!(!estimate(&mut reader, &mut writer, 8, &data[1].query));
+        let (mut reader, mut writer) = connect();
+        assert!(estimate(&mut reader, &mut writer, 9, &data[1].query));
 
         handle.shutdown();
         service.shutdown();
@@ -1596,10 +1464,8 @@ mod tests {
         writer.flush().unwrap();
         let (mut answered, mut shed) = (0usize, 0usize);
         for _ in 0..BURST {
-            // This connection negotiated CAP_TIER, so admitted requests
-            // come back as detail frames.
             match read_message(&mut reader, PROTOCOL_VERSION).unwrap() {
-                Some(Message::EstimateDetail { estimate, .. }) => {
+                Some(Message::EstimateResponse { estimate, .. }) => {
                     assert!(estimate >= 1.0);
                     answered += 1;
                 }
@@ -1623,7 +1489,7 @@ mod tests {
         writer.flush().unwrap();
         assert!(matches!(
             read_message(&mut reader, PROTOCOL_VERSION).unwrap(),
-            Some(Message::EstimateDetail { id: 99, .. })
+            Some(Message::EstimateResponse { id: 99, .. })
         ));
 
         // A v1 client (no hello) shed over budget gets a plain Error it

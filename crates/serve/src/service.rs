@@ -58,7 +58,6 @@ use crate::cache::{CacheStats, CachedEstimate, EstimateCache};
 use crate::config::{FrontConfig, ServeConfig};
 use crate::drift::{DriftDecision, DriftMonitor};
 use crate::registry::ModelRegistry;
-use crate::tier::TIER_FALLBACK;
 
 /// Error returned by [`EstimationService::estimate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,8 +282,6 @@ impl EstimationService {
                 model_version: version,
                 cache_hit: true,
                 micro_batch: 0,
-                tier: cached.tier,
-                log_std: cached.log_std,
             });
         }
         query_key.truncate(query_key.len() - 4);
@@ -318,11 +315,7 @@ impl EstimationService {
                 key.extend_from_slice(&estimate.model_version.to_le_bytes());
                 self.cache.insert(
                     key,
-                    CachedEstimate {
-                        cardinality: estimate.cardinality,
-                        tier: estimate.tier,
-                        log_std: estimate.log_std,
-                    },
+                    CachedEstimate { cardinality: estimate.cardinality, tier: 0, log_std: 0.0 },
                 );
             }
             deliver(ticket.token, estimate);
@@ -372,7 +365,7 @@ impl EstimationService {
     /// `model_version` the feedback ack reports back to the client.
     pub fn feedback(&self, query: &Query, actual_card: u64) -> Result<Estimate, ServeError> {
         let estimate = self.estimate(query)?;
-        self.record_feedback(query, estimate.cardinality, estimate.tier, actual_card);
+        self.record_feedback(query, estimate.cardinality, actual_card);
         Ok(estimate)
     }
 
@@ -381,25 +374,15 @@ impl EstimationService {
     /// `query` (the sharded TCP front scores feedback against its own
     /// batched estimate instead of estimating twice): record the
     /// observation in the drift windows, bank the corpus entry, and
-    /// schedule a retrain when a window trips. `tier` attributes the
-    /// observed q-error to the pipeline tier that produced the estimate,
-    /// feeding the per-tier accuracy histograms.
-    pub(crate) fn record_feedback(
-        &self,
-        query: &Query,
-        estimated: f64,
-        tier: u8,
-        actual_card: u64,
-    ) {
+    /// schedule a retrain when a window trips. The observed q-error also
+    /// lands in `tier.primary.qerror_x100`, the served model's online
+    /// accuracy.
+    pub(crate) fn record_feedback(&self, query: &Query, estimated: f64, actual_card: u64) {
         metrics::SERVE_FEEDBACK.inc();
         if actual_card >= 1 && estimated >= 1.0 {
             let actual = actual_card as f64;
             let qerror = (estimated / actual).max(actual / estimated);
-            let hist = match tier {
-                TIER_FALLBACK => &metrics::TIER_FALLBACK_QERROR_X100,
-                _ => &metrics::TIER_PRIMARY_QERROR_X100,
-            };
-            hist.record((qerror * 100.0).min(u64::MAX as f64) as u64);
+            metrics::TIER_PRIMARY_QERROR_X100.record((qerror * 100.0).min(u64::MAX as f64) as u64);
         }
         let corpus_entry = (actual_card >= 1).then(|| {
             let mut labeled = annotate_query(&self.db, &self.samples, query.clone());

@@ -75,8 +75,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// The original protocol: kinds 1–5 (estimate, error, ping/pong).
 pub const PROTOCOL_V1: u8 = 1;
 /// The current protocol: adds hello negotiation, feedback, stats, drift
-/// status, metrics, busy/retry load-shedding, and estimate detail
-/// (kinds 6–17).
+/// status, metrics and busy/retry load-shedding (kinds 6–16). Kind 17
+/// (the retired tier-attributed estimate frame) is never reused: it
+/// decodes as [`WireError::UnknownKind`].
 pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Capability bit: the server accepts [`Message::Feedback`] frames.
@@ -93,15 +94,10 @@ pub const CAP_METRICS: u8 = 1 << 3;
 /// terse [`Message::Error`]. Clients that do not negotiate it — all v1
 /// clients — keep receiving plain errors, byte-identically to before.
 pub const CAP_RETRY: u8 = 1 << 4;
-/// Capability bit: the server answers estimate requests with
-/// [`Message::EstimateDetail`] (tier attribution + trust signal) instead
-/// of the v1 [`Message::EstimateResponse`]. Connections that do not
-/// negotiate it — all v1 clients and older v2 clients — keep receiving
-/// plain responses, byte-identically to before.
-pub const CAP_TIER: u8 = 1 << 5;
-/// Every capability this build implements.
-pub const CAPABILITIES: u8 =
-    CAP_FEEDBACK | CAP_STATS | CAP_DRIFT | CAP_METRICS | CAP_RETRY | CAP_TIER;
+/// Every capability this build implements. Bit 5 belonged to the
+/// retired tier-attribution capability and is never reused: a client
+/// that asks for it is acked without it.
+pub const CAPABILITIES: u8 = CAP_FEEDBACK | CAP_STATS | CAP_DRIFT | CAP_METRICS | CAP_RETRY;
 
 /// Negotiate a hello: the connection runs at the *minimum* of the two
 /// protocol versions and the *intersection* of the capability sets.
@@ -641,29 +637,6 @@ messages! {
             /// Suggested client back-off before retrying, in milliseconds.
             retry_after_ms: u32,
         },
-        /// Server → client: the estimate plus routing metadata — which tier
-        /// of the serving pipeline answered and the primary model's trust
-        /// signal. Sent instead of [`Message::EstimateResponse`] on
-        /// connections that negotiated [`CAP_TIER`].
-        17 @ PROTOCOL_VERSION => EstimateDetail {
-            /// Token of the request this answers.
-            id: u64,
-            /// Estimated cardinality in rows (≥ 1).
-            estimate: f64,
-            /// Version of the model snapshot that produced the estimate.
-            model_version: u32,
-            /// Size of the coalesced micro-batch this request rode in (0 for
-            /// cache hits, which skip inference).
-            micro_batch: u32,
-            /// True if the estimate came from the cache.
-            cache_hit: bool,
-            /// The pipeline tier that answered (0 = primary MSCN,
-            /// 2 = sampling fallback; 1 is retired and never sent).
-            tier: u8,
-            /// The primary model's log-standard-deviation trust signal for
-            /// this query (0 when the primary has no uncertainty channel).
-            log_std: f64,
-        },
     }
 }
 
@@ -864,7 +837,10 @@ mod tests {
                 "0b000000 06 0100000000000000 02 11".into(),
             ),
             (
-                Message::HelloAck { id: 1, version: 1, capabilities: CAPABILITIES },
+                // Every capability this build implements plus the retired
+                // bit 5: the codec carries the capability byte opaquely,
+                // so the bytes pinned before that bit retired still hold.
+                Message::HelloAck { id: 1, version: 1, capabilities: CAPABILITIES | 1 << 5 },
                 "0b000000 07 0100000000000000 01 3f".into(),
             ),
             (
@@ -954,28 +930,17 @@ mod tests {
                 Message::Busy { id: u64::MAX, retry_after_ms: 50 },
                 "0d000000 10 ffffffffffffffff 32000000".into(),
             ),
-            (
-                Message::EstimateDetail {
-                    id: u64::MAX,
-                    estimate: 1.0,
-                    model_version: u32::MAX,
-                    micro_batch: 8,
-                    cache_hit: false,
-                    tier: 2,
-                    log_std: -0.0,
-                },
-                "23000000 11 ffffffffffffffff 000000000000f03f ffffffff 08000000 00 02 \
-                 0000000000000080"
-                    .into(),
-            ),
         ];
-        let mut kinds = Vec::new();
-        for (message, hex) in &golden {
+        let parse = |hex: &str| -> Vec<u8> {
             let hex: String = hex.split_whitespace().collect();
-            let bytes: Vec<u8> = (0..hex.len())
+            (0..hex.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
-                .collect();
+                .collect()
+        };
+        let mut kinds = Vec::new();
+        for (message, hex) in &golden {
+            let bytes = parse(hex);
             assert_eq!(message.to_bytes(), bytes, "{message:?} encodes differently");
             let (back, consumed) = Message::decode_prefix(&bytes, PROTOCOL_VERSION)
                 .expect("golden frame decodes")
@@ -988,7 +953,20 @@ mod tests {
             kinds.push(message.kind());
         }
         kinds.dedup();
-        assert_eq!(kinds, (1..=17).collect::<Vec<u8>>(), "one golden frame per kind, in order");
+        assert_eq!(kinds, (1..=16).collect::<Vec<u8>>(), "one golden frame per kind, in order");
+
+        // Kind 17, the retired tier-attributed estimate frame, is never
+        // reused: the bytes it was pinned to no longer decode as anything.
+        let bytes = parse(
+            "23000000 11 ffffffffffffffff 000000000000f03f ffffffff 08000000 00 02 \
+             0000000000000080",
+        );
+        for version in [PROTOCOL_V1, PROTOCOL_VERSION] {
+            assert_eq!(
+                Message::decode_prefix(&bytes, version),
+                Err(WireError::UnknownKind { version, kind: 17 })
+            );
+        }
     }
 
     #[test]
@@ -1107,24 +1085,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("flags"));
-
-        let detail = Message::EstimateDetail {
-            id: 1,
-            estimate: 2.0,
-            model_version: 1,
-            micro_batch: 1,
-            cache_hit: false,
-            tier: 0,
-            log_std: 0.0,
-        };
-        let mut bad_detail = detail.to_bytes()[4..].to_vec();
-        // flags byte sits between micro_batch and tier: kind + id +
-        // estimate + model_version + micro_batch = 1 + 8 + 8 + 4 + 4.
-        bad_detail[25] = 0xF0;
-        assert!(Message::decode_body(&bad_detail, PROTOCOL_VERSION)
-            .unwrap_err()
-            .to_string()
-            .contains("flags"));
     }
 
     /// A v1 connection rejects v2 kinds with a dedicated error (not
@@ -1140,15 +1100,6 @@ mod tests {
             Message::DriftStatusRequest { id: 4 },
             Message::MetricsRequest { id: 5 },
             Message::Busy { id: 6, retry_after_ms: 25 },
-            Message::EstimateDetail {
-                id: 7,
-                estimate: 32.0,
-                model_version: 1,
-                micro_batch: 4,
-                cache_hit: false,
-                tier: 2,
-                log_std: 0.5,
-            },
         ];
         for message in &v2_only {
             let body = &message.to_bytes()[4..];
@@ -1184,6 +1135,8 @@ mod tests {
         assert_eq!(negotiate(3, 0xFF), (PROTOCOL_VERSION, CAPABILITIES));
         assert_eq!(negotiate(2, CAP_STATS), (2, CAP_STATS));
         assert_eq!(negotiate(2, 0), (2, 0));
+        // Bit 5, the retired tier-attribution capability, is never granted.
+        assert_eq!(negotiate(2, 1 << 5), (2, 0));
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub fn bootstrap_config(epochs: usize, hidden: usize) -> TrainConfig {
 }
 
 /// A connection that negotiated protocol v2 with every capability, so
-/// estimates come back as tier-attributed `EstimateDetail` frames and
-/// shed requests as `Busy` frames.
+/// shed requests come back as `Busy` frames.
 pub fn connect(addr: SocketAddr) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
@@ -73,9 +72,6 @@ pub struct Run {
     pub errors: u64,
     /// Requests shed with a `Busy` frame.
     pub shed: u64,
-    /// Answers per tier id: primary, the retired tier 1 (never sent),
-    /// fallback.
-    pub tier_hits: [u64; 3],
     /// Feedback acks whose model version went backwards.
     pub regressions: u64,
     /// Per-request latency, write to reply.
@@ -96,9 +92,6 @@ impl Run {
         self.answered += other.answered;
         self.errors += other.errors;
         self.shed += other.shed;
-        for tier in 0..3 {
-            self.tier_hits[tier] += other.tier_hits[tier];
-        }
         self.regressions += other.regressions;
         self.latency.merge(&other.latency);
         for phase in 0..3 {
@@ -111,11 +104,10 @@ impl Run {
     /// it was a valid answer.
     fn count(&mut self, reply: Option<Message>) -> Option<f64> {
         match reply {
-            Some(Message::EstimateDetail { estimate, tier, .. })
+            Some(Message::EstimateResponse { estimate, .. })
                 if estimate.is_finite() && estimate >= 1.0 =>
             {
                 self.answered += 1;
-                self.tier_hits[usize::from(tier).min(2)] += 1;
                 Some(estimate)
             }
             Some(Message::Busy { .. }) => {
@@ -291,7 +283,7 @@ fn open_loop_injector(
             let reply = read_message(&mut conns[conn].0, PROTOCOL_VERSION).unwrap();
             let id = match &reply {
                 Some(
-                    Message::EstimateDetail { id, .. }
+                    Message::EstimateResponse { id, .. }
                     | Message::Busy { id, .. }
                     | Message::Error { id, .. },
                 ) => *id,

@@ -84,10 +84,15 @@ fn shifted_traffic_trips_drift_and_server_republishes_mid_traffic() {
     let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
 
     let shift = Shift { at: 0.3, joins: 3 };
+    let qerrors = || lc_obs::metrics::TIER_PRIMARY_QERROR_X100.snapshot().count();
+    let qerrors_before = qerrors();
     let run = closed_loop(handle.local_addr(), &db, 2, 240, 11, Some(shift));
     assert_eq!(run.answered, 240, "every request must be answered");
     assert_eq!(run.errors, 0, "feedback traffic must not produce errors");
     assert!(service.drift().feedback_count() >= 240, "server recorded every feedback frame");
+    // The served model's online q-error histogram sees the feedback
+    // (process-global, but no sibling test here sends any).
+    assert!(qerrors() > qerrors_before, "tier.primary.qerror_x100 saw no feedback");
     assert_eq!(run.regressions, 0, "published versions are monotonic");
 
     // The retrain runs in the background and may still be in flight

@@ -82,14 +82,11 @@ fn snapshot_counters_are_consistent_over_a_live_server() {
             )
             .unwrap();
             writer.flush().unwrap();
-            // This connection negotiated CAP_TIER, so estimates come
-            // back as tier-attributed detail frames.
             match read_message(&mut reader, version).unwrap() {
-                Some(Message::EstimateDetail { id: rid, estimate, cache_hit, tier, .. }) => {
+                Some(Message::EstimateResponse { id: rid, estimate, cache_hit, .. }) => {
                     assert_eq!(rid, id);
                     assert!(estimate >= 1.0);
                     assert_eq!(cache_hit, pass == 1, "query {i} pass {pass}");
-                    assert_eq!(tier, 0, "a non-tiered pipeline answers from the primary");
                 }
                 other => panic!("unexpected reply: {other:?}"),
             }
@@ -148,18 +145,25 @@ fn snapshot_counters_are_consistent_over_a_live_server() {
     assert_eq!(scalar(&scalars, "serve.metrics_requests"), 1);
     assert_eq!(scalar(&scalars, "registry.active_version"), 1);
     assert_eq!(scalar(&scalars, "drift.trips"), 0);
-    // Tier hit counters are recorded per inference (cache hits replay
-    // the stored attribution without re-counting); a non-tiered
-    // pipeline answers everything from the primary.
-    assert_eq!(scalar(&scalars, "tier.primary.hits"), misses);
-    assert_eq!(scalar(&scalars, "tier.gbm.hits"), 0);
-    assert_eq!(scalar(&scalars, "tier.fallback.hits"), 0);
+    // The rows retired with the tiered pipeline record nothing.
+    for name in ["tier.primary.hits", "tier.gbm.hits", "tier.fallback.hits"] {
+        assert_eq!(scalar(&scalars, name), 0, "retired {name} recorded");
+    }
+    for name in [
+        "tier.gbm.estimate_ns",
+        "tier.fallback.estimate_ns",
+        "tier.gbm.qerror_x100",
+        "tier.fallback.qerror_x100",
+    ] {
+        let h = histogram(&histograms, name);
+        assert_eq!((h.sum, h.buckets.iter().sum::<u64>()), (0, 0), "retired {name} recorded");
+    }
 
     // Histogram consistency: every estimate was spanned (span clocks
     // are gated on `LC_OBS`, so skip when this run disabled them — the
     // test and the in-process server share that env), and the
     // micro-batcher forwarded exactly the cache misses — the batch-size
-    // histogram's value sum counts forwarded queries.
+    // histogram's value sum counts forwarded queries, one per inference.
     if lc_obs::enabled() {
         let estimate_spans = histogram(&histograms, "serve.estimate_ns");
         let spanned: u64 = estimate_spans.buckets.iter().sum();
