@@ -13,7 +13,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use lc_core::{Estimator, UncertainEstimate};
+use lc_core::Estimator;
 use lc_engine::{Database, FxHasher, JoinIndexes, SampleSet, TableId};
 use lc_query::LabeledQuery;
 use rand::rngs::SmallRng;
@@ -164,27 +164,22 @@ impl Estimator for IbjsEstimator<'_> {
         "IB Join Samp."
     }
 
-    /// Deterministic walks have no uncertainty channel: zero spread,
-    /// never saturated.
-    fn estimate_with_uncertainty(&self, qs: &[LabeledQuery]) -> Vec<UncertainEstimate> {
-        qs.iter()
-            .map(|q| UncertainEstimate {
-                estimate: self.estimate(q),
-                log_std: 0.0,
-                saturated: false,
-            })
-            .collect()
+    fn estimate_all(&self, qs: &[LabeledQuery]) -> Vec<f64> {
+        qs.iter().map(|q| self.rows(q)).collect()
     }
+}
 
-    fn estimate(&self, q: &LabeledQuery) -> f64 {
+impl IbjsEstimator<'_> {
+    /// The estimate for one query.
+    fn rows(&self, q: &LabeledQuery) -> f64 {
         if q.query.joins().is_empty() {
             // Base tables: identical to Random Sampling (IBJS only changes
             // how joins are estimated).
-            return self.fallback.estimate(q);
+            return self.fallback.rows(q);
         }
         match self.walk(q) {
             Some(est) => est.max(1.0),
-            None => self.fallback.estimate(q),
+            None => self.fallback.rows(q),
         }
     }
 }

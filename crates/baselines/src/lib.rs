@@ -17,8 +17,7 @@
 //!
 //! All estimators implement the unified, object-safe
 //! [`lc_core::Estimator`] trait, so the evaluation harness treats them
-//! interchangeably with MSCN. The baselines are deterministic formulas:
-//! their uncertainty channel reports zero spread and no saturation.
+//! interchangeably with MSCN.
 
 mod ibjs;
 mod joinsizes;
@@ -31,41 +30,3 @@ pub use joinsizes::FullJoinSizes;
 pub use postgres::PostgresEstimator;
 pub use rs::RandomSamplingEstimator;
 pub use stats::{ColumnDistribution, DbStatistics, TableStatistics};
-
-#[cfg(test)]
-mod estimator_trait_tests {
-    use super::*;
-    use lc_core::Estimator;
-    use lc_engine::SampleSet;
-    use lc_query::workloads;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    /// Every baseline speaks the unified trait: point estimates survive
-    /// the uncertainty channel unchanged, with full confidence reported.
-    #[test]
-    fn baselines_are_estimators_with_full_confidence() {
-        let db = lc_imdb::generate(&lc_imdb::ImdbConfig::tiny());
-        let mut rng = SmallRng::seed_from_u64(91);
-        let samples = SampleSet::draw(&db, 24, &mut rng);
-        let join_sizes = FullJoinSizes::build(&db);
-        let indexes = lc_engine::JoinIndexes::build(&db);
-        let data = workloads::synthetic(&db, &samples, 40, 2, 92).queries;
-
-        let pg = PostgresEstimator::new(&db);
-        let rs = RandomSamplingEstimator::new(&db, &samples, &join_sizes);
-        let ibjs = IbjsEstimator::new(&db, &samples, &indexes, &join_sizes);
-        let estimators: Vec<&dyn Estimator> = vec![&pg, &rs, &ibjs];
-        for est in estimators {
-            let points = est.estimate_all(&data);
-            let uncertain = est.estimate_with_uncertainty(&data);
-            assert_eq!(points.len(), uncertain.len(), "{}", est.name());
-            for (p, u) in points.iter().zip(&uncertain) {
-                assert_eq!(*p, u.estimate, "{}", est.name());
-                assert_eq!(u.log_std, 0.0);
-                assert!(!u.saturated);
-                assert!(u.is_trustworthy(0.0));
-            }
-        }
-    }
-}

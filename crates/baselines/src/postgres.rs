@@ -6,7 +6,7 @@
 //! selectivities from MCVs + histograms multiplied under independence, and
 //! PK/FK join selectivity `1 / max(ndv(fk), ndv(pk))` applied per edge.
 
-use lc_core::{Estimator, UncertainEstimate};
+use lc_core::Estimator;
 use lc_engine::{ColumnRole, Database, TableId};
 use lc_query::LabeledQuery;
 
@@ -66,20 +66,8 @@ impl Estimator for PostgresEstimator<'_> {
         "PostgreSQL"
     }
 
-    /// Deterministic formulas have no uncertainty channel: zero spread,
-    /// never saturated.
-    fn estimate_with_uncertainty(&self, qs: &[LabeledQuery]) -> Vec<UncertainEstimate> {
-        qs.iter()
-            .map(|q| UncertainEstimate {
-                estimate: self.estimate(q),
-                log_std: 0.0,
-                saturated: false,
-            })
-            .collect()
-    }
-
-    fn estimate(&self, q: &LabeledQuery) -> f64 {
-        estimate_rows(self.db, &self.stats, q)
+    fn estimate_all(&self, qs: &[LabeledQuery]) -> Vec<f64> {
+        qs.iter().map(|q| estimate_rows(self.db, &self.stats, q)).collect()
     }
 }
 

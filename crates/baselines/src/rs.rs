@@ -12,7 +12,7 @@
 //! unfiltered size from [`FullJoinSizes`] — precisely the independence
 //! assumption the paper shows to *underestimate* correlated joins.
 
-use lc_core::{Estimator, UncertainEstimate};
+use lc_core::Estimator;
 use lc_engine::{Database, SampleSet, TableId};
 use lc_query::LabeledQuery;
 
@@ -73,19 +73,14 @@ impl Estimator for RandomSamplingEstimator<'_> {
         "Random Samp."
     }
 
-    /// Deterministic formulas have no uncertainty channel: zero spread,
-    /// never saturated.
-    fn estimate_with_uncertainty(&self, qs: &[LabeledQuery]) -> Vec<UncertainEstimate> {
-        qs.iter()
-            .map(|q| UncertainEstimate {
-                estimate: self.estimate(q),
-                log_std: 0.0,
-                saturated: false,
-            })
-            .collect()
+    fn estimate_all(&self, qs: &[LabeledQuery]) -> Vec<f64> {
+        qs.iter().map(|q| self.rows(q)).collect()
     }
+}
 
-    fn estimate(&self, q: &LabeledQuery) -> f64 {
+impl RandomSamplingEstimator<'_> {
+    /// The estimate for one query.
+    pub(crate) fn rows(&self, q: &LabeledQuery) -> f64 {
         let sel_product: f64 = q
             .query
             .tables()

@@ -23,8 +23,7 @@
 //!   (mathematically identical to the paper's zero-padding + masking, but
 //!   without wasted FLOPs);
 //! * [`estimator`] — the unified, object-safe [`Estimator`] trait: named
-//!   point/batch estimates and uncertainty-qualified batches behind one
-//!   seam;
+//!   batch and point estimates behind one seam;
 //! * [`model`] — the MSCN network with hand-derived backprop;
 //! * [`quant`] — the int8 post-training-quantized mirror of the network
 //!   ([`QuantizedMscn`]): quantize-once at publish, cache-resident
@@ -36,7 +35,6 @@
 //!   "serialized to disk" size measurements).
 
 pub mod batch;
-pub mod ensemble;
 pub mod estimator;
 pub mod featurize;
 pub mod model;
@@ -45,7 +43,6 @@ pub mod serialize;
 pub mod train;
 
 pub use batch::RaggedBatch;
-pub use ensemble::{DeepEnsemble, UncertainEstimate};
 pub use estimator::Estimator;
 pub use featurize::{FeatureMode, Featurizer, LabelNorm};
 pub use model::{MscnGrads, MscnModel, MscnScratch};

@@ -38,7 +38,6 @@ use lc_nn::{Matrix, QActs, QMlp, QMlpCache};
 use lc_query::LabeledQuery;
 
 use crate::batch::{segment_mean_into_cols, RaggedBatch, WarmPool};
-use crate::ensemble::UncertainEstimate;
 use crate::estimator::Estimator;
 use crate::featurize::{Featurizer, Set};
 use crate::model::MscnModel;
@@ -280,29 +279,9 @@ impl Estimator for QuantizedMscn {
         "mscn-int8"
     }
 
-    /// Same trust semantics as the f32 [`MscnEstimator`]: no ensemble
-    /// spread, saturation flagged when the normalized prediction pins at
-    /// the sigmoid boundary.
-    fn estimate_with_uncertainty(&self, queries: &[LabeledQuery]) -> Vec<UncertainEstimate> {
-        let norms = self.estimate_normalized(queries);
-        let label = self.featurizer.label_norm();
-        norms
-            .into_iter()
-            .map(|norm| UncertainEstimate {
-                estimate: label.denormalize(norm).max(1.0),
-                log_std: 0.0,
-                saturated: !(0.02..=0.98).contains(&norm),
-            })
-            .collect()
-    }
-
-    fn estimate(&self, query: &LabeledQuery) -> f64 {
-        self.estimate_cards(std::slice::from_ref(query))[0]
-    }
-
-    /// Vectorized override: the whole slice runs through the blocked
-    /// quantized forward (bitwise-stable across batch compositions and
-    /// thread counts, like the f32 path).
+    /// The whole slice runs through the blocked quantized forward
+    /// (bitwise-stable across batch compositions and thread counts, like
+    /// the f32 path).
     fn estimate_all(&self, queries: &[LabeledQuery]) -> Vec<f64> {
         self.estimate_cards(queries)
     }
@@ -417,19 +396,12 @@ mod tests {
 
     #[test]
     fn estimator_trait_surface_is_consistent() {
-        let (est, data) = teacher();
+        let (est, _) = teacher();
         let q = QuantizedMscn::quantize(&est);
         let dyn_est: &dyn Estimator = &q;
         assert_eq!(dyn_est.name(), "mscn-int8");
         assert!(dyn_est.is_quantized());
         assert_eq!(dyn_est.model_bytes(), q.resident_bytes());
-        let points = dyn_est.estimate_all(&data[..8]);
-        let uncertain = dyn_est.estimate_with_uncertainty(&data[..8]);
-        for (i, (p, u)) in points.iter().zip(&uncertain).enumerate() {
-            assert_eq!(*p, u.estimate);
-            assert_eq!(u.log_std, 0.0);
-            assert_eq!(dyn_est.estimate(&data[i]), *p);
-        }
     }
 
     /// Batch composition and blocking must not change quantized answers

@@ -243,9 +243,6 @@ impl MscnEstimator {
     }
 
     /// Raw normalized predictions `w_out ∈ [0,1]` (before denormalization).
-    /// Values pinned at the boundaries signal that the query's cardinality
-    /// is at or beyond the edge of the trained range — the saturation
-    /// check used by the §5 uncertainty extension.
     pub fn estimate_normalized(&self, queries: &[LabeledQuery]) -> Vec<f32> {
         static SCRATCHES: WarmPool<MscnScratch> = WarmPool::new();
         predict_blocks(&self.featurizer, queries, &SCRATCHES, |batch, s| {

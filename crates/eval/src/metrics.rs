@@ -102,6 +102,51 @@ pub fn evaluate_signed(estimator: &dyn Estimator, queries: &[LabeledQuery]) -> V
         .collect()
 }
 
+/// Area under the ROC curve of `scores` as a detector of `positives`: the
+/// probability that a random positive scores above a random negative, a
+/// tie counting half (the Mann–Whitney statistic over midranks). 1.0 is a
+/// perfect ranking, 0.5 chance, 0.0 a reversed one; NaN when either class
+/// is empty.
+///
+/// # Panics
+/// If the slices differ in length.
+pub fn auroc(scores: &[f64], positives: &[bool]) -> f64 {
+    assert_eq!(scores.len(), positives.len(), "one label per score");
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+    let (mut below, mut rank_sum) = (0.0, 0.0);
+    for tie in order.chunk_by(|&a, &b| scores[a] == scores[b]) {
+        let midrank = below + (tie.len() as f64 + 1.0) / 2.0;
+        rank_sum += midrank * tie.iter().filter(|&&i| positives[i]).count() as f64;
+        below += tie.len() as f64;
+    }
+    let pos = positives.iter().filter(|&&p| p).count() as f64;
+    let neg = scores.len() as f64 - pos;
+    (rank_sum - pos * (pos + 1.0) / 2.0) / (pos * neg)
+}
+
+/// The positions a trust signal keeps at `percent`% coverage: exactly
+/// ⌊percent·n/100⌋ of them, lowest score (most trusted) first. Equal
+/// scores are ordered by a fixed hash of the position (SplitMix64's
+/// finalizer), so a signal with few distinct values inherits no
+/// order from its workload (the `scale` workload is sorted by join
+/// count).
+pub fn covered(scores: &[f64], percent: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(tie_key(a).cmp(&tie_key(b))));
+    order.truncate(scores.len() * percent / 100);
+    order
+}
+
+/// The tie-break order of [`covered`]: a bijection, so no two positions
+/// tie.
+fn tie_key(position: usize) -> u64 {
+    let mut z = (position as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,5 +193,39 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_percentile_panics() {
         percentile(&[], 50.0);
+    }
+
+    #[test]
+    fn auroc_of_perfect_reversed_and_tied_rankings() {
+        let positives = [false, false, true, true];
+        assert_eq!(auroc(&[0.1, 0.2, 0.8, 0.9], &positives), 1.0);
+        assert_eq!(auroc(&[0.9, 0.8, 0.2, 0.1], &positives), 0.0);
+        assert_eq!(auroc(&[3.0; 4], &positives), 0.5);
+        // Join-count-like scores: of the 2 × 2 positive/negative pairs,
+        // (2 > 1), (2 > 0) and (1 > 0) win and (1 = 1) counts half.
+        assert_eq!(auroc(&[0.0, 1.0, 1.0, 2.0], &positives), 3.5 / 4.0);
+        assert!(auroc(&[1.0, 2.0], &[false, false]).is_nan());
+    }
+
+    #[test]
+    fn coverage_keeps_the_floor_of_its_share_lowest_score_first() {
+        let scores = [5.0, 0.0, 4.0, 1.0, 3.0, 2.0, 6.0];
+        // ⌊0.6 · 7⌋ = 4 and ⌊0.8 · 7⌋ = 5; ⌊0.1 · 7⌋ = 0.
+        assert_eq!(covered(&scores, 60), vec![1, 3, 5, 4]);
+        assert_eq!(covered(&scores, 80), vec![1, 3, 5, 4, 2]);
+        assert_eq!(covered(&scores, 10), Vec::<usize>::new());
+        assert_eq!(covered(&scores, 100).len(), 7);
+        // Ties follow `tie_key`, not the position: among ten equal scores
+        // the kept half is the five smallest keys.
+        let mut by_key: Vec<usize> = (0..10).collect();
+        by_key.sort_by_key(|&i| tie_key(i));
+        assert_eq!(covered(&[1.0; 10], 50), by_key[..5].to_vec());
+        assert_ne!(by_key[..5], [0, 1, 2, 3, 4]);
+        // A tie below the cut is ordered the same way and never
+        // outranks a lower score.
+        let kept = covered(&[2.0, 1.0, 1.0, 0.0], 75);
+        assert_eq!(kept[0], 3);
+        let (a, b) = (kept[1], kept[2]);
+        assert!(tie_key(a) < tie_key(b) && [a, b].contains(&1) && [a, b].contains(&2));
     }
 }

@@ -178,7 +178,6 @@ fn run() -> Result<(), String> {
             train(&db, SAMPLE_SIZE, &data, cfg).estimator
         }
     };
-    let params = estimator.model().num_params();
 
     let registry = if quantized || student_width > 0 {
         if student_width > 0 {
@@ -229,13 +228,12 @@ fn run() -> Result<(), String> {
     }
     model.push_str(if quantized { "int8 model" } else { "model" });
     println!(
-        "lc-serve listening on {} ({} v{}, {} params, {} resident bytes, {} kernels, {} shard{}, \
+        "lc-serve listening on {} ({} v{}, {} resident bytes, {} kernels, {} shard{}, \
          shard CPUs {}, retrainer CPUs {:?}, cache {}, max batch {}, inflight budget {}, drift \
          threshold {} over {}-obs windows)",
         handle.local_addr(),
         model,
         registry.active_version(),
-        params,
         registry.resident_bytes(),
         lc_nn::kernel_name(),
         handle.shard_count(),

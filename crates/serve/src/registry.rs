@@ -355,15 +355,8 @@ mod tests {
             fn name(&self) -> &str {
                 "halver"
             }
-            fn estimate_with_uncertainty(
-                &self,
-                queries: &[LabeledQuery],
-            ) -> Vec<lc_core::UncertainEstimate> {
-                let mut out = self.0.estimate_with_uncertainty(queries);
-                for u in &mut out {
-                    u.estimate = (u.estimate / 2.0).max(1.0);
-                }
-                out
+            fn estimate_all(&self, queries: &[LabeledQuery]) -> Vec<f64> {
+                self.0.estimate_all(queries).into_iter().map(|e| (e / 2.0).max(1.0)).collect()
             }
         }
         let (a, b, data) = fixture();

@@ -8,7 +8,7 @@
 //! * Random Sampling is an unbiased extrapolator where it has signal;
 //! * IBJS inherits RS's base-table behaviour exactly;
 //! * every estimator is a pure function of the query (call-twice
-//!   determinism).
+//!   determinism), and its point estimate is its batch estimate's row.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -188,4 +188,30 @@ fn full_join_sizes_consistent_with_subset_monotonicity() {
     }
     let all: Vec<JoinId> = (0..db.schema().num_joins()).map(|i| JoinId(i as u16)).collect();
     assert!(sizes.size(&all) > 0, "the full star join should be non-empty");
+}
+
+/// `Estimator::estimate` is the provided batch of one, so a query's point
+/// estimate is, bit for bit, its row of a 64-query `estimate_all` block —
+/// for both served models and for every baseline. The serving batcher
+/// coalesces requests on exactly this property.
+#[test]
+fn point_estimate_is_its_row_of_the_batch() {
+    let (db, samples) = fixture();
+    let join_sizes = FullJoinSizes::build(&db);
+    let indexes = JoinIndexes::build(&db);
+    let data = workloads::synthetic(&db, &samples, 200, 2, 17).queries;
+    let cfg = TrainConfig { epochs: 2, hidden: 16, batch_size: 64, ..TrainConfig::default() };
+    let mscn = train(&db, 40, &data, cfg).estimator;
+    let int8 = lc_core::QuantizedMscn::quantize(&mscn);
+    let pg = PostgresEstimator::new(&db);
+    let rs = RandomSamplingEstimator::new(&db, &samples, &join_sizes);
+    let ibjs = IbjsEstimator::new(&db, &samples, &indexes, &join_sizes);
+    let block = &data[..64];
+    for est in [&mscn as &dyn Estimator, &int8, &pg, &rs, &ibjs] {
+        let rows = est.estimate_all(block);
+        assert_eq!(rows.len(), block.len(), "{}", est.name());
+        for (i, q) in block.iter().enumerate() {
+            assert_eq!(est.estimate(q).to_bits(), rows[i].to_bits(), "{} row {i}", est.name());
+        }
+    }
 }
