@@ -79,3 +79,71 @@ impl Estimator for MscnEstimator {
         self.model().num_params() * 4
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lc_engine::SampleSet;
+    use lc_imdb::{generate, ImdbConfig};
+    use lc_query::workloads;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    use crate::train::{train, TrainConfig};
+
+    /// The trait's point and batch entries agree with the model's own
+    /// normalized channel: every `estimate_all` row is the denormalized
+    /// network output clamped to ≥ 1, and the point default `estimate(q)`
+    /// is that same row.
+    #[test]
+    fn trait_point_estimates_match_uncertainty_channel() {
+        let db = generate(&ImdbConfig::tiny());
+        let mut rng = SmallRng::seed_from_u64(31);
+        let samples = SampleSet::draw(&db, 24, &mut rng);
+        let data = workloads::synthetic(&db, &samples, 300, 2, 32).queries;
+        let cfg = TrainConfig { epochs: 3, hidden: 16, batch_size: 64, ..TrainConfig::default() };
+        let single = train(&db, 24, &data, cfg).estimator;
+
+        let est: &dyn Estimator = &single;
+        let points = est.estimate_all(&data[..8]);
+        let norms = single.estimate_normalized(&data[..8]);
+        let label = single.featurizer().label_norm();
+        assert_eq!(points.len(), norms.len());
+        for (i, (p, n)) in points.iter().zip(&norms).enumerate() {
+            assert!(*p >= 1.0, "{}: estimate {p} below 1", est.name());
+            assert_eq!(
+                p.to_bits(),
+                label.denormalize(*n).max(1.0).to_bits(),
+                "{} row {i}",
+                est.name()
+            );
+            let single_est = est.estimate(&data[i]);
+            assert!((single_est - p).abs() <= 1e-9 * p.max(1.0));
+        }
+    }
+
+    /// Every estimator a serving pipeline publishes — the f32 model and
+    /// its int8 mirror — answers `estimate_all` with exactly the bits of
+    /// its inherent `estimate_cards` and of the point default `estimate`:
+    /// the batcher reads the former, and what a single query is promised
+    /// must be what a client receives from a coalesced batch.
+    #[test]
+    fn estimate_all_is_bitwise_the_uncertainty_estimate() {
+        let db = generate(&ImdbConfig::tiny());
+        let mut rng = SmallRng::seed_from_u64(35);
+        let samples = SampleSet::draw(&db, 24, &mut rng);
+        let data = workloads::synthetic(&db, &samples, 200, 2, 36).queries;
+        let cfg = TrainConfig { epochs: 2, hidden: 16, batch_size: 64, ..TrainConfig::default() };
+        let single = train(&db, 24, &data, cfg).estimator;
+        let quantized = crate::quant::QuantizedMscn::quantize(&single);
+        let inherent = [single.estimate_cards(&data), quantized.estimate_cards(&data)];
+        for (est, cards) in [&single as &dyn Estimator, &quantized].into_iter().zip(&inherent) {
+            let points = est.estimate_all(&data);
+            assert_eq!(points.len(), cards.len());
+            for (i, (p, c)) in points.iter().zip(cards).enumerate() {
+                assert_eq!(p.to_bits(), c.to_bits(), "{} row {i}", est.name());
+                assert_eq!(p.to_bits(), est.estimate(&data[i]).to_bits(), "{} row {i}", est.name());
+            }
+        }
+    }
+}
