@@ -14,17 +14,20 @@
 //! which [`count_star`] computes as a column scan. The rows of a table that
 //! pass its predicates are a [`Bitmap`] from [`Table::qualifying`] — 64 rows
 //! per compare-and-fold, the same evaluator that probes the materialized
-//! samples. A table outside the join contributes the bitmap's population
-//! count; a predicated fact side bumps `cnt_f` for the set bits only; a fact
-//! side *without* predicates needs no scan at all, because its `cnt_f` does
-//! not depend on the query and [`Database::fanout`] counted it once; and the
-//! final sum visits the set bits of `sel(c)`.
+//! samples. Every predicated table's bitmap is built first, smallest table
+//! first, and the first one that is all zero ends the query at 0: an empty
+//! conjunction empties the join, and nothing is counted or summed for it.
+//! A table outside the join then contributes the bitmap's population count.
+//! The product `Π_f cnt_f` is one running `u64` per center row, multiplied
+//! in join-edge order: a fact side *without* predicates multiplies in the
+//! fan-out [`Database::fanout`] counted once, because its `cnt_f` does not
+//! depend on the query; a predicated fact side counts its set bits per key
+//! into one reused buffer first. The final sum visits the set bits of
+//! `sel(c)`, or every center row when the center has no predicate.
 //! [`count_star_naive`] is an exponential nested-loop reference used to
 //! property-test the fast path on small databases.
 //!
 //! [`Table::qualifying`]: crate::Table::qualifying
-
-use std::borrow::Cow;
 
 use crate::database::Database;
 use crate::predicate::Predicate;
@@ -76,61 +79,80 @@ pub fn count_star(db: &Database, spec: &QuerySpec) -> u64 {
     spec.validate(db);
     let schema = db.schema();
     let center = schema.center;
-    // The rows of `t` passing its predicates; `None` when it has none,
-    // which is every row and costs nothing.
-    let qualifying = |t: TableId| -> Option<Bitmap> {
-        let mut preds = spec.predicates.iter().filter(|p| p.table == t).peekable();
-        preds.peek().is_some().then(|| db.table(t).qualifying(preds))
-    };
 
-    let mut cross_factor = 1u64;
-    for &t in spec.tables {
-        let joined = if t == center {
+    // The rows of every predicated table, smallest table first: the first
+    // empty conjunction ends the query before the larger scans, the fan-out
+    // counts and the center sum. A table without predicates qualifies every
+    // row and is never scanned.
+    let mut predicated: Vec<TableId> = spec.predicates.iter().map(|p| p.table).collect();
+    predicated.sort_unstable_by_key(|&t| (db.table(t).num_rows(), t));
+    predicated.dedup();
+    let mut bitmaps = Vec::with_capacity(predicated.len());
+    for t in predicated {
+        let rows = db.table(t).qualifying(spec.predicates.iter().filter(|p| p.table == t));
+        if rows.all_zero() {
+            return 0;
+        }
+        bitmaps.push((t, rows));
+    }
+    let qualifying = |t: TableId| bitmaps.iter().find(|(u, _)| *u == t).map(|(_, rows)| rows);
+
+    let joined = |t: TableId| {
+        if t == center {
             !spec.joins.is_empty()
         } else {
             spec.joins.iter().any(|&j| schema.join(j).fact == t)
+        }
+    };
+    let mut cross_factor = 1u64;
+    for &t in spec.tables.iter().filter(|&&t| !joined(t)) {
+        let rows = match qualifying(t) {
+            Some(rows) => u64::from(rows.count_ones()),
+            None => db.table(t).num_rows() as u64,
         };
-        if !joined {
-            let rows = match qualifying(t) {
-                Some(rows) => u64::from(rows.count_ones()),
-                None => db.table(t).num_rows() as u64,
-            };
-            cross_factor = cross_factor.saturating_mul(rows);
-            if cross_factor == 0 {
-                return 0;
-            }
+        cross_factor = cross_factor.saturating_mul(rows);
+    }
+    let Some((&first, rest)) = spec.joins.split_first() else { return cross_factor };
+    if cross_factor == 0 {
+        return 0;
+    }
+
+    // One running product `Π_f cnt_f[t]` per center row, multiplied in
+    // join-edge order; the predicated facts' counts share one buffer.
+    let mut buf = Vec::new();
+    let fact_rows = |j: JoinId| qualifying(schema.join(j).fact);
+    let mut product: Vec<u64> =
+        edge_counts(db, first, fact_rows(first), &mut buf).iter().map(|&c| u64::from(c)).collect();
+    for &j in rest {
+        for (p, &c) in product.iter_mut().zip(edge_counts(db, j, fact_rows(j), &mut buf)) {
+            *p *= u64::from(c);
         }
     }
-    if spec.joins.is_empty() {
-        return cross_factor;
-    }
-
-    let center_rows = db.table(center).num_rows();
-    let fanouts: Vec<Cow<[u32]>> = spec
-        .joins
-        .iter()
-        .map(|&j| {
-            let edge = schema.join(j);
-            match qualifying(edge.fact) {
-                None => Cow::Borrowed(db.fanout(j)),
-                Some(rows) => {
-                    let keys = db.table(edge.fact).column(edge.fact_col).raw_slice();
-                    let mut counts = vec![0u32; center_rows];
-                    for row in rows.iter_ones() {
-                        counts[keys[row] as usize] += 1;
-                    }
-                    Cow::Owned(counts)
-                }
-            }
-        })
-        .collect();
-
-    let product = |row: usize| fanouts.iter().map(|f| u64::from(f[row])).product::<u64>();
     let total: u64 = match qualifying(center) {
-        Some(rows) => rows.iter_ones().map(product).sum(),
-        None => (0..center_rows).map(product).sum(),
+        Some(rows) => rows.iter_ones().map(|row| product[row]).sum(),
+        None => product.iter().sum(),
     };
     total.saturating_mul(cross_factor)
+}
+
+/// `cnt_f` of join edge `j`, one count per center row: the stored fan-out
+/// when the fact side has no predicates (`fact_rows` is `None`), else the
+/// qualifying fact rows counted per join key into `buf`.
+fn edge_counts<'a>(
+    db: &'a Database,
+    j: JoinId,
+    fact_rows: Option<&Bitmap>,
+    buf: &'a mut Vec<u32>,
+) -> &'a [u32] {
+    let Some(rows) = fact_rows else { return db.fanout(j) };
+    let edge = db.schema().join(j);
+    let keys = db.table(edge.fact).column(edge.fact_col).raw_slice();
+    buf.clear();
+    buf.resize(db.table(edge.center).num_rows(), 0);
+    for row in rows.iter_ones() {
+        buf[keys[row] as usize] += 1;
+    }
+    buf
 }
 
 /// Brute-force nested-loop COUNT(*) over the cross product of all qualifying
@@ -276,6 +298,65 @@ mod tests {
             QuerySpec { tables: &[TableId(0), TableId(1)], joins: &[JoinId(0)], predicates: &[p] };
         assert_eq!(count_star(&db, &spec), 0);
         assert_eq!(count_star_naive(&db, &spec), 0);
+    }
+
+    /// A predicate no row passes, on the table at `t`.
+    fn nothing_on(t: TableId) -> Predicate {
+        Predicate { table: t, column: 1, op: CmpOp::Gt, value: 1_000_000 }
+    }
+
+    #[test]
+    fn an_empty_conjunction_is_zero_in_every_role() {
+        let db = db();
+        let all = [TableId(0), TableId(1), TableId(2)];
+        let cases: [(&str, &[TableId], &[JoinId], TableId); 5] = [
+            ("center with joins", &all, &[JoinId(0), JoinId(1)], TableId(0)),
+            ("joined fact", &all, &[JoinId(0), JoinId(1)], TableId(2)),
+            ("loose table beside a join", &all, &[JoinId(0)], TableId(2)),
+            ("loose table of a cross product", &all[1..], &[], TableId(1)),
+            ("single table", &all[2..], &[], TableId(2)),
+        ];
+        for (role, tables, joins, empty) in cases {
+            let preds = [nothing_on(empty)];
+            let spec = QuerySpec { tables, joins, predicates: &preds };
+            assert_eq!(count_star(&db, &spec), 0, "{role}");
+            assert_eq!(count_star_naive(&db, &spec), 0, "{role}");
+            // The same query without the predicate is not empty: the
+            // conjunction alone made it 0.
+            assert!(count_star(&db, &QuerySpec { predicates: &[], ..spec }) > 0, "{role}");
+        }
+    }
+
+    #[test]
+    fn an_empty_join_of_non_empty_tables_is_zero() {
+        let db = db();
+        // title year = 2000 is row 0 (id 0); ci role = 2 is rows 2 and 4,
+        // of movies 1 and 3. Both tables qualify rows, no pair joins.
+        let preds = [
+            Predicate { table: TableId(0), column: 1, op: CmpOp::Eq, value: 2000 },
+            Predicate { table: TableId(2), column: 1, op: CmpOp::Eq, value: 2 },
+        ];
+        let spec = QuerySpec {
+            tables: &[TableId(0), TableId(1), TableId(2)],
+            joins: &[JoinId(0), JoinId(1)],
+            predicates: &preds,
+        };
+        for &t in spec.tables {
+            assert!(!db.table(t).qualifying(spec.predicates_on(t).iter()).all_zero());
+        }
+        assert_eq!(count_star(&db, &spec), 0);
+        assert_eq!(count_star_naive(&db, &spec), 0);
+    }
+
+    #[test]
+    fn one_qualifying_row_is_not_empty() {
+        let db = db();
+        // title year = 2000 is row 0 alone; mc holds two rows of movie 0.
+        let p = Predicate { table: TableId(0), column: 1, op: CmpOp::Eq, value: 2000 };
+        let spec =
+            QuerySpec { tables: &[TableId(0), TableId(1)], joins: &[JoinId(0)], predicates: &[p] };
+        assert_eq!(count_star(&db, &spec), 2);
+        assert_eq!(count_star_naive(&db, &spec), 2);
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! the predicates on its joined fact tables removed, which is the fan-out
 //! [`Database::fanout`] stores next to the one a scan has to count. CI runs
 //! this file at `PROPTEST_CASES=4096`.
+//!
+//! Hand mutations of the oracle it catches at that count: dropping the
+//! validity AND of the word scan; returning the wrong edge's stored
+//! fan-out; skipping one center bit of the final sum; leaving one join
+//! edge out of the running product; summing the product over every center
+//! row although the center is predicated; and an off-by-one emptiness
+//! test that returns 0 when a table has ≤ 1 qualifying row.
 
 use proptest::collection::vec;
 use proptest::option::weighted;

@@ -99,10 +99,9 @@ impl TableDefOwned {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
     /// The closed-form star-join executor equals brute force on arbitrary
-    /// micro databases, join subsets, and conjunctive predicates.
+    /// micro databases, join subsets, and conjunctive predicates. No case
+    /// pin: `PROPTEST_CASES` sets the count (CI runs 4096).
     #[test]
     fn executor_matches_naive(
         m in micro_db_strategy(),
@@ -134,6 +133,10 @@ proptest! {
         let spec = QuerySpec { tables: &tables, joins: &joins, predicates: &predicates };
         prop_assert_eq!(count_star(&db, &spec), count_star_naive(&db, &spec));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Normalize/denormalize of cardinalities round-trips within float
     /// tolerance for in-range values.
